@@ -34,7 +34,10 @@ from repro.core.packages import Package
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.queries.base import Query
+from repro.queries.bindings import StepCounter
+from repro.queries.plan import statistics_key
 from repro.relational.database import Database, DatabaseSnapshot, Relation, Row
+from repro.relational.schema import RelationSchema
 
 
 class CompatibilityConstraint:
@@ -83,52 +86,186 @@ class EmptyConstraint(CompatibilityConstraint):
         return "Qc absent (empty query)"
 
 
+def _parameters(function) -> FrozenSet[str]:
+    """The parameter names of ``function`` (empty when it cannot be inspected)."""
+    try:
+        return frozenset(inspect.signature(function).parameters)
+    except (TypeError, ValueError):  # pragma: no cover - exotic callables
+        return frozenset()
+
+
+class _CompiledProbe:
+    """The production ``Qc(N, D) = ∅`` test of one :class:`QueryConstraint`.
+
+    Both probe paths of the constraint (the in-place swap and the overlay)
+    hand it the candidate package as an answer relation, which it overlays
+    on the database by name through ``extra_relations``.  Compiled once per
+    ``(query, answer-relation name)``:
+
+    * **Early exit.**  When the query class offers
+      ``is_satisfiable_on(database, counter, extra_relations, stats_key)``
+      (CQ, UCQ and ∃FO⁺ do), the verdict stops at the first violating
+      binding instead of materialising ``Qc``'s whole answer.  Any other
+      class evaluates its full answer through the overlay.
+    * **One answer schema.**  The renamed ``RQ`` schema is kept for the
+      packages' schema and rebuilt only when a package arrives over
+      another one.
+    * **Plans without statistics.**  The plan-cache key names the answer
+      relation by its size class (the package size, at most the size
+      bound) and the base relations by the pinned epoch — which the plan
+      cache already keys snapshots on — or, on a live database, by their
+      statistics key computed once per database version.  A cache hit
+      therefore gathers no statistics; plans still go through the bounded
+      :func:`~repro.queries.plan.cached_plan` LRU.
+
+    Thread-safe for the overlay path: the two memo slots are immutable
+    tuples replaced whole, and a racing reader at worst recomputes one.
+    """
+
+    __slots__ = ("query", "answer_name", "overlay", "early_exit", "counted", "_schema", "_base")
+
+    def __init__(self, query: Query, answer_name: str) -> None:
+        self.query = query
+        self.answer_name = answer_name
+        evaluate_parameters = _parameters(query.evaluate)
+        #: Whether ``query.evaluate`` takes the ``extra_relations`` overlay.
+        #: Every shipped query class does; a user subclass implementing only
+        #: the base ``evaluate(database)`` signature gets the reference paths.
+        self.overlay = "extra_relations" in evaluate_parameters
+        self.counted = "counter" in evaluate_parameters
+        satisfiable = getattr(query, "is_satisfiable_on", None)
+        self.early_exit = self.overlay and satisfiable is not None and {
+            "counter",
+            "extra_relations",
+            "stats_key",
+        } <= _parameters(satisfiable)
+        self._schema: Tuple = (None, None)
+        self._base: Tuple = (None, None, ())
+
+    def answer_schema(self, schema: RelationSchema) -> RelationSchema:
+        """``schema`` renamed to the answer relation, reused across probes."""
+        source, renamed = self._schema
+        if source is not schema:
+            renamed = schema.rename(self.answer_name)
+            self._schema = (schema, renamed)
+        return renamed
+
+    def fresh_answer(self, package: Package) -> Relation:
+        """A per-call answer relation holding the package (trusted rows)."""
+        answer = Relation(self.answer_schema(package.schema))
+        answer.replace_rows(package.items)
+        return answer
+
+    def _base_key(self, database: Database) -> Tuple:
+        """The base relations' component of the plan-cache key."""
+        if getattr(database, "plan_epoch", None) is not None:
+            return ()  # the epoch, already in the key, fixes every base relation
+        version = database.version()
+        source, seen, key = self._base
+        if source is not database or seen != version:
+            names = self.query.relations_used() - {self.answer_name}
+            key = statistics_key(
+                {
+                    name: database.relation(name).statistics()
+                    for name in names
+                    if name in database
+                }
+            )
+            self._base = (database, version, key)
+        return key
+
+    def violated(
+        self, database: Database, answer: Relation, counter: Optional[StepCounter] = None
+    ) -> bool:
+        """Whether ``Qc`` has an answer over ``database`` with ``answer`` as ``RQ``."""
+        extra = {self.answer_name: answer}
+        if self.early_exit:
+            return self.query.is_satisfiable_on(
+                database,
+                counter=counter,
+                extra_relations=extra,
+                stats_key=(self.answer_name, len(answer), self._base_key(database)),
+            )
+        if self.counted:
+            return len(self.query.evaluate(database, counter=counter, extra_relations=extra)) > 0
+        return len(self.query.evaluate(database, extra_relations=extra)) > 0
+
+
 @dataclass
 class QueryConstraint(CompatibilityConstraint):
     """``Qc(N, D) = ∅`` with ``Qc`` a query mentioning ``RQ`` and the database.
 
     The candidate package is materialised as a relation whose name is the
     answer-relation name of ``Qc`` (``RQ`` by default, or the name of the
-    relation the constraint's atoms actually reference).
+    relation the constraint's atoms actually reference) and overlaid on the
+    database by name.  Both production probe paths end in one compiled
+    probe (:class:`_CompiledProbe`), which stops at the first violating
+    binding of a CQ, UCQ or ∃FO⁺ ``Qc`` and plans without gathering
+    statistics; they differ only in where the answer relation comes from.
 
-    Probing is zero-copy: the constraint keeps one reusable *extended
-    database* per base database — the base :class:`Relation` objects shared
-    by reference plus a single mutable answer relation — and every probe
-    merely swaps that relation's rows in place via
-    :meth:`~repro.relational.database.Relation.replace_rows`.  The in-place
-    swap bumps the relation's version counter like any mutation, so the
-    evaluator's hash indexes on the answer relation can never go stale, while
-    the indexes on the base relations survive across probes.  The historical
-    probe (materialise a fresh relation, copy the database) is retained as
-    :meth:`is_satisfied_copying` for the differential suite and the
-    enumeration benchmark's pre-engine baseline.
+    * The **in-place swap** keeps one reusable answer relation per base
+      database and swaps its rows per probe via
+      :meth:`~repro.relational.database.Relation.replace_rows`.  The swap
+      bumps the relation's version counter like any mutation, so the
+      evaluator's hash indexes on it can never go stale.  It makes the
+      constraint object single-threaded.
+    * The **overlay** builds a fresh answer relation per call, so
+      nothing on the constraint or the database mutates and any number of
+      reader threads may probe one constraint concurrently.
 
-    The in-place swap makes the constraint object single-threaded.  The
-    *overlay* probe is the shared-nothing alternative (PR 6): the package is
-    materialised as a per-call relation passed to the query's
-    ``extra_relations`` overlay, so nothing on the constraint or the database
-    mutates and any number of reader threads may probe one constraint
-    concurrently.  ``use_snapshot_overlay`` selects the path — ``None`` (the
-    default) probes via the overlay exactly when ``database`` is a pinned
+    ``use_snapshot_overlay`` selects the path — ``None`` (the default)
+    probes via the overlay exactly when ``database`` is a pinned
     :class:`~repro.relational.database.DatabaseSnapshot` (the serving read
-    path), keeping the mutating fast path for the single-user solvers;
-    ``True``/``False`` force one path, which the differential coverage uses
-    to pin both agree verdict-for-verdict.  A query class whose ``evaluate``
-    does not take ``extra_relations`` falls back to the copying reference.
+    path), keeping the swap for the single-user solvers; ``True``/``False``
+    force one path, which the differential coverage uses to pin both agree
+    verdict-for-verdict.  A query class whose ``evaluate`` does not take
+    ``extra_relations`` evaluates against a reusable extended database
+    (swap) or falls back to the copying reference (overlay).  The
+    historical probe (materialise a fresh relation, copy the database, and
+    evaluate the whole answer) is retained as :meth:`is_satisfied_copying`
+    for the differential suite and the enumeration benchmark's pre-engine
+    baseline.
+
+    :meth:`is_satisfied` takes an optional
+    :class:`~repro.queries.bindings.StepCounter`, which every path but the
+    copying fallback ticks; the ambient request deadline is honoured on
+    every path.  Verdicts equal the reference's wherever the reference
+    returns; the early exit evaluates fewer bindings, so an error a later
+    binding would raise in the full evaluation (a mixed-type comparison, a
+    step limit) may not be raised.
     """
 
     query: Query
     answer_relation: str = "RQ"
     use_snapshot_overlay: Optional[bool] = field(default=None, compare=False)
 
-    def is_satisfied(self, package: Package, database: Database) -> bool:
+    def _compiled(self) -> _CompiledProbe:
+        """The compiled probe, rebuilt if ``query`` or the name changed."""
+        probe = getattr(self, "_probe", None)
+        if (
+            probe is None
+            or probe.query is not self.query
+            or probe.answer_name != self.answer_relation
+        ):
+            probe = _CompiledProbe(self.query, self.answer_relation)
+            self._probe = probe
+        return probe
+
+    def is_satisfied(
+        self, package: Package, database: Database, counter: Optional[StepCounter] = None
+    ) -> bool:
+        probe = self._compiled()
         overlay = self.use_snapshot_overlay
         if overlay is None:
             overlay = isinstance(database, DatabaseSnapshot)
         if overlay:
-            return self._is_satisfied_overlay(package, database)
+            if not probe.overlay:
+                return self.is_satisfied_copying(package, database)
+            return not probe.violated(database, probe.fresh_answer(package), counter)
         extended, answer = self._extended_view(package, database)
         try:
+            if probe.overlay:
+                return not probe.violated(database, answer, counter)
             return len(self.query.evaluate(extended)) == 0
         finally:
             # Restore the reusable view no matter how the probe ends: a
@@ -138,39 +275,9 @@ class QueryConstraint(CompatibilityConstraint):
             # would silently evaluate against a stale package.
             answer.replace_rows(())
 
-    def _is_satisfied_overlay(self, package: Package, database: Database) -> bool:
-        """The thread-safe probe: a per-call answer relation overlays by name.
-
-        Builds a fresh relation holding the package and passes it through the
-        evaluator's ``extra_relations`` parameter, which shadows ``database``'s
-        relations by name without copying or mutating anything — the snapshot
-        counterpart of the ``replace_rows`` swap.  Verdict-identical to both
-        other probes; the compatibility-oracle tests pin the equivalence.
-        """
-        if not self._query_accepts_extra_relations():
-            return self.is_satisfied_copying(package, database)
-        answer = package.as_relation(self.answer_relation)
-        result = self.query.evaluate(
-            database, extra_relations={self.answer_relation: answer}
-        )
-        return len(result) == 0
-
     def _query_accepts_extra_relations(self) -> bool:
-        """Whether ``query.evaluate`` takes the ``extra_relations`` overlay.
-
-        Every shipped query class does; a user subclass implementing only the
-        base ``evaluate(database)`` signature gets the copying fallback.
-        """
-        cached = getattr(self, "_overlay_supported", None)
-        if cached is None:
-            try:
-                parameters = inspect.signature(self.query.evaluate).parameters
-            except (TypeError, ValueError):  # pragma: no cover - exotic callables
-                cached = False
-            else:
-                cached = "extra_relations" in parameters
-            self._overlay_supported = cached
-        return cached
+        """Whether ``query.evaluate`` takes the ``extra_relations`` overlay."""
+        return self._compiled().overlay
 
     def is_satisfied_copying(self, package: Package, database: Database) -> bool:
         """The historical per-probe copy path, kept as the reference semantics."""
@@ -199,7 +306,7 @@ class QueryConstraint(CompatibilityConstraint):
             # unchanged version genuinely means unchanged objects and rows.)
             or state[4] != database.version()
         ):
-            answer = Relation(package.schema.rename(self.answer_relation))
+            answer = Relation(self._compiled().answer_schema(package.schema))
             state = (
                 database,
                 answer,

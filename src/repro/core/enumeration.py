@@ -17,8 +17,12 @@ traversal of the subset lattice that
 * builds packages through the trusted fast path
   (:meth:`~repro.core.packages.Package.trusted`) — items drawn from ``Q(D)``
   were already validated by the query evaluator,
-* probes the compatibility oracle exactly once per lattice node (the verdict
-  serves both the anti-monotone pruning hint and the validity check),
+* probes the compatibility oracle last and at most once per lattice node:
+  a node's ``Qc`` verdict is requested only when it can change the outcome
+  — for the anti-monotone pruning hint only if the node has children, for
+  admission only once the node has passed the budget, the exclusion set,
+  the rating bound and (top-k) the current selection's entry test — and
+  one verdict serves both uses,
 * skips the ``N ⊆ Q(D)`` membership scan entirely (true by construction), and
 * supports a branch-and-bound top-k mode and a non-materializing counting
   mode on top of the plain enumeration.
@@ -37,6 +41,15 @@ The pre-engine recursive enumerator is retained as
 ``enumerate_bindings_naive`` in the query evaluator), and
 ``tests/test_enumeration_differential.py`` keeps engine and reference
 provably equivalent on 100+ random problems.
+
+Exception contract: the engine evaluates cost and rating first and asks for
+a verdict only where it can matter, while the reference probes ``Qc`` on
+every node it visits before its budget and rating checks.  The two make
+different sets of evaluations, so they can differ in what they raise: an
+error ``Qc`` would raise on a package that fails the budget or the rating
+bound (or cannot enter the top-k) is raised by the reference only, and a
+cost or rating function that raises only on packages ``Qc`` rejects raises
+in the engine only.  Wherever neither raises, answers are equal.
 """
 
 from __future__ import annotations
@@ -160,18 +173,19 @@ class PackageSearchEngine:
         Same conditions as
         :meth:`~repro.core.model.RecommendationProblem.is_valid_package`
         minus the ``N ⊆ Q(D)`` membership scan, which holds by construction
-        for packages the heuristics assemble from engine items.
+        for packages the heuristics assemble from engine items.  Cheap checks
+        first: ``Qc`` is probed only for a package within the size bound, the
+        budget and the rating bound, as in the lattice search.
         """
         if len(package) > self.max_size:
-            return False
-        if not self.oracle.is_satisfied(package):
             return False
         if self.problem.cost(package) > self.budget:
             return False
         if rating_bound is not None:
             rating = self.problem.val(package)
-            return rating > rating_bound if strict else rating >= rating_bound
-        return True
+            if not (rating > rating_bound if strict else rating >= rating_bound):
+                return False
+        return self.oracle.is_satisfied(package)
 
     # -- cost/rating threading -------------------------------------------------
     def _cost_path(self):
@@ -261,28 +275,26 @@ class PackageSearchEngine:
                     if monotone_cost and cost_value > budget:
                         pruned += 1
                         continue
+                has_children = size < limit
                 compatible: Optional[bool] = None
-                if antimonotone:
+                if antimonotone and has_children:
                     compatible = oracle.is_satisfied(package)
                     if not compatible:
                         pruned += 1
                         continue
                 next_val = val_extend(val_state, item) if val_extend else None
                 if package not in excluded:
-                    if compatible is None:
-                        compatible = oracle.is_satisfied(package)
-                    if compatible:
-                        if cost_value is None:
-                            cost_value = cost_at(next_cost, size, package)
-                        if cost_value <= budget:
-                            if check_rating:
-                                rating = val_at(next_val, size, package)
-                                ok = rating > rating_bound if strict else rating >= rating_bound
-                            else:
-                                ok = True
-                            if ok:
-                                yield package
-                if size < limit:
+                    if cost_value is None:
+                        cost_value = cost_at(next_cost, size, package)
+                    if cost_value <= budget:
+                        if check_rating:
+                            rating = val_at(next_val, size, package)
+                            ok = rating > rating_bound if strict else rating >= rating_bound
+                        else:
+                            ok = True
+                        if ok and (compatible or oracle.is_satisfied(package)):
+                            yield package
+                if has_children:
                     yield from dfs(index + 1, extended, extended_set, next_cost, next_val)
 
         try:
@@ -375,34 +387,36 @@ class PackageSearchEngine:
                     if monotone_cost and cost_value > budget:
                         pruned += 1
                         continue
-                compatible = oracle.is_satisfied(package)
-                if antimonotone and not compatible:
-                    pruned += 1
-                    continue
+                has_children = size < limit
+                compatible: Optional[bool] = None
+                if antimonotone and has_children:
+                    compatible = oracle.is_satisfied(package)
+                    if not compatible:
+                        pruned += 1
+                        continue
                 next_val = val_extend(val_state, item) if val_extend else None
-                if compatible:
-                    if cost_value is None:
-                        cost_value = cost_at(next_cost, size, package)
-                    if cost_value <= budget:
-                        if need_rating:
-                            rating = val_at(next_val, size, package)
-                            if not check_rating:
-                                ok = True
-                            elif strict:
-                                ok = rating > rating_bound
-                            else:
-                                ok = rating >= rating_bound
-                        else:
+                if cost_value is None:
+                    cost_value = cost_at(next_cost, size, package)
+                if cost_value <= budget:
+                    if need_rating:
+                        rating = val_at(next_val, size, package)
+                        if not check_rating:
                             ok = True
-                        if ok:
-                            count += 1
-                            if by_size:
-                                histogram[size] = histogram.get(size, 0) + 1
-                            if collect_ratings is not None:
-                                collect_ratings.append(rating)
-                            if stop_at is not None and count >= stop_at:
-                                raise _SearchDone
-                if size < limit:
+                        elif strict:
+                            ok = rating > rating_bound
+                        else:
+                            ok = rating >= rating_bound
+                    else:
+                        ok = True
+                    if ok and (compatible or oracle.is_satisfied(package)):
+                        count += 1
+                        if by_size:
+                            histogram[size] = histogram.get(size, 0) + 1
+                        if collect_ratings is not None:
+                            collect_ratings.append(rating)
+                        if stop_at is not None and count >= stop_at:
+                            raise _SearchDone
+                if has_children:
                     dfs(index + 1, extended, extended_set, next_cost, next_val)
 
         try:
@@ -434,9 +448,10 @@ class PackageSearchEngine:
         Ties are broken by :meth:`Package.sort_key` — exactly the order the
         exhaustive sort uses — so the result is bit-identical whether or not
         branch-and-bound pruning fires.  Returns ``(scored, examined, total)``
-        where ``total`` is the number of valid packages *seen* (with pruning
-        active this undercounts the lattice total only once the selection is
-        already full, so ``total >= how_many`` iff a full selection exists).
+        where ``total`` is the number of valid packages that entered the
+        selection.  A node that cannot enter it is never probed, so this
+        undercounts the valid packages only once the selection is already
+        full: ``total >= how_many`` iff a full selection exists.
 
         The branch-and-bound mode engages when the problem declares
         ``monotone_val``: the best rating reachable in a subtree is bounded by
@@ -552,17 +567,18 @@ class PackageSearchEngine:
                 return node_rating
             return val_fn(Package.trusted(schema, node_set | remaining))
 
-        def admit(rating: float, package: Package) -> None:
-            nonlocal worst_rating, total_seen
-            total_seen += 1
+        def entry_key(rating: float, package: Package) -> Optional[Tuple[float, Tuple]]:
+            """The node's selection sort key, or ``None`` if it cannot enter."""
             if len(scored) >= how_many:
                 if rating < worst_rating:
-                    return  # strictly worse: the tie key can never matter
+                    return None  # strictly worse: the tie key can never matter
                 key = (-rating, package.sort_key())
-                if key >= scored[-1][0]:
-                    return
-            else:
-                key = (-rating, package.sort_key())
+                return key if key < scored[-1][0] else None
+            return (-rating, package.sort_key())
+
+        def admit(key: Tuple[float, Tuple], rating: float, package: Package) -> None:
+            nonlocal worst_rating, total_seen
+            total_seen += 1
             insort(scored, (key, package, rating))
             if len(scored) > how_many:
                 scored.pop()
@@ -610,23 +626,26 @@ class PackageSearchEngine:
                     if monotone_cost and cost_value > budget:
                         pruned += 1
                         continue
-                compatible = oracle.is_satisfied(package)
-                if antimonotone and not compatible:
-                    pruned += 1
-                    continue
+                compatible: Optional[bool] = None
+                if antimonotone and size < limit:
+                    compatible = oracle.is_satisfied(package)
+                    if not compatible:
+                        pruned += 1
+                        continue
                 next_val = val_extend(val_state, item) if val_extend else None
-                # The node's rating is needed for admission anyway whenever the
-                # node is valid, and for the subtree bound whenever branch and
-                # bound is active; only a bound-less search on an invalid node
-                # can skip it, which the lazy computation below arranges.
+                # The node's rating decides whether it could enter the
+                # selection (and so whether its verdict is worth a probe), and
+                # feeds the subtree bound whenever branch and bound is active;
+                # only a bound-less search on an over-budget node skips it.
                 rating = val_at(next_val, size, package) if use_bound else None
-                if compatible:
-                    if cost_value is None:
-                        cost_value = cost_at(next_cost, size, package)
-                    if cost_value <= budget:
-                        if rating is None:
-                            rating = val_at(next_val, size, package)
-                        admit(rating, package)
+                if cost_value is None:
+                    cost_value = cost_at(next_cost, size, package)
+                if cost_value <= budget:
+                    if rating is None:
+                        rating = val_at(next_val, size, package)
+                    key = entry_key(rating, package)
+                    if key is not None and (compatible or oracle.is_satisfied(package)):
+                        admit(key, rating, package)
                 if size < limit:
                     child_cost = (
                         path_cost + cost_delta(item) if cost_delta is not None else 0.0

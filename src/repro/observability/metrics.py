@@ -472,6 +472,12 @@ SERVING_SHEDS = register_counter("serving.sheds", "requests shed by bounded admi
 SERVING_ERRORS = register_counter(
     "serving.errors", "error results by typed code (labelled per code)"
 )
+SERVING_MEMO_HITS = register_counter(
+    "serving.memo.hits", "requests answered from their epoch's answer memo"
+)
+SERVING_MEMO_EVICTIONS = register_counter(
+    "serving.memo.evictions", "answers evicted from a full epoch answer memo (LRU)"
+)
 SERVING_INFLIGHT = register_gauge(
     "serving.inflight", "concurrently admitted requests (last observed)"
 )

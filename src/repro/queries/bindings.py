@@ -448,6 +448,7 @@ def enumerate_bindings(
     use_snapshot_overlay: Optional[bool] = None,
     use_columnar: Optional[bool] = None,
     step_profile=None,
+    stats_key: Optional[Tuple] = None,
 ) -> Iterator[Binding]:
     """Yield every binding satisfying all atoms, via an indexed join plan.
 
@@ -525,6 +526,11 @@ def enumerate_bindings(
         observation — candidates, matches and access kinds per plan step —
         and never consulted for any decision, so a profiled run enumerates
         exactly the same bindings.
+    stats_key:
+        A caller-computed statistics component of the plan-cache key (see
+        :func:`~repro.queries.plan.cached_plan`).  With it, the relations'
+        statistics are gathered only when the cache misses; the ``Qc``
+        probe passes one so that a hit costs no statistics at all.
     """
     counter = _deadline_guarded(counter)
     if use_snapshot_overlay:
@@ -546,15 +552,22 @@ def enumerate_bindings(
     if plan is None:
         pspan = _tracing.begin("plan")
         try:
-            statistics = None
-            if use_statistics is not False:
-                statistics = {}
+
+            def gather_statistics() -> Optional[Dict[str, object]]:
+                gathered = {}
                 for atom in relation_atoms:
                     getter = getattr(lookup(atom.relation), "statistics", None)
                     if getter is None:
-                        statistics = None
-                        break
-                    statistics[atom.relation] = getter()
+                        return None
+                    gathered[atom.relation] = getter()
+                return gathered
+
+            if use_statistics is False:
+                statistics, stats_key = None, None
+            elif stats_key is None:
+                statistics = gather_statistics()
+            else:
+                statistics = gather_statistics  # called by the cache on a miss only
             plan = cached_plan(
                 tuple(relation_atoms),
                 tuple(comparisons),
@@ -566,6 +579,7 @@ def enumerate_bindings(
                 # to one epoch share compiled plans without colliding across
                 # epochs; the live database contributes None (unchanged keying).
                 epoch=getattr(database, "plan_epoch", None),
+                stats_key=stats_key,
             )
         finally:
             _tracing.finish(pspan)

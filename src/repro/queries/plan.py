@@ -63,7 +63,9 @@ function of the prefix alone and can be compiled once per evaluation:
 Compiled plans are cached (:func:`cached_plan`) keyed on the conjunction, the
 pre-bound variable names and the statistics snapshot they were costed with —
 repeated solver probes of the same ``Qc`` against a database whose statistics
-have not drifted stop re-planning entirely.  A plan is semantically valid for
+have not drifted stop re-planning entirely.  The ``Qc`` probe goes one step
+further and names the statistics by a key of its own (the answer relation's
+size plus the base relations' key), so a cache hit gathers none.  A plan is semantically valid for
 *any* database (statistics only steer cost), so a cache hit can never change
 answers.
 
@@ -90,6 +92,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -820,14 +823,20 @@ def _quantized_stats_key(stats: RelationStatistics) -> Tuple:
     )
 
 
+def statistics_key(statistics: Mapping[str, RelationStatistics]) -> Tuple:
+    """The plan-cache key component of a statistics snapshot (order-free)."""
+    return tuple(sorted(_quantized_stats_key(stats) for stats in statistics.values()))
+
+
 def cached_plan(
     relation_atoms: Tuple[RelationAtom, ...],
     comparisons: Tuple[Comparison, ...],
     bound_names: FrozenSet[str],
-    statistics: Optional[Mapping[str, RelationStatistics]] = None,
+    statistics: "Optional[Mapping[str, RelationStatistics] | Callable]" = None,
     compile_ranges: bool = True,
     compile_columnar: bool = True,
     epoch: Optional[Tuple] = None,
+    stats_key: Optional[Tuple] = None,
 ) -> JoinPlan:
     """:func:`plan_conjunction` behind an LRU keyed on its semantic inputs.
 
@@ -845,12 +854,16 @@ def cached_plan(
     epoch and never collide across epochs.  The live database contributes
     ``None`` (no ``plan_epoch`` attribute), preserving the PR 4-5 keying
     byte-for-byte.
+
+    ``stats_key`` is a caller-computed stand-in for the statistics component
+    of the key, for callers that can name their statistics' class without
+    gathering them: the ``Qc`` probe keys its answer relation by package size
+    and the base relations by their key at one database version.
+    ``statistics`` may then be a zero-argument callable, which is called
+    only on a miss, to cost the plan being compiled.
     """
-    stats_key = (
-        tuple(sorted(_quantized_stats_key(stats) for stats in statistics.values()))
-        if statistics is not None
-        else None
-    )
+    if stats_key is None and statistics is not None:
+        stats_key = statistics_key(statistics)
     key = (
         relation_atoms,
         comparisons,
@@ -877,6 +890,8 @@ def cached_plan(
     active = _metrics._ACTIVE
     if active is not None:
         active.inc("plan.cache.misses")
+    if callable(statistics):
+        statistics = statistics()
     plan = plan_conjunction(
         relation_atoms,
         comparisons,

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -279,6 +280,12 @@ def _finalize_result(result: ServeResult, root: Optional[Span]) -> ServeResult:
     return replace(result, trace=root)
 
 
+#: How many answers one epoch's memo keeps.  Least recently used answers
+#: beyond it are evicted, so a long read-only epoch serving many distinct
+#: CHECK requests holds a bounded memo.  A constant, not a knob.
+EPOCH_MEMO_LIMIT = 256
+
+
 class _EpochContext:
     """Everything the readers of one pinned epoch share.
 
@@ -286,9 +293,10 @@ class _EpochContext:
     :class:`~repro.core.compatibility.CompatibilityOracle` whose verdicts can
     never be invalidated — the pinned relations' versions are frozen), one
     :class:`~repro.core.oracle.ExistPackOracle` whose captured pool provably
-    equals the epoch's ``Q(D)``, and one answer memo.  All of it is safe to
-    share across threads *because* the epoch is immutable; the only lock is
-    around the memo dictionary, never around solver work.
+    equals the epoch's ``Q(D)``, and one answer memo, an LRU of at most
+    :data:`EPOCH_MEMO_LIMIT` answers.  All of it is safe to share across
+    threads *because* the epoch is immutable; the only lock is around the
+    memo, never around solver work.
     """
 
     __slots__ = ("problem", "oracle", "epoch", "_memo", "_lock")
@@ -297,20 +305,31 @@ class _EpochContext:
         self.problem = pinned
         self.oracle = ExistPackOracle(pinned)
         self.epoch = pinned.database.epoch
-        self._memo: Dict[ServeRequest, Answer] = {}
+        self._memo: "OrderedDict[ServeRequest, Answer]" = OrderedDict()
         self._lock = threading.Lock()
 
     def answer(self, request: ServeRequest) -> Answer:
         with self._lock:
             cached = self._memo.get(request)
+            if cached is not None:
+                self._memo.move_to_end(request)
+        active = _metrics._ACTIVE
         if cached is not None:
+            if active is not None:
+                active.inc("serving.memo.hits")
             return cached
         # Compute outside the lock: two racing threads may duplicate work on
         # the same request, never corrupt it (the epoch is immutable, so both
         # compute the identical answer and setdefault keeps exactly one).
         answer = execute_request(self.problem, request, oracle=self.oracle)
         with self._lock:
-            return self._memo.setdefault(request, answer)
+            answer = self._memo.setdefault(request, answer)
+            evict = len(self._memo) > EPOCH_MEMO_LIMIT
+            if evict:
+                self._memo.popitem(last=False)
+        if evict and active is not None:
+            active.inc("serving.memo.evictions")
+        return answer
 
 
 class SnapshotServer:

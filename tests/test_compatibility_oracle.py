@@ -433,11 +433,12 @@ def test_changing_database_or_constraint_gets_a_fresh_oracle():
 
 def test_enumeration_actually_hits_the_cache():
     # Pin updated for the PR-2 search engine: within ONE enumeration the
-    # engine probes each lattice node exactly once (the verdict serves both
+    # engine probes each lattice node at most once (the verdict serves both
     # the pruning hint and the validity check), so a single solver run
     # produces only misses.  The cache pays off when a second solver — or a
-    # QRPP-style derived problem — walks the same lattice: every probe of the
-    # second run must be a hit.
+    # QRPP-style derived problem — walks the same lattice: on this problem
+    # the top-k search only probes nodes the count already probed, so every
+    # probe of the second run must be a hit.
     problem = synthetic_package_problem(8, seed=3).problem
     count_valid_packages(problem, rating_bound=10.0)  # full lattice walk
     oracle = problem.compatibility_oracle()

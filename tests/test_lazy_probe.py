@@ -1,0 +1,165 @@
+"""The lattice search probes ``Qc`` last, and at most once per node.
+
+Over the enumeration differential's random problems, the constraint is
+wrapped in a call-counting spy (with the verdict cache off, so every engine
+probe reaches the spy) and each search mode of
+:class:`~repro.core.enumeration.PackageSearchEngine` — ``iter_valid``,
+``count_valid`` and ``best_valid`` — must
+
+* return exactly what the reference enumerator returns,
+* probe no node twice, and
+* never probe a node whose verdict cannot matter: a leaf (or, without the
+  anti-monotone hint, any node) that fails the budget or the rating bound.
+
+A pinned check on the 80-item serving problem makes a return to
+probe-first visible in numbers: the RPP optimality search must make far
+fewer probes than there are budget-feasible nodes.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import replace
+from itertools import combinations
+
+import pytest
+
+from repro.core import (
+    best_valid_packages_reference,
+    compute_top_k,
+    enumerate_valid_packages_reference,
+    is_top_k_selection,
+)
+from repro.core.compatibility import CompatibilityConstraint
+from repro.core.enumeration import PackageSearchEngine
+from repro.core.rpp import selection_from_items
+from repro.serving.trace import serving_problem
+
+from scenarios import random_problem
+
+NUM_SEEDS = 110
+
+
+class SpyConstraint(CompatibilityConstraint):
+    """Delegates to ``inner`` and counts the probes per package item-set."""
+
+    def __init__(self, inner: CompatibilityConstraint) -> None:
+        self.inner = inner
+        self.calls: Counter = Counter()
+
+    def is_satisfied(self, package, database) -> bool:
+        self.calls[package.items] += 1
+        return self.inner.is_satisfied(package, database)
+
+    def relation_footprint(self):
+        return self.inner.relation_footprint()
+
+
+def _spied(problem):
+    spy = SpyConstraint(problem.compatibility)
+    return replace(problem, compatibility=spy, cache_compatibility=False), spy
+
+
+def _passes(problem, package, rating_bound, strict):
+    if problem.cost(package) > problem.budget:
+        return False
+    if rating_bound is None:
+        return True
+    rating = problem.val(package)
+    return rating > rating_bound if strict else rating >= rating_bound
+
+
+def _assert_no_wasted_probe(problem, engine, spy, rating_bound=None, strict=False):
+    assert all(count == 1 for count in spy.calls.values()), "a node was probed twice"
+    for items in spy.calls:
+        package = engine.package(items)
+        if problem.antimonotone_compatibility and len(package) < engine.limit:
+            continue  # the pruning hint needs this node's verdict regardless
+        assert _passes(problem, package, rating_bound, strict), (
+            f"probed {sorted(items)}, which fails the budget or the rating bound"
+        )
+
+
+@pytest.mark.parametrize("seed", range(NUM_SEEDS))
+def test_iter_valid_probes_lazily(seed):
+    problem, rating_bound = random_problem(seed)
+    for bound, strict in ((None, False), (rating_bound, False), (rating_bound, True)):
+        spied, spy = _spied(problem)
+        engine = PackageSearchEngine(spied)
+        found = frozenset(engine.iter_valid(rating_bound=bound, strict=strict))
+        reference = frozenset(
+            enumerate_valid_packages_reference(problem, rating_bound=bound, strict=strict)
+        )
+        assert found == reference
+        _assert_no_wasted_probe(spied, engine, spy, bound, strict)
+
+
+@pytest.mark.parametrize("seed", range(NUM_SEEDS))
+def test_count_valid_probes_lazily(seed):
+    problem, rating_bound = random_problem(seed)
+    for bound in (None, rating_bound):
+        spied, spy = _spied(problem)
+        engine = PackageSearchEngine(spied)
+        count = engine.count_valid(rating_bound=bound)
+        assert count == sum(
+            1 for _ in enumerate_valid_packages_reference(problem, rating_bound=bound)
+        )
+        _assert_no_wasted_probe(spied, engine, spy, bound)
+
+
+@pytest.mark.parametrize("seed", range(NUM_SEEDS))
+def test_best_valid_probes_lazily(seed):
+    problem, _ = random_problem(seed)
+    for how_many in (1, problem.k, 4):
+        spied, spy = _spied(problem)
+        engine = PackageSearchEngine(spied)
+        scored, _, _ = engine.best_valid(how_many)
+        reference = best_valid_packages_reference(problem, how_many)
+        assert [package.sorted_items() for _, package in scored] == [
+            package.sorted_items() for package in reference
+        ]
+        _assert_no_wasted_probe(spied, engine, spy)
+
+
+def test_is_valid_candidate_checks_budget_and_rating_before_qc():
+    outcomes = set()
+    for seed in range(20):
+        problem, rating_bound = random_problem(seed)
+        spied, spy = _spied(problem)
+        engine = PackageSearchEngine(spied)
+        for item in engine.items:
+            package = engine.singleton(item)
+            verdict = engine.is_valid_candidate(package, rating_bound=rating_bound)
+            assert verdict == problem.is_valid_package(package, rating_bound=rating_bound)
+            passes = _passes(problem, package, rating_bound, False)
+            assert (package.items in spy.calls) == passes
+            outcomes.add(passes)
+    assert outcomes == {True, False}
+
+
+def test_rpp_optimality_search_probes_far_fewer_nodes_than_it_could():
+    """Pinned on the 80-item serving problem (size bound 2, Qc a CQ).
+
+    Probe-first made one probe per budget-feasible singleton or pair; the
+    lazy search probes the singletons (the anti-monotone hint needs their
+    verdicts) and only the pairs rated above the selection.  The verdict
+    cache is fresh, so every probe is a miss.
+    """
+    frp = compute_top_k(serving_problem(80))
+    problem = serving_problem(80)  # a fresh verdict cache for the RPP run
+    selection = selection_from_items(
+        problem, [package.sorted_items() for package in frp.selection]
+    )
+    engine = PackageSearchEngine(problem)
+    feasible = sum(
+        1
+        for size in (1, 2)
+        for items in combinations(engine.items, size)
+        if problem.cost(engine.package(items)) <= problem.budget
+    )
+    oracle = problem.compatibility_oracle()
+    result = is_top_k_selection(problem, selection)
+    assert result.is_top_k
+    assert feasible == 782
+    # Probe-first made 782 misses; the lazy search makes 43.
+    assert oracle.misses * 10 < feasible, (oracle.misses, feasible)

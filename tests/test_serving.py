@@ -17,6 +17,7 @@ from repro.core import (
     is_top_k_selection,
     selection_from_items,
 )
+from repro.observability import MetricsRegistry, use_metrics
 from repro.serving import (
     GlobalLockServer,
     ServeRequest,
@@ -26,6 +27,7 @@ from repro.serving import (
     latency_percentiles,
     serving_problem,
 )
+from repro.serving.server import EPOCH_MEMO_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,25 @@ class TestSnapshotServer:
 
     def test_empty_batch(self):
         assert SnapshotServer(serving_problem(10, seed=1)).serve_batch([]) == []
+
+    def test_the_epoch_memo_is_a_bounded_lru(self):
+        problem = serving_problem(10, seed=1)
+        server = SnapshotServer(problem)
+        overflow = 5
+        requests = [
+            ServeRequest.exists(0.5 * index) for index in range(EPOCH_MEMO_LIMIT + overflow)
+        ]
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            first = [server.serve_one(request).answer for request in requests]
+            # The most recent answer is still memoized; the oldest ones were evicted.
+            assert server.serve_one(requests[-1]).answer == first[-1]
+            assert server.serve_one(requests[0]).answer == first[0]
+        assert len(server._current_context()._memo) == EPOCH_MEMO_LIMIT
+        assert registry.counter("serving.memo.hits") == 1
+        assert registry.counter("serving.memo.evictions") == overflow + 1
+        for request, answer in zip(requests, first):
+            assert answer == execute_request(problem, request)
 
 
 class TestGlobalLockBaseline:
