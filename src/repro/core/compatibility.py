@@ -27,7 +27,7 @@ across problems over the same database is always safe.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.packages import Package
@@ -36,7 +36,7 @@ from repro.observability import tracing as _tracing
 from repro.queries.base import Query
 from repro.queries.bindings import StepCounter
 from repro.queries.plan import statistics_key
-from repro.relational.database import Database, DatabaseSnapshot, Relation, Row
+from repro.relational.database import Database, Relation, Row
 from repro.relational.schema import RelationSchema
 
 
@@ -97,10 +97,10 @@ def _parameters(function) -> FrozenSet[str]:
 class _CompiledProbe:
     """The production ``Qc(N, D) = ∅`` test of one :class:`QueryConstraint`.
 
-    Both probe paths of the constraint (the in-place swap and the overlay)
-    hand it the candidate package as an answer relation, which it overlays
-    on the database by name through ``extra_relations``.  Compiled once per
-    ``(query, answer-relation name)``:
+    The constraint hands it the candidate package as a fresh answer
+    relation, which it overlays on the database by name through
+    ``extra_relations``.  Compiled once per ``(query, answer-relation
+    name)``:
 
     * **Early exit.**  When the query class offers
       ``is_satisfiable_on(database, counter, extra_relations, stats_key)``
@@ -118,8 +118,8 @@ class _CompiledProbe:
       therefore gathers no statistics; plans still go through the bounded
       :func:`~repro.queries.plan.cached_plan` LRU.
 
-    Thread-safe for the overlay path: the two memo slots are immutable
-    tuples replaced whole, and a racing reader at worst recomputes one.
+    Thread-safe: the two memo slots are immutable tuples replaced whole, and
+    a racing reader at worst recomputes one.
     """
 
     __slots__ = ("query", "answer_name", "overlay", "early_exit", "counted", "_schema", "_base")
@@ -130,7 +130,7 @@ class _CompiledProbe:
         evaluate_parameters = _parameters(query.evaluate)
         #: Whether ``query.evaluate`` takes the ``extra_relations`` overlay.
         #: Every shipped query class does; a user subclass implementing only
-        #: the base ``evaluate(database)`` signature gets the reference paths.
+        #: the base ``evaluate(database)`` signature gets the copying reference.
         self.overlay = "extra_relations" in evaluate_parameters
         self.counted = "counter" in evaluate_parameters
         satisfiable = getattr(query, "is_satisfiable_on", None)
@@ -195,49 +195,33 @@ class _CompiledProbe:
 class QueryConstraint(CompatibilityConstraint):
     """``Qc(N, D) = ∅`` with ``Qc`` a query mentioning ``RQ`` and the database.
 
-    The candidate package is materialised as a relation whose name is the
-    answer-relation name of ``Qc`` (``RQ`` by default, or the name of the
+    The candidate package is materialised as a fresh answer relation named
+    after ``Qc``'s answer relation (``RQ`` by default, or the name of the
     relation the constraint's atoms actually reference) and overlaid on the
-    database by name.  Both production probe paths end in one compiled
-    probe (:class:`_CompiledProbe`), which stops at the first violating
-    binding of a CQ, UCQ or ∃FO⁺ ``Qc`` and plans without gathering
-    statistics; they differ only in where the answer relation comes from.
+    database by name.  :meth:`is_satisfied` has one probe path, the
+    compiled probe (:class:`_CompiledProbe`), which stops at the first
+    violating binding of a CQ, UCQ or ∃FO⁺ ``Qc`` and plans without
+    gathering statistics.  A probe never mutates the database, and the
+    constraint's only state is its compiled probe, so any number of reader
+    threads may probe one constraint concurrently.
 
-    * The **in-place swap** keeps one reusable answer relation per base
-      database and swaps its rows per probe via
-      :meth:`~repro.relational.database.Relation.replace_rows`.  The swap
-      bumps the relation's version counter like any mutation, so the
-      evaluator's hash indexes on it can never go stale.  It makes the
-      constraint object single-threaded.
-    * The **overlay** builds a fresh answer relation per call, so
-      nothing on the constraint or the database mutates and any number of
-      reader threads may probe one constraint concurrently.
-
-    ``use_snapshot_overlay`` selects the path — ``None`` (the default)
-    probes via the overlay exactly when ``database`` is a pinned
-    :class:`~repro.relational.database.DatabaseSnapshot` (the serving read
-    path), keeping the swap for the single-user solvers; ``True``/``False``
-    force one path, which the differential coverage uses to pin both agree
-    verdict-for-verdict.  A query class whose ``evaluate`` does not take
-    ``extra_relations`` evaluates against a reusable extended database
-    (swap) or falls back to the copying reference (overlay).  The
-    historical probe (materialise a fresh relation, copy the database, and
-    evaluate the whole answer) is retained as :meth:`is_satisfied_copying`
-    for the differential suite and the enumeration benchmark's pre-engine
-    baseline.
+    The historical probe (materialise the package, copy the database, and
+    evaluate the whole answer) is retained as :meth:`is_satisfied_copying`:
+    it is the reference the differential coverage and the enumeration
+    benchmark's pre-engine baseline compare against, and the fallback for a
+    query class whose ``evaluate`` does not take ``extra_relations``.
 
     :meth:`is_satisfied` takes an optional
-    :class:`~repro.queries.bindings.StepCounter`, which every path but the
-    copying fallback ticks; the ambient request deadline is honoured on
-    every path.  Verdicts equal the reference's wherever the reference
-    returns; the early exit evaluates fewer bindings, so an error a later
-    binding would raise in the full evaluation (a mixed-type comparison, a
-    step limit) may not be raised.
+    :class:`~repro.queries.bindings.StepCounter`, which the compiled probe
+    ticks (the copying fallback does not); the ambient request deadline is
+    honoured either way.  Verdicts equal the reference's wherever the
+    reference returns; the early exit evaluates fewer bindings, so an error
+    a later binding would raise in the full evaluation (a mixed-type
+    comparison, a step limit) may not be raised.
     """
 
     query: Query
     answer_relation: str = "RQ"
-    use_snapshot_overlay: Optional[bool] = field(default=None, compare=False)
 
     def _compiled(self) -> _CompiledProbe:
         """The compiled probe, rebuilt if ``query`` or the name changed."""
@@ -255,69 +239,15 @@ class QueryConstraint(CompatibilityConstraint):
         self, package: Package, database: Database, counter: Optional[StepCounter] = None
     ) -> bool:
         probe = self._compiled()
-        overlay = self.use_snapshot_overlay
-        if overlay is None:
-            overlay = isinstance(database, DatabaseSnapshot)
-        if overlay:
-            if not probe.overlay:
-                return self.is_satisfied_copying(package, database)
-            return not probe.violated(database, probe.fresh_answer(package), counter)
-        extended, answer = self._extended_view(package, database)
-        try:
-            if probe.overlay:
-                return not probe.violated(database, answer, counter)
-            return len(self.query.evaluate(extended)) == 0
-        finally:
-            # Restore the reusable view no matter how the probe ends: a
-            # mid-probe exception (a step-limit abort, a ``TypeError`` from a
-            # mixed-type comparison) must not leave the shared answer relation
-            # holding this package's rows — the next consumer of the view
-            # would silently evaluate against a stale package.
-            answer.replace_rows(())
-
-    def _query_accepts_extra_relations(self) -> bool:
-        """Whether ``query.evaluate`` takes the ``extra_relations`` overlay."""
-        return self._compiled().overlay
+        if not probe.overlay:
+            return self.is_satisfied_copying(package, database)
+        return not probe.violated(database, probe.fresh_answer(package), counter)
 
     def is_satisfied_copying(self, package: Package, database: Database) -> bool:
         """The historical per-probe copy path, kept as the reference semantics."""
         package_relation = package.as_relation(self.answer_relation)
         extended = database.with_relation(package_relation)
         return len(self.query.evaluate(extended)) == 0
-
-    def _extended_view(
-        self, package: Package, database: Database
-    ) -> Tuple[Database, Relation]:
-        """The reusable extended database with the package's items as ``RQ``.
-
-        Returns the extended database *and* the answer relation so the caller
-        can restore the view (``replace_rows(())``) when the probe finishes.
-        """
-        state = getattr(self, "_probe_state", None)
-        if (
-            state is None
-            or state[0] is not database
-            or state[1].schema.attribute_names != package.schema.attribute_names
-            or state[3] != database.relation_names()
-            # The version component catches a copy-on-write commit: the swap
-            # replaces relation *objects* under unchanged names, so a view
-            # built before it would keep probing the frozen pre-commit
-            # relations.  (The clone preserves the version counter, so an
-            # unchanged version genuinely means unchanged objects and rows.)
-            or state[4] != database.version()
-        ):
-            answer = Relation(self._compiled().answer_schema(package.schema))
-            state = (
-                database,
-                answer,
-                database.with_relation(answer),
-                database.relation_names(),
-                database.version(),
-            )
-            self._probe_state = state
-        answer = state[1]
-        answer.replace_rows(package.items)
-        return state[2], answer
 
     def relation_footprint(self) -> Optional[FrozenSet[str]]:
         """The query's relations minus the answer relation ``RQ``.

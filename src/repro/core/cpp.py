@@ -43,9 +43,8 @@ def count_valid_packages(
     the count) and in the benchmark report (it shows where the mass of valid
     packages sits).
 
-    The count rides the engine's non-materializing scan: no package objects
-    survive a lattice node, no generator frames are kept alive — the solver
-    touches exactly the counters.
+    The count tallies the nodes the engine's lattice walk admits: no
+    package object survives the node it was built for.
     """
     engine = PackageSearchEngine(problem)
     total, histogram = engine.count_valid(

@@ -8,8 +8,10 @@ the data-complexity regime the paper proves NP/coNP/#P-hard — and polynomial
 when the bound is a constant (Corollary 6.1).
 
 Every solver (RPP, CPP, MBP, FRP, the heuristics and the QRPP/ARPP searches)
-rides one shared :class:`PackageSearchEngine`, an incremental depth-first
-traversal of the subset lattice that
+rides one shared :class:`PackageSearchEngine`.  Its three search modes —
+plain enumeration, non-materializing counting and branch-and-bound top-k —
+consume one incremental depth-first traversal of the subset lattice
+(:meth:`PackageSearchEngine._walk`) that
 
 * threads running cost and rating state along the DFS whenever the problem's
   functions expose an exact :class:`~repro.core.functions.IncrementalAggregate`
@@ -24,16 +26,17 @@ traversal of the subset lattice that
   the rating bound and (top-k) the current selection's entry test — and
   one verdict serves both uses,
 * skips the ``N ⊆ Q(D)`` membership scan entirely (true by construction), and
-* supports a branch-and-bound top-k mode and a non-materializing counting
-  mode on top of the plain enumeration.
+* yields each admitted node before exploring its subtree, so the top-k mode
+  raises its k-th best between yields and the subtree that follows is
+  bounded by it, and the counting mode stops early by closing the walk.
 
 Three pruning hints on :class:`~repro.core.model.RecommendationProblem` keep
 the search practical on realistic instances without changing its worst case:
 ``monotone_cost`` prunes supersets of over-budget packages,
 ``antimonotone_compatibility`` prunes supersets of incompatible packages, and
-``monotone_val`` lets :func:`best_valid_packages` bound subtrees whose best
-achievable rating cannot reach the current k-th best.  All three are
-declarations by the problem author; when unset the search is fully
+``monotone_val`` lets :meth:`PackageSearchEngine.best_valid` bound subtrees
+whose best achievable rating cannot reach the current k-th best.  All three
+are declarations by the problem author; when unset the search is fully
 exhaustive.
 
 The pre-engine recursive enumerator is retained as
@@ -56,8 +59,9 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from contextlib import closing
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.model import RecommendationProblem
 from repro.core.packages import Package, Selection
@@ -73,8 +77,28 @@ from repro.resilience.deadline import current_deadline
 _DEADLINE_STRIDE = 64
 
 
-class _SearchDone(Exception):
-    """Internal signal: the counting scan reached its early-exit threshold."""
+class _Bound(NamedTuple):
+    """The branch-and-bound hook of :meth:`PackageSearchEngine._walk`."""
+
+    #: ``prunes(index, node_rating, node_set, path_cost, slots)``: whether no
+    #: package extending the node with up to ``slots`` of ``items[index:]``
+    #: can still enter the top-k selection.
+    prunes: Callable[[int, float, FrozenSet[Row], float, int], bool]
+    #: Whether the bound is non-increasing in ``index``, so that a pruned
+    #: sibling prunes every later sibling too.
+    ordered: bool
+    #: The exact additive per-item cost, threaded as each child's path cost
+    #: (``None``: the bound does not use path costs).
+    cost_delta: Optional[Callable[[Row], float]]
+
+
+def _rating_test(rating_bound: Optional[float], strict: bool):
+    """The walk's ``accept`` test for ``val(N) ≥ B`` (or ``>``); ``None`` if unbounded."""
+    if rating_bound is None:
+        return None
+    if strict:
+        return lambda rating, package: rating > rating_bound
+    return lambda rating, package: rating >= rating_bound
 
 
 def _prune_threshold(worst_rating: float) -> float:
@@ -188,47 +212,56 @@ class PackageSearchEngine:
         return self.oracle.is_satisfied(package)
 
     # -- cost/rating threading -------------------------------------------------
-    def _cost_path(self):
-        """(initial state, extend, value-at-node) for the cost function."""
-        if self._cost_inc is not None:
-            inc = self._cost_inc
+    @staticmethod
+    def _threaded(inc, function):
+        """(initial state, extend, value-at-node) for the cost or rating function."""
+        if inc is not None:
             return inc.initial, inc.extend, lambda state, size, package: inc.finish(state, size)
-        cost = self.problem.cost
-        return None, None, lambda state, size, package: cost(package)
+        return None, None, lambda state, size, package: function(package)
 
-    def _val_path(self):
-        """(initial state, extend, value-at-node) for the rating function."""
-        if self._val_inc is not None:
-            inc = self._val_inc
-            return inc.initial, inc.extend, lambda state, size, package: inc.finish(state, size)
-        val = self.problem.val
-        return None, None, lambda state, size, package: val(package)
-
-    # -- enumeration -----------------------------------------------------------
-    def iter_valid(
+    # -- the lattice traversal -------------------------------------------------
+    def _walk(
         self,
-        rating_bound: Optional[float] = None,
-        strict: bool = False,
-        exclude: Iterable[Package] = (),
+        rated: bool = False,
+        accept: Optional[Callable[[Optional[float], Package], object]] = None,
+        excluded: FrozenSet[Package] = frozenset(),
+        bound: Optional[_Bound] = None,
         max_candidates: Optional[int] = None,
-    ) -> Iterator[Package]:
-        """All valid packages, optionally rated ≥ (or >) ``rating_bound``.
+        examined_out: Optional[List[int]] = None,
+    ) -> Iterator[Tuple[Package, int, Optional[float], object]]:
+        """The one depth-first traversal of the lattice every search mode rides.
 
-        Packages are yielded in DFS order over the typed-sorted items; every
-        yielded package has passed the full validity check, so the pruning
-        hints can only affect running time, never soundness.
+        Yields each admitted node as ``(package, size, rating, token)`` in DFS
+        order over the typed-sorted items.  A node is admitted when it is
+        within the budget, not in ``excluded``, passes ``accept`` (called as
+        ``accept(rating, package)``; its truthy result is the ``token``) and,
+        last, satisfies ``Qc``.  ``rated`` threads the rating along the DFS
+        and computes it for every node that reaches ``accept``; otherwise the
+        yielded ``rating`` is ``None``.  ``bound`` is the branch-and-bound
+        hook of :meth:`best_valid`; with it, every node that survives the
+        pruning probes is rated, since its rating seeds its subtree's bound.
+
+        A node is yielded before its subtree is explored, so a consumer
+        acting between yields (the top-k selection raising its k-th best)
+        already prunes the subtree that follows, and closing the generator
+        ends the search.  However the walk ends, it flushes the
+        ``engine.nodes.*`` counters and appends the number of examined
+        nodes to ``examined_out``, if given.
         """
         items, limit = self.items, self.limit
         if limit <= 0:
             return
         schema, oracle, budget = self.schema, self.oracle, self.budget
-        monotone_cost, antimonotone = self.monotone_cost, self.antimonotone
-        excluded: FrozenSet[Package] = frozenset(exclude)
-        check_rating = rating_bound is not None
-        cost_init, cost_extend, cost_at = self._cost_path()
-        val_init, val_extend, val_at = self._val_path()
-        if not check_rating:  # the rating never gets consulted: skip threading it
+        antimonotone = self.antimonotone
+        cost_init, cost_extend, cost_at = self._threaded(self._cost_inc, self.problem.cost)
+        val_init, val_extend, val_at = self._threaded(self._val_inc, self.problem.val)
+        if not rated:  # the rating never gets consulted: skip threading it
             val_init, val_extend = None, None
+        # A monotone cost prunes supersets of over-budget nodes; an
+        # incremental one decides before the node is materialised.
+        early_cost = self.monotone_cost and cost_extend is not None
+        late_cost = self.monotone_cost and cost_extend is None
+        prunes, ordered, cost_delta = bound if bound is not None else (None, False, None)
         examined = 0
         pruned = 0
         # Read at call time, never in __init__: the ExistPack oracle shares
@@ -244,9 +277,17 @@ class PackageSearchEngine:
             item_set: FrozenSet[Row],
             cost_state,
             val_state,
-        ) -> Iterator[Package]:
+            node_rating: float,
+            path_cost: float,
+        ) -> Iterator[Tuple[Package, int, Optional[float], object]]:
             nonlocal examined, pruned
+            slots = limit - len(prefix)
             for index in range(start, len(items)):
+                if ordered and prunes(index, node_rating, item_set, path_cost, slots):
+                    # The bound is non-increasing in ``index``, so nothing
+                    # later in this loop can qualify either.
+                    pruned += 1
+                    break
                 item = items[index]
                 extended = prefix + (item,)
                 examined += 1
@@ -258,21 +299,19 @@ class PackageSearchEngine:
                     deadline.tick(_DEADLINE_STRIDE)
                 size = len(extended)
                 next_cost = cost_extend(cost_state, item) if cost_extend else None
-                if monotone_cost and cost_extend:
-                    # Incremental cost: prune before materialising the node.
+                cost_value = None
+                if early_cost:
                     cost_value = cost_at(next_cost, size, None)
                     if cost_value > budget:
                         pruned += 1
                         continue
-                    extended_set = item_set | {item}
-                    # The DFS extends in sorted-item order, so the node's item
-                    # tuple *is* its sorted_items — pre-seed the cache.
-                    package = Package.trusted(schema, extended_set, extended)
-                else:
-                    extended_set = item_set | {item}
-                    package = Package.trusted(schema, extended_set, extended)
-                    cost_value = cost_at(next_cost, size, package) if monotone_cost else None
-                    if monotone_cost and cost_value > budget:
+                extended_set = item_set | {item}
+                # The DFS extends in sorted-item order, so the node's item
+                # tuple *is* its sorted_items — pre-seed the cache.
+                package = Package.trusted(schema, extended_set, extended)
+                if late_cost:
+                    cost_value = cost_at(next_cost, size, package)
+                    if cost_value > budget:
                         pruned += 1
                         continue
                 has_children = size < limit
@@ -283,28 +322,68 @@ class PackageSearchEngine:
                         pruned += 1
                         continue
                 next_val = val_extend(val_state, item) if val_extend else None
-                if package not in excluded:
+                rating = val_at(next_val, size, package) if bound is not None else None
+                if not (excluded and package in excluded):
                     if cost_value is None:
                         cost_value = cost_at(next_cost, size, package)
                     if cost_value <= budget:
-                        if check_rating:
+                        if rated and rating is None:
                             rating = val_at(next_val, size, package)
-                            ok = rating > rating_bound if strict else rating >= rating_bound
-                        else:
-                            ok = True
-                        if ok and (compatible or oracle.is_satisfied(package)):
-                            yield package
+                        token = accept(rating, package) if accept is not None else True
+                        if token and (compatible or oracle.is_satisfied(package)):
+                            yield package, size, rating, token
                 if has_children:
-                    yield from dfs(index + 1, extended, extended_set, next_cost, next_val)
+                    child_cost = path_cost + cost_delta(item) if cost_delta is not None else 0.0
+                    if prunes is not None and prunes(
+                        index + 1, rating, extended_set, child_cost, limit - size
+                    ):
+                        pruned += 1
+                        continue
+                    yield from dfs(
+                        index + 1, extended, extended_set, next_cost, next_val, rating, child_cost
+                    )
 
+        # Per-item gains are admissible only between non-empty packages (the
+        # rating may jump arbitrarily — even from -∞ — between ∅ and the
+        # first item), so the root level never prunes through them: seeding
+        # the root "rating" with +∞ disables the ordered break for the
+        # top-level loop, and every deeper bound starts from a real node's
+        # rating.  The generic monotone bound evaluates val(∅ ∪ remaining)
+        # directly and needs no such guard.
         try:
-            yield from dfs(0, (), frozenset(), cost_init, val_init)
+            yield from dfs(0, (), frozenset(), cost_init, val_init, math.inf, 0.0)
         finally:
             active = _metrics._ACTIVE
             if active is not None:
                 active.inc_many(
                     (("engine.nodes.examined", examined), ("engine.nodes.pruned", pruned))
                 )
+            if examined_out is not None:
+                examined_out.append(examined)
+
+    # -- enumeration -----------------------------------------------------------
+    def iter_valid(
+        self,
+        rating_bound: Optional[float] = None,
+        strict: bool = False,
+        exclude: Iterable[Package] = (),
+        max_candidates: Optional[int] = None,
+    ) -> Iterator[Package]:
+        """All valid packages, optionally rated ≥ (or >) ``rating_bound``.
+
+        Packages are yielded in DFS order over the typed-sorted items; every
+        yielded package has passed the full validity check, so the pruning
+        hints can only affect running time, never soundness.
+        """
+        walk = self._walk(
+            rated=rating_bound is not None,
+            accept=_rating_test(rating_bound, strict),
+            excluded=frozenset(exclude),
+            max_candidates=max_candidates,
+        )
+        with closing(walk):
+            for package, _, _, _ in walk:
+                yield package
 
     def first_valid(
         self,
@@ -327,11 +406,10 @@ class PackageSearchEngine:
         by_size: bool = False,
         collect_ratings: Optional[List[float]] = None,
     ):
-        """``|{N valid : val(N) ≥ B}|`` without materialising the packages.
+        """``|{N valid : val(N) ≥ B}|`` without retaining the packages.
 
-        The counting scan shares the DFS of :meth:`iter_valid` but never
-        yields: no generator frames, no exclusion set, and no package objects
-        retained beyond the oracle probe of the current node.  ``stop_at``
+        The count tallies the nodes the lattice walk admits and keeps no
+        package beyond the node being visited.  ``stop_at``
         short-circuits the scan once that many valid packages are seen (the
         MBP witnesses check needs only "are there k?"); ``by_size`` also
         returns the per-size histogram CPP reports; ``collect_ratings``
@@ -339,96 +417,23 @@ class PackageSearchEngine:
         package's rating — the MBP maximum-bound scan needs the ratings but
         still no packages.
         """
-        items, limit = self.items, self.limit
         histogram: Dict[int, int] = {}
         count = 0
-        if limit <= 0 or (stop_at is not None and stop_at <= 0):
-            return (count, histogram) if by_size else count
-        schema, oracle, budget = self.schema, self.oracle, self.budget
-        monotone_cost, antimonotone = self.monotone_cost, self.antimonotone
-        check_rating = rating_bound is not None
-        need_rating = check_rating or collect_ratings is not None
-        cost_init, cost_extend, cost_at = self._cost_path()
-        val_init, val_extend, val_at = self._val_path()
-        if not need_rating:  # the rating never gets consulted: skip threading it
-            val_init, val_extend = None, None
-        examined = 0
-        pruned = 0
-        deadline = current_deadline()  # call-time, as in iter_valid
-        if deadline is not None:
-            deadline.check()
-
-        def dfs(start, prefix, item_set, cost_state, val_state) -> None:
-            nonlocal examined, pruned, count
-            for index in range(start, len(items)):
-                item = items[index]
-                extended = prefix + (item,)
-                examined += 1
-                if max_candidates is not None and examined > max_candidates:
-                    raise BudgetExceededError(
-                        f"valid-package enumeration exceeded {max_candidates} candidates"
-                    )
-                if deadline is not None and not examined & (_DEADLINE_STRIDE - 1):
-                    deadline.tick(_DEADLINE_STRIDE)
-                size = len(extended)
-                next_cost = cost_extend(cost_state, item) if cost_extend else None
-                if monotone_cost and cost_extend:
-                    # Incremental cost: prune before materialising the node.
-                    cost_value = cost_at(next_cost, size, None)
-                    if cost_value > budget:
-                        pruned += 1
-                        continue
-                    extended_set = item_set | {item}
-                    package = Package.trusted(schema, extended_set, extended)
-                else:
-                    extended_set = item_set | {item}
-                    package = Package.trusted(schema, extended_set, extended)
-                    cost_value = cost_at(next_cost, size, package) if monotone_cost else None
-                    if monotone_cost and cost_value > budget:
-                        pruned += 1
-                        continue
-                has_children = size < limit
-                compatible: Optional[bool] = None
-                if antimonotone and has_children:
-                    compatible = oracle.is_satisfied(package)
-                    if not compatible:
-                        pruned += 1
-                        continue
-                next_val = val_extend(val_state, item) if val_extend else None
-                if cost_value is None:
-                    cost_value = cost_at(next_cost, size, package)
-                if cost_value <= budget:
-                    if need_rating:
-                        rating = val_at(next_val, size, package)
-                        if not check_rating:
-                            ok = True
-                        elif strict:
-                            ok = rating > rating_bound
-                        else:
-                            ok = rating >= rating_bound
-                    else:
-                        ok = True
-                    if ok and (compatible or oracle.is_satisfied(package)):
-                        count += 1
-                        if by_size:
-                            histogram[size] = histogram.get(size, 0) + 1
-                        if collect_ratings is not None:
-                            collect_ratings.append(rating)
-                        if stop_at is not None and count >= stop_at:
-                            raise _SearchDone
-                if has_children:
-                    dfs(index + 1, extended, extended_set, next_cost, next_val)
-
-        try:
-            dfs(0, (), frozenset(), cost_init, val_init)
-        except _SearchDone:
-            pass
-        finally:
-            active = _metrics._ACTIVE
-            if active is not None:
-                active.inc_many(
-                    (("engine.nodes.examined", examined), ("engine.nodes.pruned", pruned))
-                )
+        if stop_at is None or stop_at > 0:
+            walk = self._walk(
+                rated=rating_bound is not None or collect_ratings is not None,
+                accept=_rating_test(rating_bound, strict),
+                max_candidates=max_candidates,
+            )
+            with closing(walk):
+                for _, size, rating, _ in walk:
+                    count += 1
+                    if by_size:
+                        histogram[size] = histogram.get(size, 0) + 1
+                    if collect_ratings is not None:
+                        collect_ratings.append(rating)
+                    if count == stop_at:
+                        break
         return (count, histogram) if by_size else count
 
     def valid_ratings(self) -> List[float]:
@@ -469,11 +474,7 @@ class PackageSearchEngine:
         scored: List[Tuple[Tuple[float, Tuple], Package, float]] = []
         if limit <= 0 or how_many <= 0:
             return [], 0, 0
-        schema, oracle, budget = self.schema, self.oracle, self.budget
-        monotone_cost, antimonotone = self.monotone_cost, self.antimonotone
-        cost_init, cost_extend, cost_at = self._cost_path()
-        val_init, val_extend, val_at = self._val_path()
-
+        schema, budget = self.schema, self.budget
         use_bound = self.problem.monotone_val
         gains = self.problem.val.item_gain(self.schema) if use_bound else None
         cost_delta = self.problem.cost.item_delta(self.schema) if gains is not None else None
@@ -532,12 +533,6 @@ class PackageSearchEngine:
             suffix_sets = None
 
         val_fn = self.problem.val
-        examined = 0
-        pruned = 0
-        total_seen = 0
-        deadline = current_deadline()  # call-time, as in iter_valid
-        if deadline is not None:
-            deadline.check()
         # ``scored`` stays sorted by (-rating, tie key); entries carry the
         # rating separately so the pruning threshold needs no negation.
         worst_rating: Optional[float] = None
@@ -567,6 +562,18 @@ class PackageSearchEngine:
                 return node_rating
             return val_fn(Package.trusted(schema, node_set | remaining))
 
+        def prunes(
+            index: int,
+            node_rating: float,
+            node_set: FrozenSet[Row],
+            path_cost: float,
+            slots: int,
+        ) -> bool:
+            """Whether the subtree's bound falls strictly below the k-th best."""
+            return worst_rating is not None and bound_from(
+                index, node_rating, node_set, path_cost, slots
+            ) < _prune_threshold(worst_rating)
+
         def entry_key(rating: float, package: Package) -> Optional[Tuple[float, Tuple]]:
             """The node's selection sort key, or ``None`` if it cannot enter."""
             if len(scored) >= how_many:
@@ -576,117 +583,23 @@ class PackageSearchEngine:
                 return key if key < scored[-1][0] else None
             return (-rating, package.sort_key())
 
-        def admit(key: Tuple[float, Tuple], rating: float, package: Package) -> None:
-            nonlocal worst_rating, total_seen
+        total_seen = 0
+        examined: List[int] = []
+        walk = self._walk(
+            rated=True,
+            accept=entry_key,
+            bound=_Bound(prunes, suffix_top is not None, cost_delta) if use_bound else None,
+            max_candidates=max_candidates,
+            examined_out=examined,
+        )
+        for package, _, rating, key in walk:
             total_seen += 1
             insort(scored, (key, package, rating))
             if len(scored) > how_many:
                 scored.pop()
             if len(scored) >= how_many:
                 worst_rating = scored[-1][2]
-
-        def dfs(start, prefix, item_set, cost_state, val_state, node_rating, path_cost) -> None:
-            nonlocal examined, pruned
-            slots = limit - len(prefix)
-            for index in range(start, len(items)):
-                if (
-                    suffix_top is not None
-                    and worst_rating is not None
-                    and bound_from(index, node_rating, item_set, path_cost, slots)
-                    < _prune_threshold(worst_rating)
-                ):
-                    # The capped positive-gain bound is non-increasing in
-                    # ``index``, so nothing later in this loop can qualify
-                    # either.
-                    pruned += 1
-                    break
-                item = items[index]
-                extended = prefix + (item,)
-                examined += 1
-                if max_candidates is not None and examined > max_candidates:
-                    raise BudgetExceededError(
-                        f"valid-package enumeration exceeded {max_candidates} candidates"
-                    )
-                if deadline is not None and not examined & (_DEADLINE_STRIDE - 1):
-                    deadline.tick(_DEADLINE_STRIDE)
-                size = len(extended)
-                next_cost = cost_extend(cost_state, item) if cost_extend else None
-                if monotone_cost and cost_extend:
-                    # Incremental cost: prune before materialising the node.
-                    cost_value = cost_at(next_cost, size, None)
-                    if cost_value > budget:
-                        pruned += 1
-                        continue
-                    extended_set = item_set | {item}
-                    package = Package.trusted(schema, extended_set, extended)
-                else:
-                    extended_set = item_set | {item}
-                    package = Package.trusted(schema, extended_set, extended)
-                    cost_value = cost_at(next_cost, size, package) if monotone_cost else None
-                    if monotone_cost and cost_value > budget:
-                        pruned += 1
-                        continue
-                compatible: Optional[bool] = None
-                if antimonotone and size < limit:
-                    compatible = oracle.is_satisfied(package)
-                    if not compatible:
-                        pruned += 1
-                        continue
-                next_val = val_extend(val_state, item) if val_extend else None
-                # The node's rating decides whether it could enter the
-                # selection (and so whether its verdict is worth a probe), and
-                # feeds the subtree bound whenever branch and bound is active;
-                # only a bound-less search on an over-budget node skips it.
-                rating = val_at(next_val, size, package) if use_bound else None
-                if cost_value is None:
-                    cost_value = cost_at(next_cost, size, package)
-                if cost_value <= budget:
-                    if rating is None:
-                        rating = val_at(next_val, size, package)
-                    key = entry_key(rating, package)
-                    if key is not None and (compatible or oracle.is_satisfied(package)):
-                        admit(key, rating, package)
-                if size < limit:
-                    child_cost = (
-                        path_cost + cost_delta(item) if cost_delta is not None else 0.0
-                    )
-                    if (
-                        use_bound
-                        and worst_rating is not None
-                        and bound_from(
-                            index + 1, rating, extended_set, child_cost, limit - size
-                        )
-                        < _prune_threshold(worst_rating)
-                    ):
-                        pruned += 1
-                        continue
-                    dfs(
-                        index + 1,
-                        extended,
-                        extended_set,
-                        next_cost,
-                        next_val,
-                        rating,
-                        child_cost,
-                    )
-
-        # Per-item gains are admissible only between non-empty packages (the
-        # rating may jump arbitrarily — even from -∞ — between ∅ and the
-        # first item), so the root level never prunes through them: seeding
-        # the root "rating" with +∞ disables the gains-based break for the
-        # top-level loop, and every deeper bound starts from a real node's
-        # rating.  The generic monotone bound evaluates val(∅ ∪ remaining)
-        # directly and needs no such guard.
-        root_rating = math.inf if use_bound else 0.0
-        try:
-            dfs(0, (), frozenset(), cost_init, val_init, root_rating, 0.0)
-        finally:
-            active = _metrics._ACTIVE
-            if active is not None:
-                active.inc_many(
-                    (("engine.nodes.examined", examined), ("engine.nodes.pruned", pruned))
-                )
-        return [(rating, package) for _, package, rating in scored], examined, total_seen
+        return [(rating, package) for _, package, rating in scored], examined[0], total_seen
 
 
 # ---------------------------------------------------------------------------
@@ -740,19 +653,6 @@ def enumerate_valid_packages(
         strict=strict,
         exclude=exclude,
         max_candidates=max_candidates,
-    )
-
-
-def count_valid_packages(
-    problem: RecommendationProblem,
-    rating_bound: Optional[float] = None,
-    strict: bool = False,
-    max_candidates: Optional[int] = None,
-) -> int:
-    """``|{N valid : val(N) ≥ B}|`` — the raw quantity behind CPP."""
-    engine = PackageSearchEngine(problem)
-    return engine.count_valid(
-        rating_bound=rating_bound, strict=strict, max_candidates=max_candidates
     )
 
 

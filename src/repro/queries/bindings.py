@@ -445,7 +445,6 @@ def enumerate_bindings(
     use_semijoin: Optional[bool] = None,
     use_range_probes: Optional[bool] = None,
     use_multiway: Optional[bool] = None,
-    use_snapshot_overlay: Optional[bool] = None,
     use_columnar: Optional[bool] = None,
     step_profile=None,
     stats_key: Optional[Tuple] = None,
@@ -495,20 +494,6 @@ def enumerate_bindings(
         :mod:`repro.queries.plan`.  The multiway access paths themselves
         never widen this: a mixed-type trie declines and the binary steps
         take over.)
-    use_snapshot_overlay:
-        The snapshot-isolation axis (PR 6).  ``True`` pins a fresh
-        :class:`~repro.relational.database.DatabaseSnapshot` of ``database``
-        at entry and enumerates against it, so a concurrent writer committing
-        deltas mid-enumeration can never be observed (answers are as of the
-        entry epoch); ``extra_relations`` still overlay the pinned view by
-        name, which is how the ``Qc`` overlay probe works.  ``None`` (the
-        default) and ``False`` evaluate against ``database`` exactly as
-        before — the PR 5 reference behaviour, where a mid-enumeration
-        mutation raises :class:`~repro.relational.errors.EvaluationError` —
-        and passing a snapshot *as* the database is already pinned under
-        every setting.  Like the planner axes, the knob can never change
-        answers on a quiescent database, only which epoch a racing
-        enumeration observes.
     use_columnar:
         The vectorized-kernel axis (PR 10).  ``None`` (the default) follows
         the planner's cost verdict (:attr:`JoinPlan.run_columnar`),
@@ -533,10 +518,6 @@ def enumerate_bindings(
         probe passes one so that a hit costs no statistics at all.
     """
     counter = _deadline_guarded(counter)
-    if use_snapshot_overlay:
-        pin = getattr(database, "snapshot", None)
-        if pin is not None:
-            database = pin()
     extra_relations = extra_relations or {}
 
     def lookup(name: str) -> Relation:

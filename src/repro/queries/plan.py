@@ -807,7 +807,7 @@ def _quantized_stats_key(stats: RelationStatistics) -> Tuple:
 
     Cost-based choices are stable under small cardinality drift, so keying
     the cache on exact counts would turn every single-tuple delta — and every
-    ``Qc`` probe's answer-relation swap — into a miss.  Bucketing by bit
+    ``Qc`` probe's new answer relation — into a miss.  Bucketing by bit
     length replans only when a relation roughly doubles or halves; the cached
     plan was costed with the first-seen exact statistics of its bucket, which
     can only steer cost, never answers.

@@ -250,17 +250,15 @@ def test_conjunction_footprint_is_the_union():
 
 
 # ---------------------------------------------------------------------------
-# The reusable probe view is restored even when a probe explodes
+# A probe that explodes mid-way leaves the next verdict correct
 # ---------------------------------------------------------------------------
-def test_failed_probe_restores_the_reusable_extended_view(items_database):
-    """A mid-probe exception must not leave the shared answer relation swapped.
+def test_failed_probe_leaves_the_next_verdict_correct(items_database):
+    """A mid-probe exception must not leak the failed package into later probes.
 
-    The zero-copy probe evaluates ``Qc`` against a reusable extended database
-    whose answer relation is bulk-swapped to the candidate package.  Inject a
-    failure *during* the evaluation — a mixed-type comparison raising
-    ``TypeError`` once the swapped rows reach it — and check the view is
-    restored: the answer relation is empty again, and subsequent probes see
-    exactly the reference (copying) semantics.
+    Inject a failure *during* the evaluation — a mixed-type comparison
+    raising ``TypeError`` once the package's rows reach it — and check that
+    nothing was left behind: the database is unchanged, and subsequent
+    probes see exactly the reference (copying) semantics.
     """
     qc = ConjunctiveQuery(
         [Var("x")],
@@ -271,15 +269,14 @@ def test_failed_probe_restores_the_reusable_extended_view(items_database):
     constraint = QueryConstraint(qc)
     schema = items_database.relation("items").schema.rename("RQ")
     poisoned = Package(schema, [("not-an-int", "a")])  # "not-an-int" < 5 raises
+    version_before = items_database.version()
 
     with pytest.raises(TypeError):
         constraint.is_satisfied(poisoned, items_database)
 
-    # The reusable view must have been restored by the finally-block ...
-    state = constraint._probe_state
-    assert len(state[1]) == 0, "answer relation left holding the failed package"
-    # ... so the next probe runs against a clean view and agrees with the
-    # per-probe copying reference.
+    assert items_database.version() == version_before
+    assert "RQ" not in items_database
+    # The next probe agrees with the per-probe copying reference.
     clean = _package(items_database, 1, 2)
     assert constraint.is_satisfied(clean, items_database) is False  # 1 < 5 matched
     assert constraint.is_satisfied(clean, items_database) == (
@@ -287,25 +284,8 @@ def test_failed_probe_restores_the_reusable_extended_view(items_database):
     )
 
 
-def test_successful_probe_also_leaves_the_view_empty(items_database):
-    """Between probes the shared view never dangles the previous package."""
-    qc = ConjunctiveQuery(
-        [Var("x")],
-        [
-            RelationAtom("RQ", [Var("x"), Var("kx")]),
-            RelationAtom("RQ", [Var("y"), Var("ky")]),
-        ],
-        [Comparison(ComparisonOp.NE, Var("x"), Var("y"))],
-        name="Qc",
-    )
-    constraint = QueryConstraint(qc)
-    package = _package(items_database, 1, 2)
-    assert constraint.is_satisfied(package, items_database) is False  # 1 ≠ 2 found
-    assert len(constraint._probe_state[1]) == 0
-
-
 # ---------------------------------------------------------------------------
-# Overlay vs in-place vs copying probes (PR 6)
+# The compiled probe vs the copying reference, live and pinned
 # ---------------------------------------------------------------------------
 def _conflict_qc_database():
     database = Database()
@@ -323,44 +303,30 @@ def _conflict_qc_database():
     return database, qc
 
 
+@pytest.mark.parametrize("pinned", [False, True], ids=["live", "snapshot"])
 @pytest.mark.parametrize("iids", [(1,), (1, 2), (1, 3), (1, 2, 3), ()])
-def test_overlay_swap_and_copying_probes_agree(iids):
-    """All three probe paths return the same verdict on every package."""
+def test_probe_and_copying_reference_agree(iids, pinned):
+    """The one probe path returns the reference verdict on every package."""
     database, qc = _conflict_qc_database()
     package = _package(database, *iids)
-    swap = QueryConstraint(qc, use_snapshot_overlay=False)
-    overlay = QueryConstraint(qc, use_snapshot_overlay=True)
-    reference = QueryConstraint(qc).is_satisfied_copying(package, database)
-    assert swap.is_satisfied(package, database) is reference
-    assert overlay.is_satisfied(package, database) is reference
+    target = database.snapshot() if pinned else database
+    constraint = QueryConstraint(qc)
+    reference = constraint.is_satisfied_copying(package, target)
+    assert constraint.is_satisfied(package, target) is reference
 
 
-def test_overlay_probe_mutates_nothing():
-    """The overlay path touches neither the constraint nor the database."""
+def test_probe_mutates_nothing():
+    """A probe touches neither the database nor any relation in it."""
     database, qc = _conflict_qc_database()
-    constraint = QueryConstraint(qc, use_snapshot_overlay=True)
+    constraint = QueryConstraint(qc)
     versions_before = database.version()
     assert constraint.is_satisfied(_package(database, 1, 3), database) is False
+    assert constraint.is_satisfied(_package(database, 1, 2), database) is True
     assert database.version() == versions_before
     assert "RQ" not in database
-    # No reusable swapped view was ever created.
-    assert getattr(constraint, "_probe_state", None) is None
 
 
-def test_snapshot_database_auto_selects_the_overlay_probe():
-    """Default ``use_snapshot_overlay=None``: snapshots probe via the overlay."""
-    database, qc = _conflict_qc_database()
-    snapshot = database.snapshot()
-    constraint = QueryConstraint(qc)
-    package = _package(database, 1, 3)
-    assert constraint.is_satisfied(package, snapshot) is False
-    assert getattr(constraint, "_probe_state", None) is None  # overlay, no swap
-    # ... while the live database keeps the zero-copy swap fast path.
-    assert constraint.is_satisfied(package, database) is False
-    assert constraint._probe_state is not None
-
-
-def test_overlay_falls_back_to_copying_without_extra_relations_support():
+def test_probe_falls_back_to_copying_without_extra_relations_support():
     """A query class without the ``extra_relations`` overlay still probes right."""
     database, qc = _conflict_qc_database()
 
@@ -374,11 +340,11 @@ def test_overlay_falls_back_to_copying_without_extra_relations_support():
         def __getattr__(self, name):
             return getattr(self._inner, name)
 
-    constraint = QueryConstraint(_BareQuery(qc), use_snapshot_overlay=True)
-    assert constraint._query_accepts_extra_relations() is False
-    package = _package(database, 1, 3)
-    assert constraint.is_satisfied(package, database) is False
-    assert constraint.is_satisfied(_package(database, 1, 2), database) is True
+    constraint = QueryConstraint(_BareQuery(qc))
+    assert constraint._compiled().overlay is False
+    for target in (database, database.snapshot()):
+        assert constraint.is_satisfied(_package(database, 1, 3), target) is False
+        assert constraint.is_satisfied(_package(database, 1, 2), target) is True
 
 
 def test_pinned_oracle_never_leaks_verdicts_across_epochs():

@@ -1,9 +1,8 @@
 """The compiled ``Qc`` probe against the copying reference.
 
-:class:`~repro.core.compatibility.QueryConstraint` answers both production
-probe paths (the in-place swap and the overlay) through one compiled probe
-that stops at the first violating binding and plans without gathering
-statistics.  Its verdict must equal :meth:`QueryConstraint.is_satisfied_copying`
+:class:`~repro.core.compatibility.QueryConstraint` answers every probe through
+one compiled probe that stops at the first violating binding and plans
+without gathering statistics.  Its verdict must equal :meth:`QueryConstraint.is_satisfied_copying`
 — a fresh relation, a copied database and the whole answer — on random
 packages of every size up to the bound, for a CQ ``Qc`` that joins a base
 relation, for UCQ and ∃FO⁺ ``Qc`` (which take the early exit too) and for an
@@ -102,52 +101,40 @@ def _random_packages(database: Database, seed: int):
         yield Package(courses.schema, rng.sample(rows, rng.randint(0, SIZE_BOUND)))
 
 
-def _paths(make):
-    """The default constraint plus one forced onto each probe path."""
-    default = make()
-    swap = make()
-    swap.use_snapshot_overlay = False
-    overlay = make()
-    overlay.use_snapshot_overlay = True
-    return default, swap, overlay
-
-
-def _assert_agrees(constraints, database, packages):
-    reference = constraints[0]
+def _assert_agrees(constraint, database, packages):
     for package in packages:
-        expected = reference.is_satisfied_copying(package, database)
-        for constraint in constraints:
-            assert constraint.is_satisfied(package, database) is expected, sorted(package.items)
+        expected = constraint.is_satisfied_copying(package, database)
+        assert constraint.is_satisfied(package, database) is expected, sorted(package.items)
 
 
 @pytest.mark.parametrize("kind", sorted(CONSTRAINTS))
 @pytest.mark.parametrize("seed", range(4))
 def test_probe_matches_copying_on_live_databases_and_snapshots(kind, seed):
     database = _database(seed)
-    constraints = _paths(CONSTRAINTS[kind])
+    constraint = CONSTRAINTS[kind]()
     packages = list(_random_packages(database, seed))
-    _assert_agrees(constraints, database, packages)
-    _assert_agrees(constraints, database.snapshot(), packages)
+    _assert_agrees(constraint, database, packages)
+    _assert_agrees(constraint, database.snapshot(), packages)
 
 
 @pytest.mark.parametrize("kind", sorted(CONSTRAINTS))
 def test_probe_follows_commits_to_the_joined_relation(kind):
     database = _database(7)
-    constraints = _paths(CONSTRAINTS[kind])
+    constraint = CONSTRAINTS[kind]()
     packages = list(_random_packages(database, 7))
     rng = random.Random(7)
     course_ids = sorted(row[0] for row in database.relation("course"))
     for _ in range(6):
         before = database.snapshot()
-        _assert_agrees(constraints, database, packages)
+        _assert_agrees(constraint, database, packages)
         prereqs = sorted(database.relation(PREREQ).rows())
         delta = [("delete", PREREQ, rng.choice(prereqs))] if prereqs and rng.random() < 0.5 else []
         low, high = sorted(rng.sample(course_ids, 2))
         delta.append(("insert", PREREQ, (high, low)))
         database.apply_delta(delta)
-        _assert_agrees(constraints, database, packages)
+        _assert_agrees(constraint, database, packages)
         # A snapshot pinned before the commit keeps answering its epoch.
-        _assert_agrees(constraints, before, packages)
+        _assert_agrees(constraint, before, packages)
 
 
 def test_cq_ucq_and_efo_take_the_early_exit_and_fo_does_not():
@@ -172,26 +159,26 @@ def test_probe_stops_at_the_first_violating_binding():
     assert 0 < probe_steps.steps < full_steps.steps
 
 
-@pytest.mark.parametrize("overlay", [False, True])
-def test_probe_ticks_the_callers_counter(overlay):
+@pytest.mark.parametrize("pinned", [False, True])
+def test_probe_ticks_the_callers_counter(pinned):
     database = _database(2)
-    constraint = QueryConstraint(prerequisite_pair_cq(), use_snapshot_overlay=overlay)
+    probed = database.snapshot() if pinned else database
+    constraint = QueryConstraint(prerequisite_pair_cq())
     package = next(p for p in _random_packages(database, 2) if len(p) == SIZE_BOUND)
     counter = StepCounter()
-    constraint.is_satisfied(package, database, counter=counter)
+    constraint.is_satisfied(package, probed, counter=counter)
     assert counter.steps > 0
     with pytest.raises(StepLimitExceeded):
-        constraint.is_satisfied(package, database, counter=StepCounter(limit=0))
-    if not overlay:
-        assert len(constraint._probe_state[1]) == 0  # the swapped view was restored
+        constraint.is_satisfied(package, probed, counter=StepCounter(limit=0))
+    # The aborted probe leaves the next verdict correct.
+    expected = constraint.is_satisfied_copying(package, probed)
+    assert constraint.is_satisfied(package, probed) is expected
 
 
 @pytest.mark.parametrize("kind", sorted(CONSTRAINTS))
-@pytest.mark.parametrize("overlay", [False, True])
-def test_probe_fires_an_expired_ambient_deadline(kind, overlay):
+def test_probe_fires_an_expired_ambient_deadline(kind):
     database = _database(3)
     constraint = CONSTRAINTS[kind]()
-    constraint.use_snapshot_overlay = overlay
     package = next(p for p in _random_packages(database, 3) if len(p) == 2)
     with deadline_scope(Deadline.after(-1.0)):
         with pytest.raises(RequestTimeout):

@@ -26,7 +26,7 @@ from repro.core import (
     count_items_above,
     is_top_k_item_selection,
 )
-from repro.core.enumeration import count_valid_packages as count_valid_raw
+from repro.core.enumeration import PackageSearchEngine
 from repro.queries import identity_query_for
 from repro.relational import Database
 from repro.relational.errors import BudgetExceededError
@@ -193,9 +193,8 @@ class TestMBPAndCPP:
         assert high <= low
 
     def test_raw_counter_matches_cpp(self, poi_problem):
-        assert count_valid_raw(poi_problem, rating_bound=-1000.0) == count_valid_packages(
-            poi_problem, -1000.0
-        ).count
+        raw = PackageSearchEngine(poi_problem).count_valid(rating_bound=-1000.0)
+        assert raw == count_valid_packages(poi_problem, -1000.0).count
 
 
 class TestItems:

@@ -50,11 +50,13 @@ from repro.core import (
     is_top_k_selection,
     maximum_bound,
 )
-from repro.core.enumeration import count_valid_packages as raw_count_valid_packages
+from repro.core.enumeration import PackageSearchEngine
 from repro.core.model import PolynomialBound, RecommendationProblem
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.queries.ast import RelationAtom, Var
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.database import Database
+from repro.relational.errors import BudgetExceededError
 from repro.relaxation.qrpp import find_package_relaxation
 from repro.relaxation.relax import RelaxationSpace
 
@@ -110,7 +112,7 @@ def test_engine_matches_reference(seed):
         assert engine_bounded == reference_bounded
 
     # The non-materializing count agrees with a reference tally.
-    assert raw_count_valid_packages(problem, rating_bound=rating_bound) == len(
+    assert PackageSearchEngine(problem).count_valid(rating_bound=rating_bound) == len(
         _package_set(
             enumerate_valid_packages_reference(problem, rating_bound=rating_bound)
         )
@@ -137,9 +139,9 @@ def test_engine_matches_reference_with_oracle_disabled(seed):
     assert _package_set(enumerate_valid_packages(uncached)) == _package_set(
         enumerate_valid_packages_reference(problem)
     )
-    assert raw_count_valid_packages(
-        uncached, rating_bound=rating_bound
-    ) == raw_count_valid_packages(problem, rating_bound=rating_bound)
+    assert PackageSearchEngine(uncached).count_valid(
+        rating_bound=rating_bound
+    ) == PackageSearchEngine(problem).count_valid(rating_bound=rating_bound)
     assert _rendered(best_valid_packages(uncached, problem.k)) == _rendered(
         best_valid_packages_reference(problem, problem.k)
     )
@@ -160,6 +162,44 @@ def test_excluded_packages_are_skipped_identically(seed):
     )
     assert engine_rest == reference_rest
     assert engine_rest == _package_set(all_packages) - _package_set(exclude)
+
+
+# ---------------------------------------------------------------------------
+# The ``max_candidates`` guard, on all three search modes
+# ---------------------------------------------------------------------------
+SEARCH_MODES = {
+    "iter_valid": lambda engine, bound, limit: list(
+        engine.iter_valid(rating_bound=bound, max_candidates=limit)
+    ),
+    "count_valid": lambda engine, bound, limit: engine.count_valid(
+        rating_bound=bound, max_candidates=limit
+    ),
+    "best_valid": lambda engine, bound, limit: engine.best_valid(
+        engine.problem.k, max_candidates=limit
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SEARCH_MODES))
+@pytest.mark.parametrize("seed", range(0, NUM_DIFFERENTIAL_SEEDS, 11))
+def test_max_candidates_guard_fires_exactly_past_the_search_size(seed, mode):
+    """The guard raises iff the search would examine more than the limit."""
+    problem, rating_bound = _random_problem(seed)
+    search = SEARCH_MODES[mode]
+    engine = PackageSearchEngine(problem)
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        unguarded = search(engine, rating_bound, None)
+    examined = registry.counter("engine.nodes.examined")
+    assert examined > 0
+    if mode == "best_valid":
+        assert unguarded[1] == examined
+    # A limit equal to (or above) the search's own size never fires.
+    assert search(engine, rating_bound, examined) == unguarded
+    assert search(engine, rating_bound, examined + 1) == unguarded
+    for limit in sorted({0, examined // 2, examined - 1}):
+        with pytest.raises(BudgetExceededError):
+            search(engine, rating_bound, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,15 @@ seed in the test id, so a mismatch is reproducible by construction.
 The cost-based planner of PR 4 added three knobs that may change *cost* but
 never answers — statistics-driven atom ordering, sorted-index range probes,
 and the Yannakakis semi-join reduction — and PR 5 a fourth, the
-worst-case-optimal multiway leapfrog join.  PR 6 added a fifth knob that is
-not a planner axis at all — ``use_snapshot_overlay`` evaluates against a
-pinned database snapshot instead of the live database, which on a quiescent
-database must be invisible.  PR 10 added a sixth, ``use_columnar`` — the
-vectorized columnar kernels, whose surfaced supersets are re-checked row by
-row so they too can change only cost.  The axes matrix below re-runs
-random pairs under every one of the 2⁶ knob combinations (including the
-all-off configuration, which is exactly the PR 1 planner evaluating the live
-database, and the multiway-off configuration, which is exactly the PR 4
-planner) against the
+worst-case-optimal multiway leapfrog join.  PR 10 added a fifth,
+``use_columnar`` — the vectorized columnar kernels, whose surfaced supersets
+are re-checked row by row so they too can change only cost.  Evaluating
+against a pinned database snapshot instead of the live database must be
+invisible too, so the axes matrix below adds a sixth axis that passes
+``database.snapshot()`` *as* the database.  It re-runs random pairs under
+every one of the 2⁶ combinations (including the all-off configuration, which
+is exactly the PR 1 planner evaluating the live database, and the
+multiway-off configuration, which is exactly the PR 4 planner) against the
 same naive reference — once over the kit's generic conjunctions and once over
 its *cyclic* shapes (triangle, 4-cycle, star-with-chord), the workloads the
 multiway path exists for.  The generated databases are well-typed (every
@@ -131,22 +130,22 @@ def test_efo_evaluation_matches_naive_dnf(seed):
 
 
 # ---------------------------------------------------------------------------
-# Planner axes: the full 2⁶ knob matrix, on generic and cyclic scenarios
+# Planner axes: the full 2⁶ matrix, on generic and cyclic scenarios
 # ---------------------------------------------------------------------------
-# ``use_snapshot_overlay`` (PR 6) joins the four planner knobs: ``True``
-# enumerates against a freshly pinned DatabaseSnapshot instead of the live
-# database, which must be invisible on a quiescent database under every
-# combination of the other axes.  ``use_columnar`` (PR 10) forces the
+# ``use_columnar`` (PR 10) joins the four planner knobs: ``True`` forces the
 # vectorized selection kernels wherever a step compiled pushdowns; ``False``
-# compiles and runs without them.  All-off remains bit-identical to the PR 5
-# in-place reference.
+# compiles and runs without them.  The sixth axis, ``snapshot``, is not a
+# knob: ``True`` evaluates against a freshly pinned ``database.snapshot()``
+# passed as the database, which must be invisible on a quiescent database
+# under every combination of the knobs.  All-off remains bit-identical to the
+# PR 5 in-place reference.
 AXES_KNOBS = (
     "use_statistics",
     "use_range_probes",
     "use_semijoin",
     "use_multiway",
-    "use_snapshot_overlay",
     "use_columnar",
+    "snapshot",
 )
 
 PLANNER_AXES = [
@@ -162,6 +161,12 @@ PLANNER_AXES = [
 ]
 
 
+def _evaluate_under_axes(database, atoms, comparisons, axes):
+    knobs = dict(axes)
+    target = database.snapshot() if knobs.pop("snapshot") else database
+    return _binding_multiset(enumerate_bindings(target, atoms, comparisons, **knobs))
+
+
 @pytest.mark.parametrize("axes", PLANNER_AXES)
 @pytest.mark.parametrize("seed", range(12))
 def test_planner_axes_match_naive(seed, axes):
@@ -169,9 +174,7 @@ def test_planner_axes_match_naive(seed, axes):
     rng = random.Random(4_000 + seed)
     database = random_database(rng)
     atoms, comparisons = random_conjunction(rng, database)
-    planned = _binding_multiset(
-        enumerate_bindings(database, atoms, comparisons, **axes)
-    )
+    planned = _evaluate_under_axes(database, atoms, comparisons, axes)
     naive = _binding_multiset(enumerate_bindings_naive(database, atoms, comparisons))
     assert planned == naive
 
@@ -184,9 +187,18 @@ def test_planner_axes_match_naive_on_cyclic_shapes(seed, shape, axes):
     rng = random.Random(6_000 + seed)
     database = random_cyclic_database(rng)
     atoms, comparisons = random_cyclic_conjunction(rng, database, shape)
-    planned = _binding_multiset(
-        enumerate_bindings(database, atoms, comparisons, **axes)
-    )
+    planned = _evaluate_under_axes(database, atoms, comparisons, axes)
+    naive = _binding_multiset(enumerate_bindings_naive(database, atoms, comparisons))
+    assert planned == naive
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_snapshot_as_database_matches_naive(seed):
+    """A pinned snapshot passed *as* the database answers like the live one."""
+    rng = random.Random(4_000 + seed)
+    database = random_database(rng)
+    atoms, comparisons = random_conjunction(rng, database)
+    planned = _binding_multiset(enumerate_bindings(database.snapshot(), atoms, comparisons))
     naive = _binding_multiset(enumerate_bindings_naive(database, atoms, comparisons))
     assert planned == naive
 
@@ -286,7 +298,7 @@ def test_columnar_actually_compiles_on_generated_scenarios():
 def test_suite_covers_at_least_200_pairs():
     """The acceptance criterion: ≥200 generated query/database pairs."""
     assert 120 + 30 + 30 + 40 >= 200
-    # ... and the axes matrix re-proves planned ≡ naive under all 2⁶ knob
+    # ... and the axes matrix re-proves planned ≡ naive under all 2⁶
     # combinations, on generic and cyclic scenarios alike.
     assert len(PLANNER_AXES) == 2 ** 6
     assert 12 * len(PLANNER_AXES) + 5 * len(CYCLIC_SHAPES) * len(PLANNER_AXES) == 1728

@@ -8,6 +8,12 @@ may reappear anywhere under ``src/repro/``.
 
 The check walks the *AST*, not the text — a docstring or comment mentioning
 ``key=repr`` (the ordering module's own documentation does) must not trip it.
+
+A second guard keeps the lattice search folded: every search mode of
+:class:`~repro.core.enumeration.PackageSearchEngine` consumes one recursive
+traversal, so :mod:`repro.core.enumeration` may hold exactly one recursive
+function outside the retained reference enumerator, and it must live in the
+engine.
 """
 
 from __future__ import annotations
@@ -55,3 +61,93 @@ def test_the_guard_itself_detects_an_offence():
         "xs.sort(key=lambda pair: pair[0])\n"
     )
     assert not list(_repr_key_offences(clean))
+
+
+ENUMERATION = SRC_ROOT / "core" / "enumeration.py"
+
+#: The retained reference enumerator is the spec a traversal is checked
+#: against, not a second traversal of the engine.
+REFERENCE_EXEMPT = frozenset({"enumerate_valid_packages_reference"})
+
+
+def _recursive_functions(tree: ast.AST):
+    """Qualified names of the functions in ``tree`` that call themselves.
+
+    A call counts as recursive when it names the enclosing function directly
+    (``dfs(...)``) or through ``self`` (``self._walk(...)``).  Functions
+    nested in :data:`REFERENCE_EXEMPT` are skipped.
+    """
+    found = []
+
+    def calls_itself(function) -> bool:
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if isinstance(callee, ast.Name) and callee.id == function.name:
+                return True
+            if (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == function.name
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id == "self"
+            ):
+                return True
+        return False
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name in REFERENCE_EXEMPT:
+                    continue
+                name = prefix + child.name
+                if calls_itself(child):
+                    found.append(name)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_engine_has_exactly_one_lattice_traversal():
+    tree = ast.parse(ENUMERATION.read_text(encoding="utf-8"), filename=str(ENUMERATION))
+    recursive = _recursive_functions(tree)
+    assert len(recursive) == 1, (
+        "every PackageSearchEngine search mode must consume the one lattice "
+        "walk instead of a recursive loop of its own: " + ", ".join(recursive)
+    )
+    assert recursive[0].startswith("PackageSearchEngine."), recursive
+
+
+def test_the_traversal_guard_itself_detects_a_second_loop():
+    """The guard must fire on an engine with two recursive loops."""
+    two_loops = ast.parse(
+        "class PackageSearchEngine:\n"
+        "    def _walk(self):\n"
+        "        def dfs(start):\n"
+        "            yield from dfs(start + 1)\n"
+        "        yield from dfs(0)\n"
+        "    def count_valid(self, start=0):\n"
+        "        return self.count_valid(start + 1)\n"
+        "def enumerate_valid_packages_reference():\n"
+        "    def dfs(start):\n"
+        "        yield from dfs(start + 1)\n"
+    )
+    assert _recursive_functions(two_loops) == [
+        "PackageSearchEngine._walk.dfs",
+        "PackageSearchEngine.count_valid",
+    ]
+    one_loop = ast.parse(
+        "class PackageSearchEngine:\n"
+        "    def _walk(self):\n"
+        "        def dfs(start):\n"
+        "            yield from dfs(start + 1)\n"
+        "        yield from dfs(0)\n"
+        "    def count_valid(self):\n"
+        "        return sum(1 for _ in self._walk())\n"
+    )
+    assert _recursive_functions(one_loop) == ["PackageSearchEngine._walk.dfs"]
