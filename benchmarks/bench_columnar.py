@@ -2,7 +2,7 @@
 
 PR 10 adds a second storage backend: a per-position columnar encoding
 (stdlib ``array`` columns, dictionary-encoded strings, NumPy-accelerated
-kernels) behind the evaluator's ``use_columnar`` knob.  At million-tuple
+kernels) behind the planner's columnar verdict.  At million-tuple
 scale the tuple-set executor pays interpreter dispatch per candidate row —
 even a sorted-index range probe funnels every surviving row through the
 Python row matcher and comparison schedule — while the columnar path answers
@@ -21,8 +21,9 @@ contiguous buffers and touches Python only for the qualifying rows.
 
 ``test_columnar_beats_tuple_set_by_5x_at_largest_size`` is the acceptance
 gate: at the million-tuple size the columnar path must be at least 5x faster
-wall-clock than the tuple-set executor (``use_columnar=False`` — today's
-default path, bit-identical to the pre-columnar evaluator) while returning
+wall-clock than the tuple-set executor (:func:`tuple_set_plan` — the
+costed plan without columnar pushdowns and with the columnar verdict off,
+bit-identical to the pre-columnar evaluator) while returning
 the identical binding multiset, written to ``BENCH_columnar.json`` so the
 perf trajectory is tracked across PRs.
 
@@ -40,11 +41,13 @@ import json
 import pathlib
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
 from repro.queries.bindings import enumerate_bindings
+from repro.queries.plan import plan_conjunction
 from repro.relational.database import Database
 
 #: Row counts of the item table in the range workload, ascending.  The last
@@ -57,16 +60,33 @@ STRING_SWEEP = [50_000, 250_000, 1_000_000]
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_PATH = _REPO_ROOT / "BENCH_columnar.json"
 
-#: The tuple-set executor: every knob at its default verdict, columnar off —
-#: exactly the pre-PR 10 evaluator, which the axes matrix pins bit-identical.
-TUPLE_SET_AXES = {"use_columnar": False}
-COLUMNAR_AXES = {"use_columnar": True}
+
+def _statistics(database, atoms):
+    return {
+        atom.relation: database.relation(atom.relation).statistics() for atom in atoms
+    }
 
 
-def _bindings(database, atoms, comparisons=(), **axes):
+def tuple_set_plan(database, atoms, comparisons):
+    """The tuple-set executor's plan: every verdict the planner's, columnar off.
+
+    The costed plan with its columnar pushdowns stripped and its columnar
+    verdict off — exactly the evaluator before the columnar backend, which
+    the axes matrix pins bit-identical.  The columnar series needs no plan of its own: on every
+    workload size the planner's own verdict runs the kernels.
+    """
+    plan = plan_conjunction(atoms, comparisons, statistics=_statistics(database, atoms))
+    return replace(
+        plan,
+        steps=tuple(replace(step, columnar_pushdowns=()) for step in plan.steps),
+        run_columnar=False,
+    )
+
+
+def _bindings(database, atoms, comparisons=(), plan=None):
     return sorted(
         tuple(sorted(binding.items()))
-        for binding in enumerate_bindings(database, atoms, comparisons, **axes)
+        for binding in enumerate_bindings(database, atoms, comparisons, plan=plan)
     )
 
 
@@ -134,8 +154,8 @@ WORKLOADS = {"range": range_workload, "strings": string_workload}
 def test_range_columnar(benchmark, annotate, num_items):
     database, atoms, comparisons = range_workload(num_items)
     annotate(group="columnar/range", variant="columnar (vectorized masks)", size=num_items)
-    _bindings(database, atoms, comparisons, **COLUMNAR_AXES)  # warm the encoding
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, **COLUMNAR_AXES))
+    _bindings(database, atoms, comparisons)  # warm the encoding
+    result = benchmark(lambda: _bindings(database, atoms, comparisons))
     assert result  # ~0.1% of a uniform distribution: answers exist
 
 
@@ -144,8 +164,9 @@ def test_range_tuple_set(benchmark, annotate, num_items):
     """The tuple-set baseline; the largest size runs only in the speedup gate."""
     database, atoms, comparisons = range_workload(num_items)
     annotate(group="columnar/range", variant="tuple set (row-at-a-time)", size=num_items)
-    _bindings(database, atoms, comparisons, **TUPLE_SET_AXES)  # warm the sorted index
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, **TUPLE_SET_AXES))
+    plan = tuple_set_plan(database, atoms, comparisons)
+    _bindings(database, atoms, comparisons, plan)  # warm the sorted index
+    result = benchmark(lambda: _bindings(database, atoms, comparisons, plan))
     assert result
 
 
@@ -153,8 +174,8 @@ def test_range_tuple_set(benchmark, annotate, num_items):
 def test_strings_columnar(benchmark, annotate, num_tags):
     database, atoms, comparisons = string_workload(num_tags)
     annotate(group="columnar/strings", variant="columnar (dictionary codes)", size=num_tags)
-    _bindings(database, atoms, comparisons, **COLUMNAR_AXES)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, **COLUMNAR_AXES))
+    _bindings(database, atoms, comparisons)
+    result = benchmark(lambda: _bindings(database, atoms, comparisons))
     assert result
 
 
@@ -162,9 +183,19 @@ def test_strings_columnar(benchmark, annotate, num_tags):
 def test_strings_tuple_set(benchmark, annotate, num_tags):
     database, atoms, comparisons = string_workload(num_tags)
     annotate(group="columnar/strings", variant="tuple set (row-at-a-time)", size=num_tags)
-    _bindings(database, atoms, comparisons, **TUPLE_SET_AXES)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, **TUPLE_SET_AXES))
+    plan = tuple_set_plan(database, atoms, comparisons)
+    _bindings(database, atoms, comparisons, plan)
+    result = benchmark(lambda: _bindings(database, atoms, comparisons, plan))
     assert result
+
+
+def test_planner_verdict_runs_the_kernels_on_both_workloads():
+    """The columnar series runs the planner's own plan: the verdict itself fires."""
+    for build in WORKLOADS.values():
+        database, atoms, comparisons = build(RANGE_SWEEP[0])
+        plan = plan_conjunction(atoms, comparisons, statistics=_statistics(database, atoms))
+        assert plan.run_columnar
+        assert all(step.columnar_pushdowns for step in plan.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +210,19 @@ def _measure_pair(workload_name: str, size: int, repeats: int = 3):
     compares steady-state execution, which is what serving repeats.
     """
     database, atoms, comparisons = WORKLOADS[workload_name](size)
-    _bindings(database, atoms, comparisons, **TUPLE_SET_AXES)
-    _bindings(database, atoms, comparisons, **COLUMNAR_AXES)
+    baseline_plan = tuple_set_plan(database, atoms, comparisons)
+    _bindings(database, atoms, comparisons, baseline_plan)
+    _bindings(database, atoms, comparisons)
 
     start = time.perf_counter()
-    baseline = _bindings(database, atoms, comparisons, **TUPLE_SET_AXES)
+    baseline = _bindings(database, atoms, comparisons, baseline_plan)
     baseline_seconds = time.perf_counter() - start
 
     columnar_seconds = float("inf")
     columnar = None
     for _ in range(repeats):  # best-of-N shields the fast path from scheduler noise
         start = time.perf_counter()
-        columnar = _bindings(database, atoms, comparisons, **COLUMNAR_AXES)
+        columnar = _bindings(database, atoms, comparisons)
         columnar_seconds = min(columnar_seconds, time.perf_counter() - start)
 
     return {

@@ -4,8 +4,9 @@ PR 5 adds a leapfrog-triejoin access path for *cyclic* conjunctions: composite
 trie indexes on the relations, a statistics-driven global variable elimination
 order, and a unified-iterator leapfrog executor bounded by the AGM
 fractional-cover size of the query.  This benchmark quantifies it against the
-PR 4 cost-based planner (binary join steps only — addressable through the
-evaluator's ``use_multiway=False`` axis) on the two canonical cyclic shapes:
+cost-based planner's binary join steps (built as a plan by
+:func:`binary_plan`, the costed plan with its multiway verdict off, and passed
+as ``plan=``) on the two canonical cyclic shapes:
 
 * **Triangle** — the textbook AGM worst case: each of ``R``, ``S``, ``T`` is
   a hub star ``{(i, 0)} ∪ {(0, j)}``, so *every* binary join order pays an
@@ -18,8 +19,8 @@ evaluator's ``use_multiway=False`` axis) on the two canonical cyclic shapes:
 Because the blowup is *order-independent by construction*, the speedup
 measures the access path itself, not a lucky ordering.  The planner's own
 verdict fires on both workloads (the heavy-hitter worst-case estimate sees
-the hubs), so the fast series below runs with all knobs on automatic —
-exactly what every production caller gets through ``cached_plan``.
+the hubs), so the fast series below runs the planner's own plan — exactly
+what every production caller gets through ``cached_plan``.
 
 ``test_multiway_beats_pr4_by_5x_at_largest_sizes`` is the acceptance gate: at
 the largest size of each cyclic workload the multiway path must be at least
@@ -40,6 +41,7 @@ import argparse
 import json
 import pathlib
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -57,14 +59,24 @@ FOUR_CYCLE_SWEEP = [100, 200, 400]
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_PATH = _REPO_ROOT / "BENCH_multiway.json"
 
-#: The PR 4 planner, addressed through the evaluator's differential axis.
-PR4_AXES = {"use_multiway": False}
+
+def _statistics(database, atoms):
+    return {
+        atom.relation: database.relation(atom.relation).statistics() for atom in atoms
+    }
 
 
-def _bindings(database, atoms, **axes):
+def binary_plan(database, atoms):
+    """The baseline plan: the costed binary steps, the multiway verdict off."""
+    return replace(
+        plan_conjunction(atoms, statistics=_statistics(database, atoms)), run_multiway=False
+    )
+
+
+def _bindings(database, atoms, plan=None):
     return sorted(
         tuple(sorted(binding.items()))
-        for binding in enumerate_bindings(database, atoms, **axes)
+        for binding in enumerate_bindings(database, atoms, plan=plan)
     )
 
 
@@ -161,7 +173,8 @@ def test_triangle_pr4(benchmark, annotate, m):
     """The PR 4 baseline; the largest size runs only in the speedup gate."""
     database, atoms = triangle_workload(m)
     annotate(group="multiway/triangle", variant="PR 4 (binary steps)", size=m)
-    result = benchmark(lambda: _bindings(database, atoms, **PR4_AXES))
+    plan = binary_plan(database, atoms)
+    result = benchmark(lambda: _bindings(database, atoms, plan))
     assert len(result) == 3 * m + 1
 
 
@@ -177,19 +190,16 @@ def test_four_cycle_multiway(benchmark, annotate, m):
 def test_four_cycle_pr4(benchmark, annotate, m):
     database, atoms = four_cycle_workload(m)
     annotate(group="multiway/four_cycle", variant="PR 4 (binary steps)", size=m)
-    result = benchmark(lambda: _bindings(database, atoms, **PR4_AXES))
+    plan = binary_plan(database, atoms)
+    result = benchmark(lambda: _bindings(database, atoms, plan))
     assert len(result) == m + 1
 
 
 def test_planner_verdict_fires_on_both_workloads():
-    """The auto path must not depend on the knob: the verdict itself triggers."""
+    """The fast series runs the planner's own plan: the verdict itself triggers."""
     for build in WORKLOADS.values():
         database, atoms = build(100)
-        statistics = {
-            atom.relation: database.relation(atom.relation).statistics()
-            for atom in atoms
-        }
-        plan = plan_conjunction(atoms, statistics=statistics)
+        plan = plan_conjunction(atoms, statistics=_statistics(database, atoms))
         assert plan.multiway is not None
         assert plan.run_multiway
 
@@ -201,7 +211,7 @@ def _measure_pair(workload_name: str, size: int, repeats: int = 3):
     """Time the PR 4 planner and the multiway path on one workload size."""
     database, atoms = WORKLOADS[workload_name](size)
     start = time.perf_counter()
-    baseline = _bindings(database, atoms, **PR4_AXES)
+    baseline = _bindings(database, atoms, binary_plan(database, atoms))
     baseline_seconds = time.perf_counter() - start
 
     multiway_seconds = float("inf")

@@ -5,8 +5,8 @@ statistics drive atom ordering, ground one-sided comparisons run as
 sorted-index *range probes*, and acyclic conjunctions with a predicted large
 intermediate result get a Yannakakis semi-join reduction.  This benchmark
 quantifies each lever against the PR 1 planner (most-constrained-first order,
-hash probes only — addressable through the evaluator's
-``use_statistics=False, use_range_probes=False, use_semijoin=False`` axes):
+hash probes only — built as a plan by :func:`statistics_blind_plan`, which compiles
+without statistics and strips the range probes, and passed as ``plan=``):
 
 * **Range-heavy selections** — the headline workload: a self-join of an item
   table under two selective price filters (the shape the relaxation layer's
@@ -40,11 +40,13 @@ import json
 import pathlib
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
 from repro.queries.bindings import enumerate_bindings
+from repro.queries.plan import plan_conjunction
 from repro.relational.database import Database
 
 #: Row counts of the item table in the range-heavy workload, ascending.
@@ -59,14 +61,27 @@ SEMIJOIN_SWEEP = [400, 800, 1600]
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_PATH = _REPO_ROOT / "BENCH_planner.json"
 
-#: The PR 1 planner, addressed through the evaluator's differential axes.
-PR1_AXES = {"use_statistics": False, "use_range_probes": False, "use_semijoin": False}
+
+def statistics_blind_plan(atoms, comparisons=()):
+    """The baseline plan: the statistics-blind order with hash probes only.
+
+    Without statistics the planner votes for no semi-join, multiway or
+    columnar path, so stripping the compiled range probes (and the unused
+    columnar pushdowns) leaves exactly the baseline planner's plan.
+    """
+    plan = plan_conjunction(atoms, comparisons)
+    return replace(
+        plan,
+        steps=tuple(
+            replace(step, range_probe=None, columnar_pushdowns=()) for step in plan.steps
+        ),
+    )
 
 
-def _bindings(database, atoms, comparisons=(), **axes):
+def _bindings(database, atoms, comparisons=(), plan=None):
     return sorted(
         tuple(sorted(binding.items()))
-        for binding in enumerate_bindings(database, atoms, comparisons, **axes)
+        for binding in enumerate_bindings(database, atoms, comparisons, plan=plan)
     )
 
 
@@ -182,7 +197,8 @@ def test_range_heavy_pr1(benchmark, annotate, num_items):
     """The PR 1 baseline; the largest size runs only in the speedup gate."""
     database, atoms, comparisons = range_heavy_workload(num_items)
     annotate(group="planner/range", variant="PR 1 (post-filtered scans)", size=num_items)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, **PR1_AXES))
+    plan = statistics_blind_plan(atoms, comparisons)
+    result = benchmark(lambda: _bindings(database, atoms, comparisons, plan))
     assert result
 
 
@@ -197,7 +213,8 @@ def test_ordering_cost_based(benchmark, annotate, num_big):
 def test_ordering_pr1(benchmark, annotate, num_big):
     database, atoms, comparisons = ordering_workload(num_big)
     annotate(group="planner/ordering", variant="PR 1 (large scanned first)", size=num_big)
-    benchmark(lambda: _bindings(database, atoms, comparisons, **PR1_AXES))
+    plan = statistics_blind_plan(atoms, comparisons)
+    benchmark(lambda: _bindings(database, atoms, comparisons, plan))
 
 
 @pytest.mark.parametrize("rows", SEMIJOIN_SWEEP)
@@ -212,7 +229,8 @@ def test_semijoin_cost_based(benchmark, annotate, rows):
 def test_semijoin_pr1(benchmark, annotate, rows):
     database, atoms, comparisons = semijoin_workload(rows)
     annotate(group="planner/semijoin", variant="PR 1 (full intermediate)", size=rows)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, **PR1_AXES))
+    plan = statistics_blind_plan(atoms, comparisons)
+    result = benchmark(lambda: _bindings(database, atoms, comparisons, plan))
     assert result == []
 
 
@@ -223,7 +241,7 @@ def _measure_pair(workload_name: str, size: int, repeats: int = 3):
     """Time the PR 1 planner and the cost-based planner on one workload size."""
     database, atoms, comparisons = WORKLOADS[workload_name](size)
     start = time.perf_counter()
-    baseline = _bindings(database, atoms, comparisons, **PR1_AXES)
+    baseline = _bindings(database, atoms, comparisons, statistics_blind_plan(atoms, comparisons))
     baseline_seconds = time.perf_counter() - start
 
     planned_seconds = float("inf")

@@ -354,7 +354,6 @@ def _command_explain(
             database,
             query.atoms,
             query.comparisons,
-            use_statistics=False if no_statistics else None,
             plan=plan,
         )
         print()

@@ -21,8 +21,8 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.queries.ast import Comparison, RelationAtom
-from repro.queries.bindings import enumerate_bindings
-from repro.queries.plan import JoinPlan, cached_plan
+from repro.queries.bindings import enumerate_bindings, resolve_plan
+from repro.queries.plan import JoinPlan
 
 
 class StepProfile:
@@ -132,33 +132,18 @@ def explain_analyze(
     relation_atoms: Sequence[RelationAtom],
     comparisons: Sequence[Comparison] = (),
     *,
-    use_statistics: Optional[bool] = None,
     plan: Optional[JoinPlan] = None,
 ) -> ExplainResult:
     """Execute a conjunction with per-step profiling and return the actuals.
 
-    The plan is compiled exactly as :func:`enumerate_bindings` would compile
-    it (statistics gathered when every relation provides them, served from
-    the plan cache), so the profiled execution is the production execution —
-    not a parallel code path that could drift.
+    Without a ``plan`` it is resolved by the code :func:`enumerate_bindings`
+    uses (:func:`~repro.queries.bindings.resolve_plan`: statistics gathered
+    when every relation provides them, served from the plan cache), so the
+    profiled execution is the production execution — not a parallel code
+    path that could drift.
     """
     if plan is None:
-        statistics = None
-        if use_statistics is not False:
-            statistics = {}
-            for atom in relation_atoms:
-                getter = getattr(database.relation(atom.relation), "statistics", None)
-                if getter is None:
-                    statistics = None
-                    break
-                statistics[atom.relation] = getter()
-        plan = cached_plan(
-            tuple(relation_atoms),
-            tuple(comparisons),
-            frozenset(),
-            statistics=statistics,
-            epoch=getattr(database, "plan_epoch", None),
-        )
+        plan = resolve_plan(database, relation_atoms, comparisons)
     profile = StepProfile(len(plan.steps))
     started = perf_counter()
     answers = list(
@@ -167,7 +152,6 @@ def explain_analyze(
             relation_atoms,
             comparisons,
             plan=plan,
-            use_statistics=use_statistics,
             step_profile=profile,
         )
     )

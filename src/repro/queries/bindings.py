@@ -28,7 +28,8 @@ Two evaluation paths are provided and kept semantically identical:
   re-scanning whole relations per atom.  Compiled plans are served from the
   plan cache (:func:`~repro.queries.plan.cached_plan`), keyed on the
   conjunction plus the statistics snapshot, so repeated probes of one query
-  stop re-planning.
+  stop re-planning.  The plan is the executor's only switch: every access
+  path runs exactly when the plan's verdict says so.
 
 * :func:`enumerate_bindings_naive` — the historical backtracking search,
   retained as the reference implementation.  It chooses atoms dynamically and
@@ -48,9 +49,10 @@ branch below is the worked example — see the ROADMAP's "Adding a new access
 path" recipe.  Add the new plan vocabulary in
 :mod:`repro.queries.plan`, emit it in
 :func:`~repro.queries.plan.plan_conjunction` behind a cost verdict, and add
-the corresponding execution branch below behind a knob defaulting to that
-verdict.  The differential suite's axes matrix then checks the new path
-against the naive reference for free.
+the corresponding execution branch below, taken when the plan's verdict says
+so.  The differential suite's axes matrix forces the verdict on and off
+through a hand-built plan and checks the new path against the naive
+reference for free.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def _columnar_match(relation, atom: RelationAtom, binding: Binding):
 
 
 def _semijoin_reduce(
-    lookup, plan: JoinPlan, binding: Binding, use_columnar: bool = False
+    lookup, plan: JoinPlan, binding: Binding
 ) -> Tuple[Dict[int, Tuple[Row, ...]], Dict[int, FrozenSet[Row]], Dict[int, Dict]]:
     """The two Yannakakis semi-join passes over the plan's join tree.
 
@@ -230,10 +232,10 @@ def _semijoin_reduce(
     index over it (built here, so per-node work stays proportional to the
     *reduced* matches), range steps intersect with it.
 
-    With ``use_columnar`` the per-step materialisation pass runs as a
-    vectorized :meth:`ColumnarRelation.match_rows` kernel where the encoding
-    can serve it exactly, falling back to the reference row-matcher scan per
-    step where it declines.
+    Under the plan's columnar verdict the per-step materialisation pass runs
+    as a vectorized :meth:`ColumnarRelation.match_rows` kernel where the
+    encoding can serve it exactly, falling back to the reference row-matcher
+    scan per step where it declines.
     """
     steps = plan.steps
     rows_per_step: List[List[Row]] = []
@@ -241,7 +243,7 @@ def _semijoin_reduce(
     for step in steps:
         relation = lookup(step.atom.relation)
         matched = (
-            _columnar_match(relation, step.atom, binding) if use_columnar else None
+            _columnar_match(relation, step.atom, binding) if plan.run_columnar else None
         )
         if matched is None:
             matched = [
@@ -281,11 +283,11 @@ def _semijoin_reduce(
     for index, step in enumerate(steps):
         if not step.probe_positions:
             continue
-        buckets: Dict[Tuple[Value, ...], Tuple[Row, ...]] = {}
+        buckets: Dict[Tuple[Value, ...], List[Row]] = {}
         for row in rows_per_step[index]:
             key = tuple(row[position] for position in step.probe_positions)
-            buckets[key] = buckets.get(key, ()) + (row,)
-        reduced_probes[index] = buckets
+            buckets.setdefault(key, []).append(row)
+        reduced_probes[index] = {key: tuple(rows) for key, rows in buckets.items()}
     return reduced_rows, reduced_sets, reduced_probes
 
 
@@ -432,6 +434,54 @@ def _execute_multiway(
     yield from descend(0)
 
 
+def resolve_plan(
+    database: Database,
+    relation_atoms: Sequence[RelationAtom],
+    comparisons: Sequence[Comparison] = (),
+    bound_names: FrozenSet[str] = frozenset(),
+    *,
+    lookup=None,
+    stats_key: Optional[Tuple] = None,
+) -> JoinPlan:
+    """The plan :func:`enumerate_bindings` runs when it is not handed one.
+
+    Served from the plan cache (:func:`~repro.queries.plan.cached_plan`),
+    costed with the relations' statistics when every relation provides them
+    and in the statistics-blind order otherwise.  ``lookup`` resolves a
+    relation name (``database.relation`` by default); with ``stats_key`` the
+    statistics are gathered only when the cache misses.  EXPLAIN ANALYZE
+    resolves its plan here too, so the profiled plan is the production one.
+    """
+    if lookup is None:
+        lookup = database.relation
+    pspan = _tracing.begin("plan")
+    try:
+
+        def gather_statistics() -> Optional[Dict[str, object]]:
+            gathered = {}
+            for atom in relation_atoms:
+                getter = getattr(lookup(atom.relation), "statistics", None)
+                if getter is None:
+                    return None
+                gathered[atom.relation] = getter()
+            return gathered
+
+        return cached_plan(
+            tuple(relation_atoms),
+            tuple(comparisons),
+            bound_names,
+            # Called by the cache on a miss only when the caller names the key.
+            statistics=gather_statistics() if stats_key is None else gather_statistics,
+            # Snapshots carry a (source, epoch) component so readers pinned to
+            # one epoch share compiled plans without colliding across epochs;
+            # the live database contributes None (unchanged keying).
+            epoch=getattr(database, "plan_epoch", None),
+            stats_key=stats_key,
+        )
+    finally:
+        _tracing.finish(pspan)
+
+
 def enumerate_bindings(
     database: Database,
     relation_atoms: Sequence[RelationAtom],
@@ -441,11 +491,6 @@ def enumerate_bindings(
     extra_relations: Optional[Mapping[str, Relation]] = None,
     plan: Optional[JoinPlan] = None,
     *,
-    use_statistics: Optional[bool] = None,
-    use_semijoin: Optional[bool] = None,
-    use_range_probes: Optional[bool] = None,
-    use_multiway: Optional[bool] = None,
-    use_columnar: Optional[bool] = None,
     step_profile=None,
     stats_key: Optional[Tuple] = None,
 ) -> Iterator[Binding]:
@@ -468,43 +513,24 @@ def enumerate_bindings(
         checks).
     plan:
         A precompiled :class:`~repro.queries.plan.JoinPlan` for this
-        conjunction.  When omitted, one is served from the plan cache, costed
-        with the relations' current statistics; callers evaluating the same
-        conjunction with the same pre-bound variable *names* many times may
-        compile once and pass it in.
-    use_statistics, use_semijoin, use_range_probes, use_multiway:
-        Differential/benchmark axes.  ``None`` (the default) means automatic:
-        statistics are gathered when every relation provides them, range
-        probes are compiled, the semi-join reduction follows the planner's
-        cost-based verdict, and cyclic conjunctions run the worst-case-optimal
-        leapfrog branch when the planner's AGM-vs-worst-case verdict favours
-        it (both verdicts suppressed under an ``initial_binding`` — the delta
-        rules' seeded evaluations must stay O(|Δ|), never O(|D|)).  ``False``
-        disables an axis outright (all four ``False`` reproduces the
-        statistics-blind PR 1 planner; ``use_multiway=False`` alone is
-        exactly the PR 4 binary planner); ``use_semijoin=True`` forces the
-        reduction whenever the conjunction is acyclic, ``use_multiway=True``
-        forces the leapfrog branch whenever the plan compiled one (cyclic
-        conjunction with statistics), with a pre-bound variable acting as its
-        own singleton candidate.  None of the axes can change answers, only
-        cost — the differential suite pins this.  (On malformed data with
+        conjunction.  When omitted, :func:`resolve_plan` serves one from the
+        plan cache, costed with the relations' current statistics; callers
+        evaluating the same conjunction with the same pre-bound variable
+        *names* many times may compile once and pass it in.  The executor
+        carries out the plan's access-path verdicts (``run_semijoin``,
+        ``run_multiway``, ``run_columnar``, the compiled range probes and
+        columnar pushdowns) as given, falling back to the reference path
+        only where an access path declines: a trie that cannot index the
+        data, a relation without a columnar encoding, a plan without a
+        multiway step.  No verdict can change answers, only cost — the
+        differential suite's axes matrix forces each one on and off through
+        a hand-built plan and pins this.  (On malformed data with
         ``TypeError``-raising mixed-type comparisons the surfaced error may
-        differ by axis, since join order, semi-join pruning and the variable
+        differ by plan, since join order, semi-join pruning and the variable
         elimination order decide which rows ever reach a comparison; see
         :mod:`repro.queries.plan`.  The multiway access paths themselves
         never widen this: a mixed-type trie declines and the binary steps
         take over.)
-    use_columnar:
-        The vectorized-kernel axis (PR 10).  ``None`` (the default) follows
-        the planner's cost verdict (:attr:`JoinPlan.run_columnar`),
-        suppressed under an ``initial_binding`` exactly like the semi-join
-        and multiway verdicts; ``True`` forces the columnar access path
-        wherever a step compiled pushdowns; ``False`` disables it outright
-        *and* compiles the plan without columnar pushdowns, reproducing the
-        pre-columnar plan and execution byte-for-byte.  The kernels surface
-        supersets re-checked by the row matcher — or decline to the tuple-set
-        reference path — so like every other axis the knob changes cost,
-        never answers.
     step_profile:
         Optional per-step actuals collector for EXPLAIN ANALYZE
         (:class:`repro.observability.explain.StepProfile`, duck-typed).  Pure
@@ -531,39 +557,14 @@ def enumerate_bindings(
 
     base_binding: Binding = dict(initial_binding or {})
     if plan is None:
-        pspan = _tracing.begin("plan")
-        try:
-
-            def gather_statistics() -> Optional[Dict[str, object]]:
-                gathered = {}
-                for atom in relation_atoms:
-                    getter = getattr(lookup(atom.relation), "statistics", None)
-                    if getter is None:
-                        return None
-                    gathered[atom.relation] = getter()
-                return gathered
-
-            if use_statistics is False:
-                statistics, stats_key = None, None
-            elif stats_key is None:
-                statistics = gather_statistics()
-            else:
-                statistics = gather_statistics  # called by the cache on a miss only
-            plan = cached_plan(
-                tuple(relation_atoms),
-                tuple(comparisons),
-                frozenset(base_binding),
-                statistics=statistics,
-                compile_ranges=use_range_probes is not False,
-                compile_columnar=use_columnar is not False,
-                # Snapshots carry a (source, epoch) component so readers pinned
-                # to one epoch share compiled plans without colliding across
-                # epochs; the live database contributes None (unchanged keying).
-                epoch=getattr(database, "plan_epoch", None),
-                stats_key=stats_key,
-            )
-        finally:
-            _tracing.finish(pspan)
+        plan = resolve_plan(
+            database,
+            relation_atoms,
+            comparisons,
+            frozenset(base_binding),
+            lookup=lookup,
+            stats_key=stats_key,
+        )
     planned_comparisons = plan.comparisons
     steps = plan.steps
 
@@ -585,18 +586,9 @@ def enumerate_bindings(
                 )
             )
 
-    if use_multiway is None:
-        # Auto: follow the planner's AGM-vs-worst-case verdict, suppressed
-        # under an initial binding — the delta rules' seeded evaluations must
-        # stay O(|Δ|), and a seeded leapfrog re-walks whole tries.
-        run_multiway = plan.run_multiway and not base_binding
-    else:
-        run_multiway = bool(use_multiway) and plan.multiway is not None
-    if run_multiway:
+    if plan.run_multiway and plan.multiway is not None:
         state = _multiway_state(lookup, plan.multiway)
-        if state is None:
-            run_multiway = False  # a trie declined: the binary steps take over
-        else:
+        if state is not None:  # None: a trie declined, the binary steps take over
             roots, multiway_relations, multiway_empty = state
             if multiway_empty:
                 # A constant prefix matched no row: no answers.  Still
@@ -621,24 +613,13 @@ def enumerate_bindings(
                 _flush_metrics()
             return
 
-    if use_columnar is None:
-        # Auto: follow the planner's cost verdict, suppressed under an
-        # initial binding — the delta rules' seeded evaluations must stay
-        # O(|Δ|), and a columnar kernel always touches whole columns.
-        run_columnar = plan.run_columnar and not base_binding
-    else:
-        run_columnar = bool(use_columnar)
-
-    if use_semijoin is None:
-        run_semijoin = plan.run_semijoin and not base_binding
-    else:
-        run_semijoin = use_semijoin
+    run_columnar = plan.run_columnar  # read once: execute() checks it per node
     reduced_rows: Optional[Dict[int, Tuple[Row, ...]]] = None
     reduced_sets: Optional[Dict[int, FrozenSet[Row]]] = None
     reduced_probes: Optional[Dict[int, Dict]] = None
-    if run_semijoin and plan.semijoin_tree:
+    if plan.run_semijoin and plan.semijoin_tree:
         reduced_rows, reduced_sets, reduced_probes = _semijoin_reduce(
-            lookup, plan, base_binding, run_columnar
+            lookup, plan, base_binding
         )
 
     def execute(depth: int, binding: Binding) -> Iterator[Binding]:

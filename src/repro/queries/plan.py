@@ -56,9 +56,14 @@ function of the prefix alone and can be compiled once per evaluation:
   while the binary plan is charged its *worst-case* intermediate (prefix
   products of per-position heavy-hitter frequencies — the independence
   estimate that orders atoms is an average-case figure and is exactly what
-  cyclic skew breaks).  :attr:`JoinPlan.run_multiway` records the verdict;
-  the executor may override it through the ``use_multiway`` knob but never
-  the compiled step.
+  cyclic skew breaks).  :attr:`JoinPlan.run_multiway` records the verdict.
+
+Every access-path choice is a verdict on the compiled plan, and the executor
+carries the verdicts out as given: it has no switch of its own.  Under
+pre-bound variables (the delta rules' seeded evaluations, which must stay
+O(|Δ|)) the planner turns the whole-relation strategies — semi-join,
+multiway, columnar — off itself.  A test or benchmark that needs a
+particular path builds the plan directly and passes it in as ``plan=``.
 
 Compiled plans are cached (:func:`cached_plan`) keyed on the conjunction, the
 pre-bound variable names and the statistics snapshot they were costed with —
@@ -75,15 +80,16 @@ layer by layer.  In short: extend the plan vocabulary (a new field on
 :class:`PlannedAtom` for a per-step path, or a plan-level section like
 :class:`PlannedMultiway` for a whole-conjunction strategy), emit it here
 behind a cost verdict so the cost-based choice can prefer it, and add the
-matching branch in :func:`repro.queries.bindings.enumerate_bindings` behind a
-knob defaulting to the planner's verdict.  The access path must surface a
+matching branch in :func:`repro.queries.bindings.enumerate_bindings` that runs
+when the plan's verdict says so.  The access path must surface a
 *superset* of the matching rows — or, like the multiway step, prove each
 binding it yields row-by-row — and any maintained state it needs on
 :class:`~repro.relational.database.Relation` follows the statistics contract:
 build lazily, maintain under point mutations, drop under bulk mutations,
 *decline* (fall back to the reference semantics) on data it cannot serve
-exactly.  The differential suite's axes matrix then certifies the new knob
-against the naive reference for free.
+exactly.  The differential suite's axes matrix, which forces each verdict
+on and off through a hand-built plan, then certifies the new path against
+the naive reference for free.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ SEMIJOIN_INTERMEDIATE_FACTOR = 4.0
 
 #: A columnar kernel pays a per-call dispatch cost, so the planner only votes
 #: for it when some scan step's relation is at least this large; below it the
-#: tuple-set loop wins.  Steers cost only — the knob can always override.
+#: tuple-set loop wins.  Steers cost only, never answers.
 COLUMNAR_MIN_ROWS = 1024
 
 #: Comparison operators a sorted index can answer with a contiguous range.
@@ -281,22 +287,24 @@ class JoinPlan:
 
     ``semijoin_tree`` is the GYO join tree when the conjunction is acyclic
     (empty otherwise); ``run_semijoin`` is the planner's cost-based verdict on
-    whether the Yannakakis reduction passes are worth their scans.  The
-    executor may override the verdict but never the tree.
+    whether the Yannakakis reduction passes are worth their scans.
 
     ``multiway`` is the compiled worst-case-optimal step when the conjunction
     is *cyclic* and statistics were available (``None`` otherwise);
     ``run_multiway`` is the planner's verdict — AGM bound below the binary
     plan's worst-case intermediate.  The binary ``steps`` are always compiled
     too: they are the fallback when a trie declines (mixed-type columns) and
-    the path taken when the ``use_multiway`` knob is off.
+    the path taken when the verdict is off.
 
     ``run_columnar`` is the planner's verdict on the vectorized columnar
     kernels: some scan step is large enough (:data:`COLUMNAR_MIN_ROWS`) for
-    vectorized selection to beat the tuple-set loop.  The executor's
-    ``use_columnar`` knob may override the verdict; the per-step
-    ``columnar_pushdowns`` are compiled regardless so the knob has something
-    to run.
+    vectorized selection to beat the tuple-set loop.  The per-step
+    ``columnar_pushdowns`` are compiled regardless of the verdict.
+
+    The executor follows every ``run_*`` verdict as given, falling back to
+    the reference path only where an access path declines (a trie or an
+    encoding that cannot serve the data exactly); ``plan_conjunction`` sets
+    all three off whenever variables are pre-bound.
     """
 
     steps: Tuple[PlannedAtom, ...]
@@ -653,8 +661,6 @@ def plan_conjunction(
     comparisons: Iterable[Comparison] = (),
     bound_variables: "FrozenSet[str] | Set[str]" = frozenset(),
     statistics: Optional[Mapping[str, RelationStatistics]] = None,
-    compile_ranges: bool = True,
-    compile_columnar: bool = True,
 ) -> JoinPlan:
     """Compile a conjunction of atoms into an ordered :class:`JoinPlan`.
 
@@ -664,11 +670,12 @@ def plan_conjunction(
     :class:`~repro.relational.statistics.RelationStatistics`; when present for
     *every* atom it drives cost-based atom ordering and the semi-join verdict,
     otherwise the historical most-constrained-first order is used wholesale.
-    ``compile_ranges=False`` suppresses range probes (the pre-statistics
-    planner, kept addressable for benchmarks and differential axes);
-    ``compile_columnar=False`` likewise suppresses columnar pushdowns and the
-    columnar verdict (the executor passes it when its ``use_columnar`` knob
-    is forced off, keeping that plan byte-identical to the pre-columnar one).
+
+    The plan is the executor's only switch: it runs the semi-join, multiway
+    and columnar paths exactly when ``run_semijoin``, ``run_multiway`` and
+    ``run_columnar`` say so.  All three are off when any variable is
+    pre-bound — the delta rules' seeded evaluations must stay O(|Δ|), and
+    each of those paths touches whole relations.
     """
     remaining: List[RelationAtom] = list(relation_atoms)
     conjunction = tuple(remaining)
@@ -730,10 +737,9 @@ def plan_conjunction(
             worst_prefix *= float(worst_step)
             worst_intermediate = max(worst_intermediate, worst_prefix)
         range_probe = None
-        if compile_ranges and not probe_positions:
-            range_probe = _first_range_form(atom, bound, comparisons)
         columnar_pushdowns: Tuple[PlannedRange, ...] = ()
-        if compile_columnar and not probe_positions:
+        if not probe_positions:
+            range_probe = _first_range_form(atom, bound, comparisons)
             columnar_pushdowns = _all_range_forms(atom, bound, comparisons)
         bound.update(new_variables)
         steps.append(
@@ -752,9 +758,11 @@ def plan_conjunction(
         index for index in range(len(comparisons)) if index not in scheduled
     )
     tree = _join_tree([step.atom for step in steps], initially_bound) if len(steps) > 1 else None
+    # Whole-relation strategies never run under pre-bound variables.
+    unseeded = costed and not initially_bound
     run_semijoin = bool(
         tree
-        and costed
+        and unseeded
         # A tree without a filtering edge (a cross product of components)
         # cannot prune anything, so the reduction passes would be pure cost.
         and any(parent >= 0 and shared for _, parent, shared in tree)
@@ -767,9 +775,9 @@ def plan_conjunction(
         # Statistics are required — the elimination order and the verdict are
         # both cost-based, so the statistics-blind planner stays binary.
         multiway = _compile_multiway(conjunction, comparisons, initially_bound, statistics)
-        run_multiway = multiway.estimated_answers < worst_intermediate
+        run_multiway = unseeded and multiway.estimated_answers < worst_intermediate
     run_columnar = bool(
-        costed
+        unseeded
         and any(
             step.columnar_pushdowns
             and statistics[step.atom.relation].cardinality >= COLUMNAR_MIN_ROWS
@@ -833,8 +841,6 @@ def cached_plan(
     comparisons: Tuple[Comparison, ...],
     bound_names: FrozenSet[str],
     statistics: "Optional[Mapping[str, RelationStatistics] | Callable]" = None,
-    compile_ranges: bool = True,
-    compile_columnar: bool = True,
     epoch: Optional[Tuple] = None,
     stats_key: Optional[Tuple] = None,
 ) -> JoinPlan:
@@ -864,15 +870,7 @@ def cached_plan(
     """
     if stats_key is None and statistics is not None:
         stats_key = statistics_key(statistics)
-    key = (
-        relation_atoms,
-        comparisons,
-        bound_names,
-        stats_key,
-        compile_ranges,
-        compile_columnar,
-        epoch,
-    )
+    key = (relation_atoms, comparisons, bound_names, stats_key, epoch)
     with _PLAN_CACHE_LOCK:
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
@@ -892,14 +890,7 @@ def cached_plan(
         active.inc("plan.cache.misses")
     if callable(statistics):
         statistics = statistics()
-    plan = plan_conjunction(
-        relation_atoms,
-        comparisons,
-        bound_names,
-        statistics=statistics,
-        compile_ranges=compile_ranges,
-        compile_columnar=compile_columnar,
-    )
+    plan = plan_conjunction(relation_atoms, comparisons, bound_names, statistics=statistics)
     with _PLAN_CACHE_LOCK:
         _PLAN_CACHE[key] = plan
         if len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:

@@ -480,8 +480,9 @@ class Relation:
     def columnar(self) -> Optional[ColumnarRelation]:
         """The columnar encoding, or ``None`` when it declines.
 
-        The vectorized access path behind the executor's ``use_columnar``
-        knob: stdlib ``array`` columns (dictionary-encoded strings) the
+        The vectorized access path the executor takes when the plan's
+        columnar verdict (:attr:`~repro.queries.plan.JoinPlan.run_columnar`)
+        is on: stdlib ``array`` columns (dictionary-encoded strings) the
         selection kernels run over instead of the tuple set.  Built on first
         use and cached under the standard contract — point mutations maintain
         it in place (O(arity) append / swap-remove), bulk mutations drop it —

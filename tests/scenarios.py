@@ -7,6 +7,8 @@ the single shared kit they all import: random schemas and databases, random
 CQ/UCQ/∃FO⁺ queries, random update streams, random recommendation problems —
 and, new with the worst-case-optimal multiway join, random *cyclic* query
 shapes (triangle, 4-cycle, star-with-chord) that no suite generated before.
+It also builds the forced plans (:func:`forced_plan`) through which the
+evaluator suite drives each access path on and off.
 
 Every generator is a pure function of the :class:`random.Random` instance it
 is handed (plus explicit parameters), so a scenario is reproducible from the
@@ -22,7 +24,8 @@ pools where those differed.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import CountCost, CountRating, QueryConstraint
 from repro.core.compatibility import EmptyConstraint
@@ -45,8 +48,10 @@ from repro.queries.ast import (
 )
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.efo import PositiveExistentialQuery
+from repro.queries.plan import JoinPlan, plan_conjunction
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.database import Database
+from repro.relational.statistics import RelationStatistics
 from repro.workloads.synthetic import (
     item_selection_query,
     no_duplicate_category_constraint,
@@ -213,6 +218,58 @@ def random_cyclic_conjunction(
         )
         comparisons.append(Comparison(rng.choice(COMPARISON_OPS), left, right))
     return atoms, comparisons
+
+
+# ---------------------------------------------------------------------------
+# Forced plans (the evaluator's access-path axes)
+# ---------------------------------------------------------------------------
+def relation_statistics(
+    database: Database, atoms: Sequence[RelationAtom]
+) -> Dict[str, RelationStatistics]:
+    """The statistics of every relation ``atoms`` mention, keyed as the planner takes them."""
+    return {atom.relation: database.relation(atom.relation).statistics() for atom in atoms}
+
+
+def forced_plan(
+    atoms: Sequence[RelationAtom],
+    comparisons: Sequence[Comparison] = (),
+    statistics: Optional[Mapping[str, RelationStatistics]] = None,
+    *,
+    bound_variables: AbstractSet[str] = frozenset(),
+    range_probes: bool = True,
+    semijoin: Optional[bool] = None,
+    multiway: Optional[bool] = None,
+    columnar: Optional[bool] = None,
+) -> JoinPlan:
+    """A join plan with chosen access paths forced on or off, to pass as ``plan=``.
+
+    The executor carries out the plan's verdicts and has no switch of its
+    own, so an axis is forced by building the plan: compile it with
+    :func:`~repro.queries.plan.plan_conjunction` (``statistics=None`` gives
+    the statistics-blind order), strip the compiled range probes
+    (``range_probes=False``) or columnar pushdowns (``columnar=False``), then
+    set the ``run_*`` verdicts — ``None`` keeps the planner's, a bool forces
+    it.  A verdict forced on without the plan section it needs (a semi-join
+    without a join tree, a multiway step the planner did not compile) is a
+    no-op: the executor runs the binary steps.  With every axis off and no
+    statistics this is exactly the original statistics-blind planner.
+    """
+    plan = plan_conjunction(atoms, comparisons, bound_variables, statistics)
+    steps = tuple(
+        replace(
+            step,
+            range_probe=step.range_probe if range_probes else None,
+            columnar_pushdowns=step.columnar_pushdowns if columnar is not False else (),
+        )
+        for step in plan.steps
+    )
+    return replace(
+        plan,
+        steps=steps,
+        run_semijoin=plan.run_semijoin if semijoin is None else semijoin,
+        run_multiway=plan.run_multiway if multiway is None else multiway,
+        run_columnar=plan.run_columnar if columnar is None else columnar,
+    )
 
 
 # ---------------------------------------------------------------------------

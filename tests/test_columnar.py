@@ -1,6 +1,6 @@
 """Property tests for the columnar-encoding maintenance contract and kernels.
 
-The columnar encoding behind the executor's ``use_columnar`` knob
+The columnar encoding the executor runs under the plan's columnar verdict
 (:meth:`repro.relational.database.Relation.columnar`) follows the same
 contract as every other lazy cache on :class:`Relation`: built lazily,
 maintained *in place* by point mutations and ``apply_delta`` streams

@@ -397,7 +397,7 @@ class TestExplainAnalyze:
 
         X, Y, Z = Var("x"), Var("y"), Var("z")
         atoms = [RelationAtom("edge", [X, Y]), RelationAtom("edge", [Y, Z])]
-        analysis = explain_analyze(edge_database, atoms, use_statistics=True)
+        analysis = explain_analyze(edge_database, atoms)
         rendering = analysis.render()
         # One annotated line per plan step, each carrying est + actual counts.
         step_lines = [line for line in rendering.splitlines() if "actual" in line]

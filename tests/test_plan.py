@@ -17,6 +17,8 @@ from repro.queries.plan import plan_conjunction
 from repro.relational.database import Database
 from repro.relational.errors import EvaluationError
 
+from scenarios import forced_plan
+
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
 
@@ -425,13 +427,15 @@ class TestMultiwayPlanning:
         def multiset(bindings):
             return sorted(tuple(sorted(b.items())) for b in bindings)
 
+        leapfrog = forced_plan(atoms, statistics=_stats_for(database, atoms), multiway=True)
+        assert leapfrog.multiway is not None
         expected = multiset(enumerate_bindings_naive(database, atoms))
         assert expected  # the flag is set: the triangle answers survive
-        assert multiset(enumerate_bindings(database, atoms, use_multiway=True)) == expected
+        assert multiset(enumerate_bindings(database, atoms, plan=leapfrog)) == expected
         assert multiset(enumerate_bindings(database, atoms)) == expected
         # An empty nullary relation empties the conjunction instead.
         database.relation("flag").clear()
-        assert multiset(enumerate_bindings(database, atoms, use_multiway=True)) == []
+        assert multiset(enumerate_bindings(database, atoms, plan=leapfrog)) == []
         assert multiset(enumerate_bindings_naive(database, atoms)) == []
 
     def test_empty_constant_prefix_still_checks_root_comparisons(self, skewed_graph):
@@ -444,6 +448,14 @@ class TestMultiwayPlanning:
                     skewed_graph, atoms, comparisons, initial_binding={"w": "zzz"}
                 )
             )
+        leapfrog = forced_plan(
+            atoms,
+            comparisons,
+            _stats_for(skewed_graph, atoms),
+            bound_variables={"w"},
+            multiway=True,
+        )
+        assert leapfrog.multiway is not None
         with pytest.raises(TypeError):
             list(
                 enumerate_bindings(
@@ -451,6 +463,67 @@ class TestMultiwayPlanning:
                     atoms,
                     comparisons,
                     initial_binding={"w": "zzz"},
-                    use_multiway=True,
+                    plan=leapfrog,
                 )
             )
+
+
+# ---------------------------------------------------------------------------
+# Pre-bound variables switch the whole-relation verdicts off in the planner
+# ---------------------------------------------------------------------------
+def _semijoin_case():
+    """A costed chain whose estimated intermediate dwarfs its relations."""
+    database = Database()
+    database.create_relation("r", ["a", "x"], [(i, i % 2) for i in range(200)])
+    database.create_relation("s", ["x", "y"], [(i % 2, i) for i in range(200)])
+    database.create_relation("t", ["y", "c"], [(i % 200, i) for i in range(1200)])
+    atoms = [
+        RelationAtom("r", [Var("a"), X]),
+        RelationAtom("s", [X, Y]),
+        RelationAtom("t", [Y, Var("c")]),
+    ]
+    return database, atoms, [], {"x"}, "run_semijoin"
+
+
+def _multiway_case():
+    """The skewed triangle plus a pendant atom that carries the bound variable."""
+    database = Database()
+    rows = {(i, i % 3) for i in range(60)} | {(i % 3, i) for i in range(60)}
+    database.create_relation("edge", ["src", "dst"], rows)
+    atoms = _triangle_atoms() + [RelationAtom("edge", [Z, Var("w")])]
+    return database, atoms, [], {"w"}, "run_multiway"
+
+
+def _columnar_case():
+    """A range scan over a relation large enough for the columnar kernels."""
+    database = Database()
+    database.create_relation("item", ["iid", "price"], [(i, i % 500) for i in range(2000)])
+    database.create_relation("limit", ["q"], [(1,)])
+    atoms = [RelationAtom("item", [X, Var("p")]), RelationAtom("limit", [Var("q")])]
+    comparisons = [Comparison(ComparisonOp.LT, Var("p"), 30)]
+    return database, atoms, comparisons, {"q"}, "run_columnar"
+
+
+#: The plan section each verdict runs; a seeded plan still compiles it.
+_VERDICT_SECTIONS = {
+    "run_semijoin": lambda plan: bool(plan.semijoin_tree),
+    "run_multiway": lambda plan: plan.multiway is not None,
+    "run_columnar": lambda plan: any(step.columnar_pushdowns for step in plan.steps),
+}
+
+
+@pytest.mark.parametrize("case", [_semijoin_case, _multiway_case, _columnar_case])
+def test_bound_variables_switch_the_whole_relation_verdicts_off(case):
+    """The planner, not the executor, keeps seeded evaluations O(|Δ|).
+
+    Each conjunction's unbound plan votes for its whole-relation path; the
+    same conjunction compiled with a pre-bound variable still compiles the
+    path's plan section but votes against running it.
+    """
+    database, atoms, comparisons, bound, verdict = case()
+    statistics = _stats_for(database, atoms)
+    unbound = plan_conjunction(atoms, comparisons, statistics=statistics)
+    seeded = plan_conjunction(atoms, comparisons, bound, statistics)
+    assert getattr(unbound, verdict)
+    assert _VERDICT_SECTIONS[verdict](seeded)
+    assert not (seeded.run_semijoin or seeded.run_multiway or seeded.run_columnar)

@@ -14,6 +14,10 @@ A second guard keeps the lattice search folded: every search mode of
 traversal, so :mod:`repro.core.enumeration` may hold exactly one recursive
 function outside the retained reference enumerator, and it must live in the
 engine.
+
+A third guard keeps the plan the executor's only switch: the evaluator entry
+points and the planner take no ``use_*`` or ``compile_*`` parameter, so an
+access path is chosen by a verdict on the compiled plan and nowhere else.
 """
 
 from __future__ import annotations
@@ -151,3 +155,60 @@ def test_the_traversal_guard_itself_detects_a_second_loop():
         "        return sum(1 for _ in self._walk())\n"
     )
     assert _recursive_functions(one_loop) == ["PackageSearchEngine._walk.dfs"]
+
+
+#: The functions that resolve or run a plan, by the module defining them.
+PLAN_SWITCH_FUNCTIONS = {
+    SRC_ROOT / "queries" / "bindings.py": ("enumerate_bindings",),
+    SRC_ROOT / "queries" / "plan.py": ("plan_conjunction", "cached_plan"),
+    SRC_ROOT / "observability" / "explain.py": ("explain_analyze",),
+}
+
+
+def _switch_parameters(tree: ast.AST, names):
+    """``function.parameter`` for every ``use_*``/``compile_*`` parameter of ``names``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names:
+            arguments = node.args
+            for argument in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+                if argument.arg.startswith(("use_", "compile_")):
+                    found.append(f"{node.name}.{argument.arg}")
+    return found
+
+
+def test_the_plan_is_the_executors_only_switch():
+    offences = []
+    for path, names in PLAN_SWITCH_FUNCTIONS.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert set(names) <= defined, f"{path.name} no longer defines {names}"
+        offences.extend(_switch_parameters(tree, names))
+    assert not offences, (
+        "an access path must be chosen by a verdict on the plan, not by an "
+        "executor or planner switch: " + ", ".join(offences)
+    )
+
+
+def test_the_switch_guard_itself_detects_a_knob():
+    """The guard must fire on a use_* or compile_* parameter, and only there."""
+    knobs = ast.parse(
+        "def enumerate_bindings(database, plan=None, *, use_semijoin=None):\n"
+        "    pass\n"
+        "def plan_conjunction(atoms, compile_ranges=True):\n"
+        "    pass\n"
+        "def helper(use_cache=True):\n"
+        "    pass\n"
+    )
+    assert _switch_parameters(knobs, ("enumerate_bindings", "plan_conjunction")) == [
+        "enumerate_bindings.use_semijoin",
+        "plan_conjunction.compile_ranges",
+    ]
+    clean = ast.parse(
+        "def enumerate_bindings(database, plan=None, *, step_profile=None):\n    pass\n"
+    )
+    assert _switch_parameters(clean, ("enumerate_bindings",)) == []

@@ -36,6 +36,8 @@ from repro.relational.database import Database, Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.statistics import SortedPositionIndex
 
+from scenarios import forced_plan, relation_statistics
+
 A, B, P, Q, X, Y = Var("a"), Var("b"), Var("p"), Var("q"), Var("x"), Var("y")
 
 RANGE_OPS = ("<", "<=", ">", ">=", "=")
@@ -278,12 +280,14 @@ class TestCostBasedPlanner:
         )
         assert two_sided.steps[0].range_probe is None
 
-    def test_compile_ranges_false_reproduces_the_pr1_plan(self):
+    def test_stripped_range_probes_reproduce_the_probe_only_plan(self):
         atoms = [RelationAtom("item", [A, P])]
-        plan = plan_conjunction(
-            atoms, [Comparison(ComparisonOp.LT, P, 30)], compile_ranges=False
-        )
+        comparisons = [Comparison(ComparisonOp.LT, P, 30)]
+        plan = forced_plan(atoms, comparisons, range_probes=False)
         assert plan.steps[0].range_probe is None
+        # Only the access path goes: the order and the schedule stay put.
+        assert "scan item" in plan.describe()
+        assert plan.comparison_schedule == plan_conjunction(atoms, comparisons).comparison_schedule
 
     def test_acyclic_chain_gets_a_join_tree_and_cyclic_does_not(self):
         chain = plan_conjunction(
@@ -395,14 +399,16 @@ class TestExecutorAccessPaths:
             RelationAtom("s", [X, Y]),
             RelationAtom("t", [Y, Var("c")]),
         ]
-        on = sorted(
-            tuple(sorted(b.items()))
-            for b in enumerate_bindings(database, atoms, use_semijoin=True)
-        )
-        off = sorted(
-            tuple(sorted(b.items()))
-            for b in enumerate_bindings(database, atoms, use_semijoin=False)
-        )
+        statistics = relation_statistics(database, atoms)
+
+        def bindings(semijoin):
+            plan = forced_plan(atoms, statistics=statistics, semijoin=semijoin)
+            return sorted(
+                tuple(sorted(b.items()))
+                for b in enumerate_bindings(database, atoms, plan=plan)
+            )
+
+        on, off = bindings(True), bindings(False)
         naive = sorted(
             tuple(sorted(b.items())) for b in enumerate_bindings_naive(database, atoms)
         )
