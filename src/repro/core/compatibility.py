@@ -14,12 +14,31 @@ Three implementations are provided:
   database relations.
 * :class:`PredicateConstraint` — a PTIME Python predicate on (package, database).
 
-On top of those, :class:`CompatibilityOracle` memoizes verdicts for one
-``(constraint, database)`` pair keyed by package item-set: the enumeration of
-valid packages, the pruning hints, the greedy/beam heuristics and the
-QRPP/ARPP searches all probe compatibility for overlapping sub-packages many
-times, and with ``Qc`` a query every probe is itself a query evaluation.  The
-oracle invalidates itself when the database mutates (it compares
+On top of those, :class:`CompatibilityOracle` answers the verdicts for one
+``(constraint, database)`` pair.  The enumeration of valid packages, the
+pruning hints, the greedy/beam heuristics and the QRPP/ARPP searches all ask
+for verdicts on many overlapping sub-packages, and with ``Qc`` a query every
+probe is itself a query evaluation.  The oracle avoids them in two ways:
+
+* **Witness sets.**  A CQ, UCQ or ∃FO⁺ ``Qc`` is monotone in ``RQ``, so ``N``
+  is incompatible iff some binding of one disjunct's body over
+  ``RQ := Q(D)`` maps every ``RQ`` atom of the disjunct into ``N``.  The
+  ``RQ`` rows such a binding uses form a *witness set* (the why-provenance
+  of ``Qc``'s answers, Green, Karvounarakis and Tannen, PODS 2007).  Once
+  the search engine has registered ``Q(D)``, the oracle runs one join per
+  disjunct on the first verdict of a database version, indexes the
+  witness sets by item, and answers every later verdict on a package
+  ``N ⊆ Q(D)`` by checking whether one of its items' witness sets lies
+  within ``N``: no query evaluation per package.  A disjunct without an
+  ``RQ`` atom that has a binding has the empty witness set, which makes
+  every package incompatible.
+* **A memo.**  Every other verdict — a predicate, an FO or Datalog ``Qc``,
+  a package outside the registered ``Q(D)``, or an index the oracle
+  declined to build (:data:`WITNESS_CAP`, :data:`WITNESS_STEP_LIMIT`, a
+  build that raised) — goes through the constraint's own probe once per
+  package item-set and is memoized.
+
+The oracle invalidates itself when the database mutates (it compares
 :meth:`~repro.relational.database.Database.version` snapshots), so sharing it
 across problems over the same database is always safe.
 """
@@ -27,17 +46,36 @@ across problems over the same database is always safe.
 from __future__ import annotations
 
 import inspect
+import threading
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.core.packages import Package
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
+from repro.queries.ast import Var
 from repro.queries.base import Query
-from repro.queries.bindings import StepCounter
+from repro.queries.bindings import StepCounter, enumerate_bindings
+from repro.queries.cq import ConjunctiveQuery
+from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.plan import statistics_key
+from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.database import Database, Relation, Row
+from repro.relational.errors import ReproError, StepLimitExceeded
 from repro.relational.schema import RelationSchema
+from repro.resilience.deadline import current_deadline
+from repro.resilience.errors import ResilienceError
+
+#: The most witness sets one index may hold.  A build that finds more stops
+#: and declines: its verdicts go to the probe path for that database version.
+WITNESS_CAP = 16384
+
+#: The most evaluator steps one index build may take (the
+#: :class:`~repro.queries.bindings.StepCounter` limit of its joins).  A build
+#: that needs more declines like one over :data:`WITNESS_CAP`.
+WITNESS_STEP_LIMIT = 200_000
 
 
 class CompatibilityConstraint:
@@ -218,6 +256,15 @@ class QueryConstraint(CompatibilityConstraint):
     reference returns; the early exit evaluates fewer bindings, so an error
     a later binding would raise in the full evaluation (a mixed-type
     comparison, a step limit) may not be raised.
+
+    Inside a search, most verdicts never reach :meth:`is_satisfied`: for a
+    ``Qc`` of the shipped :class:`~repro.queries.cq.ConjunctiveQuery`,
+    :class:`~repro.queries.ucq.UnionOfConjunctiveQueries` or
+    :class:`~repro.queries.efo.PositiveExistentialQuery` class, the
+    :class:`CompatibilityOracle` answers packages drawn from the registered
+    ``Q(D)`` from its witness sets.  Any other query class (FO, Datalog,
+    subclasses, whose semantics may differ), and any build the oracle
+    declines, keeps this probe.
     """
 
     query: Query
@@ -330,28 +377,195 @@ class PredicateConstraint(CompatibilityConstraint):
         return self.description
 
 
-class CompatibilityOracle:
-    """Memoized compatibility verdicts for one ``(constraint, database)`` pair.
+def _witness_disjuncts(query: Query):
+    """The conjunctive disjuncts of a witness-servable ``Qc``, else ``None``.
 
-    Verdicts are keyed by the package's item-set (plus its answer-schema
-    attribute names, which constraints may address): two packages with the same
-    items always receive the same verdict, so the second probe is a dictionary
-    hit instead of a constraint evaluation.  ``hits``/``misses`` account for
-    cache effectiveness; the evaluator benchmark and the oracle tests read
-    them.
+    Exact classes only: a subclass may override the semantics the witness
+    sets stand for, so it keeps the probe.
+    """
+    kind = type(query)
+    if kind is ConjunctiveQuery:
+        return (query,)
+    if kind is UnionOfConjunctiveQueries:
+        return query.disjuncts
+    if kind is PositiveExistentialQuery:
+        return query.to_ucq().disjuncts
+    return None
+
+
+class _WitnessIndex(NamedTuple):
+    """The witness sets of one ``Qc`` over one ``Q(D)`` row set.
+
+    Valid for the database version it was built at; the oracle drops it on
+    any change.  ``by_item`` is ``None`` when the build declined, so every
+    verdict goes to the probe path.
+    """
+
+    #: The registered ``Q(D)`` relation this index answers for.
+    source: Optional[Relation]
+    #: The rows of ``Q(D)`` at build time; only packages within them are served.
+    rows: FrozenSet[Row]
+    #: Each item's witness sets (``None``: declined).
+    by_item: Optional[Dict[Row, Tuple[FrozenSet[Row], ...]]]
+    #: A disjunct without ``RQ`` atoms has a binding: the empty set is a
+    #: witness, so every package is incompatible.
+    always: bool = False
+    #: The number of distinct witness sets.
+    size: int = 0
+
+    def compatible(self, items: FrozenSet[Row]) -> bool:
+        """``Qc(N, D) = ∅`` for a package ``N ⊆ rows`` with these items."""
+        if self.always:
+            return False
+        by_item = self.by_item
+        for item in items:
+            for witness in by_item.get(item, ()):
+                if witness <= items:
+                    return False
+        return True
+
+
+#: The slot of an oracle that has not looked for an index yet.
+_UNBUILT = _WitnessIndex(None, frozenset(), None)
+
+
+def _row_of(atom):
+    """The ``RQ`` row a binding maps ``atom`` to, as a function of the binding."""
+    terms = atom.terms
+    if terms and all(isinstance(term, Var) for term in terms):
+        getter = itemgetter(*(term.name for term in terms))
+        return getter if len(terms) > 1 else lambda binding: (getter(binding),)
+    return lambda binding: tuple(
+        binding[term.name] if isinstance(term, Var) else term.value for term in terms
+    )
+
+
+def _build_witness_index(
+    disjuncts, answer_name: str, database: Database, answers: Relation
+) -> _WitnessIndex:
+    """One join per disjunct over ``RQ := answers``, collected by item.
+
+    Declines (``by_item=None``) past :data:`WITNESS_CAP` witness sets or
+    :data:`WITNESS_STEP_LIMIT` steps, and when a join raises (the probe path
+    then raises, or not, exactly as without the index).  A request's deadline
+    or cancellation propagates; nothing is kept of an unfinished build.
+    """
+    rows = answers.rows()
+    declined = _WitnessIndex(answers, rows, None)
+    answer = Relation(answers.schema.rename(answer_name))
+    answer.replace_rows(rows)
+    extra = {answer_name: answer}
+    counter = StepCounter(limit=WITNESS_STEP_LIMIT)
+    witnesses = set()
+    try:
+        for cq in disjuncts:
+            placed = [_row_of(atom) for atom in cq.atoms if atom.relation == answer_name]
+            bindings = enumerate_bindings(
+                database, cq.atoms, cq.comparisons, counter=counter, extra_relations=extra
+            )
+            with closing(bindings):
+                for binding in bindings:
+                    if not placed:
+                        return _WitnessIndex(answers, rows, {}, always=True, size=1)
+                    witnesses.add(frozenset([row(binding) for row in placed]))
+                    if len(witnesses) > WITNESS_CAP:
+                        return declined
+    except StepLimitExceeded:
+        if counter.steps <= WITNESS_STEP_LIMIT:
+            raise  # the request's own step budget ran out, not the build's
+        return declined
+    except ResilienceError:
+        raise
+    except (ReproError, TypeError, ValueError):
+        return declined
+    by_item: Dict[Row, list] = {}
+    for witness in witnesses:
+        for item in witness:
+            by_item.setdefault(item, []).append(witness)
+    return _WitnessIndex(
+        answers,
+        rows,
+        {item: tuple(sets) for item, sets in by_item.items()},
+        size=len(witnesses),
+    )
+
+
+#: The oracle's accounting, flushed to the active metrics registry as deltas.
+_ORACLE_COUNTERS = (
+    _metrics.ORACLE_HITS,
+    _metrics.ORACLE_MISSES,
+    _metrics.ORACLE_WITNESS_BUILDS,
+    _metrics.ORACLE_WITNESS_VERDICTS,
+    _metrics.ORACLE_WITNESS_DECLINES,
+)
+
+
+class CompatibilityOracle:
+    """Compatibility verdicts for one ``(constraint, database)`` pair.
+
+    :meth:`is_satisfied` is the one entry point, and a verdict takes one of
+    two paths.
+
+    **Witness verdicts.**  The search engine registers the ``Q(D)`` it
+    searches (:meth:`register_answers`, O(1)).  For a :class:`QueryConstraint`
+    whose ``Qc`` is a CQ, UCQ or ∃FO⁺ query, the first verdict at a database
+    version builds the witness index over that ``Q(D)`` (one
+    :func:`~repro.queries.bindings.enumerate_bindings` join per conjunctive
+    disjunct, inside :meth:`is_satisfied`), and every verdict on a package
+    ``N ⊆ Q(D)`` is answered from it: ``N`` is incompatible iff a witness
+    set of one of its items lies within ``N``.  A new registration with the
+    same rows reuses the index; one with other rows rebuilds it on the
+    first package the index does not cover.  The witness path *declines*
+    to the memo below for
+
+    * a constraint other than a :class:`QueryConstraint` over one of those
+      three exact query classes: predicates, conjunctions, FO and Datalog
+      ``Qc`` (recursion makes witness sets unbounded), and query subclasses,
+      which include the ones that need
+      :meth:`QueryConstraint.is_satisfied_copying`;
+    * a package not contained in the indexed ``Q(D)`` (QRPP's derived
+      problems share one oracle across different ``Q(D)``), or no ``Q(D)``
+      registered at all;
+    * a build that finds more than :data:`WITNESS_CAP` witness sets, takes
+      more than :data:`WITNESS_STEP_LIMIT` steps, or raises (a mixed-type
+      comparison, for one: the probe then raises, or not, as it always
+      did).  The declined build is remembered for the database version.
+
+    A request deadline or cancellation that fires during a build propagates
+    and leaves the previous index slot in place.
+
+    **The memo.**  Declined verdicts are keyed by the package's item-set
+    (plus its answer-schema attribute names, which constraints may address):
+    two packages with the same items always receive the same verdict, so the
+    second probe is a dictionary hit instead of a constraint evaluation.
 
     The oracle snapshots the database's version on creation and re-checks it
-    on every probe.  Invalidation is *footprint-aware*: the constraint
-    declares which relations its verdicts may depend on
+    on every verdict; any change drops the witness index.  Memo invalidation
+    is *footprint-aware*: the constraint declares which relations its
+    verdicts may depend on
     (:meth:`CompatibilityConstraint.relation_footprint`), and a mutation is
     compared per relation against the snapshot — when every changed relation
-    lies outside the footprint, the cached verdicts are provably still
+    lies outside the footprint, the memoized verdicts are provably still
     correct and are **retained** (the ``retentions`` counter accounts for
-    those events); otherwise the cache clears as before (``invalidations``).
-    A constraint with an unknown footprint (``None``) always clears, so stale
+    those events); otherwise the memo clears (``invalidations``).  A
+    constraint with an unknown footprint (``None``) always clears, so stale
     verdicts can never be served.  With ``enabled=False`` the oracle degrades
-    to a transparent pass-through (no caching, no accounting), which the tests
-    use to show cached and uncached runs are byte-identical.
+    to a transparent pass-through (no witness index, no memo, no
+    accounting), which the tests use to show that served and probed runs are
+    byte-identical.
+
+    **Accounting.**  ``hits`` and ``misses`` count memo lookups,
+    ``witness_verdicts`` the verdicts served from an index,
+    ``witness_builds`` the indexes built and ``witness_declines`` the
+    verdicts of a :class:`QueryConstraint` sent to the memo instead.  They
+    are plain integers; what they gained since the last flush goes to the
+    active metrics registry once per lattice walk (the engine brackets each
+    walk with :meth:`walk_started` / :meth:`walk_finished`), and once per
+    verdict requested outside any walk.
+
+    Thread safety: the index slot is an immutable tuple replaced whole, and
+    builds are serialised, so readers sharing one pinned problem build each
+    index once; a reader waiting for another's build keeps its deadline.
     """
 
     __slots__ = (
@@ -362,10 +576,20 @@ class CompatibilityOracle:
         "misses",
         "invalidations",
         "retentions",
+        "witness_builds",
+        "witness_verdicts",
+        "witness_declines",
         "_cache",
         "_database_version",
         "_footprint",
         "_always_true",
+        "_witness_eligible",
+        "_registered",
+        "_witness",
+        "_walks",
+        "_flushed",
+        "_lock",
+        "_build_lock",
     )
 
     def __init__(
@@ -381,15 +605,124 @@ class CompatibilityOracle:
         self.misses = 0
         self.invalidations = 0
         self.retentions = 0
+        self.witness_builds = 0
+        self.witness_verdicts = 0
+        self.witness_declines = 0
         self._cache: Dict[Tuple[Tuple[str, ...], FrozenSet[Row]], bool] = {}
         self._database_version = database.version()
         self._footprint = constraint.relation_footprint()
         # The absent-Qc case is constant-true; caching one entry per distinct
         # package for it would grow the cache along the whole package lattice.
         self._always_true = constraint.is_empty_constraint()
+        # Only a QueryConstraint can be witness-served; its query class is
+        # checked when the index is built.
+        self._witness_eligible = type(constraint) is QueryConstraint
+        self._registered: Optional[Relation] = None
+        self._witness = _UNBUILT
+        self._walks = 0
+        self._flushed = (0, 0, 0, 0, 0)
+        self._lock = threading.Lock()
+        self._build_lock = threading.Lock()
 
+    # -- the witness index --------------------------------------------------------
+    def register_answers(self, answers: Relation) -> None:
+        """Name ``Q(D)``, the relation later verdicts' packages are drawn from."""
+        self._registered = answers
+
+    def _witness_index(self) -> _WitnessIndex:
+        """The index for the registered ``Q(D)``: reused, rebuilt or declined.
+
+        One thread builds at a time.  A verdict that finds another thread
+        building waits for that build, as long as its request deadline
+        allows, and then reuses it instead of running the join again.
+        """
+        deadline = current_deadline()
+        remaining = None if deadline is None else deadline.remaining()
+        if not self._build_lock.acquire(timeout=-1 if remaining is None else max(remaining, 0)):
+            deadline.check()  # expired while waiting
+            return self._witness
+        try:
+            answers = self._registered
+            current = self._witness
+            if current is not _UNBUILT and current.source is answers:
+                return current  # built while this thread waited
+            if answers is None:
+                index = _WitnessIndex(None, frozenset(), None)
+            elif current.source is not None and current.rows == answers.rows():
+                index = current._replace(source=answers)
+            else:
+                index = self._build_index(answers)
+            self._witness = index
+            return index
+        finally:
+            self._build_lock.release()
+
+    def _build_index(self, answers: Relation) -> _WitnessIndex:
+        """A fresh index over ``answers``, or a decline for a non-servable ``Qc``."""
+        disjuncts = _witness_disjuncts(self.constraint.query)
+        if disjuncts is None:
+            return _WitnessIndex(answers, answers.rows(), None)
+        span = _tracing.begin("witness_build")
+        try:
+            index = _build_witness_index(
+                disjuncts, self.constraint.answer_relation, self.database, answers
+            )
+        finally:
+            _tracing.finish(span)
+        if index.by_item is not None:
+            self.witness_builds += 1
+        return index
+
+    def _witness_verdict(self, items: FrozenSet[Row]) -> Optional[bool]:
+        """The witness-served verdict, or ``None`` when the path declines."""
+        index = self._witness
+        if index.by_item is None or not items <= index.rows:
+            if index is _UNBUILT or index.source is not self._registered:
+                index = self._witness_index()
+            if index.by_item is None or not items <= index.rows:
+                self.witness_declines += 1
+                return None
+        self.witness_verdicts += 1
+        return index.compatible(items)
+
+    # -- accounting -----------------------------------------------------------------
+    def walk_started(self) -> None:
+        """A lattice walk begins: verdicts inside it leave flushing to the walk."""
+        with self._lock:
+            self._walks += 1
+
+    def walk_finished(self) -> None:
+        """A lattice walk ends: flush what its verdicts counted."""
+        with self._lock:
+            self._walks -= 1
+        self._flush_metrics()
+
+    def _flush_metrics(self) -> None:
+        """Add the counts gained since the last flush to the active registry.
+
+        With no registry active the gains are discarded all the same, so a
+        registry installed later sees only the verdicts made under it.
+        """
+        with self._lock:
+            counts = (
+                self.hits,
+                self.misses,
+                self.witness_builds,
+                self.witness_verdicts,
+                self.witness_declines,
+            )
+            flushed, self._flushed = self._flushed, counts
+        active = _metrics._ACTIVE
+        if active is not None:
+            active.inc_many(
+                (name, now - before)
+                for name, now, before in zip(_ORACLE_COUNTERS, counts, flushed)
+            )
+
+    # -- verdicts ---------------------------------------------------------------------
     def _on_database_change(self, version: Tuple[Tuple[str, int], ...]) -> None:
-        """React to a version-snapshot mismatch: retain or clear the cache."""
+        """React to a version-snapshot mismatch: drop the index, retain or clear the memo."""
+        self._witness = _UNBUILT
         footprint = self._footprint
         if footprint is not None and self._cache:
             old = dict(self._database_version)
@@ -415,26 +748,30 @@ class CompatibilityOracle:
         self._database_version = version
 
     def is_satisfied(self, package: Package) -> bool:
-        """The constraint's verdict on ``package``, served from cache when possible."""
+        """The constraint's verdict on ``package``: witness-served, memoized or probed."""
         if self._always_true:
             return True
         if not self.enabled:
             return self.constraint.is_satisfied(package, self.database)
+        verdict = self._verdict(package)
+        if not self._walks:
+            self._flush_metrics()
+        return verdict
+
+    def _verdict(self, package: Package) -> bool:
         version = self.database.version()
         if version != self._database_version:
             self._on_database_change(version)
+        if self._witness_eligible:
+            verdict = self._witness_verdict(package.items)
+            if verdict is not None:
+                return verdict
         key = (package.schema.attribute_names, package.items)
         cached = self._cache.get(key)
         if cached is not None:
             self.hits += 1
-            active = _metrics._ACTIVE
-            if active is not None:
-                active.inc("oracle.verdict.hits")
             return cached
         self.misses += 1
-        active = _metrics._ACTIVE
-        if active is not None:
-            active.inc("oracle.verdict.misses")
         span = _tracing.begin("probe")
         try:
             verdict = self.constraint.is_satisfied(package, self.database)
@@ -444,7 +781,7 @@ class CompatibilityOracle:
         return verdict
 
     def cache_info(self) -> "dict[str, object]":
-        """Hit/miss accounting plus the current cache size."""
+        """Hit/miss and witness accounting plus the current memo size."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -452,21 +789,32 @@ class CompatibilityOracle:
             "enabled": self.enabled,
             "invalidations": self.invalidations,
             "retentions": self.retentions,
+            "witness_sets": self._witness.size,
+            "witness_builds": self.witness_builds,
+            "witness_verdicts": self.witness_verdicts,
+            "witness_declines": self.witness_declines,
         }
 
     def clear(self) -> None:
-        """Drop every cached verdict and reset the accounting."""
+        """Drop every memoized verdict and the witness index, and reset the accounting."""
         self._cache.clear()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.retentions = 0
+        self._witness = _UNBUILT
+        with self._lock:
+            self.hits = 0
+            self.misses = 0
+            self.invalidations = 0
+            self.retentions = 0
+            self.witness_builds = 0
+            self.witness_verdicts = 0
+            self.witness_declines = 0
+            self._flushed = (0, 0, 0, 0, 0)
         self._database_version = self.database.version()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompatibilityOracle({self.constraint.describe()}, "
-            f"hits={self.hits}, misses={self.misses})"
+            f"hits={self.hits}, misses={self.misses}, "
+            f"witness_verdicts={self.witness_verdicts})"
         )
 
 

@@ -24,7 +24,10 @@ consume one incremental depth-first traversal of the subset lattice
   — for the anti-monotone pruning hint only if the node has children, for
   admission only once the node has passed the budget, the exclusion set,
   the rating bound and (top-k) the current selection's entry test — and
-  one verdict serves both uses,
+  one verdict serves both uses; the engine registers its ``Q(D)`` with the
+  oracle, so for a CQ, UCQ or ∃FO⁺ ``Qc`` a verdict is a witness-set lookup
+  rather than a query evaluation
+  (:class:`~repro.core.compatibility.CompatibilityOracle`),
 * skips the ``N ⊆ Q(D)`` membership scan entirely (true by construction), and
 * yields each admitted node before exploring its subtree, so the top-k mode
   raises its k-th best between yields and the subtree that follows is
@@ -166,6 +169,7 @@ class PackageSearchEngine:
         self.max_size = problem.max_package_size()
         self.limit = min(self.max_size, len(self.items))
         self.oracle = problem.compatibility_oracle()
+        self.oracle.register_answers(answers)
         self.budget = problem.budget
         self.monotone_cost = problem.monotone_cost
         self.antimonotone = problem.antimonotone_compatibility
@@ -245,8 +249,9 @@ class PackageSearchEngine:
         acting between yields (the top-k selection raising its k-th best)
         already prunes the subtree that follows, and closing the generator
         ends the search.  However the walk ends, it flushes the
-        ``engine.nodes.*`` counters and appends the number of examined
-        nodes to ``examined_out``, if given.
+        ``engine.nodes.*`` counters and the oracle's verdict counters (once
+        per walk, not per verdict) and appends the number of examined nodes
+        to ``examined_out``, if given.
         """
         items, limit = self.items, self.limit
         if limit <= 0:
@@ -350,9 +355,11 @@ class PackageSearchEngine:
         # top-level loop, and every deeper bound starts from a real node's
         # rating.  The generic monotone bound evaluates val(∅ ∪ remaining)
         # directly and needs no such guard.
+        oracle.walk_started()
         try:
             yield from dfs(0, (), frozenset(), cost_init, val_init, math.inf, 0.0)
         finally:
+            oracle.walk_finished()
             active = _metrics._ACTIVE
             if active is not None:
                 active.inc_many(

@@ -433,12 +433,21 @@ PLAN_CACHE_HITS = register_counter("plan.cache.hits", "join-plan cache hits")
 PLAN_CACHE_MISSES = register_counter("plan.cache.misses", "join-plan cache misses (compilations)")
 
 ORACLE_HITS = register_counter("oracle.verdict.hits", "compatibility verdicts served from cache")
-ORACLE_MISSES = register_counter("oracle.verdict.misses", "compatibility verdicts evaluated")
+ORACLE_MISSES = register_counter("oracle.verdict.misses", "compatibility verdicts probed")
 ORACLE_RETENTIONS = register_counter(
     "oracle.verdict.retentions", "verdict caches retained across a non-footprint delta"
 )
 ORACLE_INVALIDATIONS = register_counter(
     "oracle.verdict.invalidations", "verdict caches cleared by a footprint delta"
+)
+ORACLE_WITNESS_BUILDS = register_counter(
+    "oracle.witness.builds", "Qc witness-set indexes built (one join per disjunct)"
+)
+ORACLE_WITNESS_VERDICTS = register_counter(
+    "oracle.witness.verdicts", "compatibility verdicts served from a witness-set index"
+)
+ORACLE_WITNESS_DECLINES = register_counter(
+    "oracle.witness.declines", "query-constraint verdicts the witness path left to the probe"
 )
 
 EXECUTOR_ROWS_SCANNED = register_counter(

@@ -28,7 +28,7 @@ from dataclasses import replace
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import CountCost, CountRating, QueryConstraint
-from repro.core.compatibility import EmptyConstraint
+from repro.core.compatibility import EmptyConstraint, PredicateConstraint
 from repro.core.functions import (
     AttributeSumCost,
     AttributeSumRating,
@@ -539,3 +539,21 @@ def random_problem(seed: int) -> Tuple[RecommendationProblem, float]:
     else:
         rating_bound = float(rng.randint(1, 25))
     return problem, rating_bound
+
+
+def probe_path(problem: RecommendationProblem) -> RecommendationProblem:
+    """``problem`` with its ``Qc`` behind a :class:`PredicateConstraint`.
+
+    The oracle's witness path declines predicates, so every verdict of the
+    returned problem runs the constraint's own compiled probe (memoized as
+    usual): the same verdicts and the same probes as before witness sets.
+    For the tests that pin probe counts or probe cost.
+    """
+    constraint = problem.compatibility
+    footprint = constraint.relation_footprint()
+    predicate = PredicateConstraint(
+        constraint.is_satisfied,
+        constraint.describe(),
+        relations=None if footprint is None else tuple(sorted(footprint)),
+    )
+    return replace(problem, compatibility=predicate)

@@ -25,6 +25,8 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.relational.database import Database
 from repro.workloads.synthetic import synthetic_package_problem
 
+from scenarios import duplicate_category_qc
+
 
 def _counting_constraint():
     """A predicate constraint that records how often it is evaluated."""
@@ -70,6 +72,42 @@ def test_cache_hit_and_miss_accounting(items_database):
     info = oracle.cache_info()
     assert info["hits"] == 1 and info["misses"] == 2 and info["size"] == 2
     assert info["enabled"] is True
+
+
+def _kind_clash_constraint() -> QueryConstraint:
+    """A CQ Qc, "two items of one kind", which the witness path serves."""
+    return QueryConstraint(
+        ConjunctiveQuery(
+            [],
+            [
+                RelationAtom("RQ", [Var("x"), Var("k")]),
+                RelationAtom("RQ", [Var("y"), Var("k")]),
+            ],
+            [Comparison(ComparisonOp.NE, Var("x"), Var("y"))],
+        )
+    )
+
+
+def test_witness_verdict_accounting(items_database):
+    """The witness-path twin of the accounting test: the memo is untouched."""
+    oracle = CompatibilityOracle(_kind_clash_constraint(), items_database)
+    # Without a registered Q(D) the verdict is probed (and memoized).
+    assert not oracle.is_satisfied(_package(items_database, 1, 3))
+    assert oracle.misses == 1 and oracle.witness_declines == 1
+    oracle.register_answers(items_database.relation("items"))
+    package = _package(items_database, 1, 2)
+
+    assert oracle.is_satisfied(package)
+    assert oracle.is_satisfied(package)
+    assert not oracle.is_satisfied(_package(items_database, 1, 3))
+
+    assert oracle.hits == 0 and oracle.misses == 1
+    assert oracle.witness_verdicts == 3 and oracle.witness_builds == 1
+    info = oracle.cache_info()
+    assert info["size"] == 1 and info["witness_sets"] == 1  # {item 1, item 3}
+    oracle.clear()
+    assert oracle.witness_verdicts == 0 and oracle.witness_builds == 0
+    assert oracle.cache_info()["witness_sets"] == 0
 
 
 def test_disabled_oracle_is_a_pass_through(items_database):
@@ -158,6 +196,36 @@ def test_delta_outside_footprint_retains_cached_verdicts():
     assert oracle.is_satisfied(package)
     assert oracle.hits == 1 and oracle.misses == 1
     assert oracle.retentions == 1 and oracle.invalidations == 0
+    assert oracle.witness_verdicts == 0  # no Q(D) registered: the probe path
+
+
+def test_every_delta_rebuilds_the_witness_index():
+    """The witness-path twin of the retention tests: the index is keyed on
+    the database version, so any delta rebuilds it, and the verdicts follow
+    a footprint delta."""
+    database = Database()
+    items = database.create_relation("items", ["iid", "kind"], [(1, "a"), (2, "b")])
+    conflicts = database.create_relation("conflict", ["left", "right"])
+    qc = ConjunctiveQuery(
+        [Var("x")],
+        [
+            RelationAtom("RQ", [Var("x"), Var("kx")]),
+            RelationAtom("RQ", [Var("y"), Var("ky")]),
+            RelationAtom("conflict", [Var("x"), Var("y")]),
+        ],
+        name="Qc",
+    )
+    oracle = CompatibilityOracle(QueryConstraint(qc), database)
+    oracle.register_answers(items)
+    package = _package(database, 1, 2)
+    assert oracle.is_satisfied(package)
+    items.add((3, "c"))  # outside the footprint
+    assert oracle.is_satisfied(package)
+    assert oracle.witness_builds == 2
+    conflicts.add((1, 2))  # inside the footprint
+    assert not oracle.is_satisfied(package)
+    assert oracle.witness_builds == 3
+    assert oracle.witness_verdicts == 3 and oracle.misses == 0
 
 
 def test_delta_inside_footprint_still_clears():
@@ -414,6 +482,22 @@ def test_enumeration_actually_hits_the_cache():
     compute_top_k(problem)  # walks a (possibly pruned) subset of the lattice
     assert oracle.misses == misses_after_first  # second solver: all served from cache
     assert oracle.hits > 0
+    assert oracle.witness_verdicts == 0  # a predicate Qc: the probe path
+
+
+def test_enumeration_reuses_the_witness_index():
+    """The witness-path twin: a second solver over the same Q(D) reuses the
+    index the first one built, and nothing is probed."""
+    problem = synthetic_package_problem(8, seed=3).problem
+    problem = replace(problem, compatibility=duplicate_category_qc())
+    count_valid_packages(problem, rating_bound=10.0)  # full lattice walk
+    oracle = problem.compatibility_oracle()
+    assert oracle.witness_builds == 1 and oracle.witness_verdicts > 0
+    verdicts_after_first = oracle.witness_verdicts
+    compute_top_k(problem)
+    assert oracle.witness_builds == 1
+    assert oracle.witness_verdicts > verdicts_after_first
+    assert oracle.hits == 0 and oracle.misses == 0
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.core.enumeration import PackageSearchEngine
 from repro.core.rpp import selection_from_items
 from repro.serving.trace import serving_problem
 
-from scenarios import random_problem
+from scenarios import probe_path, random_problem
 
 NUM_SEEDS = 110
 
@@ -137,16 +137,11 @@ def test_is_valid_candidate_checks_budget_and_rating_before_qc():
     assert outcomes == {True, False}
 
 
-def test_rpp_optimality_search_probes_far_fewer_nodes_than_it_could():
-    """Pinned on the 80-item serving problem (size bound 2, Qc a CQ).
-
-    Probe-first made one probe per budget-feasible singleton or pair; the
-    lazy search probes the singletons (the anti-monotone hint needs their
-    verdicts) and only the pairs rated above the selection.  The verdict
-    cache is fresh, so every probe is a miss.
-    """
-    frp = compute_top_k(serving_problem(80))
-    problem = serving_problem(80)  # a fresh verdict cache for the RPP run
+def _rpp_verdicts(problem):
+    """The oracle after an RPP optimality check on a fresh ``problem``,
+    and the number of budget-feasible nodes of its lattice."""
+    frp = compute_top_k(problem)
+    problem = replace(problem)  # a fresh verdict cache for the RPP run
     selection = selection_from_items(
         problem, [package.sorted_items() for package in frp.selection]
     )
@@ -161,5 +156,29 @@ def test_rpp_optimality_search_probes_far_fewer_nodes_than_it_could():
     result = is_top_k_selection(problem, selection)
     assert result.is_top_k
     assert feasible == 782
+    return oracle, feasible
+
+
+def test_rpp_optimality_search_probes_far_fewer_nodes_than_it_could():
+    """Pinned on the 80-item serving problem (size bound 2, Qc a CQ).
+
+    Probe-first made one probe per budget-feasible singleton or pair; the
+    lazy search probes the singletons (the anti-monotone hint needs their
+    verdicts) and only the pairs rated above the selection.  The verdict
+    cache is fresh, and the Qc sits behind a predicate the witness path
+    declines, so every probe is a miss.
+    """
+    oracle, feasible = _rpp_verdicts(probe_path(serving_problem(80)))
+    assert oracle.witness_verdicts == 0
     # Probe-first made 782 misses; the lazy search makes 43.
     assert oracle.misses * 10 < feasible, (oracle.misses, feasible)
+
+
+def test_rpp_optimality_search_asks_far_fewer_witness_verdicts_than_it_could():
+    """The witness-path twin: the same 43 verdict requests, none probed."""
+    oracle, feasible = _rpp_verdicts(serving_problem(80))
+    assert oracle.misses == 0 and oracle.hits == 0
+    assert oracle.witness_builds == 1
+    assert oracle.witness_verdicts * 10 < feasible, (oracle.witness_verdicts, feasible)
+    probed, _ = _rpp_verdicts(probe_path(serving_problem(80)))
+    assert oracle.witness_verdicts == probed.misses

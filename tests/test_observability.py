@@ -48,6 +48,8 @@ from repro.queries.ast import RelationAtom, Var
 from repro.queries.bindings import enumerate_bindings
 from repro.serving import SnapshotServer, build_trace
 
+from scenarios import probe_path
+
 
 # ---------------------------------------------------------------------------
 # The instrument roster
@@ -432,7 +434,9 @@ def _replay(server, trace):
 class TestEndToEndCounters:
     def test_one_round_populates_the_stack_instruments(self):
         trace = _trace_kit()
-        server = SnapshotServer(trace.problem)
+        # On the probe path (the witness path declines a predicate), so the
+        # oracle's memo misses; the witness twin is the next test.
+        server = SnapshotServer(probe_path(trace.problem))
         registry = MetricsRegistry()
         with use_metrics(registry):
             _replay(server, trace)
@@ -450,6 +454,20 @@ class TestEndToEndCounters:
         assert registry.counter("executor.steps") >= 1
         assert registry.counter("engine.nodes.examined") >= 1
         assert registry.counter("oracle.verdict.misses") >= 1
+
+    def test_one_round_populates_the_witness_instruments(self):
+        trace = _trace_kit()
+        server = SnapshotServer(trace.problem)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            _replay(server, trace)
+        # One index per served epoch at most, and every verdict served by one.
+        epochs = 1 + sum(1 for delta, _ in trace.rounds if delta)
+        assert 1 <= registry.counter("oracle.witness.builds") <= epochs
+        assert registry.counter("oracle.witness.verdicts") >= 1
+        assert registry.counter("oracle.witness.declines") == 0
+        assert registry.counter("oracle.verdict.misses") == 0
+        assert registry.counter("engine.nodes.examined") >= 1
 
     def test_counters_stay_silent_without_a_registry(self):
         trace = _trace_kit()

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import count_valid_packages
 from repro.core.enumeration import PackageSearchEngine
+from repro.observability import MetricsRegistry, use_metrics
 from repro.queries.ast import RelationAtom, Var
 from repro.queries.bindings import StepCounter, enumerate_bindings, enumerate_bindings_naive
 from repro.relational.database import (
@@ -54,6 +55,8 @@ from repro.serving import (
     overload_problem,
     serving_problem,
 )
+
+from scenarios import probe_path
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +263,20 @@ class TestEngineDeadlines:
             with pytest.raises(RequestTimeout):
                 engine.best_valid(2)
 
+    # The long counts below run on the probe path (``probe_path``: the
+    # witness path declines a predicate), where the 60-item size-3 lattice
+    # outlasts 20 ms; each has a witness-path twin on a lattice large enough
+    # to outlast it with witness verdicts.
+
     def test_deadline_interrupts_a_long_count_mid_search(self):
-        problem = overload_problem(60, seed=3)
+        problem = probe_path(overload_problem(60, seed=3))
         engine = PackageSearchEngine(problem)
         with deadline_scope(Deadline.after(0.02)):
             with pytest.raises(RequestTimeout):
                 engine.count_valid(rating_bound=-1.0)
 
     def test_cancellation_interrupts_a_long_count(self):
-        problem = overload_problem(60, seed=3)
+        problem = probe_path(overload_problem(60, seed=3))
         engine = PackageSearchEngine(problem)
         token = CancellationToken()
         timer = threading.Timer(0.02, token.cancel)
@@ -279,6 +287,34 @@ class TestEngineDeadlines:
                     engine.count_valid(rating_bound=-1.0)
         finally:
             timer.cancel()
+
+    @staticmethod
+    def _witness_served_engine():
+        """An engine over the 120-item size-3 lattice, its index already built."""
+        engine = PackageSearchEngine(overload_problem(120, seed=3))
+        engine.oracle.is_satisfied(engine.singleton(engine.items[0]))
+        assert engine.oracle.witness_builds == 1
+        return engine
+
+    def test_deadline_interrupts_a_long_witness_path_count(self):
+        engine = self._witness_served_engine()
+        with deadline_scope(Deadline.after(0.02)):
+            with pytest.raises(RequestTimeout):
+                engine.count_valid(rating_bound=-1.0)
+        assert engine.oracle.witness_verdicts > 1 and engine.oracle.misses == 0
+
+    def test_cancellation_interrupts_a_long_witness_path_count(self):
+        engine = self._witness_served_engine()
+        token = CancellationToken()
+        timer = threading.Timer(0.02, token.cancel)
+        timer.start()
+        try:
+            with deadline_scope(Deadline(token=token)):
+                with pytest.raises(RequestCancelled):
+                    engine.count_valid(rating_bound=-1.0)
+        finally:
+            timer.cancel()
+        assert engine.oracle.witness_verdicts > 1 and engine.oracle.misses == 0
 
     def test_no_deadline_changes_nothing(self):
         problem = serving_problem(20, seed=3)
@@ -465,8 +501,8 @@ class TestServeBatchErrorIsolation:
 
 
 class TestResilienceConfig:
-    def test_deadline_turns_a_poison_request_into_a_typed_timeout(self):
-        problem = overload_problem(60, seed=3)
+    @staticmethod
+    def _assert_poison_times_out(problem):
         server = SnapshotServer(
             problem, resilience=ResilienceConfig(deadline_s=0.02)
         )
@@ -475,6 +511,18 @@ class TestResilienceConfig:
         assert not result.error.retryable
         cheap = server.serve_one(ServeRequest.exists(1.0))
         assert cheap.ok  # the server survives and keeps answering
+
+    def test_deadline_turns_a_poison_request_into_a_typed_timeout(self):
+        # On the probe path: the witness path declines a predicate.
+        self._assert_poison_times_out(probe_path(overload_problem(60, seed=3)))
+
+    def test_deadline_turns_a_poison_witness_path_request_into_a_typed_timeout(self):
+        # A lattice that outlasts the 20 ms deadline with witness verdicts.
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            self._assert_poison_times_out(overload_problem(120, seed=3))
+        assert registry.counter("oracle.witness.verdicts") > 0
+        assert registry.counter("oracle.verdict.misses") == 0
 
     def test_step_budget_maps_into_the_taxonomy(self):
         problem = overload_problem(60, seed=3)

@@ -53,12 +53,26 @@ class RecordingWriter:
         self.pause_s = pause_s
         self.copies = {database.epoch: database.copy()}
         self.thread = threading.Thread(target=self._run, name="writer")
+        self.done = False
+        self._committed = threading.Condition()
 
     def _run(self):
         for batch in self.batches:
             self.database.apply_delta(batch)
             self.copies[self.database.epoch] = self.database.copy()
+            with self._committed:
+                self._committed.notify_all()
             time.sleep(self.pause_s)
+        with self._committed:
+            self.done = True
+            self._committed.notify_all()
+
+    def wait_past(self, epoch, timeout=5.0):
+        """Block until a commit lands past ``epoch`` or the writer is done."""
+        with self._committed:
+            self._committed.wait_for(
+                lambda: self.done or self.database.epoch > epoch, timeout
+            )
 
     def start(self):
         self.thread.start()
@@ -137,7 +151,13 @@ def _run_solver_stress(num_readers, iterations, num_commits, seed):
         rng = random.Random(seed * 1_000 + reader_index)
         try:
             barrier.wait()
-            for _ in range(iterations):
+            for iteration in range(iterations):
+                if iteration:
+                    # Readers can outrun the writer's first commit (a whole
+                    # 8-reader run takes tens of ms); pacing each reader's
+                    # next pin behind a new commit makes every run span
+                    # several epochs while the solves still race the writer.
+                    writer.wait_past(epoch)
                 pinned = problem.pinned()
                 epoch = pinned.database.epoch
                 mode = rng.randrange(3)

@@ -18,6 +18,11 @@ engine.
 A third guard keeps the plan the executor's only switch: the evaluator entry
 points and the planner take no ``use_*`` or ``compile_*`` parameter, so an
 access path is chosen by a verdict on the compiled plan and nowhere else.
+
+A fourth guard keeps one verdict entry point: the lattice walk reaches
+compatibility only through ``oracle.is_satisfied`` (plus the oracle's walk
+bracket, which only accounts), never through the constraint, the memo or the
+witness index directly.
 """
 
 from __future__ import annotations
@@ -212,3 +217,83 @@ def test_the_switch_guard_itself_detects_a_knob():
         "def enumerate_bindings(database, plan=None, *, step_profile=None):\n    pass\n"
     )
     assert _switch_parameters(clean, ("enumerate_bindings",)) == []
+
+
+#: What ``PackageSearchEngine._walk`` may use of the oracle: the verdict
+#: entry point and the accounting bracket around the walk.
+WALK_ORACLE_SURFACE = frozenset({"is_satisfied", "walk_started", "walk_finished"})
+
+#: Attributes through which a verdict could bypass the oracle's entry point.
+VERDICT_BYPASSES = frozenset({"compatibility", "constraint", "compatibility_oracle"})
+
+
+def _walk_verdict_bypasses(tree: ast.AST):
+    """Attribute uses in ``PackageSearchEngine._walk`` that reach compatibility
+    other than through ``oracle.is_satisfied``."""
+    walks = [
+        function
+        for engine in ast.walk(tree)
+        if isinstance(engine, ast.ClassDef) and engine.name == "PackageSearchEngine"
+        for function in engine.body
+        if isinstance(function, ast.FunctionDef) and function.name == "_walk"
+    ]
+    assert len(walks) == 1, "PackageSearchEngine._walk not found"
+    found = []
+    for node in ast.walk(walks[0]):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        on_oracle = (isinstance(base, ast.Name) and base.id == "oracle") or (
+            isinstance(base, ast.Attribute) and base.attr == "oracle"
+        )
+        if on_oracle and node.attr not in WALK_ORACLE_SURFACE:
+            found.append((node.lineno, f"oracle.{node.attr}"))
+        elif node.attr in VERDICT_BYPASSES or node.attr.startswith("_witness"):
+            found.append((node.lineno, node.attr))
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+def test_the_walk_has_one_verdict_entry_point():
+    tree = ast.parse(ENUMERATION.read_text(encoding="utf-8"), filename=str(ENUMERATION))
+    offences = _walk_verdict_bypasses(tree)
+    assert not offences, (
+        "PackageSearchEngine._walk must ask for verdicts through "
+        "oracle.is_satisfied only: " + ", ".join(offences)
+    )
+
+
+def test_the_verdict_guard_itself_detects_a_bypass():
+    """The guard must fire on a walk reading the witness index or the constraint."""
+    bypassing = ast.parse(
+        "class PackageSearchEngine:\n"
+        "    def _walk(self):\n"
+        "        oracle = self.oracle\n"
+        "        oracle.walk_started()\n"
+        "        def dfs(package):\n"
+        "            if oracle._witness.compatible(package.items):\n"
+        "                yield package\n"
+        "            if self.problem.compatibility.is_satisfied(package, None):\n"
+        "                yield package\n"
+        "            if self.oracle._cache.get(package.items):\n"
+        "                yield package\n"
+        "        yield from dfs(None)\n"
+    )
+    assert _walk_verdict_bypasses(bypassing) == [
+        "6:oracle._witness",
+        "8:compatibility",
+        "10:oracle._cache",
+    ]
+    clean = ast.parse(
+        "class PackageSearchEngine:\n"
+        "    def _walk(self):\n"
+        "        oracle = self.oracle\n"
+        "        oracle.walk_started()\n"
+        "        try:\n"
+        "            if oracle.is_satisfied(None):\n"
+        "                yield None\n"
+        "        finally:\n"
+        "            oracle.walk_finished()\n"
+        "    def helper(self):\n"
+        "        return self.oracle._witness\n"
+    )
+    assert _walk_verdict_bypasses(clean) == []
