@@ -30,6 +30,8 @@ knobs-off configuration is asserted bit-identical to no configuration at all.
 
 ``test_guarded_goodput_beats_unguarded_by_5x`` is the acceptance gate:
 ≥5x goodput at the largest trace, recorded to ``BENCH_resilience.json``.
+It first checks the premise: a poison request of the largest trace must
+cost at least the SLA (``POISON_TARGET_S``), or the sweep needs re-sizing.
 
 Run stand-alone for the machine-readable report::
 
@@ -52,11 +54,17 @@ from repro.serving import (
     SnapshotServer,
     build_overload_trace,
     build_trace,
+    execute_request,
 )
 
 # (num_items, num_rounds, batch_size) triples, ascending.  Poison cost grows
 # cubically with num_items (the size-3 lattice), which is the whole point.
-OVERLOAD_SWEEP = [(30, 2, 8), (50, 3, 10), (50, 4, 12)]
+# The sizes follow from a poison-cost target, not the other way round: at
+# the largest size one poison ``count`` must outlast the SLA by a wide
+# margin on the fastest verdict path, or the unguarded server meets the SLA
+# and the trace is no overload.  Witness-set verdicts made a 50-item poison
+# cost ≈20 ms; 120 items cost ≈200 ms on a 2-core VM.
+OVERLOAD_SWEEP = [(30, 2, 8), (80, 3, 10), (120, 4, 12)]
 
 #: The answer SLA the goodput metric counts against, and the (tighter)
 #: deadline the guarded replica enforces per request.
@@ -70,6 +78,9 @@ GUARD = ResilienceConfig(
 
 #: Transient worker faults, injected identically into both replicas.
 FAULT_RATE = 0.2
+
+#: The least one poison request may cost at the largest sweep size.
+POISON_TARGET_S = SLA_S
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_PATH = _REPO_ROOT / "BENCH_resilience.json"
@@ -174,6 +185,17 @@ def _error_codes(results):
     return codes
 
 
+def _poison_seconds(num_items):
+    """What one poison request of the trace costs, alone on a warm epoch."""
+    trace = build_overload_trace(num_items, 1, 4, seed=num_items)
+    pinned = trace.problem.pinned()
+    poison, cheap = trace.rounds[0][1][0], trace.rounds[0][1][-1]
+    execute_request(pinned, cheap)  # the epoch's one-off work (Q(D), witness index)
+    start = time.perf_counter()
+    execute_request(pinned, poison)
+    return time.perf_counter() - start
+
+
 def _measure_pair(num_items, num_rounds, batch_size):
     """Reference, unguarded and guarded replays of the identical trace."""
     reference = [
@@ -196,6 +218,7 @@ def _measure_pair(num_items, num_rounds, batch_size):
         "num_rounds": num_rounds,
         "batch_size": batch_size,
         "num_requests": num_rounds * batch_size,
+        "poison_s": round(_poison_seconds(num_items), 6),
         "sla_s": SLA_S,
         "deadline_s": GUARD.deadline_s,
         "fault_rate": FAULT_RATE,
@@ -254,6 +277,11 @@ def test_guarded_goodput_beats_unguarded_by_5x(record_property):
     largest = report["results"][-1]
     for key, value in largest.items():
         record_property(key, value)
+    assert largest["poison_s"] >= POISON_TARGET_S, (
+        f"a poison request costs only {largest['poison_s'] * 1e3:.0f} ms, under the "
+        f"{POISON_TARGET_S * 1e3:.0f} ms target: the trace is no overload; "
+        "re-size OVERLOAD_SWEEP"
+    )
     assert largest["goodput_ratio"] >= 5.0, (
         f"guarded goodput only {largest['goodput_ratio']:.1f}x the unguarded server "
         f"({largest['guarded_goodput_per_s']:.1f}/s vs "
@@ -273,7 +301,7 @@ def main() -> None:
     for row in report["results"]:
         print(
             f"n={row['num_items']:>3} rounds={row['num_rounds']:>2} "
-            f"batch={row['batch_size']:>3}  "
+            f"batch={row['batch_size']:>3}  poison={row['poison_s'] * 1e3:.0f}ms  "
             f"unguarded={row['unguarded_goodput_per_s']:>7.1f}/s "
             f"({row['unguarded_seconds']:.3f}s, errors={row['unguarded_errors']})  "
             f"guarded={row['guarded_goodput_per_s']:>7.1f}/s "

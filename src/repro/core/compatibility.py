@@ -26,21 +26,23 @@ probe is itself a query evaluation.  The oracle avoids them in two ways:
   ``RQ`` rows such a binding uses form a *witness set* (the why-provenance
   of ``Qc``'s answers, Green, Karvounarakis and Tannen, PODS 2007).  Once
   the search engine has registered ``Q(D)``, the oracle runs one join per
-  disjunct on the first verdict of a database version, indexes the
-  witness sets by item, and answers every later verdict on a package
-  ``N ⊆ Q(D)`` by checking whether one of its items' witness sets lies
-  within ``N``: no query evaluation per package.  A disjunct without an
-  ``RQ`` atom that has a binding has the empty witness set, which makes
-  every package incompatible.
+  disjunct on the first verdict, indexes the witness sets by item, and
+  answers every later verdict on a package ``N ⊆ Q(D)`` by checking
+  whether one of its items' witness sets lies within ``N``: no query
+  evaluation per package.  A disjunct without an ``RQ`` atom that has a
+  binding has the empty witness set, which makes every package
+  incompatible.  The oracle builds at most one index until a relation
+  ``Qc`` reads changes.
 * **A memo.**  Every other verdict — a predicate, an FO or Datalog ``Qc``,
-  a package outside the registered ``Q(D)``, or an index the oracle
-  declined to build (:data:`WITNESS_CAP`, :data:`WITNESS_STEP_LIMIT`, a
-  build that raised) — goes through the constraint's own probe once per
-  package item-set and is memoized.
+  a package outside the indexed ``Q(D)``, or an index the oracle declined
+  to build (:data:`WITNESS_CAP`, :data:`WITNESS_STEP_LIMIT`, a build that
+  raised or was interrupted) — goes through the constraint's own probe once
+  per package item-set and is memoized.
 
-The oracle invalidates itself when the database mutates (it compares
-:meth:`~repro.relational.database.Database.version` snapshots), so sharing it
-across problems over the same database is always safe.
+The oracle re-checks the database on every verdict (it compares
+:meth:`~repro.relational.database.Database.version` snapshots) and drops
+whatever a change may have falsified, so sharing it across problems over the
+same database is always safe.
 """
 
 from __future__ import annotations
@@ -63,13 +65,14 @@ from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.plan import statistics_key
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.database import Database, Relation, Row
-from repro.relational.errors import ReproError, StepLimitExceeded
+from repro.relational.errors import ReproError
 from repro.relational.schema import RelationSchema
-from repro.resilience.deadline import current_deadline
+from repro.resilience.deadline import Deadline, current_deadline, deadline_scope
 from repro.resilience.errors import ResilienceError
 
 #: The most witness sets one index may hold.  A build that finds more stops
-#: and declines: its verdicts go to the probe path for that database version.
+#: and declines: its verdicts go to the probe path until a relation ``Qc``
+#: reads changes.
 WITNESS_CAP = 16384
 
 #: The most evaluator steps one index build may take (the
@@ -261,10 +264,10 @@ class QueryConstraint(CompatibilityConstraint):
     ``Qc`` of the shipped :class:`~repro.queries.cq.ConjunctiveQuery`,
     :class:`~repro.queries.ucq.UnionOfConjunctiveQueries` or
     :class:`~repro.queries.efo.PositiveExistentialQuery` class, the
-    :class:`CompatibilityOracle` answers packages drawn from the registered
+    :class:`CompatibilityOracle` answers packages drawn from the indexed
     ``Q(D)`` from its witness sets.  Any other query class (FO, Datalog,
-    subclasses, whose semantics may differ), and any build the oracle
-    declines, keeps this probe.
+    subclasses, whose semantics may differ), any package outside the
+    indexed ``Q(D)`` and any build the oracle declines keep this probe.
     """
 
     query: Query
@@ -396,12 +399,13 @@ def _witness_disjuncts(query: Query):
 class _WitnessIndex(NamedTuple):
     """The witness sets of one ``Qc`` over one ``Q(D)`` row set.
 
-    Valid for the database version it was built at; the oracle drops it on
-    any change.  ``by_item`` is ``None`` when the build declined, so every
-    verdict goes to the probe path.
+    Valid while no relation of ``Qc``'s footprint changes; the oracle drops
+    it on such a change.  ``by_item`` is ``None`` when the build declined,
+    so every verdict goes to the probe path.
     """
 
-    #: The registered ``Q(D)`` relation this index answers for.
+    #: The registered ``Q(D)`` relation this slot was last looked up for
+    #: (``None``: no index has been looked for since the last drop).
     source: Optional[Relation]
     #: The rows of ``Q(D)`` at build time; only packages within them are served.
     rows: FrozenSet[Row]
@@ -447,7 +451,7 @@ def _build_witness_index(
 
     Declines (``by_item=None``) past :data:`WITNESS_CAP` witness sets or
     :data:`WITNESS_STEP_LIMIT` steps, and when a join raises (the probe path
-    then raises, or not, exactly as without the index).  A request's deadline
+    then raises, or not, exactly as without the index).  An ambient deadline
     or cancellation propagates; nothing is kept of an unfinished build.
     """
     rows = answers.rows()
@@ -470,13 +474,9 @@ def _build_witness_index(
                     witnesses.add(frozenset([row(binding) for row in placed]))
                     if len(witnesses) > WITNESS_CAP:
                         return declined
-    except StepLimitExceeded:
-        if counter.steps <= WITNESS_STEP_LIMIT:
-            raise  # the request's own step budget ran out, not the build's
-        return declined
     except ResilienceError:
         raise
-    except (ReproError, TypeError, ValueError):
+    except (ReproError, TypeError, ValueError):  # a StepLimitExceeded among them
         return declined
     by_item: Dict[Row, list] = {}
     for witness in witnesses:
@@ -490,14 +490,34 @@ def _build_witness_index(
     )
 
 
-#: The oracle's accounting, flushed to the active metrics registry as deltas.
-_ORACLE_COUNTERS = (
-    _metrics.ORACLE_HITS,
-    _metrics.ORACLE_MISSES,
-    _metrics.ORACLE_WITNESS_BUILDS,
-    _metrics.ORACLE_WITNESS_VERDICTS,
-    _metrics.ORACLE_WITNESS_DECLINES,
-)
+def _build_deadline() -> Optional[Deadline]:
+    """The ambient request deadline without its step budget.
+
+    A build serves every later verdict until ``Qc``'s footprint changes, so
+    its steps are not charged to the request that happens to trigger it (the
+    build has its own :data:`WITNESS_STEP_LIMIT`).  The request's wall clock
+    and cancellation still bound it.
+    """
+    request = current_deadline()
+    if request is None:
+        return None
+    return Deadline(expires_at=request.expires_at, token=request.token)
+
+
+class _Tally:
+    """The oracle counts of one lattice walk, or of one verdict outside any walk.
+
+    Only the thread running the walk increments it, without a lock; the
+    oracle adds it to its own counts, under its lock, when the walk ends.
+    """
+
+    __slots__ = ("hits", "misses", "witness_verdicts", "witness_declines")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.witness_verdicts = 0
+        self.witness_declines = 0
 
 
 class CompatibilityOracle:
@@ -508,31 +528,43 @@ class CompatibilityOracle:
 
     **Witness verdicts.**  The search engine registers the ``Q(D)`` it
     searches (:meth:`register_answers`, O(1)).  For a :class:`QueryConstraint`
-    whose ``Qc`` is a CQ, UCQ or ∃FO⁺ query, the first verdict at a database
-    version builds the witness index over that ``Q(D)`` (one
+    whose ``Qc`` is a CQ, UCQ or ∃FO⁺ query, the first verdict builds the
+    witness index over the registered ``Q(D)`` (one
     :func:`~repro.queries.bindings.enumerate_bindings` join per conjunctive
     disjunct, inside :meth:`is_satisfied`), and every verdict on a package
-    ``N ⊆ Q(D)`` is answered from it: ``N`` is incompatible iff a witness
-    set of one of its items lies within ``N``.  A new registration with the
-    same rows reuses the index; one with other rows rebuilds it on the
-    first package the index does not cover.  The witness path *declines*
-    to the memo below for
+    ``N`` within the indexed rows is answered from it: ``N`` is
+    incompatible iff a witness set of one of its items lies within ``N``.
+    The index stays valid for as long as no relation of ``Qc``'s footprint
+    changes (a delta elsewhere, such as an insert into the relation ``Q``
+    reads, keeps it), and the oracle builds **at most one index** in that
+    time: a later registration keeps the index, whose rows still decide
+    which packages it serves.  An oracle shown several ``Q(D)``s — QRPP's
+    relaxations share one, ARPP's adjustments change ``Q(D)`` in place —
+    thus serves the packages of the first from the index and leaves the
+    rest to the memo below, which carries verdicts across the ``Q(D)``s; a
+    join per ``Q(D)`` cost those searches more than their few probes.  The
+    witness path *declines* to the memo for
 
     * a constraint other than a :class:`QueryConstraint` over one of those
       three exact query classes: predicates, conjunctions, FO and Datalog
       ``Qc`` (recursion makes witness sets unbounded), and query subclasses,
       which include the ones that need
       :meth:`QueryConstraint.is_satisfied_copying`;
-    * a package not contained in the indexed ``Q(D)`` (QRPP's derived
-      problems share one oracle across different ``Q(D)``), or no ``Q(D)``
+    * a package not contained in the indexed rows, or no ``Q(D)``
       registered at all;
     * a build that finds more than :data:`WITNESS_CAP` witness sets, takes
       more than :data:`WITNESS_STEP_LIMIT` steps, or raises (a mixed-type
       comparison, for one: the probe then raises, or not, as it always
-      did).  The declined build is remembered for the database version.
+      did);
+    * a build that the request's deadline or cancellation interrupts.  The
+      error propagates, and nothing of the build is kept.
 
-    A request deadline or cancellation that fires during a build propagates
-    and leaves the previous index slot in place.
+    A declined build is remembered like a finished one, so the oracle does
+    not try again until ``Qc``'s footprint changes.  The build is not
+    charged to the step budget of the request that triggers it (the
+    ambient :class:`~repro.resilience.deadline.Deadline`'s ``max_steps``):
+    a request whose budget fits the probes it would make fits the witness
+    path as well.
 
     **The memo.**  Declined verdicts are keyed by the package's item-set
     (plus its answer-schema attribute names, which constraints may address):
@@ -540,28 +572,29 @@ class CompatibilityOracle:
     second probe is a dictionary hit instead of a constraint evaluation.
 
     The oracle snapshots the database's version on creation and re-checks it
-    on every verdict; any change drops the witness index.  Memo invalidation
-    is *footprint-aware*: the constraint declares which relations its
-    verdicts may depend on
+    on every verdict.  Invalidation is *footprint-aware*: the constraint
+    declares which relations its verdicts may depend on
     (:meth:`CompatibilityConstraint.relation_footprint`), and a mutation is
     compared per relation against the snapshot — when every changed relation
-    lies outside the footprint, the memoized verdicts are provably still
-    correct and are **retained** (the ``retentions`` counter accounts for
-    those events); otherwise the memo clears (``invalidations``).  A
-    constraint with an unknown footprint (``None``) always clears, so stale
-    verdicts can never be served.  With ``enabled=False`` the oracle degrades
-    to a transparent pass-through (no witness index, no memo, no
-    accounting), which the tests use to show that served and probed runs are
-    byte-identical.
+    lies outside the footprint, the memoized verdicts and the witness index
+    are provably still correct and are **retained** (the ``retentions``
+    counter accounts for memo retentions); otherwise both are dropped
+    (``invalidations`` counts the memo clears).  A constraint with an
+    unknown footprint (``None``) always clears, so stale verdicts can never
+    be served.  With ``enabled=False`` the oracle degrades to a transparent
+    pass-through (no witness index, no memo, no accounting), which the tests
+    use to show that served and probed runs are byte-identical.
 
     **Accounting.**  ``hits`` and ``misses`` count memo lookups,
     ``witness_verdicts`` the verdicts served from an index,
     ``witness_builds`` the indexes built and ``witness_declines`` the
-    verdicts of a :class:`QueryConstraint` sent to the memo instead.  They
-    are plain integers; what they gained since the last flush goes to the
-    active metrics registry once per lattice walk (the engine brackets each
-    walk with :meth:`walk_started` / :meth:`walk_finished`), and once per
-    verdict requested outside any walk.
+    verdicts of a :class:`QueryConstraint` sent to the memo instead.  A
+    lattice walk counts its verdicts in its own tally
+    (:meth:`walk_started` hands it out, :meth:`is_satisfied` takes it) and
+    adds it to these fields, and to the active metrics registry, once when
+    it ends (:meth:`walk_finished`); a verdict requested outside any walk
+    does so on its own.  The fields are only written under the oracle's
+    lock.
 
     Thread safety: the index slot is an immutable tuple replaced whole, and
     builds are serialised, so readers sharing one pinned problem build each
@@ -586,8 +619,6 @@ class CompatibilityOracle:
         "_witness_eligible",
         "_registered",
         "_witness",
-        "_walks",
-        "_flushed",
         "_lock",
         "_build_lock",
     )
@@ -619,8 +650,6 @@ class CompatibilityOracle:
         self._witness_eligible = type(constraint) is QueryConstraint
         self._registered: Optional[Relation] = None
         self._witness = _UNBUILT
-        self._walks = 0
-        self._flushed = (0, 0, 0, 0, 0)
         self._lock = threading.Lock()
         self._build_lock = threading.Lock()
 
@@ -630,7 +659,7 @@ class CompatibilityOracle:
         self._registered = answers
 
     def _witness_index(self) -> _WitnessIndex:
-        """The index for the registered ``Q(D)``: reused, rebuilt or declined.
+        """The index for the registered ``Q(D)``: built once, then kept.
 
         One thread builds at a time.  A verdict that finds another thread
         building waits for that build, as long as its request deadline
@@ -644,14 +673,19 @@ class CompatibilityOracle:
         try:
             answers = self._registered
             current = self._witness
-            if current is not _UNBUILT and current.source is answers:
-                return current  # built while this thread waited
-            if answers is None:
-                index = _WitnessIndex(None, frozenset(), None)
-            elif current.source is not None and current.rows == answers.rows():
-                index = current._replace(source=answers)
+            if current.source is answers:
+                return current  # looked up while this thread waited
+            if current is _UNBUILT:
+                try:
+                    index = self._build_index(answers)
+                except ResilienceError:
+                    # Interrupted: declined until the footprint changes, so a
+                    # deadline shorter than the build fails one request, not
+                    # every request that would retry it.
+                    self._witness = _WitnessIndex(answers, frozenset(), None)
+                    raise
             else:
-                index = self._build_index(answers)
+                index = current._replace(source=answers)  # at most one build
             self._witness = index
             return index
         finally:
@@ -664,114 +698,113 @@ class CompatibilityOracle:
             return _WitnessIndex(answers, answers.rows(), None)
         span = _tracing.begin("witness_build")
         try:
-            index = _build_witness_index(
-                disjuncts, self.constraint.answer_relation, self.database, answers
-            )
+            with deadline_scope(_build_deadline()):
+                index = _build_witness_index(
+                    disjuncts, self.constraint.answer_relation, self.database, answers
+                )
         finally:
             _tracing.finish(span)
         if index.by_item is not None:
-            self.witness_builds += 1
+            with self._lock:
+                self.witness_builds += 1
+            active = _metrics._ACTIVE
+            if active is not None:
+                active.inc(_metrics.ORACLE_WITNESS_BUILDS)
         return index
 
-    def _witness_verdict(self, items: FrozenSet[Row]) -> Optional[bool]:
+    def _witness_verdict(self, items: FrozenSet[Row], tally: _Tally) -> Optional[bool]:
         """The witness-served verdict, or ``None`` when the path declines."""
         index = self._witness
+        if index.source is not self._registered:
+            index = self._witness_index()
         if index.by_item is None or not items <= index.rows:
-            if index is _UNBUILT or index.source is not self._registered:
-                index = self._witness_index()
-            if index.by_item is None or not items <= index.rows:
-                self.witness_declines += 1
-                return None
-        self.witness_verdicts += 1
+            tally.witness_declines += 1
+            return None
+        tally.witness_verdicts += 1
         return index.compatible(items)
 
     # -- accounting -----------------------------------------------------------------
-    def walk_started(self) -> None:
-        """A lattice walk begins: verdicts inside it leave flushing to the walk."""
-        with self._lock:
-            self._walks += 1
+    def walk_started(self) -> _Tally:
+        """A lattice walk begins: the tally its verdicts count in."""
+        return _Tally()
 
-    def walk_finished(self) -> None:
-        """A lattice walk ends: flush what its verdicts counted."""
-        with self._lock:
-            self._walks -= 1
-        self._flush_metrics()
+    def walk_finished(self, tally: _Tally) -> None:
+        """A lattice walk ends: add what its verdicts counted."""
+        self._settle(tally)
 
-    def _flush_metrics(self) -> None:
-        """Add the counts gained since the last flush to the active registry.
-
-        With no registry active the gains are discarded all the same, so a
-        registry installed later sees only the verdicts made under it.
-        """
+    def _settle(self, tally: _Tally) -> None:
+        """Add ``tally`` to the oracle's counts and to the active registry."""
         with self._lock:
-            counts = (
-                self.hits,
-                self.misses,
-                self.witness_builds,
-                self.witness_verdicts,
-                self.witness_declines,
-            )
-            flushed, self._flushed = self._flushed, counts
+            self.hits += tally.hits
+            self.misses += tally.misses
+            self.witness_verdicts += tally.witness_verdicts
+            self.witness_declines += tally.witness_declines
         active = _metrics._ACTIVE
         if active is not None:
             active.inc_many(
-                (name, now - before)
-                for name, now, before in zip(_ORACLE_COUNTERS, counts, flushed)
+                (
+                    (_metrics.ORACLE_HITS, tally.hits),
+                    (_metrics.ORACLE_MISSES, tally.misses),
+                    (_metrics.ORACLE_WITNESS_VERDICTS, tally.witness_verdicts),
+                    (_metrics.ORACLE_WITNESS_DECLINES, tally.witness_declines),
+                )
             )
 
     # -- verdicts ---------------------------------------------------------------------
     def _on_database_change(self, version: Tuple[Tuple[str, int], ...]) -> None:
-        """React to a version-snapshot mismatch: drop the index, retain or clear the memo."""
-        self._witness = _UNBUILT
+        """React to a version-snapshot mismatch: retain or drop the memo and the index."""
+        old = dict(self._database_version)
+        self._database_version = version
         footprint = self._footprint
-        if footprint is not None and self._cache:
-            old = dict(self._database_version)
+        if footprint is not None:
             new = dict(version)
-            changed = {
-                name
-                for name in old.keys() | new.keys()
-                if old.get(name) != new.get(name)
-            }
-            if footprint.isdisjoint(changed):
-                self.retentions += 1
-                active = _metrics._ACTIVE
-                if active is not None:
-                    active.inc("oracle.verdict.retentions")
-                self._database_version = version
+            if all(old.get(name) == new.get(name) for name in footprint):
+                if self._cache:
+                    self.retentions += 1
+                    active = _metrics._ACTIVE
+                    if active is not None:
+                        active.inc("oracle.verdict.retentions")
                 return
+        self._witness = _UNBUILT
         if self._cache:
             self.invalidations += 1
             active = _metrics._ACTIVE
             if active is not None:
                 active.inc("oracle.verdict.invalidations")
-        self._cache.clear()
-        self._database_version = version
+            self._cache.clear()
 
-    def is_satisfied(self, package: Package) -> bool:
-        """The constraint's verdict on ``package``: witness-served, memoized or probed."""
+    def is_satisfied(self, package: Package, tally: Optional[_Tally] = None) -> bool:
+        """The constraint's verdict on ``package``: witness-served, memoized or probed.
+
+        ``tally`` is the lattice walk's (:meth:`walk_started`); without one
+        the verdict settles its own counts.
+        """
         if self._always_true:
             return True
         if not self.enabled:
             return self.constraint.is_satisfied(package, self.database)
-        verdict = self._verdict(package)
-        if not self._walks:
-            self._flush_metrics()
-        return verdict
+        if tally is not None:
+            return self._verdict(package, tally)
+        tally = _Tally()
+        try:
+            return self._verdict(package, tally)
+        finally:
+            self._settle(tally)
 
-    def _verdict(self, package: Package) -> bool:
+    def _verdict(self, package: Package, tally: _Tally) -> bool:
         version = self.database.version()
         if version != self._database_version:
             self._on_database_change(version)
         if self._witness_eligible:
-            verdict = self._witness_verdict(package.items)
+            verdict = self._witness_verdict(package.items, tally)
             if verdict is not None:
                 return verdict
         key = (package.schema.attribute_names, package.items)
         cached = self._cache.get(key)
         if cached is not None:
-            self.hits += 1
+            tally.hits += 1
             return cached
-        self.misses += 1
+        tally.misses += 1
         span = _tracing.begin("probe")
         try:
             verdict = self.constraint.is_satisfied(package, self.database)
@@ -807,7 +840,6 @@ class CompatibilityOracle:
             self.witness_builds = 0
             self.witness_verdicts = 0
             self.witness_declines = 0
-            self._flushed = (0, 0, 0, 0, 0)
         self._database_version = self.database.version()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

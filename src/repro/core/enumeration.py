@@ -322,7 +322,7 @@ class PackageSearchEngine:
                 has_children = size < limit
                 compatible: Optional[bool] = None
                 if antimonotone and has_children:
-                    compatible = oracle.is_satisfied(package)
+                    compatible = oracle.is_satisfied(package, tally)
                     if not compatible:
                         pruned += 1
                         continue
@@ -335,7 +335,7 @@ class PackageSearchEngine:
                         if rated and rating is None:
                             rating = val_at(next_val, size, package)
                         token = accept(rating, package) if accept is not None else True
-                        if token and (compatible or oracle.is_satisfied(package)):
+                        if token and (compatible or oracle.is_satisfied(package, tally)):
                             yield package, size, rating, token
                 if has_children:
                     child_cost = path_cost + cost_delta(item) if cost_delta is not None else 0.0
@@ -355,11 +355,11 @@ class PackageSearchEngine:
         # top-level loop, and every deeper bound starts from a real node's
         # rating.  The generic monotone bound evaluates val(∅ ∪ remaining)
         # directly and needs no such guard.
-        oracle.walk_started()
+        tally = oracle.walk_started()
         try:
             yield from dfs(0, (), frozenset(), cost_init, val_init, math.inf, 0.0)
         finally:
-            oracle.walk_finished()
+            oracle.walk_finished(tally)
             active = _metrics._ACTIVE
             if active is not None:
                 active.inc_many(

@@ -78,7 +78,9 @@ def find_package_relaxation(
         relaxed_problem = problem.with_query(relaxed_query)
         # Each relaxed problem gets its own engine over its own Q(D), but the
         # compatibility oracle underneath is the one shared across relaxations
-        # via with_query, so verdict reuse spans the whole search.
+        # via with_query.  Its witness index, built once, serves packages
+        # within the first Q(D) it was asked about; the memo serves the rest,
+        # so verdict reuse spans the whole search.
         witnesses = find_k_witnesses(relaxed_problem, rating_bound)
         if witnesses is not None:
             return QRPPResult(

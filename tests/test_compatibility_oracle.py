@@ -8,6 +8,8 @@ counting and top-k solvers are byte-identical with the cache on and off.
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -19,10 +21,13 @@ from repro.core import (
     compute_top_k,
     count_valid_packages,
 )
+from repro.core.enumeration import PackageSearchEngine
 from repro.core.packages import Package
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.database import Database
+from repro.serving.trace import serving_problem
 from repro.workloads.synthetic import synthetic_package_problem
 
 from scenarios import duplicate_category_qc
@@ -199,10 +204,10 @@ def test_delta_outside_footprint_retains_cached_verdicts():
     assert oracle.witness_verdicts == 0  # no Q(D) registered: the probe path
 
 
-def test_every_delta_rebuilds_the_witness_index():
-    """The witness-path twin of the retention tests: the index is keyed on
-    the database version, so any delta rebuilds it, and the verdicts follow
-    a footprint delta."""
+def test_the_witness_index_follows_the_footprint():
+    """The witness-path twin of the retention tests: a delta outside the
+    footprint keeps the index, one inside rebuilds it, and the verdicts
+    follow the footprint delta."""
     database = Database()
     items = database.create_relation("items", ["iid", "kind"], [(1, "a"), (2, "b")])
     conflicts = database.create_relation("conflict", ["left", "right"])
@@ -221,10 +226,10 @@ def test_every_delta_rebuilds_the_witness_index():
     assert oracle.is_satisfied(package)
     items.add((3, "c"))  # outside the footprint
     assert oracle.is_satisfied(package)
-    assert oracle.witness_builds == 2
+    assert oracle.witness_builds == 1
     conflicts.add((1, 2))  # inside the footprint
     assert not oracle.is_satisfied(package)
-    assert oracle.witness_builds == 3
+    assert oracle.witness_builds == 2
     assert oracle.witness_verdicts == 3 and oracle.misses == 0
 
 
@@ -498,6 +503,52 @@ def test_enumeration_reuses_the_witness_index():
     assert oracle.witness_builds == 1
     assert oracle.witness_verdicts > verdicts_after_first
     assert oracle.hits == 0 and oracle.misses == 0
+
+
+def test_readers_sharing_an_oracle_lose_no_count():
+    """Each walk tallies its own verdicts and settles them under the oracle's
+    lock, so readers sharing one pinned problem's oracle (as the serving
+    pool's workers do) count every verdict, in the oracle and the registry."""
+    per_walk = PackageSearchEngine(serving_problem(40, seed=3).pinned())
+    per_walk.count_valid()
+    verdicts_per_walk = per_walk.oracle.witness_verdicts
+    assert verdicts_per_walk > 0
+    problem = serving_problem(40, seed=3).pinned()
+    engines = [PackageSearchEngine(problem) for _ in range(6)]
+    package = next(iter(engines[0].iter_valid()))
+    walks, singles = 4, 300
+    barrier = threading.Barrier(len(engines))
+    errors = []
+
+    def reader(engine):
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(walks):
+                engine.count_valid()
+                for _ in range(singles // walks):
+                    engine.oracle.is_satisfied(package)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    oracle = problem.compatibility_oracle()
+    oracle.clear()
+    registry = MetricsRegistry()
+    threads = [threading.Thread(target=reader, args=(engine,)) for engine in engines]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with use_metrics(registry):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    expected = len(engines) * (walks * verdicts_per_walk + singles)
+    assert oracle.witness_verdicts == expected
+    assert registry.counter("oracle.witness.verdicts") == expected
+    assert oracle.misses == 0 and registry.counter("oracle.verdict.misses") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ marker (deselected by ``pytest.ini``'s addopts) and run under an explicit
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -53,26 +54,12 @@ class RecordingWriter:
         self.pause_s = pause_s
         self.copies = {database.epoch: database.copy()}
         self.thread = threading.Thread(target=self._run, name="writer")
-        self.done = False
-        self._committed = threading.Condition()
 
     def _run(self):
         for batch in self.batches:
             self.database.apply_delta(batch)
             self.copies[self.database.epoch] = self.database.copy()
-            with self._committed:
-                self._committed.notify_all()
             time.sleep(self.pause_s)
-        with self._committed:
-            self.done = True
-            self._committed.notify_all()
-
-    def wait_past(self, epoch, timeout=5.0):
-        """Block until a commit lands past ``epoch`` or the writer is done."""
-        with self._committed:
-            self._committed.wait_for(
-                lambda: self.done or self.database.epoch > epoch, timeout
-            )
 
     def start(self):
         self.thread.start()
@@ -151,13 +138,7 @@ def _run_solver_stress(num_readers, iterations, num_commits, seed):
         rng = random.Random(seed * 1_000 + reader_index)
         try:
             barrier.wait()
-            for iteration in range(iterations):
-                if iteration:
-                    # Readers can outrun the writer's first commit (a whole
-                    # 8-reader run takes tens of ms); pacing each reader's
-                    # next pin behind a new commit makes every run span
-                    # several epochs while the solves still race the writer.
-                    writer.wait_past(epoch)
+            for _ in range(iterations):
                 pinned = problem.pinned()
                 epoch = pinned.database.epoch
                 mode = rng.randrange(3)
@@ -175,13 +156,22 @@ def _run_solver_stress(num_readers, iterations, num_commits, seed):
         threading.Thread(target=reader, args=(index,), name=f"reader-{index}")
         for index in range(num_readers)
     ]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    writer.start()
-    for thread in threads:
-        thread.join()
-    writer.join()
+    # The writer is already committing when the readers are released, and a
+    # short switch interval lets its commits land between the readers' pins
+    # and solves: with the default 5 ms a whole run of eight fast readers
+    # can fit between two commits.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        writer.start()
+        barrier.wait()
+        for thread in threads:
+            thread.join()
+        writer.join()
+    finally:
+        sys.setswitchinterval(interval)
     assert not errors, f"reader threads raised: {errors!r}"
     assert len(records) == num_readers * iterations
 

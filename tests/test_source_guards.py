@@ -220,7 +220,7 @@ def test_the_switch_guard_itself_detects_a_knob():
 
 
 #: What ``PackageSearchEngine._walk`` may use of the oracle: the verdict
-#: entry point and the accounting bracket around the walk.
+#: entry point and the accounting bracket (the walk's tally) around the walk.
 WALK_ORACLE_SURFACE = frozenset({"is_satisfied", "walk_started", "walk_finished"})
 
 #: Attributes through which a verdict could bypass the oracle's entry point.
@@ -287,12 +287,12 @@ def test_the_verdict_guard_itself_detects_a_bypass():
         "class PackageSearchEngine:\n"
         "    def _walk(self):\n"
         "        oracle = self.oracle\n"
-        "        oracle.walk_started()\n"
+        "        tally = oracle.walk_started()\n"
         "        try:\n"
-        "            if oracle.is_satisfied(None):\n"
+        "            if oracle.is_satisfied(None, tally):\n"
         "                yield None\n"
         "        finally:\n"
-        "            oracle.walk_finished()\n"
+        "            oracle.walk_finished(tally)\n"
         "    def helper(self):\n"
         "        return self.oracle._witness\n"
     )

@@ -12,10 +12,11 @@ live database, on a snapshot and after commits.
 
 The decline cases are pinned one by one: a witness cap exactly at and one
 past the index size, the build's step limit, a build that raises, FO and
-Datalog ``Qc``, predicates, an unregistered ``Q(D)``; and a deadline or
-cancellation firing mid-build leaves no index behind.  Readers racing on one
-pinned problem build its index once, and a reader waiting for another's
-build keeps its own deadline.
+Datalog ``Qc``, predicates, an unregistered ``Q(D)``; a deadline or
+cancellation firing mid-build leaves no index behind and is not retried; a
+request's step budget is not charged for the build; a second ``Q(D)`` keeps
+the one index.  Readers racing on one pinned problem build its index once,
+and a reader waiting for another's build keeps its own deadline.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
+from contextlib import closing
 from itertools import combinations
 
 import pytest
@@ -42,15 +45,15 @@ from repro.queries.ast import (
     RelationAtom,
     Var,
 )
+from repro.queries.bindings import StepCounter
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.datalog import DatalogRule, NonRecursiveDatalogProgram
 from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.fo import FirstOrderQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.database import Database, Relation
-from repro.relational.errors import StepLimitExceeded
 from repro.resilience import CancellationToken, Deadline, RequestCancelled, RequestTimeout
-from repro.resilience.deadline import deadline_scope
+from repro.resilience.deadline import current_deadline, deadline_scope
 from repro.serving.trace import serving_problem
 
 NUM_SEEDS = 60
@@ -209,10 +212,12 @@ def test_witness_verdicts_equal_the_copying_reference(kind, seed):
     )
     _assert_matches_reference(pinned, constraint, snapshot, inside, outside)
 
-    # The live database after the commit: the index is rebuilt.
+    # The live database after the commit: the index is rebuilt if Qc reads
+    # prereq, and kept otherwise.
     _assert_matches_reference(oracle, constraint, database, inside, outside)
-    if database.relation("prereq").version != snapshot.relation("prereq").version:
-        assert oracle.witness_builds == 2
+    changed = database.relation("prereq").version != snapshot.relation("prereq").version
+    read = "prereq" in constraint.relation_footprint()
+    assert oracle.witness_builds == (2 if changed and read else 1)
 
 
 def test_a_disjunct_without_rq_atoms_decides_every_package():
@@ -403,50 +408,105 @@ def test_no_registered_q_of_d_keeps_the_probe():
     assert oracle.witness_verdicts == 0 and oracle.witness_declines == len(packages)
 
 
-class _FiresOnFirstTick(Deadline):
-    """A deadline that expires (or is cancelled) at its first step flush."""
+def _fire_after_the_first_binding(monkeypatch, fire):
+    """Make the build's joins call ``fire(request deadline)`` once a binding is
+    out, then check the ambient (build) deadline: it fires mid-build."""
+    real = compatibility.enumerate_bindings
 
-    __slots__ = ("cancel",)
+    def enumerate_then_fire(*args, **kwargs):
+        bindings = real(*args, **kwargs)
+        with closing(bindings):
+            for index, binding in enumerate(bindings):
+                if index == 1:
+                    fire()
+                    current_deadline().check()
+                yield binding
 
-    def tick(self, amount: int = 1) -> None:
-        if self.cancel:
-            self.token.cancel()
-        else:
-            self.expires_at = 0.0
-        super().tick(amount)
+    monkeypatch.setattr(compatibility, "enumerate_bindings", enumerate_then_fire)
+
+
+def _wait_out(deadline):
+    while deadline.remaining() > 0:
+        time.sleep(deadline.remaining())
 
 
 @pytest.mark.parametrize(
     "cancel, error", [(False, RequestTimeout), (True, RequestCancelled)], ids=["timeout", "cancel"]
 )
-def test_a_deadline_firing_mid_build_leaves_no_index(cancel, error):
+def test_a_deadline_firing_mid_build_leaves_no_index(monkeypatch, cancel, error):
+    """The request's clock and token bound the build; an interrupted build
+    keeps nothing, is not charged to the request's steps, and is not retried
+    until the footprint changes, so the next request takes the probe path."""
     constraint, database, answers = _serving_instance()
     oracle = _witness_oracle(constraint, database, answers)
     package = _sample_packages(answers, count=1, seed=3)[0]
-    deadline = _FiresOnFirstTick(token=CancellationToken())
-    deadline.cancel = cancel
+    deadline = Deadline.after(None if cancel else 0.05, token=CancellationToken())
+    _fire_after_the_first_binding(
+        monkeypatch, deadline.token.cancel if cancel else lambda: _wait_out(deadline)
+    )
     with deadline_scope(deadline):
         with pytest.raises(error):
             oracle.is_satisfied(package)
-    assert deadline.steps > 0  # it fired inside the build's joins
+    assert deadline.steps == 0
     assert oracle.witness_builds == 0 and oracle.cache_info()["witness_sets"] == 0
     assert oracle.witness_verdicts == 0 and oracle.misses == 0
-    # Without the deadline the next verdict builds the index from scratch.
+    # The decline is remembered: the next verdict is probed, not rebuilt.
+    monkeypatch.undo()
+    for package in _sample_packages(answers, count=10, seed=4):
+        assert oracle.is_satisfied(package) == constraint.is_satisfied_copying(package, database)
+    assert oracle.witness_builds == 0 and oracle.witness_verdicts == 0
+    assert oracle.misses + oracle.hits == 10
+    # Dropping the index (what a footprint delta does) allows a new build.
+    oracle.clear()
     assert oracle.is_satisfied(package) == constraint.is_satisfied_copying(package, database)
     assert oracle.witness_builds == 1 and oracle.witness_verdicts == 1
 
 
-def test_a_request_step_budget_propagates_out_of_the_build():
-    """The request's own step budget is not the build's limit: it raises."""
+def test_a_request_step_budget_that_fits_the_probes_fits_a_fresh_build():
+    """The build is not charged to the request that triggers it: a step
+    budget covering the probes of a few verdicts also covers those verdicts
+    on a fresh oracle, whose first verdict builds the index."""
     constraint, database, answers = _serving_instance()
+    packages = _sample_packages(answers, count=10, seed=5)
+    probes = StepCounter()
+    for package in packages:
+        constraint.is_satisfied(package, database, probes)
+    assert 0 < probes.steps < 200
     oracle = _witness_oracle(constraint, database, answers)
-    package = _sample_packages(answers, count=1, seed=3)[0]
-    with deadline_scope(Deadline(max_steps=200)):
-        with pytest.raises(StepLimitExceeded):
-            oracle.is_satisfied(package)
-    assert oracle.witness_builds == 0 and oracle.cache_info()["witness_sets"] == 0
-    assert oracle.is_satisfied(package) == constraint.is_satisfied_copying(package, database)
+    budget = Deadline(max_steps=probes.steps)
+    with deadline_scope(budget):
+        for package in packages:
+            assert oracle.is_satisfied(package) == constraint.is_satisfied_copying(
+                package, database
+            )
+    assert oracle.witness_builds == 1 and oracle.witness_verdicts == len(packages)
+    assert budget.steps == 0  # the build's own StepCounter took its steps
+    assert oracle.misses == 0
+
+
+def test_a_second_q_of_d_keeps_the_index():
+    """At most one build until the footprint changes: a registration with
+    other rows (QRPP's relaxations) or rows added in place (ARPP's
+    adjustments) keeps the index for the packages within its rows and sends
+    the rest to the memo."""
+    constraint, database, answers = _serving_instance()
+    rows = sorted(answers.rows())
+    first = Relation(answers.schema, rows[: len(rows) // 2])
+    oracle = _witness_oracle(constraint, database, first)
+    inside, outside = [], []
+    for package in _sample_packages(answers, count=60, seed=6):
+        (inside if package.items <= first.rows() else outside).append(package)
+    assert inside and outside
+    oracle.is_satisfied(inside[0])
     assert oracle.witness_builds == 1
+    oracle.register_answers(answers)  # a wider Q(D), as the next relaxation's
+    _assert_matches_reference(oracle, constraint, database, inside, outside)
+    first.add(rows[-1])  # grown in place, as a maintained Q(D) is
+    oracle.register_answers(first)
+    grown = Package(answers.schema, [rows[0], rows[-1]])
+    assert oracle.is_satisfied(grown) == constraint.is_satisfied_copying(grown, database)
+    assert oracle.witness_builds == 1
+    assert oracle.witness_declines == len(outside) + 1
 
 
 # ---------------------------------------------------------------------------
