@@ -15,11 +15,6 @@ against the retained recompute search over the pool-growth sweep and writes
 ``BENCH_adjustment.json``.
 """
 
-import argparse
-import json
-import pathlib
-import time
-
 import pytest
 
 from repro.adjustment import (
@@ -27,6 +22,7 @@ from repro.adjustment import (
     find_item_adjustment_recompute,
     find_package_adjustment,
 )
+from repro.bench.harness import time_callable
 from repro.complexity import Problem, TABLE_8_2
 from repro.logic.generators import random_3cnf
 from repro.queries import identity_query_for
@@ -34,8 +30,9 @@ from repro.reductions import arpp_from_3sat
 from repro.relational import Database, Relation
 from repro.workloads.synthetic import item_schema, random_item_database
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_adjustment.json"
+from _report import REPO_ROOT, run_cli, write_report
+
+RESULTS_PATH = REPO_ROOT / "BENCH_adjustment.json"
 
 POOL_SWEEP = [4, 6, 8]
 
@@ -152,14 +149,13 @@ def _item_search_kwargs(pool_size: int):
 
 def _measure_pool(pool_size: int):
     database, query, kwargs = _item_search_kwargs(pool_size)
-    start = time.perf_counter()
-    recompute = find_item_adjustment_recompute(database, query, **kwargs)
-    recompute_seconds = time.perf_counter() - start
-
+    recompute_seconds, recompute = time_callable(
+        lambda: find_item_adjustment_recompute(database, query, **kwargs)
+    )
     database, query, kwargs = _item_search_kwargs(pool_size)
-    start = time.perf_counter()
-    incremental = find_item_adjustment(database, query, **kwargs)
-    incremental_seconds = time.perf_counter() - start
+    incremental_seconds, incremental = time_callable(
+        lambda: find_item_adjustment(database, query, **kwargs)
+    )
     return {
         "pool_size": pool_size,
         "recompute_seconds": round(recompute_seconds, 6),
@@ -182,44 +178,23 @@ def run_sweep(pool_sizes=tuple(POOL_SWEEP)):
         "sizes": [pool_size for pool_size in pool_sizes],
         "results": results,
         "speedup_at_largest": results[-1]["speedup"],
+        "note": "Near parity by construction: at pool 8 both sides try 37 adjustments "
+        "of a 10-item database in 3-5 ms, and copying 10 rows plus re-evaluating the "
+        "identity query costs about what applying and undoing one delta through the "
+        "maintained view does (median ratio 1.06 over 15 runs on a 2-core VM), so a "
+        "single-shot reading such as 1.71x is timer noise.",
     }
-
-
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
 
 
 @pytest.mark.bench_full  # timing-sensitive full sweep: not a smoke test
 def test_adjustment_sweep_is_tracked(record_property):
     """Writes BENCH_adjustment.json; both paths must agree on every pool size."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     for key, value in report["results"][-1].items():
         record_property(key, value)
     assert all(row["identical_results"] for row in report["results"])
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for row in report["results"]:
-        print(
-            f"pool={row['pool_size']:>2}  recompute={row['recompute_seconds']:.4f}s  "
-            f"incremental={row['incremental_seconds']:.4f}s  "
-            f"speedup={row['speedup']:.1f}x  identical={row['identical_results']}"
-        )
-    print(f"speedup at largest pool: {report['speedup_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

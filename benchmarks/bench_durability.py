@@ -42,18 +42,18 @@ marker by ``benchmarks/conftest.py`` (sweeps are listed ascending), so CI's
 smoke pass exercises append, group commit and recovery end to end.
 """
 
-import argparse
-import json
 import pathlib
 import tempfile
 import threading
-import time
 
 import pytest
 
-from repro.durability import WriteAheadLog, open_durable, recover
+from repro.bench.harness import time_callable
+from repro.durability import open_durable, recover
 from repro.observability import MetricsRegistry, use_metrics
 from repro.relational.database import Database
+
+from _report import REPO_ROOT, run_cli, write_report
 
 # (num_threads, commits_per_thread) pairs, ascending.  Tiny single-insert
 # deltas keep the in-memory work negligible, so the fsync policy dominates
@@ -69,8 +69,7 @@ DURABILITY_SWEEP = [(4, 8), (16, 50), (64, 100)]
 #: comparison — the best of three is the least scheduler-polluted one.
 MEASUREMENT_PAIRS = 3
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_durability.json"
+RESULTS_PATH = REPO_ROOT / "BENCH_durability.json"
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +109,7 @@ def _run_committers(directory, num_threads, commits_per_thread, group_commit):
     for thread in threads:
         thread.start()
     barrier.wait()
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    seconds = time.perf_counter() - start
+    seconds, _ = time_callable(lambda: [thread.join() for thread in threads])
     wal.close()
     database.detach_wal()
     if errors:
@@ -257,16 +253,11 @@ def run_sweep(sizes=tuple(DURABILITY_SWEEP)):
     }
 
 
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
-
-
 @pytest.mark.bench_full  # wall-clock assertion at the largest size: not a smoke test
 def test_group_commit_beats_fsync_per_commit_by_5x_at_largest_size(record_property):
     """Acceptance gate: ≥5x durable-commit throughput from group commit."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     largest = report["results"][-1]
     for key, value in largest.items():
         record_property(key, value)
@@ -280,29 +271,5 @@ def test_group_commit_beats_fsync_per_commit_by_5x_at_largest_size(record_proper
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for row in report["results"]:
-        print(
-            f"threads={row['num_threads']:>3} commits={row['num_commits']:>5}  "
-            f"naive={row['naive_seconds']:.4f}s ({row['naive_fsyncs']} fsyncs)  "
-            f"group={row['group_seconds']:.4f}s ({row['group_fsyncs']} fsyncs, "
-            f"mean batch {row['mean_group_batch_size']:.1f})  "
-            f"speedup={row['speedup']:.1f}x  "
-            f"identical_recovery={row['identical_recovery']}"
-        )
-    print(f"speedup at largest trace: {report['speedup_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

@@ -23,14 +23,11 @@ The smallest sweep size of every benchmark below is auto-registered under the
 ascending), so CI's smoke pass exercises each entry point end to end.
 """
 
-import argparse
-import json
-import pathlib
-import time
 from dataclasses import replace
 
 import pytest
 
+from repro.bench.harness import time_callable
 from repro.core import (
     QueryConstraint,
     best_valid_packages_reference,
@@ -43,6 +40,8 @@ from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
 from repro.queries.cq import ConjunctiveQuery
 from repro.workloads.synthetic import synthetic_package_problem
 
+from _report import REPO_ROOT, run_cli, write_report
+
 # (num_items, budget) pairs, ascending; the knapsack-flavoured synthetic
 # workload (cost = total price, val = total quality, one item per category)
 # declares all three hints, so the sweep exercises threaded costs, single
@@ -50,8 +49,7 @@ from repro.workloads.synthetic import synthetic_package_problem
 ENUM_SWEEP = [(12, 60.0), (16, 80.0), (20, 100.0), (28, 100.0)]
 TOP_K = 2
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_enumeration.json"
+RESULTS_PATH = REPO_ROOT / "BENCH_enumeration.json"
 
 
 def _problem(num_items: int, budget: float):
@@ -181,16 +179,15 @@ def _measure_pair(num_items: int, budget: float, repeats: int = 3):
     reference_problem = _problem(num_items, budget)
     engine_problem = _problem(num_items, budget)
 
-    start = time.perf_counter()
-    reference = best_valid_packages_reference(reference_problem, TOP_K)
-    reference_seconds = time.perf_counter() - start
+    reference_seconds, reference = time_callable(
+        lambda: best_valid_packages_reference(reference_problem, TOP_K)
+    )
 
     engine_seconds = float("inf")
     for _ in range(repeats):  # best-of-N shields the fast path from scheduler noise
         engine_problem_fresh = _problem(num_items, budget)
-        start = time.perf_counter()
-        engine = compute_top_k(engine_problem_fresh)
-        engine_seconds = min(engine_seconds, time.perf_counter() - start)
+        seconds, engine = time_callable(lambda: compute_top_k(engine_problem_fresh))
+        engine_seconds = min(engine_seconds, seconds)
 
     assert engine.found
     identical = (
@@ -220,16 +217,11 @@ def run_sweep(sizes=tuple(ENUM_SWEEP)):
     }
 
 
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
-
-
 @pytest.mark.bench_full  # wall-clock assertion at the largest size: not a smoke test
 def test_engine_beats_reference_by_5x_at_largest_size(record_property):
     """Acceptance gate: ≥5x wall-clock speedup at the largest sweep size."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     largest = report["results"][-1]
     for key, value in largest.items():
         record_property(key, value)
@@ -240,27 +232,5 @@ def test_engine_beats_reference_by_5x_at_largest_size(record_property):
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    width = max(len(str(s)) for s in report["sizes"])
-    for row in report["results"]:
-        print(
-            f"n={row['num_items']:>{width}}  reference={row['reference_seconds']:.4f}s  "
-            f"engine={row['engine_seconds']:.4f}s  speedup={row['speedup']:.1f}x  "
-            f"identical={row['identical_results']}"
-        )
-    print(f"speedup at largest size: {report['speedup_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

@@ -21,40 +21,39 @@ Run stand-alone for the machine-readable report::
     PYTHONPATH=src python benchmarks/bench_evaluator.py --json
 """
 
-import argparse
-import json
-import pathlib
-import time
 from dataclasses import replace
 
 import pytest
 
+from repro.bench.harness import time_callable
 from repro.core import compute_top_k
-from repro.queries.bindings import enumerate_bindings, enumerate_bindings_naive
+from repro.queries.bindings import enumerate_bindings_naive
 from repro.workloads.synthetic import (
     path_query,
     random_graph_database,
     synthetic_package_problem,
 )
 
+from _report import REPO_ROOT, bindings, run_cli, write_report
+
 # (nodes, edges) pairs, ascending; the naive path is roughly cubic in the edge
 # count for the length-3 chain query, the planned path near-linear.
 GRAPH_SWEEP = [(40, 160), (80, 320), (160, 640)]
 PATH_LENGTH = 3
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_evaluator.json"
+RESULTS_PATH = REPO_ROOT / "BENCH_evaluator.json"
 
 
 def _graph(nodes: int, edges: int):
     return random_graph_database(nodes, edges, seed=nodes)
 
 
-def _bindings(evaluator, database, query):
-    return sorted(
-        tuple(sorted(binding.items()))
-        for binding in evaluator(database, query.atoms, query.comparisons)
-    )
+def _naive(database, query):
+    return bindings(database, query.atoms, query.comparisons, evaluate=enumerate_bindings_naive)
+
+
+def _planned(database, query):
+    return bindings(database, query.atoms, query.comparisons)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +64,7 @@ def test_planned_chain_query(benchmark, annotate, nodes, edges):
     database = _graph(nodes, edges)
     query = path_query(PATH_LENGTH)
     annotate(group="evaluator/chain", variant="planned (indexed)", nodes=nodes, edges=edges)
-    result = benchmark(lambda: _bindings(enumerate_bindings, database, query))
+    result = benchmark(lambda: _planned(database, query))
     assert result  # the random graphs are dense enough to have length-3 paths
 
 
@@ -75,7 +74,7 @@ def test_naive_chain_query(benchmark, annotate, nodes, edges):
     database = _graph(nodes, edges)
     query = path_query(PATH_LENGTH)
     annotate(group="evaluator/chain", variant="naive (full scans)", nodes=nodes, edges=edges)
-    result = benchmark(lambda: _bindings(enumerate_bindings_naive, database, query))
+    result = benchmark(lambda: _naive(database, query))
     assert result
 
 
@@ -84,16 +83,9 @@ def _measure_pair(nodes, edges, repeats: int = 3):
     database = _graph(nodes, edges)
     query = path_query(PATH_LENGTH)
 
-    start = time.perf_counter()
-    naive = _bindings(enumerate_bindings_naive, database, query)
-    naive_seconds = time.perf_counter() - start
-
-    planned_seconds = float("inf")
-    planned = None
-    for _ in range(repeats):  # best-of-N shields the fast path from scheduler noise
-        start = time.perf_counter()
-        planned = _bindings(enumerate_bindings, database, query)
-        planned_seconds = min(planned_seconds, time.perf_counter() - start)
+    naive_seconds, naive = time_callable(lambda: _naive(database, query))
+    # best-of-N shields the fast path from scheduler noise
+    planned_seconds, planned = time_callable(lambda: _planned(database, query), repeat=repeats)
 
     return {
         "nodes": nodes,
@@ -118,16 +110,11 @@ def run_sweep(sizes=tuple(GRAPH_SWEEP)):
     }
 
 
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
-
-
 @pytest.mark.bench_full  # wall-clock assertion at the largest size: not a smoke test
 def test_planned_beats_naive_by_5x_at_largest_size(record_property):
     """Acceptance gate: ≥5x wall-clock speedup at the largest sweep size."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     largest = report["results"][-1]
     for key, value in largest.items():
         record_property(key, value)
@@ -169,26 +156,5 @@ def test_top_k_without_compatibility_cache(benchmark, annotate, num_items):
     assert result.ratings == compute_top_k(base).ratings
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for row in report["results"]:
-        print(
-            f"chain n={row['nodes']:>3} e={row['edges']:>4}  "
-            f"naive={row['naive_seconds']:.4f}s  planned={row['planned_seconds']:.4f}s  "
-            f"speedup={row['speedup']:.1f}x  identical={row['identical_results']}"
-        )
-    print(f"speedup at largest size: {report['speedup_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

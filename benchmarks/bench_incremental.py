@@ -28,20 +28,19 @@ The smallest sweep size of every benchmark below is auto-registered under the
 ascending), so CI's smoke pass exercises each entry point end to end.
 """
 
-import argparse
-import json
-import pathlib
 import random
-import time
 
 import pytest
 
 from repro.adjustment import find_package_adjustment, find_package_adjustment_recompute
+from repro.bench.harness import time_callable
 from repro.core import CountCost, CountRating, RecommendationProblem
 from repro.core.model import ConstantBound
 from repro.incremental import MaintainedQuery
 from repro.relational import Database, Relation, RelationSchema
 from repro.workloads.synthetic import path_query, streaming_update_workload
+
+from _report import REPO_ROOT, run_cli, write_report
 
 # (num_nodes, num_edges, num_updates) triples, ascending.
 STREAM_SWEEP = [(40, 90, 30), (90, 240, 40), (160, 480, 40), (240, 800, 50)]
@@ -49,8 +48,7 @@ STREAM_SWEEP = [(40, 90, 30), (90, 240, 40), (160, 480, 40), (240, 800, 50)]
 # (num_nodes, num_edges, candidate-pool size) for the ARPP series, ascending.
 ARPP_SWEEP = [(60, 150, 4), (120, 400, 5), (200, 800, 6)]
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_incremental.json"
+RESULTS_PATH = REPO_ROOT / "BENCH_incremental.json"
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +196,16 @@ def _measure_stream_pair(num_nodes, num_edges, num_updates, repeats: int = 3):
     Both replay the identical batches from identical starting databases; the
     per-step answer fingerprints must agree or the measurement itself fails.
     """
-    start = time.perf_counter()
-    scratch_states = _run_scratch_stream(
-        _stream_workload(num_nodes, num_edges, num_updates)
+    scratch_seconds, scratch_states = time_callable(
+        lambda: _run_scratch_stream(_stream_workload(num_nodes, num_edges, num_updates))
     )
-    scratch_seconds = time.perf_counter() - start
 
     incremental_seconds = float("inf")
     incremental_states = None
     for _ in range(repeats):  # best-of-N shields the fast path from scheduler noise
         workload = _stream_workload(num_nodes, num_edges, num_updates)
-        start = time.perf_counter()
-        states = _run_incremental_stream(workload)
-        incremental_seconds = min(incremental_seconds, time.perf_counter() - start)
-        incremental_states = states
+        seconds, incremental_states = time_callable(lambda: _run_incremental_stream(workload))
+        incremental_seconds = min(incremental_seconds, seconds)
 
     return {
         "num_nodes": num_nodes,
@@ -226,18 +220,15 @@ def _measure_stream_pair(num_nodes, num_edges, num_updates, repeats: int = 3):
 
 def _measure_arpp_pair(num_nodes, num_edges, pool_size):
     problem, pool = _arpp_problem(num_nodes, num_edges, pool_size)
-    start = time.perf_counter()
-    recompute = find_package_adjustment_recompute(
-        problem, None, rating_bound=1.0, max_changes=2, pool=pool
+    recompute_seconds, recompute = time_callable(
+        lambda: find_package_adjustment_recompute(
+            problem, None, rating_bound=1.0, max_changes=2, pool=pool
+        )
     )
-    recompute_seconds = time.perf_counter() - start
-
     problem, pool = _arpp_problem(num_nodes, num_edges, pool_size)
-    start = time.perf_counter()
-    incremental = find_package_adjustment(
-        problem, None, rating_bound=1.0, max_changes=2, pool=pool
+    incremental_seconds, incremental = time_callable(
+        lambda: find_package_adjustment(problem, None, rating_bound=1.0, max_changes=2, pool=pool)
     )
-    incremental_seconds = time.perf_counter() - start
     return {
         "num_nodes": num_nodes,
         "num_edges": num_edges,
@@ -267,16 +258,11 @@ def run_sweep(stream_sizes=tuple(STREAM_SWEEP), arpp_sizes=tuple(ARPP_SWEEP)):
     }
 
 
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
-
-
 @pytest.mark.bench_full  # wall-clock assertion at the largest size: not a smoke test
 def test_incremental_beats_scratch_by_5x_at_largest_size(record_property):
     """Acceptance gate: ≥5x end-to-end speedup at the largest sweep size."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     largest = report["stream_results"][-1]
     for key, value in largest.items():
         record_property(key, value)
@@ -292,34 +278,5 @@ def test_incremental_beats_scratch_by_5x_at_largest_size(record_property):
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for row in report["stream_results"]:
-        print(
-            f"stream n={row['num_nodes']:>3} e={row['num_edges']:>4} "
-            f"u={row['num_updates']:>3}  scratch={row['scratch_seconds']:.4f}s  "
-            f"incremental={row['incremental_seconds']:.4f}s  "
-            f"speedup={row['speedup']:.1f}x  identical={row['identical_results']}"
-        )
-    for row in report["arpp_results"]:
-        print(
-            f"arpp   n={row['num_nodes']:>3} e={row['num_edges']:>4} "
-            f"pool={row['pool_size']:>2}  recompute={row['recompute_seconds']:.4f}s  "
-            f"incremental={row['incremental_seconds']:.4f}s  "
-            f"speedup={row['speedup']:.1f}x  identical={row['identical_results']}"
-        )
-    print(f"speedup at largest stream size: {report['speedup_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

@@ -37,18 +37,14 @@ The smallest sweep size of every benchmark below is auto-registered under the
 ascending), so CI's smoke pass exercises each entry point end to end.
 """
 
-import argparse
-import json
-import pathlib
-import time
-from dataclasses import replace
-
 import pytest
 
+from repro.bench.harness import time_callable
 from repro.queries.ast import RelationAtom, Var
-from repro.queries.bindings import enumerate_bindings
 from repro.queries.plan import plan_conjunction
 from repro.relational.database import Database
+
+from _report import REPO_ROOT, baseline_plan, bindings, relation_statistics, run_cli, write_report
 
 #: Hub-star half-widths ``m`` of the triangle workload, ascending.
 TRIANGLE_SWEEP = [100, 200, 400]
@@ -56,28 +52,12 @@ TRIANGLE_SWEEP = [100, 200, 400]
 #: Hub-star half-widths ``m`` of the 4-cycle workload, ascending.
 FOUR_CYCLE_SWEEP = [100, 200, 400]
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_multiway.json"
-
-
-def _statistics(database, atoms):
-    return {
-        atom.relation: database.relation(atom.relation).statistics() for atom in atoms
-    }
+RESULTS_PATH = REPO_ROOT / "BENCH_multiway.json"
 
 
 def binary_plan(database, atoms):
     """The baseline plan: the costed binary steps, the multiway verdict off."""
-    return replace(
-        plan_conjunction(atoms, statistics=_statistics(database, atoms)), run_multiway=False
-    )
-
-
-def _bindings(database, atoms, plan=None):
-    return sorted(
-        tuple(sorted(binding.items()))
-        for binding in enumerate_bindings(database, atoms, plan=plan)
-    )
+    return baseline_plan(atoms, statistics=relation_statistics(database, atoms), run_multiway=False)
 
 
 def _hub_star(hub, wing_in, wing_out):
@@ -164,7 +144,7 @@ WORKLOADS = {
 def test_triangle_multiway(benchmark, annotate, m):
     database, atoms = triangle_workload(m)
     annotate(group="multiway/triangle", variant="multiway (leapfrog)", size=m)
-    result = benchmark(lambda: _bindings(database, atoms))
+    result = benchmark(lambda: bindings(database, atoms))
     assert len(result) == 3 * m + 1
 
 
@@ -174,7 +154,7 @@ def test_triangle_pr4(benchmark, annotate, m):
     database, atoms = triangle_workload(m)
     annotate(group="multiway/triangle", variant="PR 4 (binary steps)", size=m)
     plan = binary_plan(database, atoms)
-    result = benchmark(lambda: _bindings(database, atoms, plan))
+    result = benchmark(lambda: bindings(database, atoms, plan=plan))
     assert len(result) == 3 * m + 1
 
 
@@ -182,7 +162,7 @@ def test_triangle_pr4(benchmark, annotate, m):
 def test_four_cycle_multiway(benchmark, annotate, m):
     database, atoms = four_cycle_workload(m)
     annotate(group="multiway/four_cycle", variant="multiway (leapfrog)", size=m)
-    result = benchmark(lambda: _bindings(database, atoms))
+    result = benchmark(lambda: bindings(database, atoms))
     assert len(result) == m + 1
 
 
@@ -191,7 +171,7 @@ def test_four_cycle_pr4(benchmark, annotate, m):
     database, atoms = four_cycle_workload(m)
     annotate(group="multiway/four_cycle", variant="PR 4 (binary steps)", size=m)
     plan = binary_plan(database, atoms)
-    result = benchmark(lambda: _bindings(database, atoms, plan))
+    result = benchmark(lambda: bindings(database, atoms, plan=plan))
     assert len(result) == m + 1
 
 
@@ -199,7 +179,7 @@ def test_planner_verdict_fires_on_both_workloads():
     """The fast series runs the planner's own plan: the verdict itself triggers."""
     for build in WORKLOADS.values():
         database, atoms = build(100)
-        plan = plan_conjunction(atoms, statistics=_statistics(database, atoms))
+        plan = plan_conjunction(atoms, statistics=relation_statistics(database, atoms))
         assert plan.multiway is not None
         assert plan.run_multiway
 
@@ -210,16 +190,11 @@ def test_planner_verdict_fires_on_both_workloads():
 def _measure_pair(workload_name: str, size: int, repeats: int = 3):
     """Time the PR 4 planner and the multiway path on one workload size."""
     database, atoms = WORKLOADS[workload_name](size)
-    start = time.perf_counter()
-    baseline = _bindings(database, atoms, binary_plan(database, atoms))
-    baseline_seconds = time.perf_counter() - start
-
-    multiway_seconds = float("inf")
-    multiway = None
-    for _ in range(repeats):  # best-of-N shields the fast path from scheduler noise
-        start = time.perf_counter()
-        multiway = _bindings(database, atoms)
-        multiway_seconds = min(multiway_seconds, time.perf_counter() - start)
+    baseline_seconds, baseline = time_callable(
+        lambda: bindings(database, atoms, plan=binary_plan(database, atoms))
+    )
+    # best-of-N shields the fast path from scheduler noise
+    multiway_seconds, multiway = time_callable(lambda: bindings(database, atoms), repeat=repeats)
 
     return {
         "workload": workload_name,
@@ -250,16 +225,11 @@ def run_sweep(
     }
 
 
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
-
-
 @pytest.mark.bench_full  # wall-clock assertion at the largest size: not a smoke test
 def test_multiway_beats_pr4_by_5x_at_largest_sizes(record_property):
     """Acceptance gate: ≥5x end-to-end speedup at the largest cyclic sizes."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     for series in ("triangle_results", "four_cycle_results"):
         assert all(row["identical_results"] for row in report[series]), (
             f"multiway and PR 4 answers diverged in {series}"
@@ -274,27 +244,5 @@ def test_multiway_beats_pr4_by_5x_at_largest_sizes(record_property):
         )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for series in ("triangle_results", "four_cycle_results"):
-        for row in report[series]:
-            print(
-                f"{row['workload']:<11} m={row['size']:>4}  pr4={row['pr4_seconds']:.4f}s  "
-                f"multiway={row['multiway_seconds']:.4f}s  "
-                f"speedup={row['speedup']:.1f}x  identical={row['identical_results']}"
-            )
-    print(f"speedup at largest triangle size: {report['speedup_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

@@ -32,15 +32,13 @@ The smallest sweep size below is auto-registered under the ``bench_smoke``
 marker by ``benchmarks/conftest.py`` (sweeps are listed ascending).
 """
 
-import argparse
-import json
-import pathlib
-import time
-
 import pytest
 
+from repro.bench.harness import time_callable
 from repro.observability import MetricsRegistry, TraceSampler, use_metrics
 from repro.serving import SnapshotServer, build_trace
+
+from _report import REPO_ROOT, replay, run_cli, write_report
 
 #: (num_items, num_rounds, batch_size) triples, ascending — the same shape
 #: as ``bench_serving.py``'s sweep, so the overhead numbers are directly
@@ -55,8 +53,7 @@ REPEATS = 5
 #: the disabled replay at the largest sweep size.
 MAX_OVERHEAD = 0.10
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_observability.json"
+RESULTS_PATH = REPO_ROOT / "BENCH_observability.json"
 
 VARIANTS = ("off", "metrics", "metrics+tracing")
 
@@ -64,15 +61,6 @@ VARIANTS = ("off", "metrics", "metrics+tracing")
 # ---------------------------------------------------------------------------
 # Trace replay drivers (shared by the pytest benchmarks and the gate)
 # ---------------------------------------------------------------------------
-def _replay(server, trace):
-    results = []
-    for delta, requests in trace.rounds:
-        if delta:
-            server.apply(list(delta))
-        results.extend(server.serve_batch(requests))
-    return results
-
-
 def _run_once(variant, num_items, num_rounds, batch_size):
     """One timed replay of a fresh trace under ``variant``.
 
@@ -84,14 +72,11 @@ def _run_once(variant, num_items, num_rounds, batch_size):
     sampler = TraceSampler(rate=1.0) if variant == "metrics+tracing" else None
     server = SnapshotServer(trace.problem, tracing=sampler)
     if variant == "off":
-        start = time.perf_counter()
-        results = _replay(server, trace)
-        return time.perf_counter() - start, results, None
+        seconds, results = time_callable(lambda: replay(server, trace))
+        return seconds, results, None
     registry = MetricsRegistry()
     with use_metrics(registry):
-        start = time.perf_counter()
-        results = _replay(server, trace)
-        seconds = time.perf_counter() - start
+        seconds, results = time_callable(lambda: replay(server, trace))
     return seconds, results, registry
 
 
@@ -217,16 +202,11 @@ def run_sweep(sizes=tuple(OBS_SWEEP)):
     }
 
 
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
-
-
 @pytest.mark.bench_full  # wall-clock assertion at the largest size: not a smoke test
 def test_fully_enabled_overhead_within_10_percent(record_property):
     """Acceptance gate: metrics + full tracing cost ≤10% on the largest trace."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     assert report["identical_on_off"], (
         "an instrumented replay changed a compared ServeResult field"
     )
@@ -240,34 +220,5 @@ def test_fully_enabled_overhead_within_10_percent(record_property):
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for row in report["results"]:
-        print(
-            f"n={row['num_items']:>3} rounds={row['num_rounds']:>2} "
-            f"batch={row['batch_size']:>3}  off={row['off_seconds']:.3f}s  "
-            f"metrics={row['metrics_seconds']:.3f}s "
-            f"(+{row['metrics_overhead'] * 100:.1f}%)  "
-            f"tracing={row['metrics_tracing_seconds']:.3f}s "
-            f"(+{row['metrics_tracing_overhead'] * 100:.1f}%)  "
-            f"identical={row['identical_results']}"
-        )
-    print(f"identical on/off: {report['identical_on_off']}")
-    print(
-        f"fully-enabled overhead at largest trace: "
-        f"{report['tracing_overhead_at_largest'] * 100:.1f}%"
-    )
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

@@ -35,19 +35,15 @@ The smallest sweep size of every benchmark below is auto-registered under the
 ascending), so CI's smoke pass exercises each entry point end to end.
 """
 
-import argparse
-import json
-import pathlib
 import random
-import time
-from dataclasses import replace
 
 import pytest
 
+from repro.bench.harness import time_callable
 from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
-from repro.queries.bindings import enumerate_bindings
-from repro.queries.plan import plan_conjunction
 from repro.relational.database import Database
+
+from _report import REPO_ROOT, baseline_plan, bindings, run_cli, write_report
 
 #: Row counts of the item table in the range-heavy workload, ascending.
 RANGE_SWEEP = [400, 1000, 2400]
@@ -58,8 +54,7 @@ ORDERING_SWEEP = [1500, 3000, 6000]
 #: Row counts per relation of the dangling-chain workload, ascending.
 SEMIJOIN_SWEEP = [400, 800, 1600]
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_planner.json"
+RESULTS_PATH = REPO_ROOT / "BENCH_planner.json"
 
 
 def statistics_blind_plan(atoms, comparisons=()):
@@ -69,20 +64,7 @@ def statistics_blind_plan(atoms, comparisons=()):
     columnar path, so stripping the compiled range probes (and the unused
     columnar pushdowns) leaves exactly the baseline planner's plan.
     """
-    plan = plan_conjunction(atoms, comparisons)
-    return replace(
-        plan,
-        steps=tuple(
-            replace(step, range_probe=None, columnar_pushdowns=()) for step in plan.steps
-        ),
-    )
-
-
-def _bindings(database, atoms, comparisons=(), plan=None):
-    return sorted(
-        tuple(sorted(binding.items()))
-        for binding in enumerate_bindings(database, atoms, comparisons, plan=plan)
-    )
+    return baseline_plan(atoms, comparisons, strip=("range_probe", "columnar_pushdowns"))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +170,7 @@ WORKLOADS = {
 def test_range_heavy_cost_based(benchmark, annotate, num_items):
     database, atoms, comparisons = range_heavy_workload(num_items)
     annotate(group="planner/range", variant="cost-based (range probes)", size=num_items)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons))
+    result = benchmark(lambda: bindings(database, atoms, comparisons))
     assert result  # ~2% of prices fall below the filter, so answers exist
 
 
@@ -198,7 +180,7 @@ def test_range_heavy_pr1(benchmark, annotate, num_items):
     database, atoms, comparisons = range_heavy_workload(num_items)
     annotate(group="planner/range", variant="PR 1 (post-filtered scans)", size=num_items)
     plan = statistics_blind_plan(atoms, comparisons)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, plan))
+    result = benchmark(lambda: bindings(database, atoms, comparisons, plan))
     assert result
 
 
@@ -206,7 +188,7 @@ def test_range_heavy_pr1(benchmark, annotate, num_items):
 def test_ordering_cost_based(benchmark, annotate, num_big):
     database, atoms, comparisons = ordering_workload(num_big)
     annotate(group="planner/ordering", variant="cost-based (small first)", size=num_big)
-    benchmark(lambda: _bindings(database, atoms, comparisons))
+    benchmark(lambda: bindings(database, atoms, comparisons))
 
 
 @pytest.mark.parametrize("num_big", ORDERING_SWEEP[:2])
@@ -214,14 +196,14 @@ def test_ordering_pr1(benchmark, annotate, num_big):
     database, atoms, comparisons = ordering_workload(num_big)
     annotate(group="planner/ordering", variant="PR 1 (large scanned first)", size=num_big)
     plan = statistics_blind_plan(atoms, comparisons)
-    benchmark(lambda: _bindings(database, atoms, comparisons, plan))
+    benchmark(lambda: bindings(database, atoms, comparisons, plan))
 
 
 @pytest.mark.parametrize("rows", SEMIJOIN_SWEEP)
 def test_semijoin_cost_based(benchmark, annotate, rows):
     database, atoms, comparisons = semijoin_workload(rows)
     annotate(group="planner/semijoin", variant="cost-based (Yannakakis)", size=rows)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons))
+    result = benchmark(lambda: bindings(database, atoms, comparisons))
     assert result == []  # dangling tuples on both sides: the answer is empty
 
 
@@ -230,7 +212,7 @@ def test_semijoin_pr1(benchmark, annotate, rows):
     database, atoms, comparisons = semijoin_workload(rows)
     annotate(group="planner/semijoin", variant="PR 1 (full intermediate)", size=rows)
     plan = statistics_blind_plan(atoms, comparisons)
-    result = benchmark(lambda: _bindings(database, atoms, comparisons, plan))
+    result = benchmark(lambda: bindings(database, atoms, comparisons, plan))
     assert result == []
 
 
@@ -240,16 +222,13 @@ def test_semijoin_pr1(benchmark, annotate, rows):
 def _measure_pair(workload_name: str, size: int, repeats: int = 3):
     """Time the PR 1 planner and the cost-based planner on one workload size."""
     database, atoms, comparisons = WORKLOADS[workload_name](size)
-    start = time.perf_counter()
-    baseline = _bindings(database, atoms, comparisons, statistics_blind_plan(atoms, comparisons))
-    baseline_seconds = time.perf_counter() - start
-
-    planned_seconds = float("inf")
-    planned = None
-    for _ in range(repeats):  # best-of-N shields the fast path from scheduler noise
-        start = time.perf_counter()
-        planned = _bindings(database, atoms, comparisons)
-        planned_seconds = min(planned_seconds, time.perf_counter() - start)
+    baseline_seconds, baseline = time_callable(
+        lambda: bindings(database, atoms, comparisons, statistics_blind_plan(atoms, comparisons))
+    )
+    # best-of-N shields the fast path from scheduler noise
+    planned_seconds, planned = time_callable(
+        lambda: bindings(database, atoms, comparisons), repeat=repeats
+    )
 
     return {
         "workload": workload_name,
@@ -282,16 +261,11 @@ def run_sweep(
     }
 
 
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
-
-
 @pytest.mark.bench_full  # wall-clock assertion at the largest size: not a smoke test
 def test_cost_based_beats_pr1_by_5x_at_largest_size(record_property):
     """Acceptance gate: ≥5x end-to-end speedup at the largest range-heavy size."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     largest = report["range_results"][-1]
     for key, value in largest.items():
         record_property(key, value)
@@ -305,27 +279,5 @@ def test_cost_based_beats_pr1_by_5x_at_largest_size(record_property):
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for series in ("range_results", "ordering_results", "semijoin_results"):
-        for row in report[series]:
-            print(
-                f"{row['workload']:<9} n={row['size']:>5}  pr1={row['pr1_seconds']:.4f}s  "
-                f"cost-based={row['cost_based_seconds']:.4f}s  "
-                f"speedup={row['speedup']:.1f}x  identical={row['identical_results']}"
-            )
-    print(f"speedup at largest range-heavy size: {report['speedup_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

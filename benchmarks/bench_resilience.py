@@ -41,13 +41,11 @@ The smallest sweep size below is auto-registered under the ``bench_smoke``
 marker by ``benchmarks/conftest.py`` (sweeps are listed ascending).
 """
 
-import argparse
-import json
-import pathlib
-import time
+import contextlib
 
 import pytest
 
+from repro.bench.harness import time_callable
 from repro.resilience import FaultPlan, FaultRule, chaos
 from repro.serving import (
     ResilienceConfig,
@@ -56,6 +54,8 @@ from repro.serving import (
     build_trace,
     execute_request,
 )
+
+from _report import REPO_ROOT, replay, run_cli, write_report
 
 # (num_items, num_rounds, batch_size) triples, ascending.  Poison cost grows
 # cubically with num_items (the size-3 lattice), which is the whole point.
@@ -82,44 +82,35 @@ FAULT_RATE = 0.2
 #: The least one poison request may cost at the largest sweep size.
 POISON_TARGET_S = SLA_S
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_resilience.json"
+RESULTS_PATH = REPO_ROOT / "BENCH_resilience.json"
 
 
 # ---------------------------------------------------------------------------
 # Trace replay drivers (shared by the pytest benchmarks and the gate)
 # ---------------------------------------------------------------------------
-def _replay(server, trace, fault_seed=None):
-    """Replay every round, optionally under a per-replica chaos schedule.
+def _faults(fault_seed):
+    """The per-round chaos schedule of a replica (none without a seed).
 
-    Deltas commit outside the chaos scope: the schedule attacks the serving
-    path only, so both replicas (and the fault-free reference) walk the
-    identical epoch history and answers stay positionally comparable.
+    :func:`replay` commits deltas outside it: the schedule attacks the
+    serving path only, so both replicas (and the fault-free reference) walk
+    the identical epoch history and answers stay positionally comparable.
     """
-    results = []
-    for delta, requests in trace.rounds:
-        if delta:
-            server.apply(list(delta))
-        if fault_seed is None:
-            results.extend(server.serve_batch(requests))
-        else:
-            plan = FaultPlan(
-                {"serving.worker": FaultRule(rate=FAULT_RATE)}, seed=fault_seed
-            )
-            with chaos(plan):
-                results.extend(server.serve_batch(requests))
-    return results
+    if fault_seed is None:
+        return contextlib.nullcontext
+    return lambda: chaos(
+        FaultPlan({"serving.worker": FaultRule(rate=FAULT_RATE)}, seed=fault_seed)
+    )
 
 
 def _run_unguarded(num_items, num_rounds, batch_size, fault_seed=None):
     trace = build_overload_trace(num_items, num_rounds, batch_size, seed=num_items)
-    return _replay(SnapshotServer(trace.problem), trace, fault_seed=fault_seed)
+    return replay(SnapshotServer(trace.problem), trace, _faults(fault_seed))
 
 
 def _run_guarded(num_items, num_rounds, batch_size, fault_seed=None):
     trace = build_overload_trace(num_items, num_rounds, batch_size, seed=num_items)
     server = SnapshotServer(trace.problem, resilience=GUARD)
-    return _replay(server, trace, fault_seed=fault_seed)
+    return replay(server, trace, _faults(fault_seed))
 
 
 def _goodput(results, reference, wall_seconds, sla_s=SLA_S):
@@ -191,9 +182,7 @@ def _poison_seconds(num_items):
     pinned = trace.problem.pinned()
     poison, cheap = trace.rounds[0][1][0], trace.rounds[0][1][-1]
     execute_request(pinned, cheap)  # the epoch's one-off work (Q(D), witness index)
-    start = time.perf_counter()
-    execute_request(pinned, poison)
-    return time.perf_counter() - start
+    return time_callable(lambda: execute_request(pinned, poison))[0]
 
 
 def _measure_pair(num_items, num_rounds, batch_size):
@@ -203,13 +192,12 @@ def _measure_pair(num_items, num_rounds, batch_size):
         for result in _run_unguarded(num_items, num_rounds, batch_size)
     ]
 
-    start = time.perf_counter()
-    unguarded = _run_unguarded(num_items, num_rounds, batch_size, fault_seed=num_items)
-    unguarded_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    guarded = _run_guarded(num_items, num_rounds, batch_size, fault_seed=num_items)
-    guarded_seconds = time.perf_counter() - start
+    unguarded_seconds, unguarded = time_callable(
+        lambda: _run_unguarded(num_items, num_rounds, batch_size, fault_seed=num_items)
+    )
+    guarded_seconds, guarded = time_callable(
+        lambda: _run_guarded(num_items, num_rounds, batch_size, fault_seed=num_items)
+    )
 
     unguarded_goodput = _goodput(unguarded, reference, unguarded_seconds)
     guarded_goodput = _goodput(guarded, reference, guarded_seconds)
@@ -238,9 +226,9 @@ def _measure_pair(num_items, num_rounds, batch_size):
 def _knobs_off_identical():
     """An all-default ResilienceConfig must serve bit-identically to none."""
     trace = build_trace(25, 3, 10, seed=4)
-    plain = _replay(SnapshotServer(trace.problem), trace)
+    plain = replay(SnapshotServer(trace.problem), trace)
     trace2 = build_trace(25, 3, 10, seed=4)
-    armed = _replay(SnapshotServer(trace2.problem, resilience=ResilienceConfig()), trace2)
+    armed = replay(SnapshotServer(trace2.problem, resilience=ResilienceConfig()), trace2)
     return [(r.epoch, r.answer, r.ok) for r in plain] == [
         (r.epoch, r.answer, r.ok) for r in armed
     ]
@@ -261,16 +249,11 @@ def run_sweep(sizes=tuple(OVERLOAD_SWEEP)):
     }
 
 
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
-
-
 @pytest.mark.bench_full  # wall-clock assertion at the largest size: not a smoke test
 def test_guarded_goodput_beats_unguarded_by_5x(record_property):
     """Acceptance gate: ≥5x goodput over the unguarded server under attack."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     assert report["knobs_off_identical"], (
         "ResilienceConfig() with every knob off changed the served answers"
     )
@@ -289,31 +272,5 @@ def test_guarded_goodput_beats_unguarded_by_5x(record_property):
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for row in report["results"]:
-        print(
-            f"n={row['num_items']:>3} rounds={row['num_rounds']:>2} "
-            f"batch={row['batch_size']:>3}  poison={row['poison_s'] * 1e3:.0f}ms  "
-            f"unguarded={row['unguarded_goodput_per_s']:>7.1f}/s "
-            f"({row['unguarded_seconds']:.3f}s, errors={row['unguarded_errors']})  "
-            f"guarded={row['guarded_goodput_per_s']:>7.1f}/s "
-            f"({row['guarded_seconds']:.3f}s, errors={row['guarded_errors']})  "
-            f"ratio={row['goodput_ratio']:.1f}x"
-        )
-    print(f"knobs-off identical: {report['knobs_off_identical']}")
-    print(f"goodput ratio at largest trace: {report['goodput_ratio_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

@@ -32,13 +32,9 @@ marker by ``benchmarks/conftest.py`` (sweeps are listed ascending), so CI's
 smoke pass exercises both servers end to end.
 """
 
-import argparse
-import json
-import pathlib
-import time
-
 import pytest
 
+from repro.bench.harness import time_callable
 from repro.serving import (
     GlobalLockServer,
     SnapshotServer,
@@ -46,34 +42,25 @@ from repro.serving import (
     latency_percentiles,
 )
 
+from _report import REPO_ROOT, replay, run_cli, write_report
+
 # (num_items, num_rounds, batch_size) triples, ascending.
 SERVE_SWEEP = [(40, 2, 12), (80, 4, 32), (120, 6, 48)]
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_PATH = _REPO_ROOT / "BENCH_serving.json"
+RESULTS_PATH = REPO_ROOT / "BENCH_serving.json"
 
 
 # ---------------------------------------------------------------------------
 # Trace replay drivers (shared by the pytest benchmarks and the gate)
 # ---------------------------------------------------------------------------
-def _replay(server, trace):
-    """Replay every round; return the per-request (epoch, answer) sequence."""
-    results = []
-    for delta, requests in trace.rounds:
-        if delta:
-            server.apply(list(delta))
-        results.extend(server.serve_batch(requests))
-    return results
-
-
 def _run_snapshot(num_items, num_rounds, batch_size):
     trace = build_trace(num_items, num_rounds, batch_size, seed=num_items)
-    return _replay(SnapshotServer(trace.problem), trace)
+    return replay(SnapshotServer(trace.problem), trace)
 
 
 def _run_global_lock(num_items, num_rounds, batch_size):
     trace = build_trace(num_items, num_rounds, batch_size, seed=num_items)
-    return _replay(GlobalLockServer(trace.problem), trace)
+    return replay(GlobalLockServer(trace.problem), trace)
 
 
 def _answer_sequence(results):
@@ -115,13 +102,12 @@ def test_global_lock_server_trace(benchmark, annotate, num_items, num_rounds, ba
 # ---------------------------------------------------------------------------
 def _measure_pair(num_items, num_rounds, batch_size):
     """Replay the identical trace through both servers and compare answers."""
-    start = time.perf_counter()
-    baseline_results = _run_global_lock(num_items, num_rounds, batch_size)
-    baseline_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    snapshot_results = _run_snapshot(num_items, num_rounds, batch_size)
-    snapshot_seconds = time.perf_counter() - start
+    baseline_seconds, baseline_results = time_callable(
+        lambda: _run_global_lock(num_items, num_rounds, batch_size)
+    )
+    snapshot_seconds, snapshot_results = time_callable(
+        lambda: _run_snapshot(num_items, num_rounds, batch_size)
+    )
 
     num_requests = num_rounds * batch_size
     latency = latency_percentiles(snapshot_results)
@@ -156,16 +142,11 @@ def run_sweep(sizes=tuple(SERVE_SWEEP)):
     }
 
 
-def write_report(report, path=RESULTS_PATH):
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
-
-
 @pytest.mark.bench_full  # wall-clock assertion at the largest size: not a smoke test
 def test_serving_beats_global_lock_by_5x_at_largest_size(record_property):
     """Acceptance gate: ≥5x end-to-end over the global-lock baseline."""
     report = run_sweep()
-    write_report(report)
+    write_report(report, RESULTS_PATH)
     largest = report["results"][-1]
     for key, value in largest.items():
         record_property(key, value)
@@ -178,30 +159,5 @@ def test_serving_beats_global_lock_by_5x_at_largest_size(record_property):
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help=f"write the machine-readable sweep report to {RESULTS_PATH.name}",
-    )
-    args = parser.parse_args()
-    report = run_sweep()
-    for row in report["results"]:
-        print(
-            f"n={row['num_items']:>3} rounds={row['num_rounds']:>2} "
-            f"batch={row['batch_size']:>3}  lock={row['baseline_seconds']:.4f}s  "
-            f"snapshot={row['snapshot_seconds']:.4f}s  "
-            f"speedup={row['speedup']:.1f}x  "
-            f"p50={row['snapshot_p50_latency_s'] * 1000:.1f}ms  "
-            f"p99={row['snapshot_p99_latency_s'] * 1000:.1f}ms  "
-            f"identical={row['identical_results']}"
-        )
-    print(f"speedup at largest trace: {report['speedup_at_largest']:.1f}x")
-    if args.json:
-        path = write_report(report)
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    run_cli(run_sweep, RESULTS_PATH, __doc__)

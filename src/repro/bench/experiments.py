@@ -526,20 +526,25 @@ def run_exp_adjustment(quick: bool = True) -> ExperimentResult:
                 allow_deletions=False,
             )
 
-        row, _ = _timed_row(f"|D′| = {pool}", pool, solve)
+        row, adjustment = _timed_row(f"|D′| = {pool}", pool, solve)
+        row.work = adjustment.adjustments_tried
         item_report.add(row)
 
     result.reports = [package_report, item_report]
     package_ratio = package_report.doubling_ratio() or 0.0
-    item_ratio = item_report.doubling_ratio() or 0.0
+    # Single-shot timings of ~1 ms are timer noise; the counter is the shape.
+    tries = [int(row.work) for row in item_report.rows]
+    item_ratio = sum(b / a for a, b in zip(tries, tries[1:])) / (len(tries) - 1)
     result.add_observation(
         f"package ARPP cost multiplies by ≈{package_ratio:.1f}× per extra encoded variable — the "
         "search over adjustments is exponential in the data parameter",
         agrees=package_ratio > 1.2,
     )
     result.add_observation(
-        f"item ARPP also keeps growing with |D′| (≈{item_ratio:.1f}× per step): restricting to items "
-        "does **not** tame ARPP, unlike every other problem — the paper's Corollary 8.2 anomaly",
+        f"item ARPP also keeps growing with |D′|: {'/'.join(map(str, tries))} adjustments tried for "
+        f"|D′| = {'/'.join(map(str, pool_sizes))} (≈{item_ratio:.2f}× per step; the search stops at "
+        "the first adjustment that reaches the bound) — restricting to items does **not** tame "
+        "ARPP, unlike every other problem: the paper's Corollary 8.2 anomaly",
         agrees=item_ratio > 1.0,
     )
     return result

@@ -404,9 +404,6 @@ class _WitnessIndex(NamedTuple):
     so every verdict goes to the probe path.
     """
 
-    #: The registered ``Q(D)`` relation this slot was last looked up for
-    #: (``None``: no index has been looked for since the last drop).
-    source: Optional[Relation]
     #: The rows of ``Q(D)`` at build time; only packages within them are served.
     rows: FrozenSet[Row]
     #: Each item's witness sets (``None``: declined).
@@ -430,7 +427,7 @@ class _WitnessIndex(NamedTuple):
 
 
 #: The slot of an oracle that has not looked for an index yet.
-_UNBUILT = _WitnessIndex(None, frozenset(), None)
+_UNBUILT = _WitnessIndex(frozenset(), None)
 
 
 def _row_of(atom):
@@ -455,7 +452,7 @@ def _build_witness_index(
     or cancellation propagates; nothing is kept of an unfinished build.
     """
     rows = answers.rows()
-    declined = _WitnessIndex(answers, rows, None)
+    declined = _WitnessIndex(rows, None)
     answer = Relation(answers.schema.rename(answer_name))
     answer.replace_rows(rows)
     extra = {answer_name: answer}
@@ -470,7 +467,7 @@ def _build_witness_index(
             with closing(bindings):
                 for binding in bindings:
                     if not placed:
-                        return _WitnessIndex(answers, rows, {}, always=True, size=1)
+                        return _WitnessIndex(rows, {}, always=True, size=1)
                     witnesses.add(frozenset([row(binding) for row in placed]))
                     if len(witnesses) > WITNESS_CAP:
                         return declined
@@ -483,7 +480,6 @@ def _build_witness_index(
         for item in witness:
             by_item.setdefault(item, []).append(witness)
     return _WitnessIndex(
-        answers,
         rows,
         {item: tuple(sets) for item, sets in by_item.items()},
         size=len(witnesses),
@@ -671,21 +667,16 @@ class CompatibilityOracle:
             deadline.check()  # expired while waiting
             return self._witness
         try:
-            answers = self._registered
-            current = self._witness
-            if current.source is answers:
-                return current  # looked up while this thread waited
-            if current is _UNBUILT:
-                try:
-                    index = self._build_index(answers)
-                except ResilienceError:
-                    # Interrupted: declined until the footprint changes, so a
-                    # deadline shorter than the build fails one request, not
-                    # every request that would retry it.
-                    self._witness = _WitnessIndex(answers, frozenset(), None)
-                    raise
-            else:
-                index = current._replace(source=answers)  # at most one build
+            if self._witness is not _UNBUILT:
+                return self._witness  # built while this thread waited
+            try:
+                index = self._build_index(self._registered)
+            except ResilienceError:
+                # Interrupted: declined until the footprint changes, so a
+                # deadline shorter than the build fails one request, not
+                # every request that would retry it.
+                self._witness = _WitnessIndex(frozenset(), None)
+                raise
             self._witness = index
             return index
         finally:
@@ -695,7 +686,7 @@ class CompatibilityOracle:
         """A fresh index over ``answers``, or a decline for a non-servable ``Qc``."""
         disjuncts = _witness_disjuncts(self.constraint.query)
         if disjuncts is None:
-            return _WitnessIndex(answers, answers.rows(), None)
+            return _WitnessIndex(answers.rows(), None)
         span = _tracing.begin("witness_build")
         try:
             with deadline_scope(_build_deadline()):
@@ -715,7 +706,7 @@ class CompatibilityOracle:
     def _witness_verdict(self, items: FrozenSet[Row], tally: _Tally) -> Optional[bool]:
         """The witness-served verdict, or ``None`` when the path declines."""
         index = self._witness
-        if index.source is not self._registered:
+        if index is _UNBUILT and self._registered is not None:
             index = self._witness_index()
         if index.by_item is None or not items <= index.rows:
             tally.witness_declines += 1

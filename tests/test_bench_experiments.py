@@ -13,6 +13,7 @@ from repro.bench import (
 )
 from repro.bench.experiments import (
     run_exp_ablations,
+    run_exp_adjustment,
     run_exp_figure_4_1,
     run_exp_special_cases,
     run_exp_travel_example,
@@ -57,6 +58,16 @@ class TestIndividualExperiments:
         labels = {row.label for row in result.reports[0].rows}
         assert "exhaustive, pruning off" in labels
         assert "greedy heuristic" in labels
+
+
+    def test_item_adjustment_rows_carry_the_tries_counter(self):
+        """EXP-S8 judges item ARPP on ``adjustments_tried``, not on ~1 ms timings."""
+        result = run_exp_adjustment(quick=True)
+        item_rows = result.reports[1].rows
+        assert [row.size for row in item_rows] == [4, 6, 8]
+        assert all(row.work is not None and row.work > 0 for row in item_rows)
+        tries = "/".join(f"{row.work:.0f}" for row in item_rows)
+        assert f"{tries} adjustments tried" in result.observations[1]
 
 
 class TestRunner:

@@ -23,6 +23,10 @@ A fourth guard keeps one verdict entry point: the lattice walk reaches
 compatibility only through ``oracle.is_satisfied`` (plus the oracle's walk
 bracket, which only accounts), never through the constraint, the memo or the
 witness index directly.
+
+A fifth guard keeps the benchmark report plumbing in one place: no
+``benchmarks/bench_*.py`` module defines ``write_report`` or ``main`` or
+imports ``argparse``; the report writers share ``benchmarks/_report.py``.
 """
 
 from __future__ import annotations
@@ -297,3 +301,65 @@ def test_the_verdict_guard_itself_detects_a_bypass():
         "        return self.oracle._witness\n"
     )
     assert _walk_verdict_bypasses(clean) == []
+
+
+BENCH_ROOT = SRC_ROOT.parent.parent / "benchmarks"
+
+#: What a report writer takes from ``benchmarks/_report.py`` instead of
+#: defining it again.
+REPORT_PLUMBING = frozenset({"write_report", "main"})
+
+
+def _report_plumbing(tree: ast.AST):
+    """``line:what`` for each ``write_report``/``main`` definition and ``argparse`` import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in REPORT_PLUMBING:
+                found.append(f"{node.lineno}:def {node.name}")
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "argparse" for alias in node.names):
+                found.append(f"{node.lineno}:import argparse")
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "argparse":
+                found.append(f"{node.lineno}:import argparse")
+    return found
+
+
+def test_bench_modules_share_one_report_helper():
+    offences = []
+    modules = sorted(BENCH_ROOT.glob("bench_*.py"))
+    assert modules, f"no benchmark modules found under {BENCH_ROOT}"
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(f"{path.name}:{offence}" for offence in _report_plumbing(tree))
+    assert not offences, (
+        "benchmark modules must write reports and parse their command line "
+        "through benchmarks/_report.py (write_report, run_cli): " + ", ".join(offences)
+    )
+
+
+def test_the_report_guard_itself_detects_copied_plumbing():
+    """The guard must fire on a module carrying its own CLI and report writer."""
+    copied = ast.parse(
+        "import argparse\n"
+        "from argparse import ArgumentParser\n"
+        "def write_report(report, path):\n"
+        "    path.write_text(str(report))\n"
+        "def main():\n"
+        "    argparse.ArgumentParser().parse_args()\n"
+    )
+    assert _report_plumbing(copied) == [
+        "1:import argparse",
+        "2:import argparse",
+        "3:def write_report",
+        "5:def main",
+    ]
+    clean = ast.parse(
+        "from _report import REPO_ROOT, run_cli, write_report\n"
+        "def run_sweep():\n"
+        "    return {}\n"
+        "if __name__ == '__main__':\n"
+        "    run_cli(run_sweep, REPO_ROOT / 'BENCH_x.json', __doc__)\n"
+    )
+    assert _report_plumbing(clean) == []
