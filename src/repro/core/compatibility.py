@@ -37,7 +37,9 @@ probe is itself a query evaluation.  The oracle avoids them in two ways:
   a package outside the indexed ``Q(D)``, or an index the oracle declined
   to build (:data:`WITNESS_CAP`, :data:`WITNESS_STEP_LIMIT`, a build that
   raised or was interrupted) — goes through the constraint's own probe once
-  per package item-set and is memoized.
+  per package item-set and is memoized.  For a query ``Qc`` the probe is
+  one full evaluation with ``RQ := N``, so it equals the copying reference
+  (:meth:`QueryConstraint.is_satisfied_copying`).
 
 The oracle re-checks the database on every verdict (it compares
 :meth:`~repro.relational.database.Database.version` snapshots) and drops
@@ -47,7 +49,6 @@ same database is always safe.
 
 from __future__ import annotations
 
-import inspect
 import threading
 from contextlib import closing
 from dataclasses import dataclass
@@ -58,11 +59,10 @@ from repro.core.packages import Package
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.queries.ast import Var
-from repro.queries.base import Query
+from repro.queries.base import Query, takes_parameter
 from repro.queries.bindings import StepCounter, enumerate_bindings
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.efo import PositiveExistentialQuery
-from repro.queries.plan import statistics_key
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import ReproError
@@ -127,138 +127,27 @@ class EmptyConstraint(CompatibilityConstraint):
         return "Qc absent (empty query)"
 
 
-def _parameters(function) -> FrozenSet[str]:
-    """The parameter names of ``function`` (empty when it cannot be inspected)."""
-    try:
-        return frozenset(inspect.signature(function).parameters)
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return frozenset()
-
-
-class _CompiledProbe:
-    """The production ``Qc(N, D) = ∅`` test of one :class:`QueryConstraint`.
-
-    The constraint hands it the candidate package as a fresh answer
-    relation, which it overlays on the database by name through
-    ``extra_relations``.  Compiled once per ``(query, answer-relation
-    name)``:
-
-    * **Early exit.**  When the query class offers
-      ``is_satisfiable_on(database, counter, extra_relations, stats_key)``
-      (CQ, UCQ and ∃FO⁺ do), the verdict stops at the first violating
-      binding instead of materialising ``Qc``'s whole answer.  Any other
-      class evaluates its full answer through the overlay.
-    * **One answer schema.**  The renamed ``RQ`` schema is kept for the
-      packages' schema and rebuilt only when a package arrives over
-      another one.
-    * **Plans without statistics.**  The plan-cache key names the answer
-      relation by its size class (the package size, at most the size
-      bound) and the base relations by the pinned epoch — which the plan
-      cache already keys snapshots on — or, on a live database, by their
-      statistics key computed once per database version.  A cache hit
-      therefore gathers no statistics; plans still go through the bounded
-      :func:`~repro.queries.plan.cached_plan` LRU.
-
-    Thread-safe: the two memo slots are immutable tuples replaced whole, and
-    a racing reader at worst recomputes one.
-    """
-
-    __slots__ = ("query", "answer_name", "overlay", "early_exit", "counted", "_schema", "_base")
-
-    def __init__(self, query: Query, answer_name: str) -> None:
-        self.query = query
-        self.answer_name = answer_name
-        evaluate_parameters = _parameters(query.evaluate)
-        #: Whether ``query.evaluate`` takes the ``extra_relations`` overlay.
-        #: Every shipped query class does; a user subclass implementing only
-        #: the base ``evaluate(database)`` signature gets the copying reference.
-        self.overlay = "extra_relations" in evaluate_parameters
-        self.counted = "counter" in evaluate_parameters
-        satisfiable = getattr(query, "is_satisfiable_on", None)
-        self.early_exit = self.overlay and satisfiable is not None and {
-            "counter",
-            "extra_relations",
-            "stats_key",
-        } <= _parameters(satisfiable)
-        self._schema: Tuple = (None, None)
-        self._base: Tuple = (None, None, ())
-
-    def answer_schema(self, schema: RelationSchema) -> RelationSchema:
-        """``schema`` renamed to the answer relation, reused across probes."""
-        source, renamed = self._schema
-        if source is not schema:
-            renamed = schema.rename(self.answer_name)
-            self._schema = (schema, renamed)
-        return renamed
-
-    def fresh_answer(self, package: Package) -> Relation:
-        """A per-call answer relation holding the package (trusted rows)."""
-        answer = Relation(self.answer_schema(package.schema))
-        answer.replace_rows(package.items)
-        return answer
-
-    def _base_key(self, database: Database) -> Tuple:
-        """The base relations' component of the plan-cache key."""
-        if getattr(database, "plan_epoch", None) is not None:
-            return ()  # the epoch, already in the key, fixes every base relation
-        version = database.version()
-        source, seen, key = self._base
-        if source is not database or seen != version:
-            names = self.query.relations_used() - {self.answer_name}
-            key = statistics_key(
-                {
-                    name: database.relation(name).statistics()
-                    for name in names
-                    if name in database
-                }
-            )
-            self._base = (database, version, key)
-        return key
-
-    def violated(
-        self, database: Database, answer: Relation, counter: Optional[StepCounter] = None
-    ) -> bool:
-        """Whether ``Qc`` has an answer over ``database`` with ``answer`` as ``RQ``."""
-        extra = {self.answer_name: answer}
-        if self.early_exit:
-            return self.query.is_satisfiable_on(
-                database,
-                counter=counter,
-                extra_relations=extra,
-                stats_key=(self.answer_name, len(answer), self._base_key(database)),
-            )
-        if self.counted:
-            return len(self.query.evaluate(database, counter=counter, extra_relations=extra)) > 0
-        return len(self.query.evaluate(database, extra_relations=extra)) > 0
-
-
 @dataclass
 class QueryConstraint(CompatibilityConstraint):
     """``Qc(N, D) = ∅`` with ``Qc`` a query mentioning ``RQ`` and the database.
 
-    The candidate package is materialised as a fresh answer relation named
-    after ``Qc``'s answer relation (``RQ`` by default, or the name of the
-    relation the constraint's atoms actually reference) and overlaid on the
-    database by name.  :meth:`is_satisfied` has one probe path, the
-    compiled probe (:class:`_CompiledProbe`), which stops at the first
-    violating binding of a CQ, UCQ or ∃FO⁺ ``Qc`` and plans without
-    gathering statistics.  A probe never mutates the database, and the
-    constraint's only state is its compiled probe, so any number of reader
-    threads may probe one constraint concurrently.
+    :meth:`is_satisfied` materialises the candidate package as a fresh
+    answer relation named after ``Qc``'s answer relation (``RQ`` by default,
+    or the name of the relation the constraint's atoms actually reference),
+    overlays it on the database by name through ``extra_relations``, and
+    evaluates ``Qc`` once, in full.  The verdict therefore equals the
+    reference's on every package, and the probe raises where the reference
+    raises (a mixed-type comparison, the ambient request deadline or step
+    budget), up to the join-order carve-out on malformed data that
+    :mod:`repro.queries.plan` describes.  A probe never mutates the database, and the
+    constraint's only state is the renamed answer schema, so any number of
+    reader threads may probe one constraint concurrently.
 
     The historical probe (materialise the package, copy the database, and
     evaluate the whole answer) is retained as :meth:`is_satisfied_copying`:
     it is the reference the differential coverage and the enumeration
     benchmark's pre-engine baseline compare against, and the fallback for a
     query class whose ``evaluate`` does not take ``extra_relations``.
-
-    :meth:`is_satisfied` takes an optional
-    :class:`~repro.queries.bindings.StepCounter`, which the compiled probe
-    ticks (the copying fallback does not); the ambient request deadline is
-    honoured either way.  Verdicts equal the reference's wherever the
-    reference returns; the early exit evaluates fewer bindings, so an error
-    a later binding would raise in the full evaluation (a mixed-type
-    comparison, a step limit) may not be raised.
 
     Inside a search, most verdicts never reach :meth:`is_satisfied`: for a
     ``Qc`` of the shipped :class:`~repro.queries.cq.ConjunctiveQuery`,
@@ -273,25 +162,34 @@ class QueryConstraint(CompatibilityConstraint):
     query: Query
     answer_relation: str = "RQ"
 
-    def _compiled(self) -> _CompiledProbe:
-        """The compiled probe, rebuilt if ``query`` or the name changed."""
-        probe = getattr(self, "_probe", None)
-        if (
-            probe is None
-            or probe.query is not self.query
-            or probe.answer_name != self.answer_relation
-        ):
-            probe = _CompiledProbe(self.query, self.answer_relation)
-            self._probe = probe
-        return probe
+    def _answer_schema(self, schema: RelationSchema) -> Optional[RelationSchema]:
+        """``schema`` renamed to the answer relation; ``None`` without the overlay.
 
-    def is_satisfied(
-        self, package: Package, database: Database, counter: Optional[StepCounter] = None
-    ) -> bool:
-        probe = self._compiled()
-        if not probe.overlay:
+        Computed once per ``(query, answer name, package schema)`` and kept
+        as one immutable tuple replaced whole, so a racing reader at worst
+        recomputes it.
+        """
+        memo = getattr(self, "_overlay", None)
+        if (
+            memo is None
+            or memo[0] is not self.query
+            or memo[1] != self.answer_relation
+            or memo[2] is not schema
+        ):
+            overlay = takes_parameter(self.query.evaluate, "extra_relations")
+            renamed = schema.rename(self.answer_relation) if overlay else None
+            memo = (self.query, self.answer_relation, schema, renamed)
+            self._overlay = memo
+        return memo[3]
+
+    def is_satisfied(self, package: Package, database: Database) -> bool:
+        schema = self._answer_schema(package.schema)
+        if schema is None:
             return self.is_satisfied_copying(package, database)
-        return not probe.violated(database, probe.fresh_answer(package), counter)
+        answer = Relation(schema)
+        answer.replace_rows(package.items)
+        extra = {self.answer_relation: answer}
+        return len(self.query.evaluate(database, extra_relations=extra)) == 0
 
     def is_satisfied_copying(self, package: Package, database: Database) -> bool:
         """The historical per-probe copy path, kept as the reference semantics."""
@@ -550,8 +448,8 @@ class CompatibilityOracle:
       registered at all;
     * a build that finds more than :data:`WITNESS_CAP` witness sets, takes
       more than :data:`WITNESS_STEP_LIMIT` steps, or raises (a mixed-type
-      comparison, for one: the probe then raises, or not, as it always
-      did);
+      comparison, for one: the probe, which equals the reference, then
+      raises where the reference raises);
     * a build that the request's deadline or cancellation interrupts.  The
       error propagates, and nothing of the build is kept.
 
@@ -562,9 +460,11 @@ class CompatibilityOracle:
     a request whose budget fits the probes it would make fits the witness
     path as well.
 
-    **The memo.**  Declined verdicts are keyed by the package's item-set
-    (plus its answer-schema attribute names, which constraints may address):
-    two packages with the same items always receive the same verdict, so the
+    **The memo.**  Declined verdicts go to the constraint's probe — for a
+    :class:`QueryConstraint` one evaluation of ``Qc``, equal to the copying
+    reference — and are keyed by the package's item-set (plus its
+    answer-schema attribute names, which constraints may address): two
+    packages with the same items always receive the same verdict, so the
     second probe is a dictionary hit instead of a constraint evaluation.
 
     The oracle snapshots the database's version on creation and re-checks it

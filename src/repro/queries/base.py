@@ -11,12 +11,27 @@ as a relation named :attr:`Query.answer_name` before evaluating ``Qc``.
 from __future__ import annotations
 
 import abc
+import inspect
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.relational.database import Database, Relation, Row
 from repro.relational.schema import RelationSchema
 
 DEFAULT_ANSWER_NAME = "RQ"
+
+
+def takes_parameter(function, name: str) -> bool:
+    """Whether ``function`` declares a parameter called ``name``.
+
+    The shipped query classes' ``evaluate`` takes ``counter`` and
+    ``extra_relations``; a user subclass may implement only the base
+    ``evaluate(database)``.  Callers decide from the signature, never by
+    catching a ``TypeError``, which the evaluation itself may raise.
+    """
+    try:
+        return name in inspect.signature(function).parameters
+    except (TypeError, ValueError):  # pragma: no cover - exotic callables
+        return False
 
 
 class Query(abc.ABC):

@@ -441,42 +441,36 @@ def resolve_plan(
     bound_names: FrozenSet[str] = frozenset(),
     *,
     lookup=None,
-    stats_key: Optional[Tuple] = None,
 ) -> JoinPlan:
     """The plan :func:`enumerate_bindings` runs when it is not handed one.
 
     Served from the plan cache (:func:`~repro.queries.plan.cached_plan`),
-    costed with the relations' statistics when every relation provides them
-    and in the statistics-blind order otherwise.  ``lookup`` resolves a
-    relation name (``database.relation`` by default); with ``stats_key`` the
-    statistics are gathered only when the cache misses.  EXPLAIN ANALYZE
-    resolves its plan here too, so the profiled plan is the production one.
+    keyed on and costed with the relations' current statistics when every
+    relation provides them and in the statistics-blind order otherwise.
+    ``lookup`` resolves a relation name (``database.relation`` by default).
+    EXPLAIN ANALYZE resolves its plan here too, so the profiled plan is the
+    production one.
     """
     if lookup is None:
         lookup = database.relation
     pspan = _tracing.begin("plan")
     try:
-
-        def gather_statistics() -> Optional[Dict[str, object]]:
-            gathered = {}
-            for atom in relation_atoms:
-                getter = getattr(lookup(atom.relation), "statistics", None)
-                if getter is None:
-                    return None
-                gathered[atom.relation] = getter()
-            return gathered
-
+        statistics: Optional[Dict[str, object]] = {}
+        for atom in relation_atoms:
+            getter = getattr(lookup(atom.relation), "statistics", None)
+            if getter is None:
+                statistics = None
+                break
+            statistics[atom.relation] = getter()
         return cached_plan(
             tuple(relation_atoms),
             tuple(comparisons),
             bound_names,
-            # Called by the cache on a miss only when the caller names the key.
-            statistics=gather_statistics() if stats_key is None else gather_statistics,
+            statistics=statistics,
             # Snapshots carry a (source, epoch) component so readers pinned to
             # one epoch share compiled plans without colliding across epochs;
             # the live database contributes None (unchanged keying).
             epoch=getattr(database, "plan_epoch", None),
-            stats_key=stats_key,
         )
     finally:
         _tracing.finish(pspan)
@@ -492,7 +486,6 @@ def enumerate_bindings(
     plan: Optional[JoinPlan] = None,
     *,
     step_profile=None,
-    stats_key: Optional[Tuple] = None,
 ) -> Iterator[Binding]:
     """Yield every binding satisfying all atoms, via an indexed join plan.
 
@@ -537,11 +530,6 @@ def enumerate_bindings(
         observation — candidates, matches and access kinds per plan step —
         and never consulted for any decision, so a profiled run enumerates
         exactly the same bindings.
-    stats_key:
-        A caller-computed statistics component of the plan-cache key (see
-        :func:`~repro.queries.plan.cached_plan`).  With it, the relations'
-        statistics are gathered only when the cache misses; the ``Qc``
-        probe passes one so that a hit costs no statistics at all.
     """
     counter = _deadline_guarded(counter)
     extra_relations = extra_relations or {}
@@ -563,7 +551,6 @@ def enumerate_bindings(
             comparisons,
             frozenset(base_binding),
             lookup=lookup,
-            stats_key=stats_key,
         )
     planned_comparisons = plan.comparisons
     steps = plan.steps

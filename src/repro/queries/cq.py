@@ -133,21 +133,14 @@ class ConjunctiveQuery(Query):
         database: Database,
         counter: Optional[StepCounter] = None,
         extra_relations=None,
-        stats_key: Optional[Tuple] = None,
     ) -> bool:
-        """Whether ``Q(D)`` is non-empty (early exit after the first answer).
-
-        ``counter`` and ``extra_relations`` are those of :meth:`evaluate`;
-        ``stats_key`` is passed on to
-        :func:`~repro.queries.bindings.enumerate_bindings`.
-        """
+        """Whether ``Q(D)`` is non-empty (early exit after the first answer)."""
         for _ in enumerate_bindings(
             database,
             self.atoms,
             self.comparisons,
             counter=counter,
             extra_relations=extra_relations,
-            stats_key=stats_key,
         ):
             return True
         return False

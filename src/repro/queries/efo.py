@@ -169,20 +169,9 @@ class PositiveExistentialQuery(Query):
     def contains(self, database: Database, row: Row) -> bool:
         return self.to_ucq().contains(database, row)
 
-    def is_satisfiable_on(
-        self,
-        database: Database,
-        counter: Optional[StepCounter] = None,
-        extra_relations=None,
-        stats_key: Optional[Tuple] = None,
-    ) -> bool:
-        """Whether ``Q(D)`` is non-empty, via the UCQ rewriting.
-
-        Same parameters as :meth:`ConjunctiveQuery.is_satisfiable_on`.
-        """
-        return self.to_ucq().is_satisfiable_on(
-            database, counter=counter, extra_relations=extra_relations, stats_key=stats_key
-        )
+    def is_satisfiable_on(self, database: Database) -> bool:
+        """Whether ``Q(D)`` is non-empty."""
+        return self.to_ucq().is_satisfiable_on(database)
 
     def constants(self) -> Tuple[Value, ...]:
         """All constants in the formula and head."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.queries.base import Query
+from repro.queries.base import Query, takes_parameter
 from repro.queries.bindings import StepCounter
 from repro.relational.database import Database, Row
 
@@ -23,12 +23,15 @@ def is_member(query: Query, database: Database, row: Row) -> bool:
 
 
 def answer_size(query: Query, database: Database, counter: Optional[StepCounter] = None) -> int:
-    """``|Q(D)|`` — used by workload generators and sanity checks."""
-    try:
+    """``|Q(D)|`` — used by workload generators and sanity checks.
+
+    One evaluation.  ``counter`` reaches it when the query class's
+    ``evaluate`` takes one, and is dropped for one implementing only the
+    base ``evaluate(database)``; an error the evaluation raises propagates.
+    """
+    if takes_parameter(query.evaluate, "counter"):
         return len(query.evaluate(database, counter=counter))
-    except TypeError:
-        # Query implementations that do not accept a counter argument.
-        return len(query.evaluate(database))
+    return len(query.evaluate(database))
 
 
 def is_empty(query: Query, database: Database) -> bool:

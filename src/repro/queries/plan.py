@@ -68,11 +68,11 @@ particular path builds the plan directly and passes it in as ``plan=``.
 Compiled plans are cached (:func:`cached_plan`) keyed on the conjunction, the
 pre-bound variable names and the statistics snapshot they were costed with —
 repeated solver probes of the same ``Qc`` against a database whose statistics
-have not drifted stop re-planning entirely.  The ``Qc`` probe goes one step
-further and names the statistics by a key of its own (the answer relation's
-size plus the base relations' key), so a cache hit gathers none.  A plan is semantically valid for
-*any* database (statistics only steer cost), so a cache hit can never change
-answers.
+have not drifted stop re-planning entirely.  Every lookup gathers the
+statistics it is keyed on; a relation memoizes its snapshot per version, so
+only a changed or fresh relation (a ``Qc`` probe's answer relation) computes
+one.  A plan is semantically valid for *any* database (statistics only steer
+cost), so a cache hit can never change answers.
 
 **Adding a new access path**: the multiway step above is the worked example —
 see the ROADMAP's "Adding a new access path" recipe, which walks through it
@@ -98,7 +98,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -810,7 +809,7 @@ _PLAN_CACHE_COUNTERS = {"hits": 0, "misses": 0}
 _PLAN_CACHE_LOCK = threading.Lock()
 
 
-def _quantized_stats_key(stats: RelationStatistics) -> Tuple:
+def _quantized_statistics(stats: RelationStatistics) -> Tuple:
     """A log2-bucketed rendering of a statistics snapshot, for cache keying.
 
     Cost-based choices are stable under small cardinality drift, so keying
@@ -831,18 +830,12 @@ def _quantized_stats_key(stats: RelationStatistics) -> Tuple:
     )
 
 
-def statistics_key(statistics: Mapping[str, RelationStatistics]) -> Tuple:
-    """The plan-cache key component of a statistics snapshot (order-free)."""
-    return tuple(sorted(_quantized_stats_key(stats) for stats in statistics.values()))
-
-
 def cached_plan(
     relation_atoms: Tuple[RelationAtom, ...],
     comparisons: Tuple[Comparison, ...],
     bound_names: FrozenSet[str],
-    statistics: "Optional[Mapping[str, RelationStatistics] | Callable]" = None,
+    statistics: Optional[Mapping[str, RelationStatistics]] = None,
     epoch: Optional[Tuple] = None,
-    stats_key: Optional[Tuple] = None,
 ) -> JoinPlan:
     """:func:`plan_conjunction` behind an LRU keyed on its semantic inputs.
 
@@ -851,7 +844,9 @@ def cached_plan(
     statistics drift across a power-of-two bucket, and identically-shaped
     databases share plans.  Safe by construction — a compiled plan answers
     correctly on any database; a stale or colliding entry can only cost time,
-    never answers.
+    never answers.  ``statistics`` is a mapping from relation name to its
+    snapshot, which both keys the entry and costs a plan compiled on a miss,
+    or ``None`` for the statistics-blind order.
 
     ``epoch`` is the snapshot-isolation component: a
     :class:`~repro.relational.database.DatabaseSnapshot` exposes
@@ -860,17 +855,13 @@ def cached_plan(
     epoch and never collide across epochs.  The live database contributes
     ``None`` (no ``plan_epoch`` attribute), preserving the PR 4-5 keying
     byte-for-byte.
-
-    ``stats_key`` is a caller-computed stand-in for the statistics component
-    of the key, for callers that can name their statistics' class without
-    gathering them: the ``Qc`` probe keys its answer relation by package size
-    and the base relations by their key at one database version.
-    ``statistics`` may then be a zero-argument callable, which is called
-    only on a miss, to cost the plan being compiled.
     """
-    if stats_key is None and statistics is not None:
-        stats_key = statistics_key(statistics)
-    key = (relation_atoms, comparisons, bound_names, stats_key, epoch)
+    quantized = (
+        tuple(sorted(_quantized_statistics(stats) for stats in statistics.values()))
+        if statistics is not None
+        else None
+    )
+    key = (relation_atoms, comparisons, bound_names, quantized, epoch)
     with _PLAN_CACHE_LOCK:
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
@@ -888,8 +879,6 @@ def cached_plan(
     active = _metrics._ACTIVE
     if active is not None:
         active.inc("plan.cache.misses")
-    if callable(statistics):
-        statistics = statistics()
     plan = plan_conjunction(relation_atoms, comparisons, bound_names, statistics=statistics)
     with _PLAN_CACHE_LOCK:
         _PLAN_CACHE[key] = plan

@@ -67,23 +67,9 @@ class UnionOfConjunctiveQueries(Query):
     def contains(self, database: Database, row: Row) -> bool:
         return any(cq.contains(database, row) for cq in self.disjuncts)
 
-    def is_satisfiable_on(
-        self,
-        database: Database,
-        counter: Optional[StepCounter] = None,
-        extra_relations=None,
-        stats_key: Optional[Tuple] = None,
-    ) -> bool:
-        """Whether ``Q(D)`` is non-empty: the first satisfiable disjunct decides.
-
-        Same parameters as :meth:`ConjunctiveQuery.is_satisfiable_on`.
-        """
-        return any(
-            cq.is_satisfiable_on(
-                database, counter=counter, extra_relations=extra_relations, stats_key=stats_key
-            )
-            for cq in self.disjuncts
-        )
+    def is_satisfiable_on(self, database: Database) -> bool:
+        """Whether ``Q(D)`` is non-empty."""
+        return any(cq.is_satisfiable_on(database) for cq in self.disjuncts)
 
     def body_size(self) -> int:
         """Total number of atoms across disjuncts."""

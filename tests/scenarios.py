@@ -545,7 +545,7 @@ def probe_path(problem: RecommendationProblem) -> RecommendationProblem:
     """``problem`` with its ``Qc`` behind a :class:`PredicateConstraint`.
 
     The oracle's witness path declines predicates, so every verdict of the
-    returned problem runs the constraint's own compiled probe (memoized as
+    returned problem runs the constraint's own probe (memoized as
     usual): the same verdicts and the same probes as before witness sets.
     For the tests that pin probe counts or probe cost.
     """

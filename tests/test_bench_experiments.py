@@ -69,6 +69,26 @@ class TestIndividualExperiments:
         tries = "/".join(f"{row.work:.0f}" for row in item_rows)
         assert f"{tries} adjustments tried" in result.observations[1]
 
+    def test_item_adjustment_verdict_needs_exponential_growth(self):
+        """The full sweep with k′ = |D′|/2 tries every adjustment: Σ_{j≤k′} C(|D′|, j)."""
+        result = run_exp_adjustment(quick=True)
+        assert [row.work for row in result.reports[1].rows] == [11, 42, 163]
+        assert result.observations[1].startswith("✓")
+
+    def test_item_adjustment_verdict_rejects_polynomial_growth(self, monkeypatch):
+        """With k′ fixed at 2 the counts are quadratic in |D′| (11/22/37): the ratio falls."""
+        import repro.bench.experiments as experiments
+
+        real = experiments.find_item_adjustment
+
+        def fixed_budget(*args, **kwargs):
+            return real(*args, **{**kwargs, "max_changes": 2})
+
+        monkeypatch.setattr(experiments, "find_item_adjustment", fixed_budget)
+        result = run_exp_adjustment(quick=True)
+        assert [row.work for row in result.reports[1].rows] == [11, 22, 37]
+        assert result.observations[1].startswith("✗")
+
 
 class TestRunner:
     def test_registry_ids_are_unique(self):
@@ -104,6 +124,16 @@ class TestRendering:
         assert "## EXP-OK — ok — something" in text
         assert "log-log growth exponent" in text
         assert "coNP-complete" in text
+
+    def test_render_adds_a_work_column_only_when_a_row_carries_work(self):
+        results = self._fake_results()
+        assert "| configuration | size | seconds |" in render_markdown(results)
+        assert "work |" not in render_markdown(results)
+        results[0].reports[0].add(MeasurementRow(label="n = 8", size=8, seconds=0.02, work=163))
+        text = render_markdown(results)
+        assert "| configuration | size | seconds | work |" in text
+        assert "| n = 8 | 8 | 0.0200 | 163 |" in text
+        assert "| n = 2 | 2 | 0.0010 | - |" in text
 
     def test_render_includes_reference_tables(self):
         text = render_markdown(self._fake_results())

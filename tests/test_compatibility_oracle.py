@@ -358,7 +358,7 @@ def test_failed_probe_leaves_the_next_verdict_correct(items_database):
 
 
 # ---------------------------------------------------------------------------
-# The compiled probe vs the copying reference, live and pinned
+# The probe vs the copying reference, live and pinned
 # ---------------------------------------------------------------------------
 def _conflict_qc_database():
     database = Database()
@@ -414,7 +414,6 @@ def test_probe_falls_back_to_copying_without_extra_relations_support():
             return getattr(self._inner, name)
 
     constraint = QueryConstraint(_BareQuery(qc))
-    assert constraint._compiled().overlay is False
     for target in (database, database.snapshot()):
         assert constraint.is_satisfied(_package(database, 1, 3), target) is False
         assert constraint.is_satisfied(_package(database, 1, 2), target) is True

@@ -1,27 +1,28 @@
-"""The compiled ``Qc`` probe against the copying reference.
+"""The ``Qc`` probe against the copying reference.
 
-:class:`~repro.core.compatibility.QueryConstraint` answers every probe through
-one compiled probe that stops at the first violating binding and plans
-without gathering statistics.  Its verdict must equal :meth:`QueryConstraint.is_satisfied_copying`
+:class:`~repro.core.compatibility.QueryConstraint` answers every probe by
+overlaying the candidate package as ``RQ`` and evaluating ``Qc`` once, in
+full.  Its verdict must equal :meth:`QueryConstraint.is_satisfied_copying`
 — a fresh relation, a copied database and the whole answer — on random
 packages of every size up to the bound, for a CQ ``Qc`` that joins a base
-relation, for UCQ and ∃FO⁺ ``Qc`` (which take the early exit too) and for an
-FO ``Qc`` (which evaluates its whole answer), on a live database across
-commits to the joined relation and on snapshots.  The probe must also tick
-the caller's :class:`StepCounter` and honour the ambient request deadline.
+relation, for UCQ, ∃FO⁺ and FO ``Qc``, on a live database across commits to
+the joined relation and on snapshots.  On a mixed-type column the probe must
+raise exactly where the reference raises, including where a violation found
+before the raising binding would have ended an early-exit search.  The probe
+must also spend the ambient request deadline's step budget and honour its
+wall clock.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from repro.core import QueryConstraint
 from repro.core.packages import Package
-from repro.queries import plan as plan_module
 from repro.queries.ast import And, Comparison, ComparisonOp, Exists, Or, RelationAtom, Var
-from repro.queries.bindings import StepCounter
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
@@ -137,41 +138,107 @@ def test_probe_follows_commits_to_the_joined_relation(kind):
         _assert_agrees(constraint, before, packages)
 
 
-def test_cq_ucq_and_efo_take_the_early_exit_and_fo_does_not():
-    for kind, make in CONSTRAINTS.items():
-        assert make()._compiled().early_exit is (kind != "fo_fallback"), kind
+def _mixed_type_database() -> Database:
+    """Items whose ``value`` column mixes ints and strings (malformed data)."""
+    database = Database()
+    database.create_relation(
+        "item",
+        ["iid", "grp", "value"],
+        [(1, "g", 1), (2, "g", 2), (3, "h", "c"), (4, "h", 3), (5, "k", "d")],
+    )
+    return database
 
 
-def test_probe_stops_at_the_first_violating_binding():
-    database = _database(1)
-    constraint = QueryConstraint(same_area_cq())
-    courses = database.relation("course")
-    by_area = {}
-    for row in sorted(courses.rows()):
-        by_area.setdefault(row[2], []).append(row)
-    crowded = max(by_area.values(), key=len)
-    assert len(crowded) >= 3
-    package = Package(courses.schema, crowded)
-    probe_steps, full_steps = StepCounter(), StepCounter()
-    assert constraint.is_satisfied(package, database, counter=probe_steps) is False
-    extended = database.with_relation(package.as_relation("RQ"))
-    assert len(constraint.query.evaluate(extended, counter=full_steps)) > 0
-    assert 0 < probe_steps.steps < full_steps.steps
+def _same_group_cq() -> ConjunctiveQuery:
+    """A violation with no ordering comparison: two items of one group."""
+    x, y, g = Var("x"), Var("y"), Var("g")
+    atoms = [RelationAtom("RQ", [x, g, Var("v1")]), RelationAtom("RQ", [y, g, Var("v2")])]
+    return ConjunctiveQuery([], atoms, [Comparison(ComparisonOp.NE, x, y)], name="group")
+
+
+def _ordered_values_cq() -> ConjunctiveQuery:
+    """A violation comparing values, which raises ``TypeError`` on int vs str."""
+    v, w = Var("v"), Var("w")
+    atoms = [
+        RelationAtom("RQ", [Var("x"), Var("g1"), v]),
+        RelationAtom("RQ", [Var("y"), Var("g2"), w]),
+    ]
+    return ConjunctiveQuery([], atoms, [Comparison(ComparisonOp.LT, v, w)], name="ordered")
+
+
+def _mixed_type_efo() -> PositiveExistentialQuery:
+    return PositiveExistentialQuery(
+        [], Or(_same_group_cq().to_formula(), _ordered_values_cq().to_formula()), name="mixed"
+    )
+
+
+MIXED_TYPE_QUERIES = {
+    "cq": _ordered_values_cq,
+    # The first disjunct has no comparison: a search that stops at the first
+    # violating binding returns before the second disjunct raises.
+    "ucq": lambda: UnionOfConjunctiveQueries([_same_group_cq(), _ordered_values_cq()]),
+    "efo": _mixed_type_efo,
+}
+
+
+def _outcome(probe, package, database):
+    """A verdict, or the type of the exception the probe raised."""
+    try:
+        return probe(package, database)
+    except Exception as error:  # noqa: BLE001 - the type is the outcome
+        return type(error)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["live", "snapshot"])
+@pytest.mark.parametrize("kind", sorted(MIXED_TYPE_QUERIES))
+def test_probe_raises_where_copying_raises_on_a_mixed_type_column(kind, pinned):
+    database = _mixed_type_database()
+    target = database.snapshot() if pinned else database
+    query = MIXED_TYPE_QUERIES[kind]()
+    constraint = QueryConstraint(query)
+    items = database.relation("item")
+    rows = sorted(items.rows(), key=lambda row: row[0])
+    outcomes = {}
+    for size in range(SIZE_BOUND + 1):
+        for chosen in itertools.combinations(rows, size):
+            package = Package(items.schema, chosen)
+            expected = _outcome(constraint.is_satisfied_copying, package, target)
+            assert _outcome(constraint.is_satisfied, package, target) is expected, chosen
+            outcomes[chosen] = expected
+    assert TypeError in outcomes.values() and False in outcomes.values()
+    if kind != "cq":
+        # Some package violates the first disjunct and raises in the second:
+        # the reference raises, so the probe must too.
+        hidden = [
+            chosen
+            for chosen, outcome in outcomes.items()
+            if outcome is TypeError
+            and _same_group_cq().is_satisfiable_on(
+                target, extra_relations={"RQ": Relation(items.schema.rename("RQ"), chosen)}
+            )
+        ]
+        assert hidden
 
 
 @pytest.mark.parametrize("pinned", [False, True])
-def test_probe_ticks_the_callers_counter(pinned):
-    database = _database(2)
+def test_probe_spends_the_ambient_step_budget(pinned):
+    # Every one of 30 courses: a probe of several hundred steps, more than a
+    # step counter accumulates before it charges the request's deadline.
+    database = random_course_database(30, prereq_probability=0.9, seed=2)
     probed = database.snapshot() if pinned else database
-    constraint = QueryConstraint(prerequisite_pair_cq())
-    package = next(p for p in _random_packages(database, 2) if len(p) == SIZE_BOUND)
-    counter = StepCounter()
-    constraint.is_satisfied(package, probed, counter=counter)
-    assert counter.steps > 0
-    with pytest.raises(StepLimitExceeded):
-        constraint.is_satisfied(package, probed, counter=StepCounter(limit=0))
+    constraint = QueryConstraint(same_area_cq())
+    courses = database.relation("course")
+    package = Package(courses.schema, courses.rows())
+    budget = Deadline()
+    with deadline_scope(budget):
+        verdict = constraint.is_satisfied(package, probed)
+    assert budget.steps > 0
+    with deadline_scope(Deadline(max_steps=0)):
+        with pytest.raises(StepLimitExceeded):
+            constraint.is_satisfied(package, probed)
     # The aborted probe leaves the next verdict correct.
     expected = constraint.is_satisfied_copying(package, probed)
+    assert verdict is expected
     assert constraint.is_satisfied(package, probed) is expected
 
 
@@ -185,46 +252,3 @@ def test_probe_fires_an_expired_ambient_deadline(kind):
             constraint.is_satisfied(package, database)
     expected = constraint.is_satisfied_copying(package, database)
     assert constraint.is_satisfied(package, database) is expected
-
-
-@pytest.mark.parametrize("pinned", [False, True])
-def test_a_warm_probe_gathers_no_statistics(pinned, monkeypatch):
-    database = _database(4)
-    probed = database.snapshot() if pinned else database
-    constraint = QueryConstraint(prerequisite_pair_cq())
-    packages = [p for p in _random_packages(database, 4) if len(p) == 2]
-    constraint.is_satisfied(packages[0], probed)  # warm: plan compiled, base key taken
-    calls = []
-    original_statistics = Relation.statistics
-    original_key = plan_module._quantized_stats_key
-
-    def counting_statistics(self):
-        calls.append(self.name)
-        return original_statistics(self)
-
-    def counting_key(stats):
-        calls.append(stats.relation)
-        return original_key(stats)
-
-    monkeypatch.setattr(Relation, "statistics", counting_statistics)
-    monkeypatch.setattr(plan_module, "_quantized_stats_key", counting_key)
-    for package in packages[1:]:
-        constraint.is_satisfied(package, probed)
-    assert calls == []
-
-
-def test_ucq_and_efo_satisfiability_take_a_counter_and_an_overlay():
-    database = _database(5)
-    courses = database.relation("course")
-    pair = next(row for row in database.relation(PREREQ).rows())
-    rows = [row for row in courses.rows() if row[0] in pair]
-    answer = Relation(courses.schema.rename("RQ"), rows)
-    for query in (
-        UnionOfConjunctiveQueries([same_area_cq(), prerequisite_pair_cq()]),
-        prerequisite_or_area_efo(),
-    ):
-        counter = StepCounter()
-        assert query.is_satisfiable_on(database, counter=counter, extra_relations={"RQ": answer})
-        assert counter.steps > 0
-        empty = Relation(courses.schema.rename("RQ"))
-        assert not query.is_satisfiable_on(database, extra_relations={"RQ": empty})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.queries import ConjunctiveQuery, StepCounter, cq_from_formula
+from repro.queries import ConjunctiveQuery, StepCounter, answer_size, cq_from_formula
 from repro.queries.ast import And, Comparison, Exists, RelationAtom, Var
 from repro.queries.bindings import enumerate_bindings
 from repro.relational import Database
@@ -147,3 +147,54 @@ class TestBindingEnumeration:
         comparisons = [Comparison("=", z, 1)]
         with pytest.raises(EvaluationError):
             list(enumerate_bindings(graph, atoms, comparisons))
+
+
+class TestAnswerSize:
+    """``answer_size`` evaluates once and hands the caller's counter on."""
+
+    def _recording(self, query: ConjunctiveQuery):
+        calls = []
+        evaluate = query.evaluate
+
+        def recorded(database, counter=None, extra_relations=None):
+            calls.append(counter)
+            return evaluate(database, counter=counter, extra_relations=extra_relations)
+
+        query.evaluate = recorded
+        return calls
+
+    def test_counts_with_the_callers_counter(self, graph: Database):
+        x, y = Var("x"), Var("y")
+        query = ConjunctiveQuery([x, y], [RelationAtom("edge", [x, y])])
+        calls = self._recording(query)
+        counter = StepCounter()
+        assert answer_size(query, graph, counter=counter) == len(graph.relation("edge"))
+        assert calls == [counter] and counter.steps > 0
+
+    def test_a_type_error_in_the_evaluation_propagates_after_one_run(self):
+        database = Database()
+        database.create_relation("item", ["iid", "value"], [(1, 1), (2, "b")])
+        v, w = Var("v"), Var("w")
+        query = ConjunctiveQuery(
+            [],
+            [RelationAtom("item", [Var("x"), v]), RelationAtom("item", [Var("y"), w])],
+            [Comparison("<", v, w)],
+        )
+        calls = self._recording(query)
+        counter = StepCounter(limit=10_000)
+        with pytest.raises(TypeError):
+            answer_size(query, database, counter=counter)
+        assert calls == [counter]
+
+    def test_a_query_without_a_counter_parameter_is_evaluated_once(self, graph: Database):
+        x, y = Var("x"), Var("y")
+        inner = ConjunctiveQuery([x, y], [RelationAtom("edge", [x, y])])
+        calls = []
+
+        class Bare:
+            def evaluate(self, database):
+                calls.append(database)
+                return inner.evaluate(database)
+
+        assert answer_size(Bare(), graph, counter=StepCounter()) == len(graph.relation("edge"))
+        assert calls == [graph]

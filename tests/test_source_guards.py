@@ -27,6 +27,12 @@ witness index directly.
 A fifth guard keeps the benchmark report plumbing in one place: no
 ``benchmarks/bench_*.py`` module defines ``write_report`` or ``main`` or
 imports ``argparse``; the report writers share ``benchmarks/_report.py``.
+
+A sixth guard keeps one ``Qc`` probe: a package's probe is one evaluation of
+``Qc``, so ``core/compatibility.py`` never calls a query's early-exit
+``is_satisfiable_on``, and no function under ``src/repro/`` takes a
+``stats_key`` that would let a caller key the plan cache without the
+statistics the plan is costed with.
 """
 
 from __future__ import annotations
@@ -363,3 +369,68 @@ def test_the_report_guard_itself_detects_copied_plumbing():
         "    run_cli(run_sweep, REPO_ROOT / 'BENCH_x.json', __doc__)\n"
     )
     assert _report_plumbing(clean) == []
+
+
+COMPATIBILITY = SRC_ROOT / "core" / "compatibility.py"
+
+
+def _probe_bypasses(tree: ast.AST, *, compatibility: bool):
+    """``line:what`` for each ``stats_key`` parameter and, in the compatibility
+    module, each reference to ``is_satisfiable_on``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            arguments = node.args
+            for argument in (
+                arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+            ):
+                if argument.arg == "stats_key":
+                    found.append(f"{node.lineno}:stats_key")
+        elif compatibility and (
+            (isinstance(node, ast.Attribute) and node.attr == "is_satisfiable_on")
+            or (isinstance(node, ast.Name) and node.id == "is_satisfiable_on")
+            or (isinstance(node, ast.Constant) and node.value == "is_satisfiable_on")
+        ):
+            found.append(f"{node.lineno}:is_satisfiable_on")
+    return sorted(set(found), key=lambda entry: int(entry.split(":")[0]))
+
+
+def test_a_qc_probe_is_one_evaluation():
+    offences = []
+    sources = sorted(SRC_ROOT.rglob("*.py"))
+    assert COMPATIBILITY in sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(
+            f"{path.relative_to(SRC_ROOT.parent)}:{offence}"
+            for offence in _probe_bypasses(tree, compatibility=path == COMPATIBILITY)
+        )
+    assert not offences, (
+        "the Qc probe must evaluate Qc once, planned with the statistics it "
+        "is keyed on (no early exit, no stats_key): " + ", ".join(offences)
+    )
+
+
+def test_the_probe_guard_itself_detects_an_early_exit():
+    """The guard must fire on a stats_key parameter and an early-exit probe."""
+    early_exit = ast.parse(
+        "def cached_plan(atoms, statistics=None, stats_key=None):\n"
+        "    pass\n"
+        "def violated(query, database, *, stats_key):\n"
+        "    if getattr(query, 'is_satisfiable_on', None):\n"
+        "        return query.is_satisfiable_on(database)\n"
+    )
+    assert _probe_bypasses(early_exit, compatibility=True) == [
+        "1:stats_key",
+        "3:stats_key",
+        "4:is_satisfiable_on",
+        "5:is_satisfiable_on",
+    ]
+    # Outside the compatibility module only the parameter is an offence.
+    assert _probe_bypasses(early_exit, compatibility=False) == ["1:stats_key", "3:stats_key"]
+    clean = ast.parse(
+        '"""is_satisfiable_on and stats_key in a docstring are fine"""\n'
+        "def is_satisfied(package, database):\n"
+        "    return len(query.evaluate(database, extra_relations={})) == 0\n"
+    )
+    assert _probe_bypasses(clean, compatibility=True) == []

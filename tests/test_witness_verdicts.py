@@ -470,7 +470,9 @@ def test_a_request_step_budget_that_fits_the_probes_fits_a_fresh_build():
     packages = _sample_packages(answers, count=10, seed=5)
     probes = StepCounter()
     for package in packages:
-        constraint.is_satisfied(package, database, probes)
+        # A probe is one evaluation of Qc with RQ := the package.
+        answer = {constraint.answer_relation: package.as_relation(constraint.answer_relation)}
+        constraint.query.evaluate(database, counter=probes, extra_relations=answer)
     assert 0 < probes.steps < 200
     oracle = _witness_oracle(constraint, database, answers)
     budget = Deadline(max_steps=probes.steps)
