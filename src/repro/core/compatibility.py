@@ -52,15 +52,14 @@ from __future__ import annotations
 import threading
 from contextlib import closing
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import accumulate
 from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.core.packages import Package
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
-from repro.queries.ast import Var
 from repro.queries.base import Query, takes_parameter
-from repro.queries.bindings import StepCounter, enumerate_bindings
+from repro.queries.bindings import StepCounter, project_bindings
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
@@ -304,8 +303,12 @@ class _WitnessIndex(NamedTuple):
 
     #: The rows of ``Q(D)`` at build time; only packages within them are served.
     rows: FrozenSet[Row]
-    #: Each item's witness sets (``None``: declined).
-    by_item: Optional[Dict[Row, Tuple[FrozenSet[Row], ...]]]
+    #: Each item's ``(partners, larger)`` (``None``: declined).  ``partners``
+    #: holds every row forming a two-row witness set with the item, and the
+    #: item itself when ``{item}`` is a witness set (the item is then never
+    #: compatible: every package holding it holds its partner); ``larger``
+    #: holds the item's witness sets of three rows or more.
+    by_item: Optional[Dict[Row, Tuple[FrozenSet[Row], Tuple[FrozenSet[Row], ...]]]]
     #: A disjunct without ``RQ`` atoms has a binding: the empty set is a
     #: witness, so every package is incompatible.
     always: bool = False
@@ -313,12 +316,22 @@ class _WitnessIndex(NamedTuple):
     size: int = 0
 
     def compatible(self, items: FrozenSet[Row]) -> bool:
-        """``Qc(N, D) = ∅`` for a package ``N ⊆ rows`` with these items."""
+        """``Qc(N, D) = ∅`` for a package ``N ⊆ rows`` with these items.
+
+        One ``isdisjoint`` per item decides its witness sets of one and two
+        rows; only sets of three rows or more are scanned.
+        """
         if self.always:
             return False
         by_item = self.by_item
         for item in items:
-            for witness in by_item.get(item, ()):
+            entry = by_item.get(item)
+            if entry is None:
+                continue
+            partners, larger = entry
+            if not partners.isdisjoint(items):
+                return False
+            for witness in larger:
                 if witness <= items:
                     return False
         return True
@@ -326,17 +339,6 @@ class _WitnessIndex(NamedTuple):
 
 #: The slot of an oracle that has not looked for an index yet.
 _UNBUILT = _WitnessIndex(frozenset(), None)
-
-
-def _row_of(atom):
-    """The ``RQ`` row a binding maps ``atom`` to, as a function of the binding."""
-    terms = atom.terms
-    if terms and all(isinstance(term, Var) for term in terms):
-        getter = itemgetter(*(term.name for term in terms))
-        return getter if len(terms) > 1 else lambda binding: (getter(binding),)
-    return lambda binding: tuple(
-        binding[term.name] if isinstance(term, Var) else term.value for term in terms
-    )
 
 
 def _build_witness_index(
@@ -358,28 +360,42 @@ def _build_witness_index(
     witnesses = set()
     try:
         for cq in disjuncts:
-            placed = [_row_of(atom) for atom in cq.atoms if atom.relation == answer_name]
-            bindings = enumerate_bindings(
-                database, cq.atoms, cq.comparisons, counter=counter, extra_relations=extra
+            # Each binding is projected straight onto the terms of its RQ
+            # atoms, one after another; ``spans`` cuts the flat tuple into rows.
+            placed = [atom.terms for atom in cq.atoms if atom.relation == answer_name]
+            head = tuple(term for terms in placed for term in terms)
+            ends = list(accumulate(len(terms) for terms in placed))
+            spans = list(zip([0] + ends, ends))
+            heads = project_bindings(
+                database, cq.atoms, cq.comparisons, head, counter=counter, extra_relations=extra
             )
-            with closing(bindings):
-                for binding in bindings:
+            with closing(heads):
+                for flat in heads:
                     if not placed:
                         return _WitnessIndex(rows, {}, always=True, size=1)
-                    witnesses.add(frozenset([row(binding) for row in placed]))
+                    witnesses.add(frozenset([flat[start:end] for start, end in spans]))
                     if len(witnesses) > WITNESS_CAP:
                         return declined
     except ResilienceError:
         raise
     except (ReproError, TypeError, ValueError):  # a StepLimitExceeded among them
         return declined
-    by_item: Dict[Row, list] = {}
+    partners: Dict[Row, set] = {}
+    larger: Dict[Row, list] = {}
     for witness in witnesses:
+        if len(witness) > 2:
+            for item in witness:
+                larger.setdefault(item, []).append(witness)
+            continue
         for item in witness:
-            by_item.setdefault(item, []).append(witness)
+            # A pair names the other row; a singleton names the item itself.
+            partners.setdefault(item, set()).update(witness - {item} or witness)
     return _WitnessIndex(
         rows,
-        {item: tuple(sets) for item, sets in by_item.items()},
+        {
+            item: (frozenset(partners.get(item, ())), tuple(larger.get(item, ())))
+            for item in partners.keys() | larger.keys()
+        },
         size=len(witnesses),
     )
 

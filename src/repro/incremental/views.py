@@ -51,11 +51,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.queries.ast import ComparisonOp, RelationAtom, Term, Var
 from repro.queries.base import Query
-from repro.queries.bindings import (
-    _match_atom_against_row,
-    enumerate_bindings,
-    project_binding,
-)
+from repro.queries.bindings import project_bindings, row_matcher
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.plan import JoinPlan, plan_conjunction
 from repro.queries.sp import SPQuery
@@ -79,13 +75,14 @@ def _pre_name(relation: str) -> str:
 class _DeltaRule:
     """One precompiled delta rule: an occurrence of the modified relation.
 
-    ``seed`` is the occurrence matched against the modified tuple;
+    ``match`` binds the variables of the occurrence, the *seed*, to the
+    modified tuple (``None`` when the tuple does not match it);
     ``remaining`` is the rest of the conjunction with the appropriate
     occurrences of the modified relation renamed to the pre-state view, and
     ``plan`` the join plan compiled once with the seed's variables pre-bound.
     """
 
-    __slots__ = ("seed", "remaining", "comparisons", "head", "plan", "needs_pre", "relation")
+    __slots__ = ("match", "remaining", "comparisons", "head", "plan", "needs_pre", "relation")
 
     def __init__(
         self,
@@ -95,7 +92,7 @@ class _DeltaRule:
         head: Tuple[Term, ...],
         needs_pre: bool,
     ) -> None:
-        self.seed = seed
+        self.match = row_matcher(seed)
         self.remaining = remaining
         self.comparisons = comparisons
         self.head = head
@@ -254,8 +251,7 @@ class ConjunctiveMaintainer:
         """Recompute supports and answers from the live database."""
         self._support.clear()
         for head, atoms, comparisons in self.disjuncts:
-            for binding in enumerate_bindings(self.database, atoms, comparisons):
-                row = project_binding(binding, head)
+            for row in project_bindings(self.database, atoms, comparisons, head):
                 self._support[row] = self._support.get(row, 0) + 1
         self._answers.replace_rows(self._support)
 
@@ -296,7 +292,7 @@ class ConjunctiveMaintainer:
         sign = 1 if kind == INSERT else -1
         pre: Optional[Relation] = None
         for rule in rules:
-            binding = _match_atom_against_row(rule.seed, row, {})
+            binding = rule.match(row)
             if binding is None:
                 continue
             extra = None
@@ -304,15 +300,16 @@ class ConjunctiveMaintainer:
                 if pre is None:
                     pre = self._pre_state(kind, relation_name, row)
                 extra = {_pre_name(relation_name): pre}
-            for delta_binding in enumerate_bindings(
+            for answer in project_bindings(
                 self.database,
                 rule.remaining,
                 rule.comparisons,
+                rule.head,
                 initial_binding=binding,
                 extra_relations=extra,
                 plan=rule.plan,
             ):
-                self._adjust_support(project_binding(delta_binding, rule.head), sign)
+                self._adjust_support(answer, sign)
 
     # -- reads -----------------------------------------------------------------
     def answers(self) -> Relation:

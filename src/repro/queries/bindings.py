@@ -31,6 +31,19 @@ Two evaluation paths are provided and kept semantically identical:
   stop re-planning.  The plan is the executor's only switch: every access
   path runs exactly when the plan's verdict says so.
 
+  The executor runs the plan's :class:`~repro.queries.plan.SlotProgram`,
+  compiled once and kept with the plan: bindings live in one list of slots
+  passed down the recursion, a step writes the variables it binds into
+  their slots and compares the other row positions against slots
+  (constants have slots too), and each scheduled comparison is an
+  ``(operator, slot, slot)`` test.  Every access path — probe, range, columnar, the
+  semi-join-reduced row sets and the leapfrog levels — fills the same
+  slots.  Dicts appear only at the boundary: :func:`enumerate_bindings`
+  builds a :data:`Binding` per complete binding, and
+  :func:`project_bindings`, for callers that only want head tuples (CQ
+  evaluation, Datalog rules, view maintenance, the witness build), reads
+  the head straight from the slots.
+
 * :func:`enumerate_bindings_naive` — the historical backtracking search,
   retained as the reference implementation.  It chooses atoms dynamically and
   scans relations in full.  The differential test-suite
@@ -43,26 +56,50 @@ entered plus one tick per candidate row considered.  Because an index probe
 only surfaces rows that match the bound positions, the planned path ticks at
 most as often as the naive one — and exactly as often when no index applies
 (no constants and no bound variables), which the planner tests pin down.
+Both paths charge the counter's last unflushed ticks to the request
+deadline when they end, so no evaluation runs outside its step budget.
 
 **Extending the evaluator with a new access path**: the multiway leapfrog
 branch below is the worked example — see the ROADMAP's "Adding a new access
 path" recipe.  Add the new plan vocabulary in
 :mod:`repro.queries.plan`, emit it in
-:func:`~repro.queries.plan.plan_conjunction` behind a cost verdict, and add
+:func:`~repro.queries.plan.plan_conjunction` behind a cost verdict, compile
+what it reads into slots in :class:`~repro.queries.plan.SlotProgram`, and add
 the corresponding execution branch below, taken when the plan's verdict says
-so.  The differential suite's axes matrix forces the verdict on and off
-through a hand-built plan and checks the new path against the naive
-reference for free.
+so and binding into the same slots.  The differential suite's axes matrix
+forces the verdict on and off through a hand-built plan and checks the new
+path against the naive reference for free.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.queries.ast import Comparison, Const, RelationAtom, Term, Var
-from repro.queries.plan import JoinPlan, PlannedMultiway, cached_plan, most_constrained_index
+from repro.queries.plan import (
+    JoinPlan,
+    PlannedMultiway,
+    SlotPairs,
+    SlotProgram,
+    SlotStep,
+    Slots,
+    cached_plan,
+    most_constrained_index,
+    plan_conjunction,
+)
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import EvaluationError, StepLimitExceeded
 from repro.relational.schema import Value
@@ -107,6 +144,16 @@ class StepCounter:
             if self._unflushed >= _DEADLINE_FLUSH_EVERY:
                 flushed, self._unflushed = self._unflushed, 0
                 self.deadline.tick(flushed)
+
+    def flush(self, check: bool = True) -> None:
+        """Charge the unflushed ticks to the deadline, as every evaluator does
+        when its run ends; ``check`` re-checks the deadline's budgets (a run
+        ending on an exception, or closed early, only charges)."""
+        if self._unflushed:
+            self.deadline.steps += self._unflushed
+            self._unflushed = 0
+            if check:
+                self.deadline.check()
 
 
 def _deadline_guarded(counter: Optional[StepCounter]) -> Optional[StepCounter]:
@@ -190,67 +237,91 @@ def _unsafe_comparison_error(
     )
 
 
-def _columnar_match(relation, atom: RelationAtom, binding: Binding):
-    """The rows of ``relation`` matching ``atom``, via the columnar encoding.
+def _columnar_match(relation, binds: SlotPairs, checks: SlotPairs, slots: Slots):
+    """The rows of ``relation`` matching a step's slot pairs, via the columnar encoding.
 
     Returns ``None`` to decline — no encoding, or equality classes the exact-
     typed kernels cannot answer faithfully (cross-family numerics, values
     outside the encoded families) — in which case the caller runs the
-    reference row-matcher scan.  A non-``None`` result is *exact* for the
-    encoded families, and every surfaced row is still re-checked by the
-    executor's row matcher, so the kernel can only ever prune.
+    row-matcher scan.  A non-``None`` result is *exact* for the encoded
+    families, and every surfaced row is still re-checked by the executor,
+    so the kernel can only ever prune.
     """
     get_encoding = getattr(relation, "columnar", None)
     encoding = get_encoding() if get_encoding is not None else None
     if encoding is None:
         return None
+    first_position = {slot: position for position, slot in binds}
     const_eqs: List[Tuple[int, Value]] = []
     pair_eqs: List[Tuple[int, int]] = []
-    first_position: Dict[str, int] = {}
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Const):
-            const_eqs.append((position, term.value))
-        elif term.name in binding:
-            const_eqs.append((position, binding[term.name]))
-        elif term.name in first_position:
-            pair_eqs.append((first_position[term.name], position))
+    for position, slot in checks:
+        if slot in first_position:
+            pair_eqs.append((first_position[slot], position))
         else:
-            first_position[term.name] = position
+            const_eqs.append((position, slots[slot]))
     return encoding.match_rows(const_eqs, pair_eqs)
 
 
+def _row_matches(row: Row, binds: SlotPairs, checks: SlotPairs, slots: Slots) -> bool:
+    """Whether ``row`` matches a step: write ``binds`` into ``slots``, test ``checks``."""
+    for position, slot in binds:
+        slots[slot] = row[position]
+    for position, slot in checks:
+        if slots[slot] != row[position]:
+            return False
+    return True
+
+
+def _unseeded_pairs(program: SlotProgram, step: SlotStep) -> Tuple[SlotPairs, SlotPairs]:
+    """A step's slot pairs with only the pre-bound variables bound.
+
+    The first occurrence of a variable an earlier step binds becomes a bind
+    too; constants, pre-bound variables and repeated occurrences stay checks.
+    """
+    first = len(program.pre_bound)
+    binds: List[Tuple[int, int]] = []
+    checks: List[Tuple[int, int]] = []
+    bound = set()
+    for position, slot in sorted(step.binds + step.checks):
+        if first <= slot < len(program.names) and slot not in bound:
+            bound.add(slot)
+            binds.append((position, slot))
+        else:
+            checks.append((position, slot))
+    return tuple(binds), tuple(checks)
+
+
 def _semijoin_reduce(
-    lookup, plan: JoinPlan, binding: Binding
+    lookup, plan: JoinPlan, program: SlotProgram, slots: Slots
 ) -> Tuple[Dict[int, Tuple[Row, ...]], Dict[int, FrozenSet[Row]], Dict[int, Dict]]:
     """The two Yannakakis semi-join passes over the plan's join tree.
 
     Materialises, per step, the rows matching the atom under the initial
-    binding, then filters dangling rows bottom-up (parent ⋉ child, in
-    ear-removal order) and top-down (child ⋉ parent, in reverse).  The result
-    is a superset of every row that participates in some answer — scan steps
-    iterate it instead of the relation, probe steps probe an ephemeral hash
-    index over it (built here, so per-node work stays proportional to the
-    *reduced* matches), range steps intersect with it.
+    binding (``slots`` as the run starts), then filters dangling rows
+    bottom-up (parent ⋉ child, in ear-removal order) and top-down (child ⋉
+    parent, in reverse).  The result is a superset of every row that
+    participates in some answer — scan steps iterate it instead of the
+    relation, probe steps probe an ephemeral hash index over it (built here,
+    so per-node work stays proportional to the *reduced* matches), range
+    steps intersect with it.
 
     Under the plan's columnar verdict the per-step materialisation pass runs
     as a vectorized :meth:`ColumnarRelation.match_rows` kernel where the
-    encoding can serve it exactly, falling back to the reference row-matcher
-    scan per step where it declines.
+    encoding can serve it exactly, falling back to the row-matcher scan per
+    step where it declines.
     """
     steps = plan.steps
+    scratch = list(slots)
     rows_per_step: List[List[Row]] = []
     var_positions: List[Dict[str, int]] = []
-    for step in steps:
+    for step, slot_step in zip(steps, program.steps):
+        binds, checks = _unseeded_pairs(program, slot_step)
         relation = lookup(step.atom.relation)
         matched = (
-            _columnar_match(relation, step.atom, binding) if plan.run_columnar else None
+            _columnar_match(relation, binds, checks, slots) if plan.run_columnar else None
         )
         if matched is None:
-            matched = [
-                row
-                for row in relation
-                if _match_atom_against_row(step.atom, row, binding) is not None
-            ]
+            matched = [row for row in relation if _row_matches(row, binds, checks, scratch)]
         rows_per_step.append(list(matched))
         positions: Dict[str, int] = {}
         for position, term in enumerate(step.atom.terms):
@@ -333,13 +404,15 @@ def _multiway_state(lookup, multiway: PlannedMultiway):
 
 def _execute_multiway(
     plan: JoinPlan,
-    binding: Binding,
+    program: SlotProgram,
+    slots: Slots,
+    emit: Callable[[Slots], object],
     counter: Optional[StepCounter],
     roots: List,
     relations: List[Relation],
     metrics_acc: Optional[List[int]] = None,
     step_profile=None,
-) -> Iterator[Binding]:
+) -> Iterator[object]:
     """The unified-iterator leapfrog branch: resolve one variable per level.
 
     At every level the candidates for the variable are the leapfrog
@@ -347,14 +420,16 @@ def _execute_multiway(
     (a pre-bound variable is its own singleton candidate); a surviving
     candidate advances each participating trie through the variable's levels
     — repeated occurrences (``R(x, x)``) descend twice with the same value —
-    and a full-depth path is a complete binding whose matching row in every
-    relation exists by construction.  Ticks mirror the binary branch: one
-    per search node entered plus one per candidate value considered.
+    and is written to the variable's slot; a full-depth path is a complete
+    binding whose matching row in every relation exists by construction.
+    Ticks mirror the binary branch: one per search node entered plus one per
+    candidate value considered.
     """
     multiway = plan.multiway
     assert multiway is not None
-    comparisons = plan.comparisons
     var_order = multiway.var_order
+    levels = program.levels
+    level_tests = program.level_tests
     level_of = {name: level for level, name in enumerate(var_order)}
     participants: List[List[Tuple[int, int]]] = [[] for _ in var_order]
     for atom_index, matom in enumerate(multiway.atoms):
@@ -373,63 +448,56 @@ def _execute_multiway(
     if step_profile is not None:
         step_profile.mode(var_order)
 
-    def descend(level: int) -> Iterator[Binding]:
+    def descend(level: int) -> Iterator[object]:
         if counter is not None:
             counter.tick()
         if metrics_acc is not None:
             metrics_acc[2] += 1
         check_versions()
-        for index in multiway.comparison_schedule[level]:
-            if not comparisons[index].evaluate(binding):
+        for apply, left, right in level_tests[level]:
+            if not apply(slots[left], slots[right]):
                 return
         if level == len(var_order):
             if plan.unresolved_comparisons:
                 # Some comparison still has unbound variables: unsafe query.
-                raise _unsafe_comparison_error(comparisons, plan.unresolved_comparisons)
-            yield dict(binding)
+                raise _unsafe_comparison_error(plan.comparisons, plan.unresolved_comparisons)
+            yield emit(slots)
             return
-        name = var_order[level]
+        slot, pre_bound = levels[level]
         group = participants[level]
-        pre_bound = binding.get(name, _UNBOUND)
-        if pre_bound is not _UNBOUND:
-            candidates: Iterable[Value] = (pre_bound,)
+        if pre_bound:
+            candidates: Iterable[Value] = (slots[slot],)
         else:
             candidates = leapfrog_intersect([nodes[ai] for ai, _ in group])
         saved = [nodes[ai] for ai, _ in group]
-        try:
-            for value in candidates:
-                if counter is not None:
-                    counter.tick()
-                if metrics_acc is not None:
-                    metrics_acc[1] += 1  # trie candidates are index-surfaced
-                if step_profile is not None:
-                    step_profile.level_candidate(level)
-                check_versions()
-                children = []
-                for ai, count in group:
-                    node = nodes[ai]
-                    for _ in range(count):
-                        node = node.child(value)
-                        if node is None:
-                            break
+        for value in candidates:
+            if counter is not None:
+                counter.tick()
+            if metrics_acc is not None:
+                metrics_acc[1] += 1  # trie candidates are index-surfaced
+            if step_profile is not None:
+                step_profile.level_candidate(level)
+            check_versions()
+            children = []
+            for ai, count in group:
+                node = nodes[ai]
+                for _ in range(count):
+                    node = node.child(value)
                     if node is None:
                         break
-                    children.append(node)
-                if len(children) != len(group):
-                    continue
-                if step_profile is not None:
-                    step_profile.level_match(level)
-                for (ai, _), child in zip(group, children):
-                    nodes[ai] = child
-                binding[name] = value
-                yield from descend(level + 1)
-                for (ai, _), previous in zip(group, saved):
-                    nodes[ai] = previous
-        finally:
-            if pre_bound is _UNBOUND:
-                binding.pop(name, None)
-            else:
-                binding[name] = pre_bound
+                if node is None:
+                    break
+                children.append(node)
+            if len(children) != len(group):
+                continue
+            if step_profile is not None:
+                step_profile.level_match(level)
+            for (ai, _), child in zip(group, children):
+                nodes[ai] = child
+            slots[slot] = value
+            yield from descend(level + 1)
+            for (ai, _), previous in zip(group, saved):
+                nodes[ai] = previous
 
     yield from descend(0)
 
@@ -531,6 +599,68 @@ def enumerate_bindings(
         and never consulted for any decision, so a profiled run enumerates
         exactly the same bindings.
     """
+    return _execute(
+        database,
+        relation_atoms,
+        comparisons,
+        initial_binding,
+        counter,
+        extra_relations,
+        plan,
+        step_profile,
+        None,
+    )
+
+
+def project_bindings(
+    database: Database,
+    relation_atoms: Sequence[RelationAtom],
+    comparisons: Sequence[Comparison],
+    head: Tuple[Term, ...],
+    initial_binding: Optional[Mapping[str, Value]] = None,
+    counter: Optional[StepCounter] = None,
+    extra_relations: Optional[Mapping[str, Relation]] = None,
+    plan: Optional[JoinPlan] = None,
+) -> Iterator[Tuple[Value, ...]]:
+    """Yield ``head`` instantiated under every binding :func:`enumerate_bindings` yields.
+
+    The same run, step for step and tick for tick; each complete binding is
+    read from its slots straight into the head tuple instead of into a
+    :data:`Binding` dict.  A head variable the conjunction and the initial
+    binding leave unbound raises :class:`EvaluationError` at the first
+    binding.  Keep ``head`` one tuple object per call site: its projection
+    is cached with the plan by identity.
+    """
+    return _execute(
+        database,
+        relation_atoms,
+        comparisons,
+        initial_binding,
+        counter,
+        extra_relations,
+        plan,
+        None,
+        head,
+    )
+
+
+def _execute(
+    database: Database,
+    relation_atoms: Sequence[RelationAtom],
+    comparisons: Sequence[Comparison],
+    initial_binding: Optional[Mapping[str, Value]],
+    counter: Optional[StepCounter],
+    extra_relations: Optional[Mapping[str, Relation]],
+    plan: Optional[JoinPlan],
+    step_profile,
+    head: Optional[Tuple[Term, ...]],
+) -> Iterator[object]:
+    """The executor behind :func:`enumerate_bindings` and :func:`project_bindings`.
+
+    Runs the plan's :class:`~repro.queries.plan.SlotProgram` over one slot
+    list and yields what ``head`` selects for each complete binding: a
+    :data:`Binding` dict (``head`` ``None``) or the head tuple.
+    """
     counter = _deadline_guarded(counter)
     extra_relations = extra_relations or {}
 
@@ -543,25 +673,206 @@ def enumerate_bindings(
     for atom in relation_atoms:
         lookup(atom.relation)
 
-    base_binding: Binding = dict(initial_binding or {})
+    initial: Mapping[str, Value] = initial_binding or {}
+    pre_bound = tuple(initial)
     if plan is None:
         plan = resolve_plan(
             database,
             relation_atoms,
             comparisons,
-            frozenset(base_binding),
+            frozenset(pre_bound),
             lookup=lookup,
         )
-    planned_comparisons = plan.comparisons
+    program = plan.slot_program(pre_bound)
+    emit = program.emit if head is None else program.projection(head)
+    slots: Slots = [*initial.values(), *program.template]
     steps = plan.steps
+    slot_steps = program.steps
+    tests = program.tests
+    unresolved = plan.unresolved_comparisons
 
     # Metrics are accumulated into plain local integers and flushed once per
-    # enumeration (in the try/finally wrappers below), so the active registry's
-    # lock is taken a constant number of times per evaluation — never per row.
+    # enumeration (in the try/finally below), so the active registry's lock
+    # is taken a constant number of times per evaluation — never per row.
     active = _metrics._ACTIVE
     metrics_acc: Optional[List[int]] = [0, 0, 0, 0, 0] if active is not None else None
 
-    def _flush_metrics() -> None:
+    def run() -> Iterator[object]:
+        if plan.run_multiway and plan.multiway is not None:
+            state = _multiway_state(lookup, plan.multiway)
+            if state is not None:  # None: a trie declined, the binary steps take over
+                roots, multiway_relations, multiway_empty = state
+                if multiway_empty:
+                    # A constant prefix matched no row: no answers.  Still
+                    # evaluate the comparisons ground under the initial
+                    # binding alone, exactly as the binary root node does
+                    # before touching any rows — so a TypeError the reference
+                    # path raises at the root is not silently swallowed into
+                    # an empty result.
+                    for apply, left, right in program.level_tests[0]:
+                        apply(slots[left], slots[right])
+                    return
+                yield from _execute_multiway(
+                    plan,
+                    program,
+                    slots,
+                    emit,
+                    counter,
+                    roots,
+                    multiway_relations,
+                    metrics_acc,
+                    step_profile,
+                )
+                return
+
+        run_columnar = plan.run_columnar  # read once: execute() checks it per node
+        reduced_rows: Optional[Dict[int, Tuple[Row, ...]]] = None
+        reduced_sets: Optional[Dict[int, FrozenSet[Row]]] = None
+        reduced_probes: Optional[Dict[int, Dict]] = None
+        if plan.run_semijoin and plan.semijoin_tree:
+            reduced_rows, reduced_sets, reduced_probes = _semijoin_reduce(
+                lookup, plan, program, slots
+            )
+
+        def execute(depth: int) -> Iterator[object]:
+            if counter is not None:
+                counter.tick()
+            if metrics_acc is not None:
+                metrics_acc[2] += 1
+            for apply, left, right in tests[depth]:
+                if not apply(slots[left], slots[right]):
+                    return
+            if depth == len(steps):
+                if unresolved:
+                    # Some comparison still has unbound variables: unsafe query.
+                    raise _unsafe_comparison_error(plan.comparisons, unresolved)
+                yield emit(slots)
+                return
+            step = steps[depth]
+            slot_step = slot_steps[depth]
+            relation = lookup(step.atom.relation)
+            columnar_rows: Optional[Tuple[Row, ...]] = None
+            if (
+                run_columnar
+                and step.columnar_pushdowns
+                and not step.uses_index
+                and reduced_rows is None
+            ):
+                get_encoding = getattr(relation, "columnar", None)
+                encoding = get_encoding() if get_encoding is not None else None
+                if encoding is not None:
+                    # The kernel answers every pushed-down comparison in one
+                    # vectorized pass; a ``None`` result is a decline (the
+                    # encoding cannot evaluate some predicate exactly) and
+                    # the range/scan paths below take over.  Surfaced rows
+                    # are a superset of the matches — the comparisons stay in
+                    # the schedule and every row is still re-checked.
+                    columnar_rows = encoding.select(
+                        [
+                            (planned.position, planned.op.value, slots[slot])
+                            for planned, slot in zip(
+                                step.columnar_pushdowns, slot_step.pushdown_slots
+                            )
+                        ]
+                    )
+            if step.uses_index:
+                if reduced_probes is not None:
+                    rows: Iterable[Tuple[Value, ...]] = reduced_probes[depth].get(
+                        slot_step.key(slots), ()
+                    )
+                    access_kind = "reduced-probe"
+                else:
+                    rows = relation.probe(step.probe_positions, slot_step.key(slots))
+                    access_kind = "probe"
+            elif columnar_rows is not None:
+                rows = columnar_rows
+                access_kind = "columnar"
+                if metrics_acc is not None:
+                    metrics_acc[3] += 1
+                    metrics_acc[4] += len(columnar_rows)
+            elif step.range_probe is not None:
+                probe = step.range_probe
+                range_rows = getattr(relation, "range_rows", None)
+                ranged = (
+                    range_rows(probe.position, probe.op.value, slots[slot_step.range_slot])
+                    if range_rows is not None
+                    else None
+                )
+                if ranged is None:
+                    # The sorted index cannot answer exactly: fall back to the
+                    # scan (or its semi-join-reduced row set), preserving
+                    # semantics.
+                    rows = reduced_rows[depth] if reduced_rows is not None else relation
+                    access_kind = "reduced-scan" if reduced_rows is not None else "scan"
+                elif reduced_sets is not None:
+                    keep = reduced_sets[depth]
+                    rows = tuple(row for row in ranged if row in keep)
+                    access_kind = "reduced-range"
+                else:
+                    rows = ranged
+                    access_kind = "range"
+            elif reduced_rows is not None:
+                rows = reduced_rows[depth]
+                access_kind = "reduced-scan"
+            else:
+                rows = relation
+                access_kind = "scan"
+            if step_profile is not None:
+                step_profile.access(depth, access_kind)
+            surfaced = 1 if step.uses_index else 0  # the metrics slot rows count into
+            binds = slot_step.binds
+            checks = slot_step.checks
+            # The nodes below the last step are leaves: entered inline rather
+            # than as one generator each, with the same tick and tests.
+            leaf_tests = tests[depth + 1] if depth + 1 == len(steps) else None
+            # A full scan iterates the live row set, so mutating the relation
+            # while this generator is suspended raises the usual
+            # RuntimeError; the index probe (and any reduced/ranged row set)
+            # iterates a frozen sequence, so check the version explicitly to
+            # fail just as loudly instead of mixing pre- and post-mutation
+            # states.
+            version = relation.version
+            for row in rows:
+                if relation.version != version:
+                    raise EvaluationError(
+                        f"relation {relation.name!r} was mutated during evaluation"
+                    )
+                if counter is not None:
+                    counter.tick()
+                if metrics_acc is not None:
+                    metrics_acc[surfaced] += 1
+                if step_profile is not None:
+                    step_profile.candidate(depth)
+                for position, slot in binds:
+                    slots[slot] = row[position]
+                for position, slot in checks:
+                    if slots[slot] != row[position]:
+                        break
+                else:
+                    if step_profile is not None:
+                        step_profile.match(depth)
+                    if leaf_tests is None:
+                        yield from execute(depth + 1)
+                        continue
+                    if counter is not None:
+                        counter.tick()
+                    if metrics_acc is not None:
+                        metrics_acc[2] += 1
+                    for apply, left, right in leaf_tests:
+                        if not apply(slots[left], slots[right]):
+                            break
+                    else:
+                        if unresolved:
+                            raise _unsafe_comparison_error(plan.comparisons, unresolved)
+                        yield emit(slots)
+
+        yield from execute(0)
+
+    finished = False
+    try:
+        yield from run()
+        finished = True
+    finally:
         if metrics_acc is not None:
             active.inc_many(
                 (
@@ -572,153 +883,28 @@ def enumerate_bindings(
                     ("columnar.rows.selected", metrics_acc[4]),
                 )
             )
-
-    if plan.run_multiway and plan.multiway is not None:
-        state = _multiway_state(lookup, plan.multiway)
-        if state is not None:  # None: a trie declined, the binary steps take over
-            roots, multiway_relations, multiway_empty = state
-            if multiway_empty:
-                # A constant prefix matched no row: no answers.  Still
-                # evaluate the comparisons ground under the initial binding
-                # alone, exactly as the binary root node does before touching
-                # any rows — so a TypeError the reference path raises at the
-                # root is not silently swallowed into an empty result.
-                for index in plan.multiway.comparison_schedule[0]:
-                    plan.comparisons[index].evaluate(base_binding)
-                return
-            try:
-                yield from _execute_multiway(
-                    plan,
-                    dict(base_binding),
-                    counter,
-                    roots,
-                    multiway_relations,
-                    metrics_acc,
-                    step_profile,
-                )
-            finally:
-                _flush_metrics()
-            return
-
-    run_columnar = plan.run_columnar  # read once: execute() checks it per node
-    reduced_rows: Optional[Dict[int, Tuple[Row, ...]]] = None
-    reduced_sets: Optional[Dict[int, FrozenSet[Row]]] = None
-    reduced_probes: Optional[Dict[int, Dict]] = None
-    if plan.run_semijoin and plan.semijoin_tree:
-        reduced_rows, reduced_sets, reduced_probes = _semijoin_reduce(
-            lookup, plan, base_binding
-        )
-
-    def execute(depth: int, binding: Binding) -> Iterator[Binding]:
         if counter is not None:
-            counter.tick()
-        if metrics_acc is not None:
-            metrics_acc[2] += 1
-        for index in plan.comparison_schedule[depth]:
-            if not planned_comparisons[index].evaluate(binding):
-                return
-        if depth == len(steps):
-            if plan.unresolved_comparisons:
-                # Some comparison still has unbound variables: unsafe query.
-                raise _unsafe_comparison_error(planned_comparisons, plan.unresolved_comparisons)
-            yield dict(binding)
-            return
-        step = steps[depth]
-        relation = lookup(step.atom.relation)
-        columnar_rows: Optional[Tuple[Row, ...]] = None
-        if (
-            run_columnar
-            and step.columnar_pushdowns
-            and not step.uses_index
-            and reduced_rows is None
-        ):
-            get_encoding = getattr(relation, "columnar", None)
-            encoding = get_encoding() if get_encoding is not None else None
-            if encoding is not None:
-                # The kernel answers every pushed-down comparison in one
-                # vectorized pass; a ``None`` result is a decline (the
-                # encoding cannot evaluate some predicate exactly) and the
-                # range/scan paths below take over.  Surfaced rows are a
-                # superset of the matches — the comparisons stay in the
-                # schedule and the row matcher still re-checks each row.
-                columnar_rows = encoding.select(
-                    [
-                        (planned.position, planned.op.value, planned.bound_value(binding))
-                        for planned in step.columnar_pushdowns
-                    ]
-                )
-        if step.uses_index:
-            if reduced_probes is not None:
-                rows: Iterable[Tuple[Value, ...]] = reduced_probes[depth].get(
-                    step.probe_key(binding), ()
-                )
-                access_kind = "reduced-probe"
-            else:
-                rows = relation.probe(step.probe_positions, step.probe_key(binding))
-                access_kind = "probe"
-        elif columnar_rows is not None:
-            rows = columnar_rows
-            access_kind = "columnar"
-            if metrics_acc is not None:
-                metrics_acc[3] += 1
-                metrics_acc[4] += len(columnar_rows)
-        elif step.range_probe is not None:
-            probe = step.range_probe
-            range_rows = getattr(relation, "range_rows", None)
-            ranged = (
-                range_rows(probe.position, probe.op.value, probe.bound_value(binding))
-                if range_rows is not None
-                else None
-            )
-            if ranged is None:
-                # The sorted index cannot answer exactly: fall back to the scan
-                # (or its semi-join-reduced row set), preserving semantics.
-                rows = reduced_rows[depth] if reduced_rows is not None else relation
-                access_kind = "reduced-scan" if reduced_rows is not None else "scan"
-            elif reduced_sets is not None:
-                keep = reduced_sets[depth]
-                rows = tuple(row for row in ranged if row in keep)
-                access_kind = "reduced-range"
-            else:
-                rows = ranged
-                access_kind = "range"
-        elif reduced_rows is not None:
-            rows = reduced_rows[depth]
-            access_kind = "reduced-scan"
-        else:
-            rows = relation
-            access_kind = "scan"
-        if step_profile is not None:
-            step_profile.access(depth, access_kind)
-        probed = step.uses_index
-        # A full scan iterates the live row set, so mutating the relation while
-        # this generator is suspended raises the usual RuntimeError; the index
-        # probe (and any reduced/ranged row set) iterates a frozen sequence, so
-        # check the version explicitly to fail just as loudly instead of mixing
-        # pre- and post-mutation states.
-        version = relation.version
-        for row in rows:
-            if relation.version != version:
-                raise EvaluationError(
-                    f"relation {relation.name!r} was mutated during evaluation"
-                )
-            if counter is not None:
-                counter.tick()
-            if metrics_acc is not None:
-                metrics_acc[1 if probed else 0] += 1
-            if step_profile is not None:
-                step_profile.candidate(depth)
-            extended = _match_atom_against_row(step.atom, row, binding)
-            if extended is None:
-                continue
-            if step_profile is not None:
-                step_profile.match(depth)
-            yield from execute(depth + 1, extended)
+            counter.flush(check=finished)
 
-    try:
-        yield from execute(0, base_binding)
-    finally:
-        _flush_metrics()
+
+def row_matcher(atom: RelationAtom) -> Callable[[Row], Optional[Binding]]:
+    """``atom`` matched against one row with nothing bound, compiled once.
+
+    The returned function gives the binding of the atom's variables to the
+    row, or ``None`` when a constant or a repeated variable (``R(x, x)``)
+    does not match — what matching a lone scan step would bind.
+    """
+    program = plan_conjunction((atom,)).slot_program(())
+    (step,) = program.steps
+    binds, checks, names, template = step.binds, step.checks, program.names, program.template
+
+    def match(row: Row) -> Optional[Binding]:
+        slots = list(template)
+        if _row_matches(row, binds, checks, slots):
+            return dict(zip(names, slots))
+        return None
+
+    return match
 
 
 def enumerate_bindings_naive(
@@ -777,17 +963,10 @@ def enumerate_bindings_naive(
                 continue
             yield from backtrack(rest, extended, set(checked))
 
-    yield from backtrack(list(relation_atoms), base_binding, set())
-
-
-def project_binding(binding: Mapping[str, Value], head: Sequence[Term]) -> Tuple[Value, ...]:
-    """Instantiate a head term list under a binding."""
-    values: List[Value] = []
-    for term in head:
-        if isinstance(term, Const):
-            values.append(term.value)
-        else:
-            if term.name not in binding:
-                raise EvaluationError(f"unsafe head variable: {term.name!r} is not bound")
-            values.append(binding[term.name])
-    return tuple(values)
+    finished = False
+    try:
+        yield from backtrack(list(relation_atoms), base_binding, set())
+        finished = True
+    finally:
+        if counter is not None:
+            counter.flush(check=finished)

@@ -25,7 +25,7 @@ from repro.queries.ast import (
     is_conjunctive,
 )
 from repro.queries.base import Query, unique_attribute_names
-from repro.queries.bindings import StepCounter, enumerate_bindings, project_binding
+from repro.queries.bindings import StepCounter, enumerate_bindings, project_bindings
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import QueryError
 from repro.relational.schema import Value
@@ -118,14 +118,15 @@ class ConjunctiveQuery(Query):
         extra_relations=None,
     ) -> Relation:
         result = self.empty_answer()
-        for binding in enumerate_bindings(
+        for row in project_bindings(
             database,
             self.atoms,
             self.comparisons,
+            self.head,
             counter=counter,
             extra_relations=extra_relations,
         ):
-            result.add(project_binding(binding, self.head))
+            result.add(row)
         return result
 
     def is_satisfiable_on(

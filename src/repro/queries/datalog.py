@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.queries.ast import Comparison, Const, RelationAtom, Term, Var
 from repro.queries.base import Query, unique_attribute_names
-from repro.queries.bindings import StepCounter, enumerate_bindings, project_binding
+from repro.queries.bindings import StepCounter, project_bindings
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import QueryError
 from repro.relational.schema import RelationSchema, Value
@@ -234,12 +234,16 @@ class DatalogProgram(Query):
                 delta[target.relation].rows(),
             )
             atoms[delta_position] = RelationAtom(alias, target.terms)
-        derived: Set[Row] = set()
-        for binding in enumerate_bindings(
-            database, atoms, rule.comparisons, counter=counter, extra_relations=extra
-        ):
-            derived.add(project_binding(binding, rule.head.terms))
-        return derived
+        return set(
+            project_bindings(
+                database,
+                atoms,
+                rule.comparisons,
+                rule.head.terms,
+                counter=counter,
+                extra_relations=extra,
+            )
+        )
 
     def evaluate_all(
         self, database: Database, counter: Optional[StepCounter] = None

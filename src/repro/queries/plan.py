@@ -74,16 +74,25 @@ only a changed or fresh relation (a ``Qc`` probe's answer relation) computes
 one.  A plan is semantically valid for *any* database (statistics only steer
 cost), so a cache hit can never change answers.
 
+The executor runs a plan as a :class:`SlotProgram`: every variable gets a
+slot index, each step precomputed bind and check positions, and each
+scheduled comparison becomes the :mod:`operator` function of its predicate
+applied to two slots.  A plan keeps its programs
+(:meth:`JoinPlan.slot_program`, one per set of pre-bound names), so a plan
+served from the cache is compiled to slots once, and plans that differ only
+in their cost estimates or cache epoch share one program.
+
 **Adding a new access path**: the multiway step above is the worked example —
 see the ROADMAP's "Adding a new access path" recipe, which walks through it
 layer by layer.  In short: extend the plan vocabulary (a new field on
 :class:`PlannedAtom` for a per-step path, or a plan-level section like
 :class:`PlannedMultiway` for a whole-conjunction strategy), emit it here
-behind a cost verdict so the cost-based choice can prefer it, and add the
-matching branch in :func:`repro.queries.bindings.enumerate_bindings` that runs
-when the plan's verdict says so.  The access path must surface a
-*superset* of the matching rows — or, like the multiway step, prove each
-binding it yields row-by-row — and any maintained state it needs on
+behind a cost verdict so the cost-based choice can prefer it, give what the
+branch reads a slot in :class:`SlotProgram`, and add the matching branch in
+:func:`repro.queries.bindings.enumerate_bindings` that runs when the plan's
+verdict says so, binding into the program's slots.  The access path must
+surface a *superset* of the matching rows — or, like the multiway step,
+prove each binding it yields row-by-row — and any maintained state it needs on
 :class:`~repro.relational.database.Relation` follows the statistics contract:
 build lazily, maintain under point mutations, drop under bulk mutations,
 *decline* (fall back to the reference semantics) on data it cannot serve
@@ -94,15 +103,19 @@ the naive reference for free.
 
 from __future__ import annotations
 
+import operator
 import threading
+import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -111,6 +124,7 @@ from typing import (
 
 from repro.observability import metrics as _metrics
 from repro.queries.ast import Comparison, ComparisonOp, Const, RelationAtom, Term, Var
+from repro.relational.errors import EvaluationError
 from repro.relational.schema import Value
 from repro.relational.statistics import RelationStatistics
 
@@ -148,10 +162,6 @@ class PlannedRange:
     position: int
     op: ComparisonOp
     term: Term
-
-    def bound_value(self, binding: Mapping[str, Value]) -> Value:
-        """The ground comparison bound under the current binding."""
-        return self.term.value if isinstance(self.term, Const) else binding[self.term.name]
 
     def describe(self) -> str:
         return f"[{self.position}] {self.op.value} {self.term}"
@@ -192,13 +202,6 @@ class PlannedAtom:
     def uses_index(self) -> bool:
         """Whether this step runs as a hash-index probe rather than a scan."""
         return bool(self.probe_positions)
-
-    def probe_key(self, binding: Mapping[str, Value]) -> Tuple[Value, ...]:
-        """The index key for this step under the current binding."""
-        return tuple(
-            term.value if isinstance(term, Const) else binding[term.name]
-            for term in self.probe_terms
-        )
 
     def describe(self) -> str:
         if self.uses_index:
@@ -304,6 +307,10 @@ class JoinPlan:
     the reference path only where an access path declines (a trie or an
     encoding that cannot serve the data exactly); ``plan_conjunction`` sets
     all three off whenever variables are pre-bound.
+
+    The executor runs the plan's :class:`SlotProgram` (:meth:`slot_program`),
+    compiled on first use and kept with the plan, so a cached plan is
+    compiled once.
     """
 
     steps: Tuple[PlannedAtom, ...]
@@ -315,6 +322,38 @@ class JoinPlan:
     multiway: Optional[PlannedMultiway] = None
     run_multiway: bool = False
     run_columnar: bool = False
+    #: Slot programs by pre-bound names.  Not an init field, so a plan
+    #: rebuilt with ``dataclasses.replace`` starts with none of its source's.
+    _programs: Dict[Tuple[str, ...], "SlotProgram"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def slot_program(self, pre_bound: Tuple[str, ...]) -> "SlotProgram":
+        """The plan compiled for a run whose initial binding has these names.
+
+        Served from the plan after the first call with the same names.
+        Plans that differ only in what steers cost (their estimates, the
+        statistics or the epoch they were cached under) share one program;
+        a race between threads compiles twice and keeps either, both equal.
+        """
+        program = self._programs.get(pre_bound)
+        if program is None:
+            multiway = self.multiway if self.run_multiway else None
+            layout = (
+                pre_bound,
+                tuple(
+                    (step.atom, step.probe_terms, step.range_probe, step.columnar_pushdowns)
+                    for step in self.steps
+                ),
+                self.comparisons,
+                self.comparison_schedule,
+                multiway and (multiway.var_order, multiway.comparison_schedule),
+            )
+            program = _SHARED_PROGRAMS.get(layout)
+            if program is None:
+                program = _SHARED_PROGRAMS[layout] = SlotProgram(self, pre_bound)
+            self._programs[pre_bound] = program
+        return program
 
     def describe(self) -> str:
         """A textual rendering of the plan, one line per step."""
@@ -794,6 +833,208 @@ def plan_conjunction(
         run_multiway,
         run_columnar,
     )
+
+
+# ---------------------------------------------------------------------------
+# The slot compiler
+# ---------------------------------------------------------------------------
+#: The :mod:`operator` function of each predicate: each takes its operands in
+#: the order :meth:`ComparisonOp.apply` does and returns what it returns.
+_OPERATORS: Dict[ComparisonOp, Callable[[Value, Value], object]] = {
+    ComparisonOp.EQ: operator.eq,
+    ComparisonOp.NE: operator.ne,
+    ComparisonOp.LT: operator.lt,
+    ComparisonOp.LE: operator.le,
+    ComparisonOp.GT: operator.gt,
+    ComparisonOp.GE: operator.ge,
+}
+
+#: Every live program, by the plan layout it was compiled from (see
+#: :meth:`JoinPlan.slot_program`); the plans holding a program keep it alive.
+_SHARED_PROGRAMS: "weakref.WeakValueDictionary[tuple, SlotProgram]" = (
+    weakref.WeakValueDictionary()
+)
+
+#: ``(position, slot)`` pairs: row positions a step writes into slots, or
+#: compares against them.
+SlotPairs = Tuple[Tuple[int, int], ...]
+
+Slots = List[Value]
+
+#: A scheduled comparison: ``apply(slots[left], slots[right])``.
+SlotTest = Tuple[Callable[[Value, Value], object], int, int]
+
+
+def _tuple_getter(slots: Sequence[int]) -> Callable[[Slots], Tuple[Value, ...]]:
+    """A function reading these slots as a tuple."""
+    if len(slots) == 1:
+        (only,) = slots
+        return lambda values: (values[only],)
+    if slots:
+        return operator.itemgetter(*slots)
+    return lambda values: ()
+
+
+class SlotStep(NamedTuple):
+    """One join step over slots.
+
+    ``key`` builds the hash-probe key (``None`` for a step without probe
+    positions); ``range_slot`` holds the range probe's bound and
+    ``pushdown_slots`` the columnar pushdowns' bounds, parallel to the
+    planned step's.  A surfaced row matches when, after ``binds`` has written
+    the first occurrence of each variable the step binds, every ``checks``
+    slot equals its row position: constants, variables bound earlier and
+    repeated occurrences (``R(x, x)``) alike.  Together the two cover every
+    position of the atom once.
+    """
+
+    key: Optional[Callable[[Slots], Tuple[Value, ...]]]
+    range_slot: Optional[int]
+    pushdown_slots: Tuple[int, ...]
+    binds: SlotPairs
+    checks: SlotPairs
+
+
+class SlotProgram:
+    """A :class:`JoinPlan` compiled for one set of pre-bound variable names.
+
+    Every variable has a slot in one list the executor passes down its
+    recursion: the pre-bound names first, in the initial binding's order,
+    then the rest in the order the steps bind them (``names``).  Constants
+    take the slots after them, pre-filled from ``template`` together with
+    the blanks of the unbound variables, so a probe key, a range bound or a
+    comparison reads a constant exactly as it reads a variable.  Each
+    scheduled comparison is a :data:`SlotTest`, the :mod:`operator` function
+    of its predicate and its two slots (``tests``, one tuple per depth;
+    ``level_tests`` per leapfrog level).  ``levels`` gives each leapfrog
+    level's variable slot and whether the variable is pre-bound.
+
+    :meth:`emit` builds the :data:`~repro.queries.bindings.Binding` dict of a
+    complete binding, :meth:`projection` the function building a head tuple
+    instead.  A variable the plan reads before anything binds it raises
+    ``KeyError`` here, as reading it from a binding dict did.
+    """
+
+    __slots__ = (
+        "names",
+        "pre_bound",
+        "template",
+        "steps",
+        "tests",
+        "levels",
+        "level_tests",
+        "_head",
+        "__weakref__",
+    )
+
+    def __init__(self, plan: JoinPlan, pre_bound: Tuple[str, ...]) -> None:
+        slot_of: Dict[str, int] = {name: slot for slot, name in enumerate(pre_bound)}
+        for step in plan.steps:
+            for term in step.atom.terms:
+                if isinstance(term, Var) and term.name not in slot_of:
+                    slot_of[term.name] = len(slot_of)
+        constants: List[Value] = []
+        bound: Set[str] = set(pre_bound)
+
+        def read(term: Term) -> int:
+            """The slot of a term that must be ground at this point."""
+            if isinstance(term, Const):
+                constants.append(term.value)
+                return len(slot_of) + len(constants) - 1
+            if term.name not in bound:
+                raise KeyError(term.name)
+            return slot_of[term.name]
+
+        def tests(indices: Iterable[int]) -> Tuple[SlotTest, ...]:
+            return tuple(
+                (
+                    _OPERATORS[plan.comparisons[index].op],
+                    read(plan.comparisons[index].left),
+                    read(plan.comparisons[index].right),
+                )
+                for index in indices
+            )
+
+        steps = []
+        step_tests = [tests(plan.comparison_schedule[0])]
+        for depth, step in enumerate(plan.steps):
+            key = None
+            if step.probe_positions:
+                key = _tuple_getter([read(term) for term in step.probe_terms])
+            range_slot = None if step.range_probe is None else read(step.range_probe.term)
+            pushdown_slots = tuple(read(pushdown.term) for pushdown in step.columnar_pushdowns)
+            binds: List[Tuple[int, int]] = []
+            checks: List[Tuple[int, int]] = []
+            fresh: Set[str] = set()
+            for position, term in enumerate(step.atom.terms):
+                if isinstance(term, Var) and term.name not in bound and term.name not in fresh:
+                    fresh.add(term.name)
+                    binds.append((position, slot_of[term.name]))
+                elif isinstance(term, Var) and term.name in fresh:
+                    checks.append((position, slot_of[term.name]))
+                else:
+                    checks.append((position, read(term)))
+            steps.append(SlotStep(key, range_slot, pushdown_slots, tuple(binds), tuple(checks)))
+            bound |= fresh
+            step_tests.append(tests(plan.comparison_schedule[depth + 1]))
+        self.steps = tuple(steps)
+        self.tests = tuple(step_tests)
+
+        self.levels: Tuple[Tuple[int, bool], ...] = ()
+        self.level_tests: Tuple[Tuple[SlotTest, ...], ...] = ()
+        if plan.run_multiway and plan.multiway is not None:
+            schedule = plan.multiway.comparison_schedule
+            bound = set(pre_bound)
+            level_tests = [tests(schedule[0])]
+            for level, name in enumerate(plan.multiway.var_order):
+                bound.add(name)
+                level_tests.append(tests(schedule[level + 1]))
+            self.levels = tuple(
+                (slot_of[name], name in pre_bound) for name in plan.multiway.var_order
+            )
+            self.level_tests = tuple(level_tests)
+
+        self.names = tuple(slot_of)
+        self.pre_bound = pre_bound
+        self.template = (None,) * (len(slot_of) - len(pre_bound)) + tuple(constants)
+        self._head: Tuple[Optional[Tuple[Term, ...]], Optional[Callable]] = (None, None)
+
+    def emit(self, values: Slots) -> Dict[str, Value]:
+        """The binding dict of a complete slot list."""
+        return dict(zip(self.names, values))
+
+    def projection(self, head: Tuple[Term, ...]) -> Callable[[Slots], Tuple[Value, ...]]:
+        """The function instantiating ``head`` from a complete slot list.
+
+        The last head projected is kept (a plan is run from one call site,
+        with one head, nearly always).  A head variable no slot holds raises
+        the unsafe-head error when a binding reaches it, as before any
+        binding was projected.
+        """
+        cached, getter = self._head
+        if cached is head:
+            return getter
+        slot_of = {name: slot for slot, name in enumerate(self.names)}
+        unbound = [t.name for t in head if isinstance(t, Var) and t.name not in slot_of]
+        if unbound:
+            message = f"unsafe head variable: {unbound[0]!r} is not bound"
+
+            def getter(values: Slots) -> Tuple[Value, ...]:
+                raise EvaluationError(message)
+
+        elif all(isinstance(term, Var) for term in head):
+            getter = _tuple_getter([slot_of[term.name] for term in head])
+        else:
+            parts = tuple(
+                (slot_of[term.name], None) if isinstance(term, Var) else (-1, term.value)
+                for term in head
+            )
+
+            def getter(values: Slots) -> Tuple[Value, ...]:
+                return tuple(values[slot] if slot >= 0 else value for slot, value in parts)
+
+        self._head = (head, getter)
+        return getter
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,30 @@ class TestIndividualExperiments:
         assert "greedy heuristic" in labels
 
 
+    def test_package_adjustment_verdict_is_judged_on_tries(self):
+        """EXP-S8 judges package ARPP on ``adjustments_tried`` of a full sweep with
+        k′ = #variables: Σ_{j≤v} C(2v, j) insertions, not on ~1 ms timings."""
+        result = run_exp_adjustment(quick=True)
+        package_rows = result.reports[0].rows
+        assert [row.size for row in package_rows] == [2, 3, 4]
+        assert [row.work for row in package_rows] == [11, 42, 163]
+        assert "11/42/163 adjustments tried" in result.observations[0]
+        assert result.observations[0].startswith("✓")
+
+    def test_package_adjustment_verdict_rejects_polynomial_growth(self, monkeypatch):
+        """With k′ fixed at 2 the counts are quadratic in the variables (11/22/37)."""
+        from dataclasses import replace
+
+        import repro.bench.experiments as experiments
+
+        real = experiments.arpp_from_3sat
+        monkeypatch.setattr(
+            experiments, "arpp_from_3sat", lambda formula: replace(real(formula), max_changes=2)
+        )
+        result = run_exp_adjustment(quick=True)
+        assert [row.work for row in result.reports[0].rows] == [11, 22, 37]
+        assert result.observations[0].startswith("✗")
+
     def test_item_adjustment_rows_carry_the_tries_counter(self):
         """EXP-S8 judges item ARPP on ``adjustments_tried``, not on ~1 ms timings."""
         result = run_exp_adjustment(quick=True)

@@ -23,6 +23,7 @@ import pytest
 from repro.core import QueryConstraint
 from repro.core.packages import Package
 from repro.queries.ast import And, Comparison, ComparisonOp, Exists, Or, RelationAtom, Var
+from repro.queries.bindings import StepCounter, enumerate_bindings_naive
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
@@ -240,6 +241,52 @@ def test_probe_spends_the_ambient_step_budget(pinned):
     expected = constraint.is_satisfied_copying(package, probed)
     assert verdict is expected
     assert constraint.is_satisfied(package, probed) is expected
+
+
+@pytest.mark.parametrize("courses", [12, 30], ids=["short", "long"])
+def test_probe_charges_every_step_to_the_ambient_deadline(courses):
+    """The evaluator charges its last, unflushed steps when it ends: a probe
+    shorter than the counter's flush stride costs the request its steps."""
+    database = random_course_database(courses, prereq_probability=0.9, seed=2)
+    constraint = QueryConstraint(same_area_cq())
+    relation = database.relation("course")
+    package = Package(relation.schema, relation.rows())
+    answer = {constraint.answer_relation: package.as_relation(constraint.answer_relation)}
+    counter = StepCounter()
+    constraint.query.evaluate(database, counter=counter, extra_relations=answer)
+    assert (counter.steps < 128) == (courses == 12)  # under / over the flush stride
+    budget = Deadline()
+    with deadline_scope(budget):
+        verdict = constraint.is_satisfied(package, database)
+    assert budget.steps == counter.steps
+    with deadline_scope(Deadline(max_steps=counter.steps - 1)):
+        with pytest.raises(StepLimitExceeded):
+            constraint.is_satisfied(package, database)
+    with deadline_scope(Deadline(max_steps=counter.steps)):
+        assert constraint.is_satisfied(package, database) is verdict
+
+
+def test_the_naive_evaluator_charges_every_step_to_the_ambient_deadline():
+    database = random_course_database(12, prereq_probability=0.9, seed=2)
+    courses = database.relation("course")
+    extra = {"RQ": Package(courses.schema, sorted(courses.rows())[:6]).as_relation("RQ")}
+    area = same_area_cq()
+
+    def run(counter=None):
+        return list(
+            enumerate_bindings_naive(
+                database, area.atoms, area.comparisons, counter=counter, extra_relations=extra
+            )
+        )
+
+    counter = StepCounter()
+    budget = Deadline()
+    with deadline_scope(budget):
+        run(counter)
+    assert 0 < counter.steps < 128 and budget.steps == counter.steps
+    with deadline_scope(Deadline(max_steps=counter.steps - 1)):
+        with pytest.raises(StepLimitExceeded):
+            run()
 
 
 @pytest.mark.parametrize("kind", sorted(CONSTRAINTS))

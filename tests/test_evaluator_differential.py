@@ -41,7 +41,8 @@ import random
 
 import pytest
 
-from repro.queries.bindings import enumerate_bindings, enumerate_bindings_naive, project_binding
+from repro.queries.ast import Var
+from repro.queries.bindings import enumerate_bindings, enumerate_bindings_naive
 from repro.queries.cq import ConjunctiveQuery
 
 from scenarios import (
@@ -66,9 +67,9 @@ def _binding_multiset(bindings):
 
 
 def _naive_answer_rows(database, cq: ConjunctiveQuery):
-    """The reference answer set of a CQ: naive bindings projected on the head."""
+    """The reference answer set of a CQ: naive bindings instantiated on the head."""
     return {
-        project_binding(binding, cq.head)
+        tuple(binding[t.name] if isinstance(t, Var) else t.value for t in cq.head)
         for binding in enumerate_bindings_naive(database, cq.atoms, cq.comparisons)
     }
 

@@ -84,7 +84,7 @@ def test_bound_variables_become_index_probes():
     step = plan.steps[0]
     assert step.uses_index
     assert step.probe_positions == (0,)
-    assert step.probe_key({"x": 3}) == (3,)
+    assert step.probe_terms == (X,)
     assert step.new_variables == ("y",)
 
 
@@ -93,7 +93,7 @@ def test_constants_are_pushed_into_index_probes():
     step = plan.steps[0]
     assert step.uses_index
     assert step.probe_positions == (0,)
-    assert step.probe_key({}) == (2,)
+    assert step.probe_terms == (Const(2),)
 
 
 def test_constants_and_bound_variables_combine_in_one_probe():
@@ -102,7 +102,7 @@ def test_constants_and_bound_variables_combine_in_one_probe():
     )
     step = plan.steps[0]
     assert step.probe_positions == (0, 1)
-    assert step.probe_key({"x": 4}) == (4, "a")
+    assert step.probe_terms == (X, Const("a"))
 
 
 def test_repeated_unbound_variable_stays_out_of_the_probe():

@@ -33,6 +33,13 @@ A sixth guard keeps one ``Qc`` probe: a package's probe is one evaluation of
 ``is_satisfiable_on``, and no function under ``src/repro/`` takes a
 ``stats_key`` that would let a caller key the plan cache without the
 statistics the plan is costed with.
+
+A seventh guard keeps bindings in slots: the executor behind
+``enumerate_bindings`` matches rows through the plan's slot program, so the
+dict-building row matcher ``_match_atom_against_row`` is referenced only by
+the naive reference ``enumerate_bindings_naive``, anywhere under
+``src/repro/``, and ``queries/bindings.py`` copies no binding with
+``dict(binding)`` outside that reference.
 """
 
 from __future__ import annotations
@@ -174,7 +181,7 @@ def test_the_traversal_guard_itself_detects_a_second_loop():
 
 #: The functions that resolve or run a plan, by the module defining them.
 PLAN_SWITCH_FUNCTIONS = {
-    SRC_ROOT / "queries" / "bindings.py": ("enumerate_bindings",),
+    SRC_ROOT / "queries" / "bindings.py": ("enumerate_bindings", "project_bindings"),
     SRC_ROOT / "queries" / "plan.py": ("plan_conjunction", "cached_plan"),
     SRC_ROOT / "observability" / "explain.py": ("explain_analyze",),
 }
@@ -434,3 +441,94 @@ def test_the_probe_guard_itself_detects_an_early_exit():
         "    return len(query.evaluate(database, extra_relations={})) == 0\n"
     )
     assert _probe_bypasses(clean, compatibility=True) == []
+
+
+BINDINGS = SRC_ROOT / "queries" / "bindings.py"
+
+#: The naive reference and its row matcher: the spec, not the executor.
+NAIVE_REFERENCE = frozenset({"enumerate_bindings_naive", "_match_atom_against_row"})
+
+
+def _dict_bindings(tree: ast.AST, *, executor: bool):
+    """``line:what`` for each use of the naive row matcher outside the naive
+    reference and, in the executor module, each ``dict(name)`` copy there."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and child.name in NAIVE_REFERENCE
+            ):
+                continue
+            if isinstance(child, ast.Name) and child.id == "_match_atom_against_row":
+                found.append(f"{child.lineno}:_match_atom_against_row")
+            elif isinstance(child, ast.Attribute) and child.attr == "_match_atom_against_row":
+                found.append(f"{child.lineno}:_match_atom_against_row")
+            elif isinstance(child, ast.ImportFrom) and any(
+                alias.name == "_match_atom_against_row" for alias in child.names
+            ):
+                found.append(f"{child.lineno}:import _match_atom_against_row")
+            elif (
+                executor
+                and isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "dict"
+                and len(child.args) == 1
+                and isinstance(child.args[0], ast.Name)
+            ):
+                found.append(f"{child.lineno}:dict({child.args[0].id})")
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_the_executor_keeps_bindings_in_slots():
+    offences = []
+    sources = sorted(SRC_ROOT.rglob("*.py"))
+    assert BINDINGS in sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(
+            f"{path.relative_to(SRC_ROOT.parent)}:{offence}"
+            for offence in _dict_bindings(tree, executor=path == BINDINGS)
+        )
+    assert not offences, (
+        "enumerate_bindings' executor binds rows into the plan's slots; only the "
+        "naive reference matches rows into dicts: " + ", ".join(offences)
+    )
+
+
+def test_the_slot_guard_itself_detects_a_dict_binding():
+    """The guard must fire on the dict matcher or a binding copy outside the reference."""
+    dict_executor = ast.parse(
+        "from repro.queries.bindings import _match_atom_against_row\n"
+        "def enumerate_bindings(atoms, binding):\n"
+        "    extended = _match_atom_against_row(atoms[0], (), binding)\n"
+        "    yield dict(extended)\n"
+        "def helper(bindings):\n"
+        "    return bindings._match_atom_against_row\n"
+    )
+    assert _dict_bindings(dict_executor, executor=True) == [
+        "1:import _match_atom_against_row",
+        "3:_match_atom_against_row",
+        "4:dict(extended)",
+        "6:_match_atom_against_row",
+    ]
+    # Outside the executor module a dict copy is no offence.
+    assert _dict_bindings(dict_executor, executor=False) == [
+        "1:import _match_atom_against_row",
+        "3:_match_atom_against_row",
+        "6:_match_atom_against_row",
+    ]
+    clean = ast.parse(
+        "def _match_atom_against_row(atom, row, binding):\n"
+        "    return dict(binding)\n"
+        "def enumerate_bindings_naive(atoms, binding):\n"
+        "    yield dict(binding)\n"
+        "    _match_atom_against_row(atoms[0], (), binding)\n"
+        "def enumerate_bindings(names, slots):\n"
+        "    yield dict(zip(names, slots))\n"
+    )
+    assert _dict_bindings(clean, executor=True) == []

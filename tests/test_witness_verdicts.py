@@ -276,6 +276,56 @@ def test_two_rq_atoms_bound_to_one_row_make_a_singleton_witness():
     assert oracle.cache_info()["witness_sets"] == 2  # {row 1} and {row 1, row 3}
 
 
+def test_witness_sets_of_one_two_and_three_rows_mixed():
+    """r = 1/2/3 in one ``Qc``: one-row sets (an item incompatible alone),
+    two-row sets (partners) and three-row sets (scanned) all decide every
+    package of up to four items as the copying reference does."""
+    database = Database()
+    items = database.create_relation(
+        "items",
+        ["iid", "cat", "price"],
+        [(1, "a", 4), (2, "a", 1), (3, "b", 2), (4, "b", 1), (5, "c", 3), (6, "c", 2), (7, "a", 2)],
+    )
+    database.create_relation("prereq", ["before", "after"], [(2, 3), (4, 6), (6, 7)])
+    first, second, third = (
+        RelationAtom("RQ", [Var(iid), Var(cat), Var(price)])
+        for iid, cat, price in (("i", "c", "p"), ("j", "d", "q"), ("k", "e", "r"))
+    )
+    # r = 1: an item priced 4 is incompatible on its own.
+    alone = ConjunctiveQuery([], [first], [Comparison(ComparisonOp.GE, Var("p"), Const(4))])
+    # r = 2: an item together with one of its prerequisites.
+    pair = ConjunctiveQuery([], [first, second, RelationAtom("prereq", [Var("i"), Var("j")])])
+    # r = 3: three distinct items of distinct categories priced 2 or less.
+    triple = ConjunctiveQuery(
+        [],
+        [first, second, third],
+        [
+            Comparison(ComparisonOp.LT, Var("c"), Var("d")),
+            Comparison(ComparisonOp.LT, Var("d"), Var("e")),
+            Comparison(ComparisonOp.LE, Var("p"), Const(2)),
+            Comparison(ComparisonOp.LE, Var("q"), Const(2)),
+            Comparison(ComparisonOp.LE, Var("r"), Const(2)),
+        ],
+    )
+    constraint = QueryConstraint(UnionOfConjunctiveQueries([alone, pair, triple]))
+    oracle = _witness_oracle(constraint, database, items)
+    rows = sorted(items.rows())
+    packages = [
+        Package(items.schema, chosen) for size in range(5) for chosen in combinations(rows, size)
+    ]
+    for package in packages:
+        assert oracle.is_satisfied(package) == constraint.is_satisfied_copying(
+            package, database
+        ), sorted(package.items)
+    assert oracle.witness_verdicts == len(packages) and oracle.misses == 0
+    by_item = oracle._witness.by_item
+    assert any(item in partners for item, (partners, _) in by_item.items())  # {item}
+    assert any(partners - {item} for item, (partners, _) in by_item.items())  # pairs
+    assert {len(witness) for _, larger in by_item.values() for witness in larger} == {3}
+    verdicts = [oracle.is_satisfied(package) for package in packages]
+    assert True in verdicts and False in verdicts
+
+
 def test_the_engine_registers_q_of_d_and_reuses_the_index_across_engines():
     problem = serving_problem(30, seed=2).pinned()
     first = PackageSearchEngine(problem)
@@ -411,9 +461,9 @@ def test_no_registered_q_of_d_keeps_the_probe():
 def _fire_after_the_first_binding(monkeypatch, fire):
     """Make the build's joins call ``fire(request deadline)`` once a binding is
     out, then check the ambient (build) deadline: it fires mid-build."""
-    real = compatibility.enumerate_bindings
+    real = compatibility.project_bindings
 
-    def enumerate_then_fire(*args, **kwargs):
+    def project_then_fire(*args, **kwargs):
         bindings = real(*args, **kwargs)
         with closing(bindings):
             for index, binding in enumerate(bindings):
@@ -422,7 +472,7 @@ def _fire_after_the_first_binding(monkeypatch, fire):
                     current_deadline().check()
                 yield binding
 
-    monkeypatch.setattr(compatibility, "enumerate_bindings", enumerate_then_fire)
+    monkeypatch.setattr(compatibility, "project_bindings", project_then_fire)
 
 
 def _wait_out(deadline):
@@ -476,11 +526,12 @@ def test_a_request_step_budget_that_fits_the_probes_fits_a_fresh_build():
     assert 0 < probes.steps < 200
     oracle = _witness_oracle(constraint, database, answers)
     budget = Deadline(max_steps=probes.steps)
+    # The copying reference runs outside the request: its own evaluations
+    # would be charged to the budget.
+    expected = [constraint.is_satisfied_copying(package, database) for package in packages]
     with deadline_scope(budget):
-        for package in packages:
-            assert oracle.is_satisfied(package) == constraint.is_satisfied_copying(
-                package, database
-            )
+        verdicts = [oracle.is_satisfied(package) for package in packages]
+    assert verdicts == expected
     assert oracle.witness_builds == 1 and oracle.witness_verdicts == len(packages)
     assert budget.steps == 0  # the build's own StepCounter took its steps
     assert oracle.misses == 0
