@@ -94,7 +94,6 @@ from repro.queries.plan import (
     PlannedMultiway,
     SlotPairs,
     SlotProgram,
-    SlotStep,
     Slots,
     cached_plan,
     most_constrained_index,
@@ -272,25 +271,6 @@ def _row_matches(row: Row, binds: SlotPairs, checks: SlotPairs, slots: Slots) ->
     return True
 
 
-def _unseeded_pairs(program: SlotProgram, step: SlotStep) -> Tuple[SlotPairs, SlotPairs]:
-    """A step's slot pairs with only the pre-bound variables bound.
-
-    The first occurrence of a variable an earlier step binds becomes a bind
-    too; constants, pre-bound variables and repeated occurrences stay checks.
-    """
-    first = len(program.pre_bound)
-    binds: List[Tuple[int, int]] = []
-    checks: List[Tuple[int, int]] = []
-    bound = set()
-    for position, slot in sorted(step.binds + step.checks):
-        if first <= slot < len(program.names) and slot not in bound:
-            bound.add(slot)
-            binds.append((position, slot))
-        else:
-            checks.append((position, slot))
-    return tuple(binds), tuple(checks)
-
-
 def _semijoin_reduce(
     lookup, plan: JoinPlan, program: SlotProgram, slots: Slots
 ) -> Tuple[Dict[int, Tuple[Row, ...]], Dict[int, FrozenSet[Row]], Dict[int, Dict]]:
@@ -314,8 +294,7 @@ def _semijoin_reduce(
     scratch = list(slots)
     rows_per_step: List[List[Row]] = []
     var_positions: List[Dict[str, int]] = []
-    for step, slot_step in zip(steps, program.steps):
-        binds, checks = _unseeded_pairs(program, slot_step)
+    for step, (binds, checks) in zip(steps, program.reduce_steps):
         relation = lookup(step.atom.relation)
         matched = (
             _columnar_match(relation, binds, checks, slots) if plan.run_columnar else None

@@ -347,6 +347,7 @@ class JoinPlan:
                 ),
                 self.comparisons,
                 self.comparison_schedule,
+                self.run_semijoin and self.semijoin_tree,
                 multiway and (multiway.var_order, multiway.comparison_schedule),
             )
             program = _SHARED_PROGRAMS.get(layout)
@@ -903,7 +904,9 @@ class SlotProgram:
     then the rest in the order the steps bind them (``names``).  Constants
     take the slots after them, pre-filled from ``template`` together with
     the blanks of the unbound variables, so a probe key, a range bound or a
-    comparison reads a constant exactly as it reads a variable.  Each
+    comparison reads a constant exactly as it reads a variable.
+    ``reduce_steps`` are the steps' binds and checks with only the pre-bound
+    names bound (the semi-join reduction's materialisation).  Each
     scheduled comparison is a :data:`SlotTest`, the :mod:`operator` function
     of its predicate and its two slots (``tests``, one tuple per depth;
     ``level_tests`` per leapfrog level).  ``levels`` gives each leapfrog
@@ -917,9 +920,9 @@ class SlotProgram:
 
     __slots__ = (
         "names",
-        "pre_bound",
         "template",
         "steps",
+        "reduce_steps",
         "tests",
         "levels",
         "level_tests",
@@ -955,6 +958,24 @@ class SlotProgram:
                 for index in indices
             )
 
+        def pairs(atom: RelationAtom, known: Set[str]) -> Tuple[SlotPairs, SlotPairs]:
+            """``atom``'s binds and checks when the names in ``known`` are bound."""
+            binds: List[Tuple[int, int]] = []
+            checks: List[Tuple[int, int]] = []
+            fresh: Set[str] = set()
+            for position, term in enumerate(atom.terms):
+                if isinstance(term, Const):
+                    checks.append((position, read(term)))
+                elif term.name in known or term.name in fresh:
+                    checks.append((position, slot_of[term.name]))
+                else:
+                    fresh.add(term.name)
+                    binds.append((position, slot_of[term.name]))
+            return tuple(binds), tuple(checks)
+
+        self.reduce_steps: Tuple[Tuple[SlotPairs, SlotPairs], ...] = ()
+        if plan.run_semijoin and plan.semijoin_tree:
+            self.reduce_steps = tuple(pairs(step.atom, bound) for step in plan.steps)
         steps = []
         step_tests = [tests(plan.comparison_schedule[0])]
         for depth, step in enumerate(plan.steps):
@@ -963,19 +984,8 @@ class SlotProgram:
                 key = _tuple_getter([read(term) for term in step.probe_terms])
             range_slot = None if step.range_probe is None else read(step.range_probe.term)
             pushdown_slots = tuple(read(pushdown.term) for pushdown in step.columnar_pushdowns)
-            binds: List[Tuple[int, int]] = []
-            checks: List[Tuple[int, int]] = []
-            fresh: Set[str] = set()
-            for position, term in enumerate(step.atom.terms):
-                if isinstance(term, Var) and term.name not in bound and term.name not in fresh:
-                    fresh.add(term.name)
-                    binds.append((position, slot_of[term.name]))
-                elif isinstance(term, Var) and term.name in fresh:
-                    checks.append((position, slot_of[term.name]))
-                else:
-                    checks.append((position, read(term)))
-            steps.append(SlotStep(key, range_slot, pushdown_slots, tuple(binds), tuple(checks)))
-            bound |= fresh
+            steps.append(SlotStep(key, range_slot, pushdown_slots, *pairs(step.atom, bound)))
+            bound.update(term.name for term in step.atom.terms if isinstance(term, Var))
             step_tests.append(tests(plan.comparison_schedule[depth + 1]))
         self.steps = tuple(steps)
         self.tests = tuple(step_tests)
@@ -995,7 +1005,6 @@ class SlotProgram:
             self.level_tests = tuple(level_tests)
 
         self.names = tuple(slot_of)
-        self.pre_bound = pre_bound
         self.template = (None,) * (len(slot_of) - len(pre_bound)) + tuple(constants)
         self._head: Tuple[Optional[Tuple[Term, ...]], Optional[Callable]] = (None, None)
 
