@@ -250,8 +250,9 @@ class PackageSearchEngine:
         already prunes the subtree that follows, and closing the generator
         ends the search.  However the walk ends, it flushes the
         ``engine.nodes.*`` counters and the oracle's verdict counters (once
-        per walk, not per verdict) and appends the number of examined nodes
-        to ``examined_out``, if given.
+        per walk, not per verdict), appends the number of examined nodes to
+        ``examined_out``, if given, and charges the ambient deadline every
+        examined node.
         """
         items, limit = self.items, self.limit
         if limit <= 0:
@@ -356,8 +357,10 @@ class PackageSearchEngine:
         # rating.  The generic monotone bound evaluates val(∅ ∪ remaining)
         # directly and needs no such guard.
         tally = oracle.walk_started()
+        finished = False
         try:
             yield from dfs(0, (), frozenset(), cost_init, val_init, math.inf, 0.0)
+            finished = True
         finally:
             oracle.walk_finished(tally)
             active = _metrics._ACTIVE
@@ -367,6 +370,13 @@ class PackageSearchEngine:
                 )
             if examined_out is not None:
                 examined_out.append(examined)
+            if deadline is not None:
+                # Charge the nodes past the last full stride; only a walk
+                # that ran to its end re-checks (one ending on an exception,
+                # or closed early, only charges).
+                deadline.steps += examined & (_DEADLINE_STRIDE - 1)
+                if finished:
+                    deadline.check()
 
     # -- enumeration -----------------------------------------------------------
     def iter_valid(

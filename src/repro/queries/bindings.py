@@ -514,10 +514,6 @@ def resolve_plan(
             tuple(comparisons),
             bound_names,
             statistics=statistics,
-            # Snapshots carry a (source, epoch) component so readers pinned to
-            # one epoch share compiled plans without colliding across epochs;
-            # the live database contributes None (unchanged keying).
-            epoch=getattr(database, "plan_epoch", None),
         )
     finally:
         _tracing.finish(pspan)

@@ -79,8 +79,7 @@ slot index, each step precomputed bind and check positions, and each
 scheduled comparison becomes the :mod:`operator` function of its predicate
 applied to two slots.  A plan keeps its programs
 (:meth:`JoinPlan.slot_program`, one per set of pre-bound names), so a plan
-served from the cache is compiled to slots once, and plans that differ only
-in their cost estimates or cache epoch share one program.
+served from the cache is compiled to slots once.
 
 **Adding a new access path**: the multiway step above is the worked example —
 see the ROADMAP's "Adding a new access path" recipe, which walks through it
@@ -105,7 +104,6 @@ from __future__ import annotations
 
 import operator
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -331,29 +329,12 @@ class JoinPlan:
     def slot_program(self, pre_bound: Tuple[str, ...]) -> "SlotProgram":
         """The plan compiled for a run whose initial binding has these names.
 
-        Served from the plan after the first call with the same names.
-        Plans that differ only in what steers cost (their estimates, the
-        statistics or the epoch they were cached under) share one program;
-        a race between threads compiles twice and keeps either, both equal.
+        Served from the plan after the first call with the same names; a
+        race between threads compiles twice and keeps either, both equal.
         """
         program = self._programs.get(pre_bound)
         if program is None:
-            multiway = self.multiway if self.run_multiway else None
-            layout = (
-                pre_bound,
-                tuple(
-                    (step.atom, step.probe_terms, step.range_probe, step.columnar_pushdowns)
-                    for step in self.steps
-                ),
-                self.comparisons,
-                self.comparison_schedule,
-                self.run_semijoin and self.semijoin_tree,
-                multiway and (multiway.var_order, multiway.comparison_schedule),
-            )
-            program = _SHARED_PROGRAMS.get(layout)
-            if program is None:
-                program = _SHARED_PROGRAMS[layout] = SlotProgram(self, pre_bound)
-            self._programs[pre_bound] = program
+            program = self._programs[pre_bound] = SlotProgram(self, pre_bound)
         return program
 
     def describe(self) -> str:
@@ -850,12 +831,6 @@ _OPERATORS: Dict[ComparisonOp, Callable[[Value, Value], object]] = {
     ComparisonOp.GE: operator.ge,
 }
 
-#: Every live program, by the plan layout it was compiled from (see
-#: :meth:`JoinPlan.slot_program`); the plans holding a program keep it alive.
-_SHARED_PROGRAMS: "weakref.WeakValueDictionary[tuple, SlotProgram]" = (
-    weakref.WeakValueDictionary()
-)
-
 #: ``(position, slot)`` pairs: row positions a step writes into slots, or
 #: compares against them.
 SlotPairs = Tuple[Tuple[int, int], ...]
@@ -927,7 +902,6 @@ class SlotProgram:
         "levels",
         "level_tests",
         "_head",
-        "__weakref__",
     )
 
     def __init__(self, plan: JoinPlan, pre_bound: Tuple[str, ...]) -> None:
@@ -1085,7 +1059,6 @@ def cached_plan(
     comparisons: Tuple[Comparison, ...],
     bound_names: FrozenSet[str],
     statistics: Optional[Mapping[str, RelationStatistics]] = None,
-    epoch: Optional[Tuple] = None,
 ) -> JoinPlan:
     """:func:`plan_conjunction` behind an LRU keyed on its semantic inputs.
 
@@ -1096,22 +1069,15 @@ def cached_plan(
     correctly on any database; a stale or colliding entry can only cost time,
     never answers.  ``statistics`` is a mapping from relation name to its
     snapshot, which both keys the entry and costs a plan compiled on a miss,
-    or ``None`` for the statistics-blind order.
-
-    ``epoch`` is the snapshot-isolation component: a
-    :class:`~repro.relational.database.DatabaseSnapshot` exposes
-    ``plan_epoch = (id(source), epoch)`` and the evaluator threads it through,
-    so plans resolved at one pinned epoch are shared by every reader at that
-    epoch and never collide across epochs.  The live database contributes
-    ``None`` (no ``plan_epoch`` attribute), preserving the PR 4-5 keying
-    byte-for-byte.
+    or ``None`` for the statistics-blind order.  The key names no database
+    and no epoch, so the live database and every snapshot of it share entries.
     """
     quantized = (
         tuple(sorted(_quantized_statistics(stats) for stats in statistics.values()))
         if statistics is not None
         else None
     )
-    key = (relation_atoms, comparisons, bound_names, quantized, epoch)
+    key = (relation_atoms, comparisons, bound_names, quantized)
     with _PLAN_CACHE_LOCK:
         plan = _PLAN_CACHE.get(key)
         if plan is not None:

@@ -1081,19 +1081,6 @@ class DatabaseSnapshot(Database):
         """The source epoch this snapshot is pinned to."""
         return self._pinned_epoch
 
-    @property
-    def plan_epoch(self) -> Tuple[int, int]:
-        """The component the plan cache keys compiled plans on for this view.
-
-        ``(id(source), epoch)``: plans resolved through a snapshot are cached
-        per source database *and* per epoch, so two readers pinned to the same
-        epoch share compiled plans while readers on different epochs never
-        collide.  The live :class:`Database` exposes no ``plan_epoch`` (the
-        attribute probe yields ``None``), keeping the single-user cache
-        behaviour of PRs 4-5 byte-identical.
-        """
-        return (id(self._source), self._pinned_epoch)
-
     def source(self) -> Database:
         """The live database this snapshot was taken from."""
         return self._source

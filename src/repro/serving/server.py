@@ -11,13 +11,12 @@ batches.  Two server implementations share one request vocabulary:
     pins one :meth:`~repro.core.model.RecommendationProblem.pinned` problem
     per epoch and shares it — and everything warmed through it (the memoized
     compatibility verdicts, the :class:`~repro.core.oracle.ExistPackOracle`'s
-    sorted candidate pool, the per-epoch plan-cache entries) — between every
-    reader of that epoch.  Because a pinned epoch is immutable, answers are
-    also *memoizable*: identical requests within an epoch are computed once
-    and the answer is re-served, which is where most of the measured
-    throughput win comes from (see ``benchmarks/bench_serving.py``).  A
-    commit simply makes the next request pin a fresh epoch; in-flight
-    requests finish on the old one.
+    sorted candidate pool) — between every reader of that epoch.  Because a
+    pinned epoch is immutable, answers are also *memoizable*: identical
+    requests within an epoch are computed once and the answer is re-served,
+    which is where most of the measured throughput win comes from (see
+    ``benchmarks/bench_serving.py``).  A commit simply makes the next request
+    pin a fresh epoch; in-flight requests finish on the old one.
 
 :class:`GlobalLockServer`
     The pre-MVCC baseline, retained as the reference: one lock serialises

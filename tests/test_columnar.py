@@ -15,9 +15,12 @@ Two pinned properties:
   the live rows, decoded *bit-exactly* (``bool`` never comes back as ``int``,
   ``1`` never as ``1.0``) — compared canonically, because swap-removal makes
   the internal order maintenance-history dependent;
-* the vectorized kernels (:meth:`select`, :meth:`match_rows`) agree with a
+* the kernels (:meth:`select`, :meth:`match_rows`) agree with a
   brute-force Python evaluation of the same predicates on every surviving
   row set, across all encodable families.
+
+Every case runs twice: on the NumPy kernels and, with the module's ``_np``
+patched to ``None``, on the pure-Python fallback every kernel keeps.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import random
 
 import pytest
 
+from repro.relational import columnar
 from repro.relational.columnar import ColumnarRelation, value_family
 from repro.relational.database import Database, Relation
 from repro.relational.schema import RelationSchema
@@ -46,6 +50,16 @@ _POOLS = {
     "bool": (False, True),
     "str": ("a", "b", "c", "delta", "echo", ""),
 }
+
+
+@pytest.fixture(autouse=True, params=["numpy", "python"])
+def kernel_backend(request, monkeypatch):
+    """Every case runs on the NumPy kernels and on their pure-Python fallbacks."""
+    if request.param == "python":
+        monkeypatch.setattr(columnar, "_np", None)
+    elif columnar._np is None:
+        pytest.skip("NumPy is not installed")
+    return request.param
 
 
 def _canonical(rows):

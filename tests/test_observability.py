@@ -46,6 +46,7 @@ from repro.observability import (
 from repro.observability.tracing import MAX_CHILDREN
 from repro.queries.ast import RelationAtom, Var
 from repro.queries.bindings import enumerate_bindings
+from repro.queries.plan import clear_plan_cache
 from repro.serving import SnapshotServer, build_trace
 
 from scenarios import probe_path
@@ -438,6 +439,9 @@ class TestEndToEndCounters:
         # oracle's memo misses; the witness twin is the next test.
         server = SnapshotServer(probe_path(trace.problem))
         registry = MetricsRegistry()
+        # Plans are shared across epochs and tests: start cold so the replay
+        # compiles at least one.
+        clear_plan_cache()
         with use_metrics(registry):
             _replay(server, trace)
         # Serving layer.

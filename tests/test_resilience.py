@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.core import count_valid_packages
-from repro.core.enumeration import PackageSearchEngine
+from repro.core.enumeration import _DEADLINE_STRIDE, PackageSearchEngine
 from repro.observability import MetricsRegistry, use_metrics
 from repro.queries.ast import RelationAtom, Var
 from repro.queries.bindings import StepCounter, enumerate_bindings, enumerate_bindings_naive
@@ -315,6 +315,39 @@ class TestEngineDeadlines:
         finally:
             timer.cancel()
         assert engine.oracle.witness_verdicts > 1 and engine.oracle.misses == 0
+
+    @staticmethod
+    def _examined_under(engine, deadline, run):
+        """Run ``run(engine)`` under ``deadline``; the walk's examined nodes."""
+        registry = MetricsRegistry()
+        with use_metrics(registry), deadline_scope(deadline):
+            run(engine)
+        return registry.counter("engine.nodes.examined")
+
+    @pytest.mark.parametrize("items", [12, 40])
+    def test_a_walk_charges_every_examined_node(self, items):
+        """Nodes past the last full stride are charged when the walk ends:
+        a 21-node walk charges 21, not 0, and a 190-node one 190, not 128."""
+        engine = PackageSearchEngine(serving_problem(items, seed=1))
+        engine.oracle.is_satisfied(engine.singleton(engine.items[0]))  # build outside
+        deadline = Deadline()
+        examined = self._examined_under(engine, deadline, PackageSearchEngine.count_valid)
+        assert examined % _DEADLINE_STRIDE and deadline.steps == examined
+
+    def test_a_step_budget_below_one_stride_stops_a_finished_walk(self):
+        engine = PackageSearchEngine(serving_problem(12, seed=1))
+        with deadline_scope(Deadline(max_steps=5)):
+            with pytest.raises(StepLimitExceeded):
+                engine.count_valid()
+
+    def test_a_walk_closed_early_charges_without_raising(self):
+        engine = PackageSearchEngine(serving_problem(12, seed=1))
+        engine.oracle.is_satisfied(engine.singleton(engine.items[0]))
+        deadline = Deadline(max_steps=0)
+        examined = self._examined_under(
+            engine, deadline, lambda engine: next(iter(engine.iter_valid()))
+        )
+        assert examined and deadline.steps == examined
 
     def test_no_deadline_changes_nothing(self):
         problem = serving_problem(20, seed=3)

@@ -32,7 +32,10 @@ A sixth guard keeps one ``Qc`` probe: a package's probe is one evaluation of
 ``Qc``, so ``core/compatibility.py`` never calls a query's early-exit
 ``is_satisfiable_on``, and no function under ``src/repro/`` takes a
 ``stats_key`` that would let a caller key the plan cache without the
-statistics the plan is costed with.
+statistics the plan is costed with.  Nor does the plan cache key on an epoch:
+``cached_plan`` and ``resolve_plan`` take no ``epoch`` parameter and nothing
+under ``src/repro/`` names a ``plan_epoch``, so the live database and every
+snapshot of it share one plan per conjunction and statistics bucket.
 
 A seventh guard keeps bindings in slots: the executor behind
 ``enumerate_bindings`` matches rows through the plan's slot program, so the
@@ -381,9 +384,14 @@ def test_the_report_guard_itself_detects_copied_plumbing():
 COMPATIBILITY = SRC_ROOT / "core" / "compatibility.py"
 
 
+#: The plan-cache entry points, which must not key on an epoch.
+PLAN_RESOLVERS = frozenset({"cached_plan", "resolve_plan"})
+
+
 def _probe_bypasses(tree: ast.AST, *, compatibility: bool):
-    """``line:what`` for each ``stats_key`` parameter and, in the compatibility
-    module, each reference to ``is_satisfiable_on``."""
+    """``line:what`` for each ``stats_key`` parameter, each ``epoch``
+    parameter of a plan resolver, each ``plan_epoch`` identifier and, in the
+    compatibility module, each reference to ``is_satisfiable_on``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -393,12 +401,21 @@ def _probe_bypasses(tree: ast.AST, *, compatibility: bool):
             ):
                 if argument.arg == "stats_key":
                     found.append(f"{node.lineno}:stats_key")
+                elif argument.arg == "epoch" and getattr(node, "name", None) in PLAN_RESOLVERS:
+                    found.append(f"{node.lineno}:{node.name}(epoch)")
         elif compatibility and (
             (isinstance(node, ast.Attribute) and node.attr == "is_satisfiable_on")
             or (isinstance(node, ast.Name) and node.id == "is_satisfiable_on")
             or (isinstance(node, ast.Constant) and node.value == "is_satisfiable_on")
         ):
             found.append(f"{node.lineno}:is_satisfiable_on")
+        if (
+            (isinstance(node, ast.FunctionDef) and node.name == "plan_epoch")
+            or (isinstance(node, ast.Attribute) and node.attr == "plan_epoch")
+            or (isinstance(node, ast.Name) and node.id == "plan_epoch")
+            or (isinstance(node, ast.Constant) and node.value == "plan_epoch")
+        ):
+            found.append(f"{node.lineno}:plan_epoch")
     return sorted(set(found), key=lambda entry: int(entry.split(":")[0]))
 
 
@@ -414,7 +431,7 @@ def test_a_qc_probe_is_one_evaluation():
         )
     assert not offences, (
         "the Qc probe must evaluate Qc once, planned with the statistics it "
-        "is keyed on (no early exit, no stats_key): " + ", ".join(offences)
+        "is keyed on (no early exit, no stats_key, no epoch key): " + ", ".join(offences)
     )
 
 
@@ -441,6 +458,34 @@ def test_the_probe_guard_itself_detects_an_early_exit():
         "    return len(query.evaluate(database, extra_relations={})) == 0\n"
     )
     assert _probe_bypasses(clean, compatibility=True) == []
+
+
+def test_the_probe_guard_itself_detects_an_epoch_key():
+    """The guard must fire on a resolver's epoch parameter and on plan_epoch."""
+    epoch_keyed = ast.parse(
+        "def cached_plan(atoms, statistics=None, epoch=None):\n"
+        "    pass\n"
+        "def resolve_plan(database, atoms, *, epoch):\n"
+        "    return cached_plan(atoms, epoch=getattr(database, 'plan_epoch', None))\n"
+        "class DatabaseSnapshot:\n"
+        "    def plan_epoch(self):\n"
+        "        return self.plan_epoch\n"
+    )
+    assert _probe_bypasses(epoch_keyed, compatibility=False) == [
+        "1:cached_plan(epoch)",
+        "3:resolve_plan(epoch)",
+        "4:plan_epoch",
+        "6:plan_epoch",
+        "7:plan_epoch",
+    ]
+    clean = ast.parse(
+        '"""plan_epoch in a docstring is fine"""\n'
+        "def pinned(problem, epoch):\n"
+        "    return problem.at(epoch)\n"
+        "def cached_plan(atoms, statistics=None):\n"
+        "    return plan_epoch_free(atoms)\n"
+    )
+    assert _probe_bypasses(clean, compatibility=False) == []
 
 
 BINDINGS = SRC_ROOT / "queries" / "bindings.py"
