@@ -10,8 +10,9 @@ recommendation searches
 :func:`~repro.adjustment.arpp.find_package_adjustment`) live across streams
 of insertions and deletions, with
 :class:`~repro.incremental.views.MaintainedDelta` undo tokens making every
-update revertible.  The relational primitive underneath is
-:meth:`~repro.relational.database.Database.apply_delta`.
+update revertible.  A maintained delta (and its undo) is one commit of the
+relational layer's :meth:`~repro.relational.database.Database.apply_delta`
+path, with views notified after each effective modification inside it.
 """
 
 from repro.incremental.views import (

@@ -36,13 +36,15 @@ a factory that decomposes it into conjunctive disjuncts (reuse
 the incremental differential suite exercises whatever the registry returns.
 
 Multiple views over one database are kept consistent by
-:func:`apply_maintained`, which applies a delta one modification at a time —
-mutate the database in place via
-:meth:`~repro.relational.database.Database.apply_delta`, then notify every
-registered view — and returns a :class:`MaintainedDelta` undo token that
-replays the inverse modifications through the same path, restoring database
-*and* views exactly.  The ARPP search and the streaming QRPP search ride
-these tokens instead of copying the database per candidate.
+:func:`apply_maintained`, which applies a delta as one commit, with views
+notified after each effective modification inside it
+(:meth:`~repro.relational.database.Database._apply_validated`'s observer):
+the views see every intermediate state their delta rules assume, while
+snapshots and the write-ahead log see the whole delta or none of it.  It
+returns a :class:`MaintainedDelta` undo token that reverts the delta through
+the same path, again one commit, restoring database *and* views exactly.  The
+ARPP search and the streaming QRPP search ride these tokens instead of
+copying the database per candidate.
 """
 
 from __future__ import annotations
@@ -56,12 +58,11 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.plan import JoinPlan, plan_conjunction
 from repro.queries.sp import SPQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
-from repro.relational.database import Database, DeltaModification, Relation, Row
+from repro.relational.database import AppliedDelta, Database, DeltaModification, Relation, Row
 from repro.relational.errors import EvaluationError, ModelError
 from repro.relaxation.relax import RelaxedQuery
 
 INSERT = "insert"
-DELETE = "delete"
 
 
 def _pre_name(relation: str) -> str:
@@ -274,13 +275,15 @@ class ConjunctiveMaintainer:
             raise EvaluationError(
                 f"maintained query {self.query.name!r}: support of {row!r} went negative"
             )
+        # ``row`` projects validated values and the answers are the support's
+        # keys: write through the primitives, skipping validation.
         if count == 0:
             self._support.pop(row, None)
-            self._answers.discard(row)
+            self._answers._remove_row(row)
         else:
             self._support[row] = count
             if delta > 0 and count == delta:
-                self._answers.add(row)
+                self._answers._insert_row(row)
 
     def on_modification(self, kind: str, relation_name: str, row: Row) -> None:
         """Fold one *already applied* modification into the maintained answers."""
@@ -516,8 +519,9 @@ class MaintainedQuery:
 
         The modification must be the *only* change since the last observation
         (per-modification sequencing is what the delta rules assume);
-        :func:`apply_maintained` guarantees that.  Out-of-band changes are
-        caught by the version check on the next read instead.
+        :func:`apply_maintained` guarantees that by observing its commit
+        after each effective modification.  Out-of-band changes are caught by
+        the version check on the next read instead.
         """
         self._maintainer.on_modification(kind, relation_name, row)
         self._database_version = self.database.version()
@@ -531,50 +535,49 @@ class MaintainedQuery:
         return f"MaintainedQuery({self.query.name!r}, {mode}, {len(self.answers())} answers)"
 
 
-class MaintainedDelta:
+class _ViewObserver:
+    """The commit observer of :func:`apply_maintained`: notifies every view."""
+
+    __slots__ = ("views",)
+
+    def __init__(self, views: Tuple[MaintainedQuery, ...]) -> None:
+        self.views = views
+
+    def __call__(self, kind: str, relation_name: str, row: Row) -> None:
+        for view in self.views:
+            view.on_modification(kind, relation_name, row)
+
+    def guard(self, commit: Callable[[], Optional[AppliedDelta]]) -> Optional[AppliedDelta]:
+        """Run ``commit`` with the views synced first and reset if it raises.
+
+        A failed commit winds relation versions back, so a version a view
+        recorded mid-commit can recur over other rows: every view rebuilds.
+        """
+        for view in self.views:
+            view._sync()  # a view that missed earlier changes rebuilds first
+        try:
+            return commit()
+        except BaseException:
+            for view in self.views:
+                view._database_version = None
+            raise
+
+
+class MaintainedDelta(AppliedDelta):
     """Undo token for :func:`apply_maintained`: database *and* views revert.
 
-    Undo replays the inverse modifications in reverse order through the same
-    apply-then-notify path, so support counters and answer relations return to
-    their exact pre-delta state (the counting algorithm is exact under
-    inverses).  Also a context manager: the delta is undone on exit.
+    :meth:`undo` reverts the delta as one commit, with views notified after
+    each effective modification inside it, so support counters and answer
+    relations return to their exact pre-delta state (the counting algorithm
+    is exact under inverses).  A context manager, like its base class.
     """
 
-    __slots__ = ("database", "effective", "_views", "_undone")
-
-    def __init__(
-        self,
-        database: Database,
-        effective: Tuple[DeltaModification, ...],
-        views: Tuple[MaintainedQuery, ...],
-    ) -> None:
-        self.database = database
-        self.effective = effective
-        self._views = views
-        self._undone = False
-
-    def __len__(self) -> int:
-        return len(self.effective)
+    __slots__ = ()
 
     def undo(self) -> None:
         """Revert database and views (idempotent)."""
-        if self._undone:
-            return
-        self._undone = True
-        for view in self._views:
-            view._sync()  # fold in any out-of-band drift before replaying
-        for kind, name, row in reversed(self.effective):
-            inverse = (DELETE if kind == INSERT else INSERT, name, row)
-            # rows in the token are validated tuples; skip re-validation
-            self.database._apply_validated((inverse,))
-            for view in self._views:
-                view.on_modification(*inverse)
-
-    def __enter__(self) -> "MaintainedDelta":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.undo()
+        if not self._undone:
+            self._observer.guard(super().undo)
 
 
 def apply_maintained(
@@ -586,11 +589,12 @@ def apply_maintained(
 
     The whole delta is schema-validated up front
     (:meth:`~repro.relational.database.Database.validate_delta`), then applied
-    one modification at a time: mutate the database, notify each view.
-    Per-modification sequencing is what lets the delta rules see exactly the
-    database state their decomposition assumes.  No-op modifications (insert
-    of a present tuple, delete of an absent one) are skipped and do not reach
-    the views.
+    as one commit — one epoch, one WAL record — with views notified after each
+    effective modification inside it: the delta rules see exactly the states
+    their decomposition assumes, snapshots and the log all or none of the
+    delta, and a fault mid-delta leaves no trace (the views rebuild).  No-op
+    modifications (insert of a present tuple, delete of an absent one) are
+    skipped and do not reach the views.
     """
     views = tuple(views)
     for view in views:
@@ -598,14 +602,7 @@ def apply_maintained(
             raise ModelError(
                 "apply_maintained: a view is bound to a different database object"
             )
-        view._sync()  # a view that missed earlier changes rebuilds before deltas
     validated = database.validate_delta(modifications)
-    effective: List[DeltaModification] = []
-    for modification in validated:
-        # rows were validated up front; the fast path skips re-validation
-        token = database._apply_validated((modification,))
-        for applied in token.effective:
-            for view in views:
-                view.on_modification(*applied)
-            effective.append(applied)
-    return MaintainedDelta(database, tuple(effective), views)
+    observer = _ViewObserver(views)
+    applied = observer.guard(lambda: database._apply_validated(validated, observer))
+    return MaintainedDelta(database, applied.effective, observer)

@@ -47,17 +47,20 @@ no snapshot pinned are updated in place exactly as before.  Readers holding a
 snapshot therefore resolve rows, hash/sorted/trie indexes, statistics and
 (through the compatibility oracle's version checks) ``Qc`` verdicts against
 their pinned epoch, concurrently with a writer committing new epochs.  The
-copy-on-write guard covers the transactional write path only: direct
-:meth:`Relation.add`/:meth:`Relation.discard` calls on a live relation bypass
-it, so concurrent serving must funnel writes through :meth:`apply_delta`.
+copy-on-write covers the transactional write path only, so a direct
+:meth:`Relation.add`/:meth:`Relation.discard`/:meth:`Relation.clear`/
+:meth:`Relation.replace_rows` that would change a relation a live snapshot
+pins raises :class:`~repro.relational.errors.SnapshotViolationError`:
+concurrent serving funnels writes through :meth:`apply_delta`.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Set, Tuple
+)
 
 from repro.relational.errors import (
     IntegrityError,
@@ -75,40 +78,6 @@ from repro.resilience import faults as _faults
 
 Row = Tuple[Value, ...]
 
-#: The opt-in snapshot-safety guard (see :func:`set_snapshot_safety_guard`):
-#: when enabled, direct point/bulk mutations on a relation pinned by a live
-#: snapshot raise :class:`~repro.relational.errors.SnapshotViolationError`
-#: instead of silently corrupting the snapshot's frozen view.
-_DIRECT_MUTATION_GUARD = False
-
-
-def set_snapshot_safety_guard(enabled: bool) -> bool:
-    """Enable/disable the snapshot-safety debug guard; returns the old value.
-
-    The transactional write path (:meth:`Database.apply_delta`) performs
-    copy-on-write for snapshot-pinned relations, but direct
-    :meth:`Relation.add` / :meth:`Relation.discard` / :meth:`Relation.clear` /
-    :meth:`Relation.replace_rows` calls bypass it — the ROADMAP's known scope
-    limit.  With the guard on, such a call on a pinned relation raises
-    :class:`~repro.relational.errors.SnapshotViolationError`, turning the
-    silent corruption into detection.  Off (the default) is bit-identical to
-    the historical behaviour.  Process-global, like the chaos harness.
-    """
-    global _DIRECT_MUTATION_GUARD
-    previous = _DIRECT_MUTATION_GUARD
-    _DIRECT_MUTATION_GUARD = bool(enabled)
-    return previous
-
-
-@contextmanager
-def snapshot_safety_guard(enabled: bool = True) -> Iterator[None]:
-    """Scope the snapshot-safety guard to a ``with`` block (tests, debugging)."""
-    previous = set_snapshot_safety_guard(enabled)
-    try:
-        yield
-    finally:
-        set_snapshot_safety_guard(previous)
-
 #: One delta modification: ("insert" | "delete", relation name, tuple).  The
 #: same shape as :data:`repro.adjustment.delta.Modification`; the relational
 #: layer duck-types it so it does not depend on the adjustment package.
@@ -116,6 +85,10 @@ DeltaModification = Tuple[str, str, Row]
 
 _DELTA_INSERT = "insert"
 _DELTA_DELETE = "delete"
+
+#: Called by :meth:`Database._apply_validated` as ``observer(kind, name, row)``
+#: after each effective modification, inside the commit.
+CommitObserver = Callable[[str, str, Row], None]
 
 #: Double-fault rehearsal point: fires before each modification is reversed
 #: inside :meth:`Database._unwind_commit`, modelling a crash *during* the
@@ -136,14 +109,21 @@ class AppliedDelta:
     backwards.
 
     Also usable as a context manager: ``with database.apply_delta(delta): ...``
-    undoes the delta on exit.
+    undoes the delta on exit.  The undo is one commit notifying the commit's
+    observer (see :meth:`Database._apply_validated`) again.
     """
 
-    __slots__ = ("database", "effective", "_undone")
+    __slots__ = ("database", "effective", "_observer", "_undone")
 
-    def __init__(self, database: "Database", effective: Tuple[DeltaModification, ...]) -> None:
+    def __init__(
+        self,
+        database: "Database",
+        effective: Tuple[DeltaModification, ...],
+        observer: Optional[CommitObserver] = None,
+    ) -> None:
         self.database = database
         self.effective = effective
+        self._observer = observer
         self._undone = False
 
     def __len__(self) -> int:
@@ -158,7 +138,8 @@ class AppliedDelta:
             tuple(
                 (_DELTA_DELETE if kind == _DELTA_INSERT else _DELTA_INSERT, name, row)
                 for kind, name, row in reversed(self.effective)
-            )
+            ),
+            self._observer,
         )
 
     def __enter__(self) -> "AppliedDelta":
@@ -193,8 +174,8 @@ class Relation:
     def __init__(self, schema: RelationSchema, rows: Iterable[Sequence[Value]] = ()) -> None:
         self.schema = schema
         #: Live snapshots pinning this exact relation object (weakly), kept by
-        #: :meth:`Database.snapshot` purely for the opt-in snapshot-safety
-        #: guard — the commit path's copy-on-write decision still consults the
+        #: :meth:`Database.snapshot` purely for the direct-mutation guard —
+        #: the commit path's copy-on-write decision still consults the
         #: database's snapshot registry, not this set.
         self._pinned_by: "weakref.WeakSet" = weakref.WeakSet()
         self._rows: Set[Row] = set()
@@ -225,13 +206,13 @@ class Relation:
 
     # -- mutation -------------------------------------------------------------
     def _check_direct_mutation(self, operation: str) -> None:
-        """The opt-in snapshot-safety guard: reject mutating a pinned relation.
+        """The snapshot-safety guard: reject an effective change to a pinned relation.
 
         Only direct mutators call this; the transactional commit path
         (:meth:`Database._apply_validated`) clones pinned relations first and
         mutates the unpinned clone, so it never trips the guard.
         """
-        if _DIRECT_MUTATION_GUARD and self._pinned_by:
+        if self._pinned_by:
             raise SnapshotViolationError(
                 f"direct {operation} on relation {self.name!r} while "
                 f"{len(self._pinned_by)} live snapshot(s) pin it; route the "
@@ -251,26 +232,19 @@ class Relation:
         self._stats = None
         self._stats_max = None
 
-    def _index_added_row(self, row: Row) -> None:
-        """Fold one inserted row into every cached index (O(indexes), not O(rows))."""
+    def _insert_row(self, row: Row, step: int = 1) -> None:
+        """Insert an absent, already-validated row: row set, version, every cache.
+
+        The one point-insert primitive (:meth:`add`, the commit, its unwind
+        and view maintenance); each lazy cache is maintained in place, so the
+        cost is O(indexes), not O(rows).  ``step`` is the version bump: the
+        crash unwind passes -1 to wind back the bump it reverts.
+        """
+        self._rows.add(row)
+        self._version += step
         for key, index in self._indexes.items():
             values = tuple(row[p] for p in key)
             index[values] = index.get(values, ()) + (row,)
-
-    def _index_removed_row(self, row: Row) -> None:
-        """Remove one row from every cached index."""
-        for key, index in self._indexes.items():
-            values = tuple(row[p] for p in key)
-            bucket = tuple(r for r in index.get(values, ()) if r != row)
-            if bucket:
-                index[values] = bucket
-            else:
-                index.pop(values, None)
-
-    def _caches_added_row(self, row: Row) -> None:
-        """Maintain every lazy cache in place after one point insertion."""
-        if self._indexes:
-            self._index_added_row(row)
         for position, index in self._sorted_indexes.items():
             index.add(row[position])
         for trie in self._trie_indexes.values():
@@ -286,10 +260,17 @@ class Relation:
                 if current is not None and count > current:
                     self._stats_max[position] = count
 
-    def _caches_removed_row(self, row: Row) -> None:
-        """Maintain every lazy cache in place after one point deletion."""
-        if self._indexes:
-            self._index_removed_row(row)
+    def _remove_row(self, row: Row, step: int = 1) -> None:
+        """Remove a present, already-validated row: the twin of :meth:`_insert_row`."""
+        self._rows.remove(row)
+        self._version += step
+        for key, index in self._indexes.items():
+            values = tuple(row[p] for p in key)
+            bucket = tuple(r for r in index.get(values, ()) if r != row)
+            if bucket:
+                index[values] = bucket
+            else:
+                index.pop(values, None)
         for position, index in self._sorted_indexes.items():
             index.remove(row[position])
         for trie in self._trie_indexes.values():
@@ -321,9 +302,7 @@ class Relation:
         validated = self.schema.validate_tuple(row)
         if validated not in self._rows:
             self._check_direct_mutation("add")
-            self._rows.add(validated)
-            self._version += 1
-            self._caches_added_row(validated)
+            self._insert_row(validated)
         return validated
 
     def add_all(self, rows: Iterable[Sequence[Value]]) -> None:
@@ -339,9 +318,7 @@ class Relation:
         validated = self.schema.validate_tuple(row)
         if validated in self._rows:
             self._check_direct_mutation("discard")
-            self._rows.remove(validated)
-            self._version += 1
-            self._caches_removed_row(validated)
+            self._remove_row(validated)
             return True
         return False
 
@@ -883,19 +860,28 @@ class Database:
         return self._apply_validated(self.validate_delta(modifications))
 
     def _apply_validated(
-        self, validated: Sequence[DeltaModification]
+        self,
+        validated: Sequence[DeltaModification],
+        observer: Optional[CommitObserver] = None,
     ) -> AppliedDelta:
         """Apply modifications already normalised by :meth:`validate_delta`.
 
         The O(|Δ|) inner loop behind :meth:`apply_delta` and the incremental
-        subsystem's per-modification transactions — callers guarantee the
-        rows are validated plain tuples so no schema work is repeated here.
+        subsystem's maintained deltas — callers guarantee the rows are
+        validated plain tuples so no schema work is repeated here.
 
         This is the *commit* of the snapshot-isolation story: the whole
         application runs under the snapshot lock, pinned relations are cloned
         first (:meth:`_copy_on_write`), and an effective commit advances the
         epoch — so a snapshot taken at any moment sees either none or all of
         the delta, never a prefix.
+
+        ``observer(kind, name, row)`` is called after each *effective*
+        modification, inside the critical section and before the epoch bump
+        and the WAL append: one commit, with the observer (the views of
+        :func:`~repro.incremental.views.apply_maintained`) notified after each
+        effective modification inside it.  An observer that raises fails the
+        commit like any other fault; the token keeps it for its undo.
 
         The commit is also *crash-safe*: if anything raises mid-application
         (the ``commit.modification`` / ``commit.epoch`` chaos points model an
@@ -924,18 +910,16 @@ class Database:
                 for kind, name, row in validated:
                     relation = self._relations[name]
                     _faults.fault_point("commit.modification")
-                    if kind == _DELTA_INSERT:
-                        if row not in relation._rows:
-                            relation._rows.add(row)
-                            relation._version += 1
-                            relation._caches_added_row(row)
-                            effective.append((kind, name, row))
+                    insert = kind == _DELTA_INSERT
+                    if (row in relation._rows) == insert:
+                        continue  # a no-op under set semantics
+                    if insert:
+                        relation._insert_row(row)
                     else:
-                        if row in relation._rows:
-                            relation._rows.remove(row)
-                            relation._version += 1
-                            relation._caches_removed_row(row)
-                            effective.append((kind, name, row))
+                        relation._remove_row(row)
+                    effective.append((kind, name, row))
+                    if observer is not None:
+                        observer(kind, name, row)
                 if effective:
                     self._epoch += 1
                     epoch_bumped = True
@@ -951,7 +935,7 @@ class Database:
                 active = _metrics._ACTIVE
                 if active is not None:
                     active.inc("database.commits")
-            applied = AppliedDelta(self, tuple(effective))
+            applied = AppliedDelta(self, tuple(effective), observer)
             if ticket is not None and wal.sync_in_commit:
                 # The classical fsync-per-commit log forces the disk before
                 # the commit releases its lock: the ack is part of the
@@ -976,12 +960,14 @@ class Database:
     ) -> None:
         """Roll back a partially applied commit (called under the snapshot lock).
 
-        Inverts the effective prefix in reverse order through the same
-        in-place cache maintenance the forward path used, and *decrements*
-        the version counters it bumped.  Winding a version counter backwards
-        is sound exactly here: the row set is restored to the same content
-        the old version number described, so every (version, content) pair a
-        cache may have memoized stays truthful.
+        Inverts the effective prefix in reverse order through the same point
+        primitives the forward path used, *decrementing* the version counters
+        it bumped.  Winding a version counter backwards is sound for every
+        cache the commit did not show an intermediate state: the row set is
+        restored to the same content the old version number described.  An
+        observer did see intermediate versions, which a later commit can
+        reach again over other rows, so it must drop what it derived from
+        them (the maintained views rebuild).
 
         The ``commit.unwind`` fault point fires before each reversal: a
         *double fault* (crashing inside the crash handler) leaves the
@@ -993,12 +979,9 @@ class Database:
             _faults.fault_point(_FAULT_COMMIT_UNWIND)
             relation = self._relations[name]
             if kind == _DELTA_INSERT:
-                relation._rows.remove(row)
-                relation._caches_removed_row(row)
+                relation._remove_row(row, -1)
             else:
-                relation._rows.add(row)
-                relation._caches_added_row(row)
-            relation._version -= 1
+                relation._insert_row(row, -1)
         if epoch_bumped:
             self._epoch -= 1
 
@@ -1108,7 +1091,7 @@ class DatabaseSnapshot(Database):
     def apply_delta(self, modifications: Iterable[DeltaModification]) -> AppliedDelta:
         raise self._immutable("apply a delta")
 
-    def _apply_validated(self, validated: Sequence[DeltaModification]) -> AppliedDelta:
+    def _apply_validated(self, validated, observer=None) -> AppliedDelta:
         raise self._immutable("apply a delta")
 
     def invalidate_indexes(self) -> None:

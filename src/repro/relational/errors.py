@@ -77,10 +77,8 @@ class StepLimitExceeded(BudgetExceededError):
 class SnapshotViolationError(ModelError):
     """A direct mutation hit a relation pinned by a live snapshot.
 
-    Raised only when the opt-in snapshot-safety guard
-    (:func:`~repro.relational.database.snapshot_safety_guard`) is enabled:
-    direct ``Relation.add``/``discard``/``clear``/``replace_rows`` calls
+    Direct ``Relation.add``/``discard``/``clear``/``replace_rows`` calls
     bypass the copy-on-write commit path, so with a live snapshot pinning the
-    relation they would silently corrupt the snapshot's frozen view.  The
-    guard turns that silent corruption into detection.
+    relation they would silently corrupt the snapshot's frozen view; the
+    snapshot-safety guard, always on, raises this instead.
     """

@@ -19,11 +19,7 @@ from repro.core.enumeration import _DEADLINE_STRIDE, PackageSearchEngine
 from repro.observability import MetricsRegistry, use_metrics
 from repro.queries.ast import RelationAtom, Var
 from repro.queries.bindings import StepCounter, enumerate_bindings, enumerate_bindings_naive
-from repro.relational.database import (
-    Database,
-    set_snapshot_safety_guard,
-    snapshot_safety_guard,
-)
+from repro.relational.database import Database
 from repro.relational.errors import (
     EvaluationError,
     SnapshotViolationError,
@@ -455,33 +451,36 @@ class TestSnapshotSafetyGuard:
         database = _crash_database()
         snapshot = database.snapshot()
         items = database.relation("items")
-        with snapshot_safety_guard():
-            with pytest.raises(SnapshotViolationError):
-                items.add((9, "z", 1))
-            with pytest.raises(SnapshotViolationError):
-                items.discard((1, "a", 5))
-            with pytest.raises(SnapshotViolationError):
-                items.clear()
-            with pytest.raises(SnapshotViolationError):
-                items.replace_rows([(9, "z", 1)])
-            # No-op mutations never corrupt anything and stay permitted.
-            items.add((1, "a", 5))
-            assert not items.discard((999, "x", 0))
+        with pytest.raises(SnapshotViolationError):
+            items.add((9, "z", 1))
+        with pytest.raises(SnapshotViolationError):
+            items.discard((1, "a", 5))
+        with pytest.raises(SnapshotViolationError):
+            items.clear()
+        with pytest.raises(SnapshotViolationError):
+            items.replace_rows([(9, "z", 1)])
+        # No-op mutations never corrupt anything and stay permitted.
+        items.add((1, "a", 5))
+        assert not items.discard((999, "x", 0))
         assert snapshot.relation("items").rows() == items.rows()
 
     def test_the_transactional_write_path_never_trips_the_guard(self):
         database = _crash_database()
         snapshot = database.snapshot()
         before = snapshot.relation("items").rows()
-        with snapshot_safety_guard():
-            database.apply_delta([("insert", "items", (9, "z", 1))])
+        database.apply_delta([("insert", "items", (9, "z", 1))])
         assert snapshot.relation("items").rows() == before  # copy-on-write
         assert (9, "z", 1) in database.relation("items").rows()
 
-    def test_guard_off_is_the_historical_silent_behaviour(self):
+    def test_a_rejected_direct_mutation_leaves_the_relation_untouched(self):
         database = _crash_database()
-        database.snapshot()
-        database.relation("items").add((9, "z", 1))  # no guard: no raise
+        snapshot = database.snapshot()
+        items = database.relation("items")
+        rows, version = items.rows(), items.version
+        with pytest.raises(SnapshotViolationError):
+            items.add((9, "z", 1))  # the guard has no off switch
+        assert (items.rows(), items.version) == (rows, version)
+        assert snapshot.relation("items").rows() == rows
 
     def test_dropping_the_snapshot_lifts_the_guard(self):
         database = _crash_database()
@@ -490,15 +489,7 @@ class TestSnapshotSafetyGuard:
         import gc
 
         gc.collect()
-        with snapshot_safety_guard():
-            database.relation("items").add((9, "z", 1))
-
-    def test_set_returns_the_previous_value(self):
-        assert set_snapshot_safety_guard(True) is False
-        try:
-            assert set_snapshot_safety_guard(False) is True
-        finally:
-            set_snapshot_safety_guard(False)
+        database.relation("items").add((9, "z", 1))
 
 
 # ---------------------------------------------------------------------------

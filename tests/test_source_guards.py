@@ -43,6 +43,18 @@ dict-building row matcher ``_match_atom_against_row`` is referenced only by
 the naive reference ``enumerate_bindings_naive``, anywhere under
 ``src/repro/``, and ``queries/bindings.py`` copies no binding with
 ``dict(binding)`` outside that reference.
+
+An eighth guard keeps one primitive for validated row writes: under
+``src/repro/`` a row set is changed point-wise (``_rows.add`` /
+``_rows.remove`` / ``_rows.discard``) and a version counter is bumped
+(``_version +=``, or any augmented assignment) only inside
+``Relation._insert_row`` / ``Relation._remove_row``, apart from the bulk
+``Relation._mutated``; the commit, its unwind, ``add``/``discard`` and view
+maintenance all go through the pair.
+
+A ninth guard keeps a maintained delta one commit: ``incremental/views.py``
+never calls ``_apply_validated`` inside a loop or comprehension, so no
+per-modification commit loop can come back.
 """
 
 from __future__ import annotations
@@ -577,3 +589,152 @@ def test_the_slot_guard_itself_detects_a_dict_binding():
         "    yield dict(zip(names, slots))\n"
     )
     assert _dict_bindings(clean, executor=True) == []
+
+
+#: The point primitives (and the bulk ``_mutated``) that may write a row set
+#: or a version counter directly.
+ROW_WRITE_PRIMITIVES = frozenset(
+    {"Relation._insert_row", "Relation._remove_row", "Relation._mutated"}
+)
+
+
+def _raw_row_writes(tree: ast.AST):
+    """``line:function:what`` for each point write of a ``_rows`` set and each
+    augmented assignment to a ``_version`` outside :data:`ROW_WRITE_PRIMITIVES`."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name + ".")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + child.name)
+                continue
+            if scope not in ROW_WRITE_PRIMITIVES:
+                if (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("add", "remove", "discard")
+                    and isinstance(child.func.value, ast.Attribute)
+                    and child.func.value.attr == "_rows"
+                ):
+                    found.append(f"{child.lineno}:{scope}:_rows.{child.func.attr}")
+                elif (
+                    isinstance(child, ast.AugAssign)
+                    and isinstance(child.target, ast.Attribute)
+                    and child.target.attr == "_version"
+                ):
+                    found.append(f"{child.lineno}:{scope}:_version")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_validated_row_writes_go_through_one_primitive():
+    offences = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(
+            f"{path.relative_to(SRC_ROOT.parent)}:{offence}" for offence in _raw_row_writes(tree)
+        )
+    assert not offences, (
+        "a validated row is inserted or removed through Relation._insert_row / "
+        "_remove_row (row set, version and every cache at once): " + ", ".join(offences)
+    )
+
+
+def test_the_row_write_guard_itself_detects_an_inline_write():
+    """The guard must fire on inline row-set and version writes outside the pair."""
+    inline = ast.parse(
+        "class Database:\n"
+        "    def _apply_validated(self, relation, row):\n"
+        "        relation._rows.add(row)\n"
+        "        relation._version += 1\n"
+        "        relation._rows.remove(row)\n"
+        "        relation._version -= 1\n"
+        "def answers(view, row):\n"
+        "    view._answers._rows.discard(row)\n"
+    )
+    assert _raw_row_writes(inline) == [
+        "3:Database._apply_validated:_rows.add",
+        "4:Database._apply_validated:_version",
+        "5:Database._apply_validated:_rows.remove",
+        "6:Database._apply_validated:_version",
+        "8:answers:_rows.discard",
+    ]
+    clean = ast.parse(
+        "class Relation:\n"
+        "    def _insert_row(self, row, step=1):\n"
+        "        self._rows.add(row)\n"
+        "        self._version += step\n"
+        "    def _remove_row(self, row, step=1):\n"
+        "        self._rows.remove(row)\n"
+        "        self._version += step\n"
+        "    def _mutated(self):\n"
+        "        self._version += 1\n"
+        "    def clear(self):\n"
+        "        self._rows.clear()\n"
+        "def elsewhere(seen, row):\n"
+        "    seen.add(row)\n"
+    )
+    assert _raw_row_writes(clean) == []
+
+
+VIEWS = SRC_ROOT / "incremental" / "views.py"
+
+LOOPS = (
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+def _commits_in_loops(tree: ast.AST):
+    """Lines of the ``_apply_validated`` calls nested inside a loop."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, LOOPS):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Attribute) and node.func.attr == "_apply_validated")
+                or (isinstance(node.func, ast.Name) and node.func.id == "_apply_validated")
+            ):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_a_maintained_delta_is_one_commit():
+    tree = ast.parse(VIEWS.read_text(encoding="utf-8"), filename=str(VIEWS))
+    offences = _commits_in_loops(tree)
+    assert not offences, (
+        "apply_maintained and its undo commit a delta once, with the views "
+        "notified inside the commit; a commit inside a loop at line(s) "
+        + ", ".join(map(str, offences))
+    )
+
+
+def test_the_commit_guard_itself_detects_a_commit_loop():
+    """The guard must fire on a per-modification commit, in a loop or comprehension."""
+    looping = ast.parse(
+        "def apply_maintained(database, validated, views):\n"
+        "    for modification in validated:\n"
+        "        token = database._apply_validated((modification,))\n"
+        "    while validated:\n"
+        "        _apply_validated(validated.pop())\n"
+        "    return [database._apply_validated((m,)) for m in validated]\n"
+    )
+    assert _commits_in_loops(looping) == [3, 5, 6]
+    clean = ast.parse(
+        "def apply_maintained(database, validated, views):\n"
+        "    for view in views:\n"
+        "        view._sync()\n"
+        "    return database._apply_validated(validated, observer)\n"
+    )
+    assert _commits_in_loops(clean) == []
