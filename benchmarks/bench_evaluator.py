@@ -21,8 +21,6 @@ Run stand-alone for the machine-readable report::
     PYTHONPATH=src python benchmarks/bench_evaluator.py --json
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.bench.harness import time_callable
@@ -143,17 +141,6 @@ def test_top_k_with_compatibility_cache(benchmark, annotate, num_items):
     info = problem.compatibility_oracle().cache_info()
     benchmark.extra_info["oracle_hits"] = info["hits"]
     benchmark.extra_info["oracle_misses"] = info["misses"]
-
-
-@pytest.mark.parametrize("num_items", ORACLE_SIZES)
-def test_top_k_without_compatibility_cache(benchmark, annotate, num_items):
-    base = synthetic_package_problem(num_items, budget=60.0, k=2, seed=num_items).problem
-    problem = replace(base, cache_compatibility=False)
-    annotate(group="evaluator/oracle", variant="cache off", db_size=num_items)
-    result = benchmark(lambda: compute_top_k(problem))
-    assert result.found
-    # Byte-identical answers regardless of caching.
-    assert result.ratings == compute_top_k(base).ratings
 
 
 if __name__ == "__main__":

@@ -44,7 +44,10 @@ probe is itself a query evaluation.  The oracle avoids them in two ways:
 The oracle re-checks the database on every verdict (it compares
 :meth:`~repro.relational.database.Database.version` snapshots) and drops
 whatever a change may have falsified, so sharing it across problems over the
-same database is always safe.
+same database is always safe.  It has no switch that bypasses either way:
+a test that needs every verdict probed puts ``Qc`` behind a
+:class:`PredicateConstraint`, which the witness sets decline (the test
+kit's ``probe_path``).
 """
 
 from __future__ import annotations
@@ -493,9 +496,10 @@ class CompatibilityOracle:
     counter accounts for memo retentions); otherwise both are dropped
     (``invalidations`` counts the memo clears).  A constraint with an
     unknown footprint (``None``) always clears, so stale verdicts can never
-    be served.  With ``enabled=False`` the oracle degrades to a transparent
-    pass-through (no witness index, no memo, no accounting), which the tests
-    use to show that served and probed runs are byte-identical.
+    be served.  There is no switch that bypasses either path: tests that
+    need every verdict probed put ``Qc`` behind a
+    :class:`PredicateConstraint` (the test kit's ``probe_path``), which the
+    witness path declines, and compare that run with the witness-served one.
 
     **Accounting.**  ``hits`` and ``misses`` count memo lookups,
     ``witness_verdicts`` the verdicts served from an index,
@@ -516,7 +520,6 @@ class CompatibilityOracle:
     __slots__ = (
         "constraint",
         "database",
-        "enabled",
         "hits",
         "misses",
         "invalidations",
@@ -535,15 +538,9 @@ class CompatibilityOracle:
         "_build_lock",
     )
 
-    def __init__(
-        self,
-        constraint: CompatibilityConstraint,
-        database: Database,
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, constraint: CompatibilityConstraint, database: Database) -> None:
         self.constraint = constraint
         self.database = database
-        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -688,8 +685,6 @@ class CompatibilityOracle:
         """
         if self._always_true:
             return True
-        if not self.enabled:
-            return self.constraint.is_satisfied(package, self.database)
         if tally is not None:
             return self._verdict(package, tally)
         tally = _Tally()
@@ -726,7 +721,6 @@ class CompatibilityOracle:
             "hits": self.hits,
             "misses": self.misses,
             "size": len(self._cache),
-            "enabled": self.enabled,
             "invalidations": self.invalidations,
             "retentions": self.retentions,
             "witness_sets": self._witness.size,

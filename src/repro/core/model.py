@@ -120,11 +120,6 @@ class RecommendationProblem:
     #: affect running time when it genuinely holds, and must not be set
     #: otherwise.
     monotone_val: bool = False
-    #: Whether compatibility verdicts are memoized (see
-    #: :class:`~repro.core.compatibility.CompatibilityOracle`).  Caching never
-    #: changes results — the oracle invalidates on database mutation — so this
-    #: knob exists for the cache-on/off equivalence tests and ablations.
-    cache_compatibility: bool = True
     _compatibility_oracle: Optional[CompatibilityOracle] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -152,18 +147,19 @@ class RecommendationProblem:
         (e.g. after :func:`dataclasses.replace`), and the problem transforms
         that keep both (``with_query``, ``with_budget``, ``with_k``,
         ``with_constant_bound``) carry the oracle over so QRPP-style searches
-        share verdicts across derived problems.
+        share verdicts across derived problems.  No problem field bypasses
+        the oracle's witness index or memo; a problem whose verdicts must all
+        be probed gives ``Qc`` as a
+        :class:`~repro.core.compatibility.PredicateConstraint`, which the
+        witness path declines.
         """
         oracle = self._compatibility_oracle
         if (
             oracle is None
             or oracle.constraint is not self.compatibility
             or oracle.database is not self.database
-            or oracle.enabled != self.cache_compatibility
         ):
-            oracle = CompatibilityOracle(
-                self.compatibility, self.database, enabled=self.cache_compatibility
-            )
+            oracle = CompatibilityOracle(self.compatibility, self.database)
             self._compatibility_oracle = oracle
         return oracle
 
@@ -175,11 +171,7 @@ class RecommendationProblem:
         derived from an untouched parent still end up sharing one cache; this
         is what makes the QRPP search reuse verdicts across relaxations.
         """
-        if (
-            new.database is self.database
-            and new.compatibility is self.compatibility
-            and new.cache_compatibility == self.cache_compatibility
-        ):
+        if new.database is self.database and new.compatibility is self.compatibility:
             new._compatibility_oracle = self.compatibility_oracle()
         return new
 

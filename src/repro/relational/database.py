@@ -39,11 +39,13 @@ isolation* (PR 6): :meth:`Database.snapshot` returns an immutable
 :class:`DatabaseSnapshot` pinned to the database's current *epoch*.  Every
 committing transaction (:meth:`Database.apply_delta` or an
 :class:`AppliedDelta` undo) first performs **copy-on-write at relation
-granularity**: any relation referenced by a live snapshot is cloned before it
+granularity**: any relation a live snapshot pins is cloned before it
 is mutated, so the snapshot keeps the untouched original — including every
 lazy index and statistic ever built on it, which can never go stale because
 the pinned relation objects are simply never mutated again — while relations
-no snapshot pinned are updated in place exactly as before.  Readers holding a
+no snapshot pinned are updated in place exactly as before.  Pins are kept
+per relation object (``Relation._pinned_by``), so a commit through another
+:class:`Database` that holds the same object clones it too.  Readers holding a
 snapshot therefore resolve rows, hash/sorted/trie indexes, statistics and
 (through the compatibility oracle's version checks) ``Qc`` verdicts against
 their pinned epoch, concurrently with a writer committing new epochs.  The
@@ -173,10 +175,11 @@ class Relation:
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Sequence[Value]] = ()) -> None:
         self.schema = schema
-        #: Live snapshots pinning this exact relation object (weakly), kept by
-        #: :meth:`Database.snapshot` purely for the direct-mutation guard —
-        #: the commit path's copy-on-write decision still consults the
-        #: database's snapshot registry, not this set.
+        #: Live snapshots pinning this exact relation object (weakly: a
+        #: dropped snapshot stops pinning it), filled by
+        #: :meth:`Database.snapshot`.  The one pin registry: the commit path's
+        #: copy-on-write and the direct-mutation guard both ask it, whichever
+        #: :class:`Database` holds the relation.
         self._pinned_by: "weakref.WeakSet" = weakref.WeakSet()
         self._rows: Set[Row] = set()
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Value, ...], Tuple[Row, ...]]] = {}
@@ -642,11 +645,8 @@ class Database:
         #: in-memory, bit-identical to the pre-durability behaviour).  Set by
         #: :meth:`attach_wal`; deliberately not inherited by :meth:`copy`.
         self._wal = None
-        #: Live snapshots pinning relation objects (weakly: a dropped snapshot
-        #: stops forcing copy-on-write).  Guarded by ``_snapshot_lock``, which
-        #: serialises commits against snapshot creation so a snapshot can
-        #: never observe a half-applied delta.
-        self._snapshots: "weakref.WeakSet[DatabaseSnapshot]" = weakref.WeakSet()
+        #: Serialises commits against snapshot creation, so a snapshot of this
+        #: database can never observe a half-applied delta.
         self._snapshot_lock = threading.RLock()
         for relation in relations:
             self.add_relation(relation)
@@ -755,12 +755,13 @@ class Database:
         swaps a clone into the live database and leaves the pinned original
         frozen.  Reads, index builds and statistics on the snapshot therefore
         always answer as of the pinned epoch, concurrently with a committing
-        writer.  Snapshots are tracked weakly; dropping every reference to one
-        lifts its copy-on-write protection.
+        writer.  Each pinned relation records the snapshot weakly in its
+        ``_pinned_by`` set, so the protection holds against a commit through
+        any database that holds the same relation object, and dropping every
+        reference to the snapshot lifts it.
         """
         with self._snapshot_lock:
             snapshot = DatabaseSnapshot(self, self._epoch, dict(self._relations))
-            self._snapshots.add(snapshot)
             for relation in self._relations.values():
                 relation._pinned_by.add(snapshot)
             active = _metrics._ACTIVE
@@ -772,20 +773,16 @@ class Database:
         """Clone every about-to-be-mutated relation that a live snapshot pins.
 
         Called under ``_snapshot_lock`` by the commit path.  A relation is
-        pinned iff some live snapshot holds the *same object*; the clone
-        (:meth:`Relation._cow_clone`) replaces it in the live database, so the
-        mutation lands on the clone and the snapshot keeps the frozen
-        original.  Relations no snapshot pins are mutated in place — the
-        single-user fast path of PRs 1-5 is unchanged when no snapshot exists.
+        pinned iff its ``_pinned_by`` set is non-empty, i.e. some live
+        snapshot — of this database or of any other that holds the *same
+        object* — refers to it; the clone (:meth:`Relation._cow_clone`)
+        replaces it in this database, so the mutation lands on the clone and
+        the snapshot keeps the frozen original.  Relations no snapshot pins
+        are mutated in place.
         """
-        snapshots = tuple(self._snapshots)
-        if not snapshots:
-            return
         for name in names:
             relation = self._relations.get(name)
-            if relation is None:
-                continue
-            if any(snap._relations.get(name) is relation for snap in snapshots):
+            if relation is not None and relation._pinned_by:
                 self._relations[name] = relation._cow_clone()
                 active = _metrics._ACTIVE
                 if active is not None:
@@ -1047,14 +1044,14 @@ class DatabaseSnapshot(Database):
     """
 
     #: Snapshots hash by identity (``Database.__eq__`` would otherwise make
-    #: them unhashable): the source tracks them in a ``WeakSet``, and two
-    #: snapshots are distinct pins even when their contents are equal.
+    #: them unhashable): each pinned relation tracks them in a ``WeakSet``,
+    #: and two snapshots are distinct pins even when their contents are equal.
     __hash__ = object.__hash__
 
     def __init__(self, source: Database, epoch: int, relations: Dict[str, Relation]) -> None:
         # Deliberately no super().__init__(): the relations dict is installed
         # directly (the names were validated when they entered the source),
-        # and a snapshot needs no lock or snapshot registry of its own.
+        # and a snapshot needs no lock of its own.
         self._relations = relations
         self._source = source
         self._pinned_epoch = epoch

@@ -477,7 +477,8 @@ def random_problem(seed: int) -> Tuple[RecommendationProblem, float]:
     ``monotone_val``) are randomly withheld even when the property holds, so
     a differential suite exercises both the pruned and the exhaustive regimes
     of every search mode; they are never declared when the property does NOT
-    hold.
+    hold.  A fifth of the problems that have a ``Qc`` come on the
+    :func:`probe_path`, so the suite also sees every verdict probed.
     """
     rng = random.Random(seed)
     num_items = rng.randint(3, 7)
@@ -532,8 +533,12 @@ def random_problem(seed: int) -> Tuple[RecommendationProblem, float]:
         monotone_cost=cost_is_monotone and rng.random() < 0.8,
         antimonotone_compatibility=rng.random() < 0.8,
         monotone_val=val_is_monotone and rng.random() < 0.8,
-        cache_compatibility=rng.random() < 0.8,
     )
+    # Drawn after the hints and before the rating bound, so every seed keeps
+    # its problem and its rating bound.
+    witness_served = rng.random() < 0.8
+    if not witness_served and problem.has_compatibility_constraint():
+        problem = probe_path(problem)
     if val_kind == 1:
         rating_bound = float(-rng.randint(5, 40))
     else:

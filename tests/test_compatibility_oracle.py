@@ -3,7 +3,8 @@
 Covers the cache contract end to end: hit/miss accounting, invalidation when
 the underlying database mutates, sharing across derived problems (the QRPP
 path), and — the property everything else rests on — that results of the
-counting and top-k solvers are byte-identical with the cache on and off.
+counting and top-k solvers are byte-identical whether the verdicts are
+witness-served or probed (:func:`scenarios.probe_path`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.relational.database import Database
 from repro.serving.trace import serving_problem
 from repro.workloads.synthetic import synthetic_package_problem
 
-from scenarios import duplicate_category_qc
+from scenarios import duplicate_category_qc, probe_path
 
 
 def _counting_constraint():
@@ -76,7 +77,6 @@ def test_cache_hit_and_miss_accounting(items_database):
     assert len(calls) == 2
     info = oracle.cache_info()
     assert info["hits"] == 1 and info["misses"] == 2 and info["size"] == 2
-    assert info["enabled"] is True
 
 
 def _kind_clash_constraint() -> QueryConstraint:
@@ -113,17 +113,6 @@ def test_witness_verdict_accounting(items_database):
     oracle.clear()
     assert oracle.witness_verdicts == 0 and oracle.witness_builds == 0
     assert oracle.cache_info()["witness_sets"] == 0
-
-
-def test_disabled_oracle_is_a_pass_through(items_database):
-    constraint, calls = _counting_constraint()
-    oracle = CompatibilityOracle(constraint, items_database, enabled=False)
-    package = _package(items_database, 1)
-    assert oracle.is_satisfied(package)
-    assert oracle.is_satisfied(package)
-    assert len(calls) == 2
-    assert oracle.hits == 0 and oracle.misses == 0
-    assert oracle.cache_info()["size"] == 0
 
 
 def test_clear_resets_cache_and_accounting(items_database):
@@ -551,27 +540,40 @@ def test_readers_sharing_an_oracle_lose_no_count():
 
 
 # ---------------------------------------------------------------------------
-# Cache on/off equivalence
+# Witness-served/probed equivalence
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("num_items", [6, 8, 10])
-def test_count_valid_packages_identical_with_cache_on_and_off(num_items):
-    cached = synthetic_package_problem(num_items, seed=num_items).problem
-    uncached = replace(cached, cache_compatibility=False)
-    assert not uncached.compatibility_oracle().enabled
-    with_cache = count_valid_packages(cached, rating_bound=10.0)
-    without_cache = count_valid_packages(uncached, rating_bound=10.0)
-    assert repr(with_cache) == repr(without_cache)
-    assert with_cache.count == without_cache.count
+def _served_and_probed(num_items):
+    """A problem with a CQ ``Qc`` (which the witness path serves) and its
+    :func:`probe_path` twin (which probes every verdict)."""
+    served = serving_problem(num_items, seed=num_items)
+    return served, probe_path(served)
+
+
+def _assert_took_both_paths(served, probed):
+    assert served.compatibility_oracle().witness_verdicts > 0
+    assert served.compatibility_oracle().misses == 0
+    assert probed.compatibility_oracle().witness_verdicts == 0
+    assert probed.compatibility_oracle().misses > 0
 
 
 @pytest.mark.parametrize("num_items", [6, 8, 10])
-def test_compute_top_k_identical_with_cache_on_and_off(num_items):
-    cached = synthetic_package_problem(num_items, k=2, seed=num_items).problem
-    uncached = replace(cached, cache_compatibility=False)
-    with_cache = compute_top_k(cached)
-    without_cache = compute_top_k(uncached)
-    assert repr(with_cache) == repr(without_cache)
-    assert with_cache.ratings == without_cache.ratings
-    assert [p.sorted_items() for p in with_cache.selection] == [
-        p.sorted_items() for p in without_cache.selection
+def test_count_valid_packages_identical_witness_served_and_probed(num_items):
+    served, probed = _served_and_probed(num_items)
+    witness_count = count_valid_packages(served, rating_bound=10.0)
+    probed_count = count_valid_packages(probed, rating_bound=10.0)
+    assert repr(witness_count) == repr(probed_count)
+    assert witness_count.count == probed_count.count
+    _assert_took_both_paths(served, probed)
+
+
+@pytest.mark.parametrize("num_items", [6, 8, 10])
+def test_compute_top_k_identical_witness_served_and_probed(num_items):
+    served, probed = _served_and_probed(num_items)
+    witness_top = compute_top_k(served)
+    probed_top = compute_top_k(probed)
+    assert repr(witness_top) == repr(probed_top)
+    assert witness_top.ratings == probed_top.ratings
+    assert [p.sorted_items() for p in witness_top.selection] == [
+        p.sorted_items() for p in probed_top.selection
     ]
+    _assert_took_both_paths(served, probed)

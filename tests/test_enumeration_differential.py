@@ -19,8 +19,8 @@ historical per-node-revalidating DFS), and asserts:
   branch-and-bound mode against the exhaustive reference sort), and
 * identical solver answers (RPP verdicts, CPP counts and histograms, FRP
   selections, MBP maximum bounds, EXISTPACK witnesses, QRPP/ARPP answers)
-  with the pruning hints on or off and the compatibility oracle enabled or
-  disabled.
+  with the pruning hints on or off and with verdicts witness-served or
+  probed (:func:`scenarios.probe_path`).
 
 Across the parametrized seeds the suite covers well over 100 generated
 problems; any divergence fails with the seed in the test id, so a mismatch is
@@ -39,6 +39,7 @@ from repro.adjustment.arpp import find_package_adjustment
 from repro.core import (
     CountCost,
     CountRating,
+    PredicateConstraint,
     QueryConstraint,
     best_valid_packages,
     best_valid_packages_reference,
@@ -53,14 +54,14 @@ from repro.core import (
 from repro.core.enumeration import PackageSearchEngine
 from repro.core.model import PolynomialBound, RecommendationProblem
 from repro.observability.metrics import MetricsRegistry, use_metrics
-from repro.queries.ast import RelationAtom, Var
+from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.database import Database
 from repro.relational.errors import BudgetExceededError
 from repro.relaxation.qrpp import find_package_relaxation
 from repro.relaxation.relax import RelaxationSpace
 
-from scenarios import random_problem
+from scenarios import probe_path, random_problem
 
 NUM_DIFFERENTIAL_SEEDS = 110
 
@@ -133,16 +134,16 @@ def test_engine_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(0, NUM_DIFFERENTIAL_SEEDS, 4))
-def test_engine_matches_reference_with_oracle_disabled(seed):
+def test_engine_matches_reference_on_the_probe_path(seed):
     problem, rating_bound = _random_problem(seed)
-    uncached = replace(problem, cache_compatibility=False)
-    assert _package_set(enumerate_valid_packages(uncached)) == _package_set(
+    probed = probe_path(problem)
+    assert _package_set(enumerate_valid_packages(probed)) == _package_set(
         enumerate_valid_packages_reference(problem)
     )
-    assert PackageSearchEngine(uncached).count_valid(
+    assert PackageSearchEngine(probed).count_valid(
         rating_bound=rating_bound
     ) == PackageSearchEngine(problem).count_valid(rating_bound=rating_bound)
-    assert _rendered(best_valid_packages(uncached, problem.k)) == _rendered(
+    assert _rendered(best_valid_packages(probed, problem.k)) == _rendered(
         best_valid_packages_reference(problem, problem.k)
     )
 
@@ -253,8 +254,8 @@ def test_cpp_result_identical_across_pruning_and_caching(seed):
     baseline = cpp_count(problem, rating_bound)
     for variant in (
         _unpruned(problem),
-        replace(problem, cache_compatibility=False),
-        replace(_unpruned(problem), cache_compatibility=False),
+        probe_path(problem),
+        probe_path(_unpruned(problem)),
     ):
         result = cpp_count(variant, rating_bound)
         assert result.count == baseline.count
@@ -262,8 +263,32 @@ def test_cpp_result_identical_across_pruning_and_caching(seed):
 
 
 # ---------------------------------------------------------------------------
-# QRPP / ARPP: identical answers with pruning and caching on or off
+# QRPP / ARPP: identical answers with pruning on or off and on every verdict path
 # ---------------------------------------------------------------------------
+def _clash_qc() -> QueryConstraint:
+    """``clash() :- RQ(n1, r1), RQ(n2, r2), r1 < 7, r2 > 7``: no low and high rating together."""
+    n1, r1, n2, r2 = Var("n1"), Var("r1"), Var("n2"), Var("r2")
+    clash = ConjunctiveQuery(
+        [],
+        [RelationAtom("RQ", [n1, r1]), RelationAtom("RQ", [n2, r2])],
+        [Comparison(ComparisonOp.LT, r1, 7), Comparison(ComparisonOp.GT, r2, 7)],
+        name="clash",
+    )
+    return QueryConstraint(clash, answer_relation="RQ")
+
+
+def _verdict_paths(problem: RecommendationProblem):
+    """``problem`` with witness-served verdicts, on the probe path, and behind a
+    predicate of unknown footprint (whose memo clears on every database change)."""
+    qc = problem.compatibility
+    unknown_footprint = PredicateConstraint(qc.is_satisfied, qc.describe(), relations=None)
+    return (
+        problem,
+        probe_path(problem),
+        replace(problem, compatibility=unknown_footprint),
+    )
+
+
 def _shop_problem(database: Database, city: str, k: int = 1) -> RecommendationProblem:
     query = ConjunctiveQuery(
         [Var("name"), Var("rating")],
@@ -281,6 +306,7 @@ def _shop_problem(database: Database, city: str, k: int = 1) -> RecommendationPr
         monotone_cost=True,
         monotone_val=True,
         name="shops in a city",
+        compatibility=_clash_qc(),
     )
 
 
@@ -296,7 +322,7 @@ def shops() -> Database:
 
 
 def _qrpp_answer(problem, space):
-    result = find_package_relaxation(problem, space, rating_bound=1.0, max_gap=10.0)
+    result = find_package_relaxation(problem, space, rating_bound=2.0, max_gap=10.0)
     witnesses = _rendered(result.witnesses) if result.witnesses is not None else None
     return (result.found, result.gap, witnesses, result.relaxations_tried)
 
@@ -304,14 +330,15 @@ def _qrpp_answer(problem, space):
 def test_qrpp_answers_identical_across_engine_configurations(shops):
     problem = _shop_problem(shops, "sfo")  # no shop in sfo: relaxation required
     space = RelaxationSpace.for_constants(problem.query, include=["sfo"])
-    baseline = _qrpp_answer(problem, space)
-    assert baseline[0]  # the discrete relaxation to nyc/bos succeeds
-    for variant in (
-        _unpruned(problem),
-        replace(problem, cache_compatibility=False),
-        replace(_unpruned(problem), cache_compatibility=False),
-    ):
+    witness, probed, unknown_footprint = _verdict_paths(problem)
+    baseline = _qrpp_answer(witness, space)
+    # Relaxing the city succeeds, and the clash turns the pair alpha-beta down.
+    assert baseline[0] and baseline[2] == [(("alpha", 8), ("gamma", 9))]
+    for variant in (_unpruned(problem), probed, unknown_footprint):
         assert _qrpp_answer(variant, space) == baseline
+    assert witness.compatibility_oracle().witness_verdicts > 0
+    assert probed.compatibility_oracle().witness_verdicts == 0
+    assert probed.compatibility_oracle().misses > 0
 
 
 def _arpp_answer(problem, additions):
@@ -326,19 +353,24 @@ def _arpp_answer(problem, additions):
 
 
 def test_arpp_answers_identical_across_engine_configurations(shops):
+    # alpha (8) and beta (6) clash, so nyc needs an insertion for a pair.
     problem = _shop_problem(shops, "nyc", k=1)
     additions = Database()
     additions.create_relation(
         "shop", ["name", "city", "rating"], [("delta", "nyc", 7), ("epsilon", "nyc", 9)]
     )
-    baseline = _arpp_answer(problem, additions)
-    assert baseline[0]
-    for variant in (
-        _unpruned(problem),
-        replace(problem, cache_compatibility=False),
-        replace(_unpruned(problem), cache_compatibility=False),
-    ):
+    witness, probed, unknown_footprint = _verdict_paths(problem)
+    baseline = _arpp_answer(witness, additions)
+    assert baseline[0] and baseline[1] == 1
+    for variant in (_unpruned(problem), probed, unknown_footprint):
         assert _arpp_answer(variant, additions) == baseline
+    # The three arms agree along different paths.
+    served = witness.compatibility_oracle()
+    assert served.witness_builds == 1 and served.witness_verdicts > 0
+    assert served.witness_declines > 0
+    assert probed.compatibility_oracle().witness_verdicts == 0
+    assert probed.compatibility_oracle().retentions > 0
+    assert unknown_footprint.compatibility_oracle().invalidations > 0
 
 
 # ---------------------------------------------------------------------------

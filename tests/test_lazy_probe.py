@@ -1,8 +1,9 @@
 """The lattice search probes ``Qc`` last, and at most once per node.
 
 Over the enumeration differential's random problems, the constraint is
-wrapped in a call-counting spy (with the verdict cache off, so every engine
-probe reaches the spy) and each search mode of
+wrapped in a call-counting spy (a constraint the witness path declines, so
+every verdict the memo cannot answer reaches the spy, and a memo hit marks a
+second request for a node) and each search mode of
 :class:`~repro.core.enumeration.PackageSearchEngine` — ``iter_valid``,
 ``count_valid`` and ``best_valid`` — must
 
@@ -57,7 +58,7 @@ class SpyConstraint(CompatibilityConstraint):
 
 def _spied(problem):
     spy = SpyConstraint(problem.compatibility)
-    return replace(problem, compatibility=spy, cache_compatibility=False), spy
+    return replace(problem, compatibility=spy), spy
 
 
 def _passes(problem, package, rating_bound, strict):
@@ -71,6 +72,7 @@ def _passes(problem, package, rating_bound, strict):
 
 def _assert_no_wasted_probe(problem, engine, spy, rating_bound=None, strict=False):
     assert all(count == 1 for count in spy.calls.values()), "a node was probed twice"
+    assert engine.oracle.hits == 0, "a node's verdict was asked for twice"
     for items in spy.calls:
         package = engine.package(items)
         if problem.antimonotone_compatibility and len(package) < engine.limit:

@@ -140,6 +140,27 @@ def test_copy_on_write_is_relation_granular():
     assert database.relation("shared") is shared
 
 
+def test_copy_on_write_holds_for_every_database_sharing_a_relation():
+    """Pins live on the relation object: a commit through another database
+    that holds the pinned relation clones it there, as the pinning one would."""
+    database = Database()
+    relation = database.create_relation("R", ["a"], [(1,), (2,)])
+    database.create_relation("S", ["b"], [(9,)])
+    snapshot = database.snapshot()
+    pinned_versions = snapshot.version()
+    for other in (
+        Database([relation]),
+        database.with_relation(relation),
+        database.without_relation("S"),
+    ):
+        other.apply_delta([("insert", "R", (3,))])
+        assert other.relation("R") is not relation
+        assert sorted(other.relation("R").rows()) == [(1,), (2,), (3,)]
+        assert sorted(snapshot.relation("R").rows()) == [(1,), (2,)]
+        assert snapshot.version() == pinned_versions
+    assert database.relation("R") is relation
+
+
 def test_epoch_advances_only_on_effective_commits():
     database = Database()
     database.create_relation("R", ["a"], [(1,)])

@@ -55,6 +55,12 @@ maintenance all go through the pair.
 A ninth guard keeps a maintained delta one commit: ``incremental/views.py``
 never calls ``_apply_validated`` inside a loop or comprehension, so no
 per-modification commit loop can come back.
+
+A tenth guard keeps the oracle's one verdict path: ``CompatibilityOracle``
+is built from ``constraint`` and ``database`` alone, ``RecommendationProblem``
+declares no ``cache_*`` field, and neither ``core/compatibility.py`` nor
+``core/model.py`` touches an ``.enabled`` attribute, so no switch can route
+verdicts around the witness index and the memo again.
 """
 
 from __future__ import annotations
@@ -738,3 +744,84 @@ def test_the_commit_guard_itself_detects_a_commit_loop():
         "    return database._apply_validated(validated, observer)\n"
     )
     assert _commits_in_loops(clean) == []
+
+
+MODEL = SRC_ROOT / "core" / "model.py"
+
+
+def _verdict_switches(tree: ast.AST):
+    """``line:what`` for each ``CompatibilityOracle.__init__`` parameter besides
+    ``constraint`` and ``database``, each ``cache_*`` field of
+    ``RecommendationProblem`` and each ``.enabled`` attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "CompatibilityOracle":
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                    arguments = member.args
+                    names = [a.arg for a in arguments.posonlyargs + arguments.args][1:]
+                    names += [a.arg for a in arguments.kwonlyargs]
+                    names += [a.arg for a in (arguments.vararg, arguments.kwarg) if a]
+                    found.extend(
+                        f"{member.lineno}:__init__({name})"
+                        for name in names
+                        if name not in ("constraint", "database")
+                    )
+        elif isinstance(node, ast.ClassDef) and node.name == "RecommendationProblem":
+            for member in node.body:
+                if (
+                    isinstance(member, ast.AnnAssign)
+                    and isinstance(member.target, ast.Name)
+                    and member.target.id.startswith("cache_")
+                ):
+                    found.append(f"{member.lineno}:{member.target.id}")
+        elif isinstance(node, ast.Attribute) and node.attr == "enabled":
+            found.append(f"{node.lineno}:.enabled")
+    return sorted(set(found), key=lambda entry: int(entry.split(":")[0]))
+
+
+def test_the_oracle_has_one_verdict_path():
+    offences = []
+    for path in (COMPATIBILITY, MODEL):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(
+            f"{path.relative_to(SRC_ROOT.parent)}:{offence}"
+            for offence in _verdict_switches(tree)
+        )
+    assert not offences, (
+        "the compatibility oracle answers every verdict one way (witness index, "
+        "then memo plus probe); tests force the probe with scenarios.probe_path, "
+        "not a switch: " + ", ".join(offences)
+    )
+
+
+def test_the_verdict_path_guard_itself_detects_a_switch():
+    """The guard must fire on a re-added ``enabled`` switch and its field."""
+    switched = ast.parse(
+        "class CompatibilityOracle:\n"
+        "    def __init__(self, constraint, database, enabled: bool = True):\n"
+        "        self.enabled = enabled\n"
+        "    def is_satisfied(self, package):\n"
+        "        if not self.enabled:\n"
+        "            return self.constraint.is_satisfied(package, self.database)\n"
+        "class RecommendationProblem:\n"
+        "    budget: float\n"
+        "    cache_verdicts: bool = True\n"
+    )
+    assert _verdict_switches(switched) == [
+        "2:__init__(enabled)",
+        "3:.enabled",
+        "5:.enabled",
+        "9:cache_verdicts",
+    ]
+    clean = ast.parse(
+        '"""enabled and cache_verdicts in a docstring are fine"""\n'
+        "class CompatibilityOracle:\n"
+        "    def __init__(self, constraint, database):\n"
+        "        self.constraint = constraint\n"
+        "class RecommendationProblem:\n"
+        "    monotone_val: bool = False\n"
+        "    def compatibility_oracle(self):\n"
+        "        return CompatibilityOracle(self.compatibility, self.database)\n"
+    )
+    assert _verdict_switches(clean) == []
