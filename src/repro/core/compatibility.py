@@ -56,7 +56,7 @@ import threading
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.core.packages import Package
 from repro.observability import metrics as _metrics
@@ -66,7 +66,7 @@ from repro.queries.bindings import StepCounter, project_bindings
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
-from repro.relational.database import Database, Relation, Row
+from repro.relational.database import Database, DatabaseSnapshot, Relation, Row
 from repro.relational.errors import ReproError
 from repro.relational.schema import RelationSchema
 from repro.resilience.deadline import Deadline, current_deadline, deadline_scope
@@ -339,6 +339,43 @@ class _WitnessIndex(NamedTuple):
                     return False
         return True
 
+    def masks(self, items: Tuple[Row, ...]) -> Tuple[List[int], int]:
+        """The index over one item order as bitmasks; bit ``i`` is ``items[i]``.
+
+        Returns ``(conflicts, probe)``.  ``conflicts[i]`` holds the bits of
+        the items forming a witness set of two rows with ``items[i]``, and
+        its own bit when ``{items[i]}`` is a witness set (every item's, when
+        the empty set is one).  A package of these items with bits ``mask``
+        and no bit in ``probe`` is compatible iff the union of its items'
+        conflicts misses ``mask``.  ``probe`` holds the items the masks
+        cannot decide: rows outside :attr:`rows`, whose packages the index
+        declines, and items with a witness set of three rows or more.
+        """
+        position = {item: i for i, item in enumerate(items)}
+        conflicts = [0] * len(items)
+        probe = 0
+        rows, by_item = self.rows, self.by_item
+        for i, item in enumerate(items):
+            if item not in rows:
+                probe |= 1 << i
+                continue
+            if self.always:
+                conflicts[i] = 1 << i
+                continue
+            entry = by_item.get(item)
+            if entry is None:
+                continue
+            partners, larger = entry
+            if larger:
+                probe |= 1 << i
+            mask = 0
+            for partner in partners:
+                j = position.get(partner)
+                if j is not None:
+                    mask |= 1 << j
+            conflicts[i] = mask
+        return conflicts, probe
+
 
 #: The slot of an oracle that has not looked for an index yet.
 _UNBUILT = _WitnessIndex(frozenset(), None)
@@ -422,15 +459,64 @@ class _Tally:
 
     Only the thread running the walk increments it, without a lock; the
     oracle adds it to its own counts, under its lock, when the walk ends.
+
+    A walk's tally also carries the walk's witness masks.  The walk names
+    its item order (``items``) when it starts, and the first verdict that
+    finds a witness index compiles the index over that order
+    (:meth:`_WitnessIndex.masks`) into ``conflicts`` and ``probe`` and
+    records the database ``version`` it holds for.  From then on the walk
+    answers a node of its own from the masks, and counts it in
+    ``witness_verdicts`` itself; only a node with a bit in ``probe`` still
+    comes to :meth:`CompatibilityOracle.is_satisfied`.  The walk checks
+    :meth:`current` each time it resumes after a yield, the one point where
+    its consumer can have committed.  A walk over a
+    :class:`~repro.relational.database.DatabaseSnapshot` gets no
+    ``database`` to check, since a snapshot never changes, and neither does
+    an absent ``Qc``'s walk, whose masks, without conflicts, it gets at
+    once.
     """
 
-    __slots__ = ("hits", "misses", "witness_verdicts", "witness_declines")
+    __slots__ = (
+        "hits",
+        "misses",
+        "witness_verdicts",
+        "witness_declines",
+        "items",
+        "database",
+        "conflicts",
+        "probe",
+        "version",
+    )
 
-    def __init__(self) -> None:
+    def __init__(
+        self, items: Optional[Tuple[Row, ...]] = None, database: Optional[Database] = None
+    ) -> None:
         self.hits = 0
         self.misses = 0
         self.witness_verdicts = 0
         self.witness_declines = 0
+        #: The walk's item order, while the tally may still compile masks.
+        self.items = items
+        #: The live database the masks may go stale against (``None``: they never do).
+        self.database = database
+        #: Per item index, the bits of the items it forms a witness set with.
+        self.conflicts: Optional[List[int]] = None
+        #: The bits of the items whose packages the masks cannot decide.
+        self.probe = 0
+        self.version: Optional[Tuple[Tuple[str, int], ...]] = None
+
+    def current(self) -> bool:
+        """Whether the masks still hold; drops them for the rest of the walk if not.
+
+        Asked only of a tally with masks and a ``database``.  Dropped masks
+        are not compiled again: the walk's later verdicts all go to
+        :meth:`CompatibilityOracle.is_satisfied`.
+        """
+        if self.database.version() == self.version:
+            return True
+        self.conflicts = None
+        self.items = None
+        return False
 
 
 class CompatibilityOracle:
@@ -501,11 +587,21 @@ class CompatibilityOracle:
     :class:`PredicateConstraint` (the test kit's ``probe_path``), which the
     witness path declines, and compare that run with the witness-served one.
 
+    **The walk's masks.**  A lattice walk names its item order when it
+    starts (:meth:`walk_started`), and its tally receives the index as
+    per-candidate bitmasks (:meth:`_WitnessIndex.masks`): at once when the
+    oracle holds a current index, else at the walk's first verdict that
+    finds one.  The walk then decides a node whose candidates the masks
+    cover by one mask test, without a package or a call into the oracle,
+    and counts it as a witness verdict; the oracle keeps the last compile
+    for the next walk over the same items.  The tally drops the masks for
+    the rest of the walk when the live database changes under it.
+
     **Accounting.**  ``hits`` and ``misses`` count memo lookups,
-    ``witness_verdicts`` the verdicts served from an index,
-    ``witness_builds`` the indexes built and ``witness_declines`` the
-    verdicts of a :class:`QueryConstraint` sent to the memo instead.  A
-    lattice walk counts its verdicts in its own tally
+    ``witness_verdicts`` the verdicts served from an index (a walk's mask
+    tests included), ``witness_builds`` the indexes built and
+    ``witness_declines`` the verdicts of a :class:`QueryConstraint` sent to
+    the memo instead.  A lattice walk counts its verdicts in its own tally
     (:meth:`walk_started` hands it out, :meth:`is_satisfied` takes it) and
     adds it to these fields, and to the active metrics registry, once when
     it ends (:meth:`walk_finished`); a verdict requested outside any walk
@@ -534,6 +630,7 @@ class CompatibilityOracle:
         "_witness_eligible",
         "_registered",
         "_witness",
+        "_masks",
         "_lock",
         "_build_lock",
     )
@@ -559,6 +656,7 @@ class CompatibilityOracle:
         self._witness_eligible = type(constraint) is QueryConstraint
         self._registered: Optional[Relation] = None
         self._witness = _UNBUILT
+        self._masks: Optional[Tuple[_WitnessIndex, Tuple[Row, ...], List[int], int]] = None
         self._lock = threading.Lock()
         self._build_lock = threading.Lock()
 
@@ -621,20 +719,60 @@ class CompatibilityOracle:
         index = self._witness
         if index is _UNBUILT and self._registered is not None:
             index = self._witness_index()
-        if index.by_item is None or not items <= index.rows:
+        if index.by_item is None:
+            tally.witness_declines += 1
+            return None
+        if tally.items is not None and tally.conflicts is None:
+            tally.conflicts, tally.probe = self._masks_for(index, tally.items)
+            tally.version = self._database_version
+        if not items <= index.rows:
             tally.witness_declines += 1
             return None
         tally.witness_verdicts += 1
         return index.compatible(items)
 
+    def _masks_for(self, index: _WitnessIndex, items: Tuple[Row, ...]) -> Tuple[List[int], int]:
+        """``index.masks(items)``, kept for the next walk over the same items.
+
+        The solver calls of one request search one ``Q(D)`` with one engine
+        each, so their walks share the item order; one slot, replaced whole,
+        holds the last compile.
+        """
+        memo = self._masks
+        if memo is None or memo[0] is not index or memo[1] != items:
+            memo = (index, items, *index.masks(items))
+            self._masks = memo
+        return memo[2], memo[3]
+
     # -- accounting -----------------------------------------------------------------
-    def walk_started(self) -> _Tally:
-        """A lattice walk begins: the tally its verdicts count in."""
-        return _Tally()
+    def walk_started(self, items: Tuple[Row, ...]) -> _Tally:
+        """A lattice walk over ``items`` begins: the tally its verdicts count in.
+
+        The tally starts with its witness masks over ``items`` when the
+        oracle holds a current index (and without conflicts for an absent
+        ``Qc``); otherwise the walk's first verdict that finds an index, the
+        one that builds it, compiles them.
+        """
+        # A snapshot never changes, and an absent Qc's verdicts never do.
+        frozen = self._always_true or isinstance(self.database, DatabaseSnapshot)
+        tally = _Tally(items, None if frozen else self.database)
+        index = self._witness
+        if self._always_true:
+            tally.conflicts = [0] * len(items)
+        elif index.by_item is not None and self.database.version() == self._database_version:
+            # An earlier walk built the index, and it still holds.
+            tally.conflicts, tally.probe = self._masks_for(index, items)
+            tally.version = self._database_version
+        return tally
 
     def walk_finished(self, tally: _Tally) -> None:
-        """A lattice walk ends: add what its verdicts counted."""
-        self._settle(tally)
+        """A lattice walk ends: add what its verdicts counted.
+
+        An absent ``Qc``'s verdicts are constant and count nothing, as
+        :meth:`is_satisfied` counts nothing for them.
+        """
+        if not self._always_true:
+            self._settle(tally)
 
     def _settle(self, tally: _Tally) -> None:
         """Add ``tally`` to the oracle's counts and to the active registry."""
@@ -670,6 +808,7 @@ class CompatibilityOracle:
                         active.inc("oracle.verdict.retentions")
                 return
         self._witness = _UNBUILT
+        self._masks = None
         if self._cache:
             self.invalidations += 1
             active = _metrics._ACTIVE
@@ -733,6 +872,7 @@ class CompatibilityOracle:
         """Drop every memoized verdict and the witness index, and reset the accounting."""
         self._cache.clear()
         self._witness = _UNBUILT
+        self._masks = None
         with self._lock:
             self.hits = 0
             self.misses = 0

@@ -13,21 +13,27 @@ plain enumeration, non-materializing counting and branch-and-bound top-k —
 consume one incremental depth-first traversal of the subset lattice
 (:meth:`PackageSearchEngine._walk`) that
 
+* runs in index space: a node is a tuple of candidate indices plus their
+  bitmask, and the exclusion set, the top-k tie keys and the
+  branch-and-bound hook work on indices and masks,
 * threads running cost and rating state along the DFS whenever the problem's
   functions expose an exact :class:`~repro.core.functions.IncrementalAggregate`
-  (falling back to whole-package evaluation otherwise),
-* builds packages through the trusted fast path
+  — an attribute sum as a per-candidate array of its raw values — and
+  falls back to whole-package evaluation otherwise,
+* builds a package only at a yield or a probe (and for a function without
+  an incremental form), through the trusted fast path
   (:meth:`~repro.core.packages.Package.trusted`) — items drawn from ``Q(D)``
   were already validated by the query evaluator,
-* probes the compatibility oracle last and at most once per lattice node:
-  a node's ``Qc`` verdict is requested only when it can change the outcome
-  — for the anti-monotone pruning hint only if the node has children, for
-  admission only once the node has passed the budget, the exclusion set,
-  the rating bound and (top-k) the current selection's entry test — and
-  one verdict serves both uses; the engine registers its ``Q(D)`` with the
-  oracle, so for a CQ, UCQ or ∃FO⁺ ``Qc`` a verdict is a witness-set lookup
-  rather than a query evaluation
-  (:class:`~repro.core.compatibility.CompatibilityOracle`),
+* asks for a node's ``Qc`` verdict last and at most once: it is requested
+  only when it can change the outcome — for the anti-monotone pruning hint
+  only if the node has children, for admission only once the node has
+  passed the budget, the exclusion set, the rating bound and (top-k) the
+  current selection's entry test — and one verdict serves both uses; the
+  engine registers its ``Q(D)`` with the oracle, so for a CQ, UCQ or ∃FO⁺
+  ``Qc`` the index of witness sets decides it
+  (:class:`~repro.core.compatibility.CompatibilityOracle`), and once the
+  walk's tally holds that index as per-candidate conflict masks a verdict
+  is one mask test, with no package and no call into the oracle,
 * skips the ``N ⊆ Q(D)`` membership scan entirely (true by construction), and
 * yields each admitted node before exploring its subtree, so the top-k mode
   raises its k-th best between yields and the subtree that follows is
@@ -66,6 +72,7 @@ from contextlib import closing
 from itertools import combinations
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
+from repro.core.functions import AttributeSumCost, AttributeSumRating
 from repro.core.model import RecommendationProblem
 from repro.core.packages import Package, Selection
 from repro.observability import metrics as _metrics
@@ -83,16 +90,35 @@ _DEADLINE_STRIDE = 64
 class _Bound(NamedTuple):
     """The branch-and-bound hook of :meth:`PackageSearchEngine._walk`."""
 
-    #: ``prunes(index, node_rating, node_set, path_cost, slots)``: whether no
-    #: package extending the node with up to ``slots`` of ``items[index:]``
-    #: can still enter the top-k selection.
-    prunes: Callable[[int, float, FrozenSet[Row], float, int], bool]
+    #: ``prunes(index, node_rating, node_mask, path_cost, slots)``: whether no
+    #: package extending the node (the candidates whose bits are set in
+    #: ``node_mask``) with up to ``slots`` of ``items[index:]`` can still
+    #: enter the top-k selection.
+    prunes: Callable[[int, float, int, float, int], bool]
     #: Whether the bound is non-increasing in ``index``, so that a pruned
     #: sibling prunes every later sibling too.
     ordered: bool
-    #: The exact additive per-item cost, threaded as each child's path cost
-    #: (``None``: the bound does not use path costs).
-    cost_delta: Optional[Callable[[Row], float]]
+    #: The exact additive cost of each candidate, threaded as each child's
+    #: path cost (``None``: the bound does not use path costs).
+    deltas: Optional[Tuple[float, ...]]
+
+
+def _attribute_sum(function, schema) -> Optional[Tuple[int, float]]:
+    """``(position, sign)`` when ``function`` is a plain attribute sum.
+
+    Exact classes only, since a subclass may redefine the sum.  On a
+    non-empty package the incremental forms of :class:`AttributeSumCost` and
+    :class:`AttributeSumRating` fold ``state + item[position]`` from ``0`` in
+    item order and finish with ``float(state)`` (times ``sign`` for the
+    rating; ``1.0 *`` leaves a float unchanged), so adding the raw column
+    values along the DFS gives bit-identical values.
+    """
+    kind = type(function)
+    if kind is AttributeSumCost:
+        return schema.index_of(function.attribute), 1.0
+    if kind is AttributeSumRating:
+        return schema.index_of(function.attribute), function.sign
+    return None
 
 
 def _rating_test(rating_bound: Optional[float], strict: bool):
@@ -100,8 +126,8 @@ def _rating_test(rating_bound: Optional[float], strict: bool):
     if rating_bound is None:
         return None
     if strict:
-        return lambda rating, package: rating > rating_bound
-    return lambda rating, package: rating >= rating_bound
+        return lambda rating, node: rating > rating_bound
+    return lambda rating, node: rating >= rating_bound
 
 
 def _prune_threshold(worst_rating: float) -> float:
@@ -124,11 +150,11 @@ class PackageSearchEngine:
     """A stateful incremental DFS over the subset lattice of ``Q(D)``.
 
     One engine is bound to one ``(problem, candidate items)`` pair; it
-    pre-sorts the candidate items by typed sort key, compiles the problem's
-    cost and rating functions into incremental evaluators when possible, and
-    exposes the search entry points every solver uses.  Engines are cheap to
-    construct (one sort plus a few closures) and are built per solver call,
-    so they can never observe a stale ``Q(D)``.
+    pre-sorts the candidate items by typed sort key and exposes the search
+    entry points every solver uses; each walk threads the problem's cost and
+    rating functions incrementally when it can.  Engines are cheap to
+    construct (one sort) and are built per solver call, so they can never
+    observe a stale ``Q(D)``.
 
     Concurrency: an engine's search state lives on the stack of each entry
     point, but every probe funnels into the problem's shared
@@ -152,8 +178,6 @@ class PackageSearchEngine:
         "budget",
         "monotone_cost",
         "antimonotone",
-        "_cost_inc",
-        "_val_inc",
     )
 
     def __init__(
@@ -173,8 +197,6 @@ class PackageSearchEngine:
         self.budget = problem.budget
         self.monotone_cost = problem.monotone_cost
         self.antimonotone = problem.antimonotone_compatibility
-        self._cost_inc = problem.cost.incremental(self.schema)
-        self._val_inc = problem.val.incremental(self.schema)
 
     # -- trusted package construction ------------------------------------------
     def singleton(self, item: Row) -> Package:
@@ -216,34 +238,60 @@ class PackageSearchEngine:
         return self.oracle.is_satisfied(package)
 
     # -- cost/rating threading -------------------------------------------------
-    @staticmethod
-    def _threaded(inc, function):
-        """(initial state, extend, value-at-node) for the cost or rating function."""
+    def _threading(self, function):
+        """How the walk threads ``function``: ``(column, sign, initial, extend, finish)``.
+
+        An attribute sum (:func:`_attribute_sum`) threads through ``column``,
+        its raw per-candidate values, and is ``sign · float(state)`` at a
+        node; any other incremental form threads through ``extend`` and
+        ``finish``; a function with neither (all ``None``) is evaluated on
+        the node's package.
+        """
+        summed = _attribute_sum(function, self.schema)
+        if summed is not None:
+            position, sign = summed
+            return tuple(item[position] for item in self.items), sign, 0, None, None
+        inc = function.incremental(self.schema)
         if inc is not None:
-            return inc.initial, inc.extend, lambda state, size, package: inc.finish(state, size)
-        return None, None, lambda state, size, package: function(package)
+            return None, None, inc.initial, inc.extend, inc.finish
+        return None, None, None, None, None
 
     # -- the lattice traversal -------------------------------------------------
     def _walk(
         self,
         rated: bool = False,
-        accept: Optional[Callable[[Optional[float], Package], object]] = None,
+        accept: Optional[Callable[[Optional[float], Tuple[int, ...]], object]] = None,
         excluded: FrozenSet[Package] = frozenset(),
         bound: Optional[_Bound] = None,
         max_candidates: Optional[int] = None,
         examined_out: Optional[List[int]] = None,
-    ) -> Iterator[Tuple[Package, int, Optional[float], object]]:
+        packages: bool = True,
+    ) -> Iterator[Tuple[Optional[Package], int, Optional[float], object]]:
         """The one depth-first traversal of the lattice every search mode rides.
 
         Yields each admitted node as ``(package, size, rating, token)`` in DFS
         order over the typed-sorted items.  A node is admitted when it is
         within the budget, not in ``excluded``, passes ``accept`` (called as
-        ``accept(rating, package)``; its truthy result is the ``token``) and,
-        last, satisfies ``Qc``.  ``rated`` threads the rating along the DFS
-        and computes it for every node that reaches ``accept``; otherwise the
-        yielded ``rating`` is ``None``.  ``bound`` is the branch-and-bound
-        hook of :meth:`best_valid`; with it, every node that survives the
-        pruning probes is rated, since its rating seeds its subtree's bound.
+        ``accept(rating, node)`` with ``node`` the node's tuple of candidate
+        indices; its truthy result is the ``token``) and, last, satisfies
+        ``Qc``.  ``rated`` threads the rating along the DFS and computes it
+        for every node that reaches ``accept``; otherwise the yielded
+        ``rating`` is ``None``.  ``bound`` is the branch-and-bound hook of
+        :meth:`best_valid`; with it, every node that survives the pruning
+        probes is rated, since its rating seeds its subtree's bound.
+
+        The walk runs in index space: a node is its tuple of candidate
+        indices plus their bitmask, attribute-sum costs and ratings add
+        per-candidate array entries, and ``excluded`` is compared as masks.
+        A :class:`Package` is built only at a yield (and not at all with
+        ``packages=False``, where the yielded package is ``None``), for a
+        verdict that goes to ``oracle.is_satisfied``, or for a cost or rating
+        function without an incremental form.  The walk's oracle tally holds
+        the witness masks once its first witness-served verdict has compiled
+        them, and every later node without a ``probe`` bit is a mask test:
+        compatible iff the union of its candidates' conflicts misses its
+        mask.  The masks are re-checked against the database each time the
+        walk resumes after a yield.
 
         A node is yielded before its subtree is explored, so a consumer
         acting between yields (the top-k selection raising its k-th best)
@@ -257,19 +305,41 @@ class PackageSearchEngine:
         items, limit = self.items, self.limit
         if limit <= 0:
             return
+        count = len(items)
         schema, oracle, budget = self.schema, self.oracle, self.budget
         antimonotone = self.antimonotone
-        cost_init, cost_extend, cost_at = self._threaded(self._cost_inc, self.problem.cost)
-        val_init, val_extend, val_at = self._threaded(self._val_inc, self.problem.val)
-        if not rated:  # the rating never gets consulted: skip threading it
-            val_init, val_extend = None, None
-        # A monotone cost prunes supersets of over-budget nodes; an
-        # incremental one decides before the node is materialised.
-        early_cost = self.monotone_cost and cost_extend is not None
-        late_cost = self.monotone_cost and cost_extend is None
-        prunes, ordered, cost_delta = bound if bound is not None else (None, False, None)
+        cost_fn, val_fn = self.problem.cost, self.problem.val
+        cost_column, cost_sign, cost_initial, cost_extend, cost_finish = self._threading(cost_fn)
+        if rated:
+            val_column, val_sign, val_initial, val_extend, val_finish = self._threading(val_fn)
+        else:  # the rating never gets consulted: skip threading it
+            val_column = val_sign = val_initial = val_extend = val_finish = None
+        cost_threaded = cost_column is not None or cost_extend is not None
+        val_threaded = val_column is not None or val_extend is not None
+        # A monotone cost prunes supersets of over-budget nodes; a threaded
+        # one decides before anything else of the node is computed.
+        early_cost = self.monotone_cost and cost_threaded
+        late_cost = self.monotone_cost and not cost_threaded
+        # A function without an incremental form needs every node's package.
+        eager = not cost_threaded or (rated and not val_threaded)
+        prunes, ordered, deltas = bound if bound is not None else (None, False, None)
+        excluded_masks = set()
+        if excluded:
+            position = {item: i for i, item in enumerate(items)}
+            for package in excluded:
+                if package.schema.attribute_names != schema.attribute_names:
+                    continue
+                mask = 0
+                for item in package.items:
+                    i = position.get(item)
+                    if i is None:
+                        break  # not a subset of the candidates: never a node
+                    mask |= 1 << i
+                else:
+                    excluded_masks.add(mask)
         examined = 0
         pruned = 0
+        served = 0
         # Read at call time, never in __init__: the ExistPack oracle shares
         # one engine across requests, so a construction-time capture would
         # leak the first request's deadline into every later one.
@@ -277,25 +347,49 @@ class PackageSearchEngine:
         if deadline is not None:
             deadline.check()
 
+        def build(node: Tuple[int, ...]) -> Package:
+            # The DFS extends in sorted-item order, so the node's rows *are*
+            # its sorted_items: pre-seed the cache.
+            rows = tuple([items[i] for i in node])
+            return Package.trusted(schema, frozenset(rows), rows)
+
+        def verdict(
+            node: Tuple[int, ...], node_mask: int, package: Optional[Package]
+        ) -> Tuple[bool, Optional[Package]]:
+            """The node's ``Qc`` verdict, and its package if one was built."""
+            nonlocal served, conflicts, probe
+            if conflicts is not None and not node_mask & probe:
+                served += 1
+                union = 0
+                for i in node:
+                    union |= conflicts[i]
+                return not union & node_mask, package
+            if package is None:
+                package = build(node)
+            compatible = oracle.is_satisfied(package, tally)
+            # The verdict that finds the index first fills the tally's masks.
+            conflicts, probe = tally.conflicts, tally.probe
+            return compatible, package
+
         def dfs(
             start: int,
-            prefix: Tuple[Row, ...],
-            item_set: FrozenSet[Row],
+            path: Tuple[int, ...],
+            mask: int,
             cost_state,
             val_state,
             node_rating: float,
             path_cost: float,
-        ) -> Iterator[Tuple[Package, int, Optional[float], object]]:
-            nonlocal examined, pruned
-            slots = limit - len(prefix)
-            for index in range(start, len(items)):
-                if ordered and prunes(index, node_rating, item_set, path_cost, slots):
+        ) -> Iterator[Tuple[Optional[Package], int, Optional[float], object]]:
+            nonlocal examined, pruned, conflicts
+            size = len(path) + 1
+            has_children = size < limit
+            slots = limit - len(path)
+            for index in range(start, count):
+                if ordered and prunes(index, node_rating, mask, path_cost, slots):
                     # The bound is non-increasing in ``index``, so nothing
                     # later in this loop can qualify either.
                     pruned += 1
                     break
-                item = items[index]
-                extended = prefix + (item,)
                 examined += 1
                 if max_candidates is not None and examined > max_candidates:
                     raise BudgetExceededError(
@@ -303,50 +397,65 @@ class PackageSearchEngine:
                     )
                 if deadline is not None and not examined & (_DEADLINE_STRIDE - 1):
                     deadline.tick(_DEADLINE_STRIDE)
-                size = len(extended)
-                next_cost = cost_extend(cost_state, item) if cost_extend else None
-                cost_value = None
-                if early_cost:
-                    cost_value = cost_at(next_cost, size, None)
-                    if cost_value > budget:
-                        pruned += 1
-                        continue
-                extended_set = item_set | {item}
-                # The DFS extends in sorted-item order, so the node's item
-                # tuple *is* its sorted_items — pre-seed the cache.
-                package = Package.trusted(schema, extended_set, extended)
+                if cost_column is not None:
+                    next_cost = cost_state + cost_column[index]
+                    cost_value = cost_sign * float(next_cost)
+                elif cost_extend is not None:
+                    next_cost = cost_extend(cost_state, items[index])
+                    cost_value = cost_finish(next_cost, size)
+                else:
+                    next_cost = cost_value = None
+                if early_cost and cost_value > budget:
+                    pruned += 1
+                    continue
+                node = path + (index,)
+                node_mask = mask | 1 << index
+                package = build(node) if eager else None
                 if late_cost:
-                    cost_value = cost_at(next_cost, size, package)
+                    cost_value = cost_fn(package)
                     if cost_value > budget:
                         pruned += 1
                         continue
-                has_children = size < limit
                 compatible: Optional[bool] = None
                 if antimonotone and has_children:
-                    compatible = oracle.is_satisfied(package, tally)
+                    compatible, package = verdict(node, node_mask, package)
                     if not compatible:
                         pruned += 1
                         continue
-                next_val = val_extend(val_state, item) if val_extend else None
-                rating = val_at(next_val, size, package) if bound is not None else None
-                if not (excluded and package in excluded):
+                if val_column is not None:
+                    next_val = val_state + val_column[index]
+                    rating = val_sign * float(next_val)
+                elif val_extend is not None:
+                    next_val = val_extend(val_state, items[index])
+                    rating = val_finish(next_val, size)
+                else:
+                    next_val = None
+                    rating = val_fn(package) if bound is not None else None
+                if not (excluded_masks and node_mask in excluded_masks):
                     if cost_value is None:
-                        cost_value = cost_at(next_cost, size, package)
+                        cost_value = cost_fn(package)
                     if cost_value <= budget:
                         if rated and rating is None:
-                            rating = val_at(next_val, size, package)
-                        token = accept(rating, package) if accept is not None else True
-                        if token and (compatible or oracle.is_satisfied(package, tally)):
+                            rating = val_fn(package)
+                        token = accept(rating, node) if accept is not None else True
+                        if token and compatible is None:
+                            compatible, package = verdict(node, node_mask, package)
+                        if token and compatible:
+                            if packages and package is None:
+                                package = build(node)
                             yield package, size, rating, token
+                            # Resumed: the consumer may have committed.
+                            if live and conflicts is not None and not tally.current():
+                                conflicts = None
                 if has_children:
-                    child_cost = path_cost + cost_delta(item) if cost_delta is not None else 0.0
+                    child_cost = path_cost + deltas[index] if deltas is not None else 0.0
                     if prunes is not None and prunes(
-                        index + 1, rating, extended_set, child_cost, limit - size
+                        index + 1, rating, node_mask, child_cost, limit - size
                     ):
                         pruned += 1
                         continue
                     yield from dfs(
-                        index + 1, extended, extended_set, next_cost, next_val, rating, child_cost
+                        index + 1, node, node_mask, next_cost, next_val, rating, child_cost
                     )
 
         # Per-item gains are admissible only between non-empty packages (the
@@ -356,12 +465,15 @@ class PackageSearchEngine:
         # top-level loop, and every deeper bound starts from a real node's
         # rating.  The generic monotone bound evaluates val(∅ ∪ remaining)
         # directly and needs no such guard.
-        tally = oracle.walk_started()
+        tally = oracle.walk_started(items)
+        conflicts, probe = tally.conflicts, tally.probe
+        live = tally.database is not None  # a snapshot's masks never go stale
         finished = False
         try:
-            yield from dfs(0, (), frozenset(), cost_init, val_init, math.inf, 0.0)
+            yield from dfs(0, (), 0, cost_initial, val_initial, math.inf, 0.0)
             finished = True
         finally:
+            tally.witness_verdicts += served
             oracle.walk_finished(tally)
             active = _metrics._ACTIVE
             if active is not None:
@@ -425,8 +537,8 @@ class PackageSearchEngine:
     ):
         """``|{N valid : val(N) ≥ B}|`` without retaining the packages.
 
-        The count tallies the nodes the lattice walk admits and keeps no
-        package beyond the node being visited.  ``stop_at``
+        The count tallies the nodes the lattice walk admits and builds no
+        package for them.  ``stop_at``
         short-circuits the scan once that many valid packages are seen (the
         MBP witnesses check needs only "are there k?"); ``by_size`` also
         returns the per-size histogram CPP reports; ``collect_ratings``
@@ -441,6 +553,7 @@ class PackageSearchEngine:
                 rated=rating_bound is not None or collect_ratings is not None,
                 accept=_rating_test(rating_bound, strict),
                 max_candidates=max_candidates,
+                packages=False,
             )
             with closing(walk):
                 for _, size, rating, _ in walk:
@@ -492,21 +605,24 @@ class PackageSearchEngine:
         if limit <= 0 or how_many <= 0:
             return [], 0, 0
         schema, budget = self.schema, self.budget
+        count = len(items)
         use_bound = self.problem.monotone_val
         gains = self.problem.val.item_gain(self.schema) if use_bound else None
         cost_delta = self.problem.cost.item_delta(self.schema) if gains is not None else None
+        deltas: Optional[Tuple[float, ...]] = None
+        min_delta: Optional[List[float]] = None
+        suffix_top: Optional[List[List[float]]] = None
         if gains is not None:
             # suffix_top[i][m] = sum of the m largest positive gains among
             # items[i:] — an admissible bound on the extra rating any
             # ≤ m-item subset of them can add.  One backward pass maintains
             # the descending gain list by insertion (each gain evaluated
-            # once), re-deriving the prefix sums per index.  ``bound_from``
-            # only ever asks for m ≤ limit more items (the size bound caps
-            # every extension), so both the maintained list and the stored
-            # prefix sums are truncated there, keeping setup O(n·limit)
-            # instead of O(n²).
-            count = len(items)
-            suffix_top: List[List[float]] = [[0.0]] * (count + 1)
+            # once), re-deriving the prefix sums per index.  The bound only
+            # ever asks for m ≤ limit more items (the size bound caps every
+            # extension), so both the maintained list and the stored prefix
+            # sums are truncated there, keeping setup O(n·limit) instead of
+            # O(n²).
+            suffix_top = [[0.0]] * (count + 1)
             descending: List[float] = []
             for i in range(count - 1, -1, -1):
                 gain = max(0.0, gains(items[i]))
@@ -516,96 +632,80 @@ class PackageSearchEngine:
                 for negated in descending:
                     sums.append(sums[-1] - negated)
                 suffix_top[i] = sums
-            if cost_delta is not None and not math.isfinite(budget):
+            if cost_delta is not None and math.isfinite(budget):
                 # An unbounded budget affords any number of items; the cap
                 # would divide infinities (inf // inf is nan).
-                cost_delta = None
-            if cost_delta is not None:
+                deltas = tuple(cost_delta(item) for item in items)
                 # min_delta[i] = the cheapest item still ahead; with an exact
                 # additive cost the remaining budget can afford at most
                 # ⌊remaining / min_delta⌋ more items, capping m further.
-                min_delta: Optional[List[float]] = [0.0] * (count + 1)
+                min_delta = [0.0] * (count + 1)
                 running = float("inf")
                 min_delta[count] = running
                 for i in range(count - 1, -1, -1):
-                    delta = cost_delta(items[i])
+                    delta = deltas[i]
                     running = delta if delta < running else running
                     min_delta[i] = running
                 if any(d <= 0 for d in min_delta[:count]):
                     # A non-positive item cost defeats the affordability cap.
-                    cost_delta, min_delta = None, None
-            else:
-                min_delta = None
-            suffix_sets: Optional[List[FrozenSet[Row]]] = None
-        elif use_bound:
-            # Generic monotone bound: val(node ∪ all remaining items).
-            suffix_top = None
-            min_delta = None
-            suffix_sets = [frozenset()] * (len(items) + 1)
-            for i in range(len(items) - 1, -1, -1):
-                suffix_sets[i] = suffix_sets[i + 1] | {items[i]}
-        else:
-            suffix_top = None
-            min_delta = None
-            suffix_sets = None
+                    deltas, min_delta = None, None
 
         val_fn = self.problem.val
         # ``scored`` stays sorted by (-rating, tie key); entries carry the
         # rating separately so the pruning threshold needs no negation.
         worst_rating: Optional[float] = None
+        threshold = 0.0
 
-        def bound_from(
+        def prunes(
             index: int,
             node_rating: float,
-            node_set: FrozenSet[Row],
+            node_mask: int,
             path_cost: float,
             slots: int,
-        ) -> float:
-            """Best rating any package extending the node with items[index:] can reach."""
+        ) -> bool:
+            """Whether the best rating any package extending the node with
+            items[index:] can reach falls strictly below the k-th best."""
+            if worst_rating is None:
+                return False
             if suffix_top is not None:
-                available = len(items) - index
+                available = count - index
                 if available <= 0:
-                    return node_rating
+                    return node_rating < threshold
                 m = slots if slots < available else available
                 if min_delta is not None:
                     affordable = int((budget - path_cost) // min_delta[index])
                     if affordable < m:
                         m = affordable
                 if m <= 0:
-                    return node_rating
-                return node_rating + suffix_top[index][m]
-            remaining = suffix_sets[index]
-            if not remaining:
-                return node_rating
-            return val_fn(Package.trusted(schema, node_set | remaining))
+                    return node_rating < threshold
+                return node_rating + suffix_top[index][m] < threshold
+            # Generic monotone bound: val(node ∪ all remaining items).
+            if index >= count:
+                return node_rating < threshold
+            rows = frozenset(
+                items[i] for i in range(count) if i >= index or node_mask >> i & 1
+            )
+            return val_fn(Package.trusted(schema, rows)) < threshold
 
-        def prunes(
-            index: int,
-            node_rating: float,
-            node_set: FrozenSet[Row],
-            path_cost: float,
-            slots: int,
-        ) -> bool:
-            """Whether the subtree's bound falls strictly below the k-th best."""
-            return worst_rating is not None and bound_from(
-                index, node_rating, node_set, path_cost, slots
-            ) < _prune_threshold(worst_rating)
+        # The selection's tie key, per candidate: a node's is the tuple of
+        # its candidates' keys, which is its package's sort_key().
+        keys = [row_sort_key(item) for item in items]
 
-        def entry_key(rating: float, package: Package) -> Optional[Tuple[float, Tuple]]:
+        def entry_key(rating: float, node: Tuple[int, ...]) -> Optional[Tuple[float, Tuple]]:
             """The node's selection sort key, or ``None`` if it cannot enter."""
             if len(scored) >= how_many:
                 if rating < worst_rating:
                     return None  # strictly worse: the tie key can never matter
-                key = (-rating, package.sort_key())
+                key = (-rating, tuple([keys[i] for i in node]))
                 return key if key < scored[-1][0] else None
-            return (-rating, package.sort_key())
+            return (-rating, tuple([keys[i] for i in node]))
 
         total_seen = 0
         examined: List[int] = []
         walk = self._walk(
             rated=True,
             accept=entry_key,
-            bound=_Bound(prunes, suffix_top is not None, cost_delta) if use_bound else None,
+            bound=_Bound(prunes, suffix_top is not None, deltas) if use_bound else None,
             max_candidates=max_candidates,
             examined_out=examined,
         )
@@ -616,6 +716,7 @@ class PackageSearchEngine:
                 scored.pop()
             if len(scored) >= how_many:
                 worst_rating = scored[-1][2]
+                threshold = _prune_threshold(worst_rating)
         return [(rating, package) for _, package, rating in scored], examined[0], total_seen
 
 

@@ -40,8 +40,9 @@ class Package:
     ) -> "Package":
         """A package over items that are already validated answer tuples.
 
-        The search engine builds one package per lattice node; re-validating
-        every tuple against the schema there re-pays, per node, work the query
+        The search engine builds a package for a lattice node only when it
+        yields the node or asks the oracle for its verdict; re-validating
+        every tuple against the schema there would re-pay work the query
         evaluator already did once when producing ``Q(D)``.  The caller
         guarantees ``items`` is a frozenset of schema-valid plain tuples.
         ``sorted_items`` may be supplied when the caller already holds the

@@ -805,13 +805,18 @@ def _execute(
             # RuntimeError; the index probe (and any reduced/ranged row set)
             # iterates a frozen sequence, so check the version explicitly to
             # fail just as loudly instead of mixing pre- and post-mutation
-            # states.
+            # states.  The generator can only have been suspended below a
+            # row that descended or emitted, so the next row checks then and
+            # only then.
             version = relation.version
+            resumed = False
             for row in rows:
-                if relation.version != version:
-                    raise EvaluationError(
-                        f"relation {relation.name!r} was mutated during evaluation"
-                    )
+                if resumed:
+                    if relation.version != version:
+                        raise EvaluationError(
+                            f"relation {relation.name!r} was mutated during evaluation"
+                        )
+                    resumed = False
                 if counter is not None:
                     counter.tick()
                 if metrics_acc is not None:
@@ -828,6 +833,7 @@ def _execute(
                         step_profile.match(depth)
                     if leaf_tests is None:
                         yield from execute(depth + 1)
+                        resumed = True
                         continue
                     if counter is not None:
                         counter.tick()
@@ -840,6 +846,7 @@ def _execute(
                         if unresolved:
                             raise _unsafe_comparison_error(plan.comparisons, unresolved)
                         yield emit(slots)
+                        resumed = True
 
         yield from execute(0)
 

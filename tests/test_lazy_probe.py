@@ -31,8 +31,9 @@ from repro.core import (
     enumerate_valid_packages_reference,
     is_top_k_selection,
 )
-from repro.core.compatibility import CompatibilityConstraint
+from repro.core.compatibility import CompatibilityConstraint, CompatibilityOracle
 from repro.core.enumeration import PackageSearchEngine
+from repro.core.packages import Package
 from repro.core.rpp import selection_from_items
 from repro.serving.trace import serving_problem
 
@@ -184,3 +185,73 @@ def test_rpp_optimality_search_asks_far_fewer_witness_verdicts_than_it_could():
     assert oracle.witness_verdicts * 10 < feasible, (oracle.witness_verdicts, feasible)
     probed, _ = _rpp_verdicts(probe_path(serving_problem(80)))
     assert oracle.witness_verdicts == probed.misses
+
+
+def _count_builds_and_probes(monkeypatch):
+    """Record every ``Package.trusted`` build and every oracle verdict request."""
+    built, probed = [], []
+    trusted = Package.trusted.__func__
+
+    def counting_trusted(cls, schema, items, sorted_items=None):
+        built.append(items)
+        return trusted(cls, schema, items, sorted_items)
+
+    is_satisfied = CompatibilityOracle.is_satisfied
+
+    def counting_is_satisfied(self, package, tally=None):
+        probed.append(package.items)
+        return is_satisfied(self, package, tally)
+
+    monkeypatch.setattr(Package, "trusted", classmethod(counting_trusted))
+    monkeypatch.setattr(CompatibilityOracle, "is_satisfied", counting_is_satisfied)
+    return built, probed
+
+
+@pytest.mark.parametrize("path", ["witness", "probe"])
+def test_a_package_is_built_only_for_a_yielded_or_probed_node(monkeypatch, path):
+    """Pinned on the 40-item serving problem.
+
+    The lattice walk builds a node's package once, and only when the node
+    is yielded to a search mode that takes packages (counting takes none)
+    or its verdict goes to ``oracle.is_satisfied``.  On the witness path
+    that verdict is only the first walk's first one, which builds the
+    index: every later walk builds exactly the packages it yields, where a
+    package per examined node was built before.
+    """
+    problem = serving_problem(40)
+    problem = (probe_path(problem) if path == "probe" else problem).pinned()
+    engine = PackageSearchEngine(problem)
+    built, probed = _count_builds_and_probes(monkeypatch)
+
+    def only_yielded_and_probed(yielded):
+        assert len(built) == len(set(built)), "a node's package was built twice"
+        assert set(built) == set(yielded) | set(probed)
+        if path == "witness":
+            assert probed == []
+        else:
+            assert probed
+        del built[:], probed[:]
+
+    count = engine.count_valid(rating_bound=20.0)
+    assert count > 0 and set(built) == set(probed)
+    if path == "witness":
+        assert len(probed) == 1  # the verdict that builds the index
+    del built[:], probed[:]
+
+    assert engine.count_valid(rating_bound=20.0) == count
+    only_yielded_and_probed([])
+
+    found = list(engine.iter_valid())
+    only_yielded_and_probed([package.items for package in found])
+
+    scored, examined, total = engine.best_valid(problem.k)
+    if path == "witness":
+        assert len(built) == total < examined  # the nodes that entered the selection
+    assert len(built) == len(set(built)) and set(probed) <= set(built)
+    assert total <= len(built) <= total + len(set(probed))
+    del built[:], probed[:]
+
+    selection = [package for _, package in scored]
+    worst = min(rating for rating, _ in scored)
+    outsider = engine.first_valid(rating_bound=worst, strict=True, exclude=selection)
+    only_yielded_and_probed([] if outsider is None else [outsider.items])

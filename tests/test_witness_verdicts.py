@@ -17,6 +17,14 @@ cancellation firing mid-build leaves no index behind and is not retried; a
 request's step budget is not charged for the build; a second ``Q(D)`` keeps
 the one index.  Readers racing on one pinned problem build its index once,
 and a reader waiting for another's build keeps its own deadline.
+
+The lattice walk answers its nodes from the index compiled into per-candidate
+bitmasks.  Each of its branches — witness sets of three rows, candidates
+outside the indexed ``Q(D)``, cost and rating functions with and without an
+incremental form, exclusion sets, rating ties, an absent ``Qc`` — gives every
+search mode the reference enumerator's answers and the oracle the counts it
+recorded when each node asked the oracle; a commit between two yields on a
+live database reaches the walk's later verdicts.
 """
 
 from __future__ import annotations
@@ -31,8 +39,26 @@ from itertools import combinations
 import pytest
 
 import repro.core.compatibility as compatibility
-from repro.core.compatibility import CompatibilityOracle, PredicateConstraint, QueryConstraint
+from repro.core import (
+    AttributeSumCost,
+    AttributeSumRating,
+    CallableCost,
+    CallableRating,
+    CountCost,
+    CountRating,
+    RecommendationProblem,
+    WeightedSumRating,
+    best_valid_packages_reference,
+    enumerate_valid_packages_reference,
+)
+from repro.core.compatibility import (
+    CompatibilityOracle,
+    EmptyConstraint,
+    PredicateConstraint,
+    QueryConstraint,
+)
 from repro.core.enumeration import PackageSearchEngine
+from repro.core.model import ConstantBound
 from repro.core.packages import Package
 from repro.queries.ast import (
     And,
@@ -55,6 +81,7 @@ from repro.relational.database import Database, Relation
 from repro.resilience import CancellationToken, Deadline, RequestCancelled, RequestTimeout
 from repro.resilience.deadline import current_deadline, deadline_scope
 from repro.serving.trace import serving_problem
+from repro.workloads.synthetic import item_selection_query, random_item_database
 
 NUM_SEEDS = 60
 CATEGORIES = ("a", "b", "c")
@@ -607,3 +634,273 @@ def test_a_reader_waiting_for_a_build_keeps_its_deadline():
     assert oracle.witness_builds == 0
     assert oracle.is_satisfied(package) == constraint.is_satisfied_copying(package, database)
     assert oracle.witness_builds == 1
+
+
+# ---------------------------------------------------------------------------
+# The lattice walk's witness masks
+# ---------------------------------------------------------------------------
+def _rq(*names):
+    return RelationAtom("RQ", [Var(name) for name in names])
+
+
+def _three_per_category_or_high_twins() -> QueryConstraint:
+    """At most two items per category, and no two items of one quality above
+    12: witness sets of three rows beside witness sets of two."""
+    ordered = Comparison(ComparisonOp.LT, Var("i1"), Var("i2"))
+    three = ConjunctiveQuery(
+        [],
+        [_rq("i1", "c", "p1", "q1"), _rq("i2", "c", "p2", "q2"), _rq("i3", "c", "p3", "q3")],
+        [ordered, Comparison(ComparisonOp.LT, Var("i2"), Var("i3"))],
+    )
+    twins = ConjunctiveQuery(
+        [],
+        [_rq("i1", "c1", "p1", "q"), _rq("i2", "c2", "p2", "q")],
+        [ordered, Comparison(ComparisonOp.GT, Var("q"), 12)],
+    )
+    return QueryConstraint(UnionOfConjunctiveQueries([three, twins]))
+
+
+def _same_category() -> QueryConstraint:
+    return QueryConstraint(
+        ConjunctiveQuery(
+            [],
+            [_rq("i1", "c", "p1", "q1"), _rq("i2", "c", "p2", "q2")],
+            [Comparison(ComparisonOp.NE, Var("i1"), Var("i2"))],
+        )
+    )
+
+
+def _kernel_problem(database: Database, compatibility, **fields) -> RecommendationProblem:
+    settings = dict(
+        database=database,
+        query=item_selection_query(30),
+        cost=AttributeSumCost("price"),
+        val=AttributeSumRating("quality"),
+        budget=70.0,
+        k=3,
+        compatibility=compatibility,
+        size_bound=ConstantBound(3),
+        monotone_cost=True,
+        antimonotone_compatibility=True,
+        monotone_val=True,
+    )
+    settings.update(fields)
+    return RecommendationProblem(**settings)
+
+
+#: Each case: a problem builder, a rating bound, and the oracle counts
+#: (witness_verdicts, witness_declines, hits, misses) that the lattice walk
+#: recorded over :func:`_every_search_mode` when it built a package per node
+#: and asked the oracle for every verdict.
+KERNEL_CASES = {
+    "three-row-witness-sets": (
+        lambda: _kernel_problem(
+            random_item_database(12, seed=3), _three_per_category_or_high_twins()
+        ),
+        20.0,
+        (256, 0, 0, 0),
+    ),
+    "callable-cost-and-rating": (
+        lambda: _kernel_problem(
+            random_item_database(10, seed=5),
+            _same_category(),
+            cost=CallableCost(lambda package: max(package.column("price")) + len(package)),
+            val=CallableRating(lambda package: sum(q * q for q in package.column("quality"))),
+            budget=40.0,
+        ),
+        100.0,
+        (143, 0, 0, 0),
+    ),
+    "incremental-non-additive": (
+        lambda: _kernel_problem(
+            random_item_database(10, seed=6),
+            _same_category(),
+            cost=CountCost(),
+            val=WeightedSumRating({"quality": 1.0, "price": -0.5}),
+            budget=3.0,
+        ),
+        5.0,
+        (162, 0, 0, 0),
+    ),
+    "rating-ties": (
+        lambda: _kernel_problem(
+            random_item_database(11, seed=7), _same_category(), val=CountRating(), k=4
+        ),
+        2.0,
+        (162, 0, 0, 0),
+    ),
+    "no-qc": (
+        lambda: _kernel_problem(
+            random_item_database(8, seed=8), EmptyConstraint(), monotone_val=False
+        ),
+        15.0,
+        (0, 0, 0, 0),
+    ),
+}
+
+
+def _every_search_mode(problem: RecommendationProblem, bound: float, engine=None):
+    """Each search mode's answer, rendered: enumeration with and without a
+    rating bound and an exclusion set, counting, first-valid and top-k."""
+    engine = engine or PackageSearchEngine(problem)
+    found = [package.sorted_items() for package in engine.iter_valid()]
+    schema = engine.schema
+    excluded = [Package(schema, items) for items in found[1:4]]
+    excluded.append(Package(schema, [(99, "z", 1, 1)]))  # no node's items
+    first = engine.first_valid(rating_bound=bound, exclude=excluded)
+    scored, _, _ = engine.best_valid(problem.k)
+    return {
+        "iter": found,
+        "iter_bound": [p.sorted_items() for p in engine.iter_valid(rating_bound=bound)],
+        "iter_excluded": [p.sorted_items() for p in engine.iter_valid(exclude=excluded)],
+        "count": engine.count_valid(rating_bound=bound, strict=True, by_size=True),
+        "first_excluded": None if first is None else first.sorted_items(),
+        "best": [(rating, package.sorted_items()) for rating, package in scored],
+    }, excluded
+
+
+def _reference_modes(problem: RecommendationProblem, bound: float, excluded):
+    """:func:`_every_search_mode` through the reference enumerator."""
+
+    def render(packages):
+        return [package.sorted_items() for package in packages]
+
+    first = next(
+        enumerate_valid_packages_reference(problem, rating_bound=bound, exclude=excluded), None
+    )
+    strict = list(enumerate_valid_packages_reference(problem, rating_bound=bound, strict=True))
+    histogram = {}
+    for package in strict:
+        histogram[len(package)] = histogram.get(len(package), 0) + 1
+    return {
+        "iter": render(enumerate_valid_packages_reference(problem)),
+        "iter_bound": render(enumerate_valid_packages_reference(problem, rating_bound=bound)),
+        "iter_excluded": render(enumerate_valid_packages_reference(problem, exclude=excluded)),
+        "count": (len(strict), histogram),
+        "first_excluded": None if first is None else first.sorted_items(),
+        "best": [
+            (problem.val(package), package.sorted_items())
+            for package in best_valid_packages_reference(problem, problem.k)
+        ],
+    }
+
+
+def _oracle_counts(problem: RecommendationProblem):
+    info = problem.compatibility_oracle().cache_info()
+    return tuple(info[name] for name in ("witness_verdicts", "witness_declines", "hits", "misses"))
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_the_walk_answers_and_counts_as_the_reference_on_each_branch(case):
+    make, bound, counts = KERNEL_CASES[case]
+    problem = make()
+    engine_answers, excluded = _every_search_mode(problem, bound)
+    assert engine_answers == _reference_modes(make(), bound, excluded)
+    assert _oracle_counts(problem) == counts
+    if case == "three-row-witness-sets":
+        by_item = problem.compatibility_oracle()._witness.by_item
+        assert any(larger for _, larger in by_item.values())
+        assert any(partners for partners, _ in by_item.values())
+
+
+def test_a_second_q_of_d_walks_past_the_indexed_rows():
+    """The index built over a narrower ``Q(D)`` serves the wider one's
+    packages within its rows; the rest go to the memo."""
+    problem = _kernel_problem(random_item_database(12, seed=9), _same_category())
+    narrower = problem.with_query(item_selection_query(15))
+    PackageSearchEngine(narrower).count_valid()
+    engine = PackageSearchEngine(problem)
+    assert engine.answers.rows() > narrower.candidate_items().rows()
+    engine_answers, excluded = _every_search_mode(problem, 20.0, engine)
+    assert engine_answers == _reference_modes(
+        _kernel_problem(random_item_database(12, seed=9), _same_category()), 20.0, excluded
+    )
+    assert _oracle_counts(problem) == (69, 110, 84, 26)
+    assert problem.compatibility_oracle().witness_builds == 1
+
+
+#: What :func:`test_a_commit_between_yields_reaches_the_walks_later_verdicts`
+#: saw when the walk asked the oracle for every verdict: the packages after
+#: the first, as candidate positions, and the oracle counts.
+CLASH_WALK = [
+    (0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (0, 8),
+    (1,), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8),
+    (2,), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8),
+    (3,), (3, 6),
+    (4,), (4, 5), (4, 6), (4, 8),
+    (5,), (5, 6), (5, 7), (5, 8),
+    (6,), (6, 7), (6, 8),
+    (7,), (7, 8),
+    (8,),
+]  # fmt: skip
+CLASH_COUNTS = (40, 0, 0, 0)
+#: The oracle counts the same walk gave in
+#: :func:`test_masks_compiled_after_a_commit_still_test_the_whole_path`.
+PATH_COUNTS = (39, 1, 0, 1)
+
+
+def _clash_problem():
+    """Pairs of clashing items (a base relation ``Qc`` reads) may not share a package."""
+    database = random_item_database(9, seed=12)
+    database.create_relation("clash", ["left", "right"], [(0, 4), (2, 7)])
+    constraint = QueryConstraint(
+        ConjunctiveQuery(
+            [],
+            [
+                _rq("i1", "c1", "p1", "q1"),
+                _rq("i2", "c2", "p2", "q2"),
+                RelationAtom("clash", [Var("i1"), Var("i2")]),
+            ],
+        )
+    )
+    return _kernel_problem(
+        database, constraint, query=item_selection_query(), size_bound=ConstantBound(2)
+    )
+
+
+def test_a_commit_between_yields_reaches_the_walks_later_verdicts():
+    """A consumer committing to ``Qc``'s footprint on a live database between
+    two yields gets the later packages' verdicts on the committed rows."""
+    problem = _clash_problem()
+    database = problem.database
+    walk = PackageSearchEngine(problem).iter_valid()
+    first = next(walk)
+    items = sorted(problem.candidate_items().rows())
+    assert first.sorted_items() == (items[0],)
+    database.apply_delta([("insert", "clash", (items[1][0], items[2][0]))])
+    rest = [package.sorted_items() for package in walk]
+    # The packages, as candidate positions, that the walk gave when every
+    # verdict came from the oracle.
+    position = {item: i for i, item in enumerate(items)}
+    assert [tuple(position[item] for item in items) for items in rest] == CLASH_WALK
+    assert problem.compatibility_oracle().witness_builds == 2
+    assert _oracle_counts(problem) == CLASH_COUNTS
+    # The same as a reference search of the committed database, from the
+    # first package on (that package's own verdict came before the commit).
+    reference = [
+        package.sorted_items() for package in enumerate_valid_packages_reference(problem)
+    ]
+    assert reference[0] == first.sorted_items() and rest == reference[1:]
+
+
+def test_masks_compiled_after_a_commit_still_test_the_whole_path(monkeypatch):
+    """The walk's first index comes after a commit: a node whose ancestors
+    were checked before the commit is tested on all its candidates."""
+    problem = _clash_problem()
+    monkeypatch.setattr(compatibility, "WITNESS_CAP", 0)  # the first build declines
+    walk = PackageSearchEngine(problem).iter_valid()
+    first = next(walk)
+    monkeypatch.undo()
+    oracle = problem.compatibility_oracle()
+    assert oracle.witness_builds == 0
+    (item,) = first.items
+    # {item} alone becomes a witness set: no package holding it is compatible.
+    problem.database.apply_delta([("insert", "clash", (item[0], item[0]))])
+    rest = [package.sorted_items() for package in walk]
+    assert oracle.witness_builds == 1
+    assert all(item not in items for items in rest)
+    assert _oracle_counts(problem) == PATH_COUNTS
+    reference = [
+        package.sorted_items() for package in enumerate_valid_packages_reference(problem)
+    ]
+    assert rest == reference
