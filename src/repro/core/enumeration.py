@@ -149,12 +149,17 @@ def _prune_threshold(worst_rating: float) -> float:
 class PackageSearchEngine:
     """A stateful incremental DFS over the subset lattice of ``Q(D)``.
 
-    One engine is bound to one ``(problem, candidate items)`` pair; it
-    pre-sorts the candidate items by typed sort key and exposes the search
-    entry points every solver uses; each walk threads the problem's cost and
-    rating functions incrementally when it can.  Engines are cheap to
-    construct (one sort) and are built per solver call, so they can never
-    observe a stale ``Q(D)``.
+    One engine is bound to one ``(problem, candidate items)`` pair; it reads
+    the candidate items, sorted by typed sort key, from the problem's
+    :meth:`~repro.core.model.RecommendationProblem.candidate_pool` and
+    exposes the search entry points every solver uses; each walk threads the
+    problem's cost and rating functions incrementally when it can.  Engines
+    are built per solver call and, once the problem's pool holds its epoch's
+    ``Q(D)``, constructing one costs a version check: every solver call on
+    one pinned problem shares one evaluation and one sort, and on a live
+    database the pool re-evaluates after any commit, so a new engine never
+    observes a stale ``Q(D)``.  An explicit ``candidate_items`` other than
+    the pool's relation is sorted for the engine alone.
 
     Concurrency: an engine's search state lives on the stack of each entry
     point, but every probe funnels into the problem's shared
@@ -172,6 +177,7 @@ class PackageSearchEngine:
         "answers",
         "schema",
         "items",
+        "keys",
         "limit",
         "max_size",
         "oracle",
@@ -186,14 +192,16 @@ class PackageSearchEngine:
         candidate_items: Optional[Relation] = None,
     ) -> None:
         self.problem = problem
-        answers = candidate_items if candidate_items is not None else problem.candidate_items()
-        self.answers = answers
+        pool = problem.candidate_pool(candidate_items)
+        self.answers = pool.answers
         self.schema = problem.query.output_schema()
-        self.items: Tuple[Row, ...] = tuple(sorted(answers.rows(), key=row_sort_key))
+        self.items: Tuple[Row, ...] = pool.items
+        #: Each item's ``row_sort_key``, position by position.
+        self.keys = pool.keys
         self.max_size = problem.max_package_size()
         self.limit = min(self.max_size, len(self.items))
         self.oracle = problem.compatibility_oracle()
-        self.oracle.register_answers(answers)
+        self.oracle.register_answers(pool.answers)
         self.budget = problem.budget
         self.monotone_cost = problem.monotone_cost
         self.antimonotone = problem.antimonotone_compatibility
@@ -689,7 +697,7 @@ class PackageSearchEngine:
 
         # The selection's tie key, per candidate: a node's is the tuple of
         # its candidates' keys, which is its package's sort_key().
-        keys = [row_sort_key(item) for item in items]
+        keys = self.keys
 
         def entry_key(rating: float, node: Tuple[int, ...]) -> Optional[Tuple[float, Tuple]]:
             """The node's selection sort key, or ``None`` if it cannot enter."""
@@ -738,8 +746,7 @@ def enumerate_candidate_packages(
     :class:`~repro.relational.errors.BudgetExceededError` so a runaway
     configuration fails loudly instead of silently truncating results.
     """
-    answers = candidate_items if candidate_items is not None else problem.candidate_items()
-    items: Tuple[Row, ...] = tuple(sorted(answers.rows(), key=row_sort_key))
+    items = problem.candidate_pool(candidate_items).items
     schema = problem.query.output_schema()
     limit = min(problem.max_package_size(), len(items))
     produced = 0
@@ -855,9 +862,15 @@ def enumerate_valid_packages_reference(
     ``is_valid_package`` and the ``N ⊆ Q(D)`` membership scan.  Items follow
     the same typed :func:`~repro.relational.ordering.row_sort_key` order as
     the engine, so the differential suite compares the two traversals
-    node-for-node without repr-collision ambiguity.
+    node-for-node without repr-collision ambiguity.  Without
+    ``candidate_items`` it evaluates ``Q(D)`` afresh rather than reading the
+    problem's candidate pool, so the spec never shares the engine's pool.
     """
-    answers = candidate_items if candidate_items is not None else problem.candidate_items()
+    answers = (
+        candidate_items
+        if candidate_items is not None
+        else problem.query.evaluate(problem.database)
+    )
     items: Tuple[Row, ...] = tuple(sorted(answers.rows(), key=row_sort_key))
     schema = problem.query.output_schema()
     limit = min(problem.max_package_size(), len(items))
@@ -897,12 +910,12 @@ def best_valid_packages_reference(
     Uses the same ``(-rating, package.sort_key())`` order as the engine's
     branch-and-bound mode, so the two must agree package-for-package — ties
     included — on every problem; the differential suite asserts exactly that.
+    Like the reference enumerator, it evaluates ``Q(D)`` afresh.
     """
-    answers = candidate_items if candidate_items is not None else problem.candidate_items()
     scored = [
         (problem.val(package), package)
         for package in enumerate_valid_packages_reference(
-            problem, candidate_items=answers, max_candidates=max_candidates
+            problem, candidate_items=candidate_items, max_candidates=max_candidates
         )
     ]
     scored.sort(key=lambda pair: (-pair[0], pair[1].sort_key()))

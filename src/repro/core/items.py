@@ -18,6 +18,7 @@ from repro.core.model import RecommendationProblem, item_recommendation_problem
 from repro.core.packages import Package, Selection
 from repro.queries.base import Query
 from repro.relational.database import Database, Row
+from repro.relational.ordering import row_sort_key
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,14 @@ class ItemSelectionResult:
 def top_k_items(
     database: Database, query: Query, utility: Callable[[Row], float], k: int
 ) -> ItemSelectionResult:
-    """Compute a top-k item selection directly (sort ``Q(D)`` by utility)."""
-    answers = sorted(query.evaluate(database).rows(), key=lambda row: (-utility(row), repr(row)))
+    """Compute a top-k item selection directly (sort ``Q(D)`` by utility).
+
+    Utility ties are broken by :func:`~repro.relational.ordering.row_sort_key`,
+    the order the package embedding breaks them in, so the two agree.
+    """
+    answers = sorted(
+        query.evaluate(database).rows(), key=lambda row: (-utility(row), row_sort_key(row))
+    )
     if len(answers) < k:
         return ItemSelectionResult(None)
     chosen = tuple(answers[:k])
@@ -70,13 +77,14 @@ def is_top_k_item_selection(
 ) -> bool:
     """RPP restricted to items: is ``candidate`` a top-k item selection?"""
     candidate = [tuple(row) for row in candidate]
-    if len(set(candidate)) != len(candidate):
+    chosen = set(candidate)
+    if len(chosen) != len(candidate):
         return False
     answers = query.evaluate(database).rows()
     if not all(row in answers for row in candidate):
         return False
     threshold = min(utility(row) for row in candidate)
-    return all(utility(row) <= threshold for row in answers if row not in set(candidate))
+    return all(utility(row) <= threshold for row in answers if row not in chosen)
 
 
 def maximum_item_bound(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.compatibility import (
@@ -35,6 +36,7 @@ from repro.queries.base import Query
 from repro.queries.languages import QueryLanguage, classify_query
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import ModelError
+from repro.relational.ordering import row_sort_key
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,46 @@ LINEAR_BOUND = PolynomialBound(1.0, 1)
 
 
 # ---------------------------------------------------------------------------
+# The candidate pool
+# ---------------------------------------------------------------------------
+class CandidatePool:
+    """A candidate relation sorted once: the pool packages are drawn from.
+
+    ``answers`` is the relation, ``items`` its rows in
+    :func:`~repro.relational.ordering.row_sort_key` order and ``keys`` their
+    sort keys, position by position (the top-k tie key is built from them).
+    ``version`` is the relation's own version when the rows were read, so a
+    pool :meth:`holds` its relation only until someone mutates it.  A pool
+    built by :meth:`RecommendationProblem.candidate_pool` also records the
+    ``(database, query, database.version())`` it evaluated ``Q(D)`` for.
+    Pools are never mutated, only replaced, so readers on several threads
+    may share one.
+    """
+
+    __slots__ = ("answers", "version", "items", "keys", "database", "query", "epoch")
+
+    def __init__(
+        self,
+        answers: Relation,
+        database: Optional[Database] = None,
+        query: Optional[Query] = None,
+        epoch: Optional[tuple] = None,
+    ) -> None:
+        self.answers = answers
+        self.version = answers.version
+        keyed = sorted(((row_sort_key(row), row) for row in answers.rows()), key=itemgetter(0))
+        self.items: Tuple[Row, ...] = tuple(row for _, row in keyed)
+        self.keys: tuple = tuple(key for key, _ in keyed)
+        self.database = database
+        self.query = query
+        self.epoch = epoch
+
+    def holds(self, answers: Relation) -> bool:
+        """Whether this pool is ``answers`` as it stands now."""
+        return self.answers is answers and answers.version == self.version
+
+
+# ---------------------------------------------------------------------------
 # The problem specification
 # ---------------------------------------------------------------------------
 @dataclass
@@ -121,6 +163,9 @@ class RecommendationProblem:
     #: otherwise.
     monotone_val: bool = False
     _compatibility_oracle: Optional[CompatibilityOracle] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _candidate_pool: Optional[CandidatePool] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -175,13 +220,58 @@ class RecommendationProblem:
             new._compatibility_oracle = self.compatibility_oracle()
         return new
 
+    def _carrying_pool(self, new: "RecommendationProblem") -> "RecommendationProblem":
+        """The oracle and the candidate pool carried onto a derived problem.
+
+        For the transforms that keep ``Q`` and ``D`` (``with_k``,
+        ``with_budget``, ``with_constant_bound``): the parent's pool, if it
+        has one, serves the derived problem's reads of the same epoch.
+        """
+        new._candidate_pool = self._candidate_pool
+        return self._carrying_oracle(new)
+
     def max_package_size(self) -> int:
         """The effective bound on ``|N|`` for the current database."""
         return self.size_bound.max_size(self.database.size())
 
+    def candidate_pool(self, candidate_items: Optional[Relation] = None) -> CandidatePool:
+        """``Q(D)`` evaluated and sorted once per database epoch.
+
+        The problem keeps one pool, keyed on the database and query objects,
+        ``database.version()`` and the returned relation's own version.  A
+        pinned snapshot's version never moves, so every solver call on a
+        pinned problem reads one pool; on a live database any commit or
+        direct mutation (of ``D``, or of the relation this method handed
+        out) re-evaluates ``Q(D)`` at the next read, and so does reassigning
+        ``query`` or ``database``.  An explicit ``candidate_items`` (a
+        maintained view of QRPP or ARPP) is sorted into a pool of its own,
+        which is not kept, unless it is the kept pool's relation unchanged.
+        """
+        pool = self._candidate_pool
+        if candidate_items is not None:
+            if pool is not None and pool.holds(candidate_items):
+                return pool
+            return CandidatePool(candidate_items)
+        database, query = self.database, self.query
+        epoch = database.version()
+        if (
+            pool is None
+            or pool.database is not database
+            or pool.query is not query
+            or pool.epoch != epoch
+            or pool.answers.version != pool.version
+        ):
+            pool = CandidatePool(query.evaluate(database), database, query, epoch)
+            self._candidate_pool = pool
+        return pool
+
     def candidate_items(self) -> Relation:
-        """``Q(D)``, the pool packages are drawn from."""
-        return self.query.evaluate(self.database)
+        """``Q(D)``, the pool packages are drawn from (see :meth:`candidate_pool`).
+
+        The relation is shared by every reader of the epoch; a caller that
+        mutates it gets a fresh evaluation at its next read.
+        """
+        return self.candidate_pool().answers
 
     def package_from_items(self, items: Iterable[Row]) -> Package:
         """Wrap raw answer tuples into a package over the answer schema."""
@@ -201,8 +291,8 @@ class RecommendationProblem:
     ) -> bool:
         """Conditions (1)-(4) plus, optionally, ``val(N) ≥ B`` (or ``> B``).
 
-        ``candidate_items`` may be passed to avoid recomputing ``Q(D)`` when
-        validating many packages against the same database.
+        ``candidate_items`` may be passed to validate against that relation
+        instead of the problem's ``Q(D)`` (:meth:`candidate_pool`).
         """
         if len(package) > self.max_package_size():
             return False
@@ -247,15 +337,15 @@ class RecommendationProblem:
 
     def with_constant_bound(self, limit: int) -> "RecommendationProblem":
         """The same problem with a constant package-size bound (Corollary 6.1)."""
-        return self._carrying_oracle(replace(self, size_bound=ConstantBound(limit)))
+        return self._carrying_pool(replace(self, size_bound=ConstantBound(limit)))
 
     def with_budget(self, budget: float) -> "RecommendationProblem":
         """The same problem with a different cost budget."""
-        return self._carrying_oracle(replace(self, budget=budget))
+        return self._carrying_pool(replace(self, budget=budget))
 
     def with_k(self, k: int) -> "RecommendationProblem":
         """The same problem asking for a different number of packages."""
-        return self._carrying_oracle(replace(self, k=k))
+        return self._carrying_pool(replace(self, k=k))
 
     def with_database(self, database: Database) -> "RecommendationProblem":
         """The same problem over a different database (used by ARPP)."""
@@ -269,11 +359,11 @@ class RecommendationProblem:
         against the epoch current at this call, unaffected by later
         :meth:`~repro.relational.database.Database.apply_delta` commits on
         the live database.  The pinned problem gets its own fresh
-        compatibility oracle (like any ``with_database``), whose verdicts are
-        valid for exactly this epoch; share the *problem object* between the
-        readers of one epoch to share those verdicts.  Pinning a problem
-        whose database is already a snapshot returns an equivalent pin of the
-        same epoch.
+        compatibility oracle and candidate pool (like any ``with_database``),
+        both valid for exactly this epoch; share the *problem object* between
+        the readers of one epoch to share its verdicts and its one ``Q(D)``.
+        Pinning a problem whose database is already a snapshot returns an
+        equivalent pin of the same epoch.
         """
         return self.with_database(self.database.snapshot())
 
@@ -282,7 +372,8 @@ class RecommendationProblem:
 
         The compatibility oracle is shared with the derived problem: ``Qc``
         and ``D`` are unchanged, so the relaxation search re-uses every verdict
-        already computed for other relaxations of the same problem.
+        already computed for other relaxations of the same problem.  The
+        candidate pool is not: the derived problem evaluates its own ``Q(D)``.
         """
         return self._carrying_oracle(replace(self, query=query))
 

@@ -9,15 +9,18 @@ the machine-independent cost measure the paper's FP^NP / FP^Σ₂ᵖ upper bound
 are stated in.
 
 The oracle owns one :class:`~repro.core.enumeration.PackageSearchEngine` over
-its snapshot of ``Q(D)``: the binary search of the Theorem 5.1 solver issues
-many calls against the same candidate pool, and sharing the engine means the
-item sort, the incremental cost/rating compilation and the compatibility
-oracle are paid once, not per call.
+the problem's candidate pool
+(:meth:`~repro.core.model.RecommendationProblem.candidate_pool`): the binary
+search of the Theorem 5.1 solver issues many calls against the same ``Q(D)``,
+and sharing the engine pays its setup once, not per call.  The pool itself
+is the problem's, so the oracle and every other solver call on the same
+problem and epoch share one evaluation and one sort of ``Q(D)``.
 
 ``candidate_items`` is captured at construction and never refreshed, so an
 oracle built over a *live* database silently answers as of its construction
-time once the database mutates.  Under snapshot isolation that pitfall
-disappears: build the oracle over a pinned problem
+time once the database mutates (the problem's pool moves on; the oracle's
+engine does not).  Under snapshot isolation that pitfall disappears: build
+the oracle over a pinned problem
 (:meth:`~repro.core.model.RecommendationProblem.pinned`) and the captured
 pool *provably* equals the pinned epoch's ``Q(D)`` forever — the serving
 layer (:mod:`repro.serving`) relies on this to share one oracle between all

@@ -223,8 +223,9 @@ def execute_request(
 
     ``oracle`` optionally supplies a shared
     :class:`~repro.core.oracle.ExistPackOracle` for ``exists`` requests so a
-    server can pay the candidate sort once per epoch; semantics are identical
-    to a fresh oracle as long as the oracle was built over ``problem``.
+    server builds one search engine per epoch for them; semantics are
+    identical to a fresh oracle as long as the oracle was built over
+    ``problem``.
     """
     if request.kind == "top_k":
         result = compute_top_k(problem)

@@ -207,6 +207,17 @@ class TestItems:
         assert set(direct.items) == set(embedded.items)
         assert list(direct.utilities) == list(embedded.utilities)
 
+    def test_direct_and_embedded_break_utility_ties_alike(self):
+        # repr order would pick (10,), (11,) ("10" < "11" < "9"); the package
+        # embedding breaks ties by row_sort_key, numerically.
+        database = Database()
+        relation = database.create_relation("r", ["n"], [(9,), (10,), (11,)])
+        query = identity_query_for(relation)
+        direct = top_k_items(database, query, lambda item: 1.0, 2)
+        embedded = top_k_items_via_packages(database, query, lambda item: 1.0, 2)
+        assert set(direct.items) == set(embedded.items) == {(9,), (10,)}
+        assert is_top_k_item_selection(database, query, lambda item: 1.0, direct.items)
+
     def test_not_enough_items(self, poi_database):
         query = identity_query_for(poi_database.relation("poi"))
         result = top_k_items(poi_database, query, lambda item: 0.0, 99)

@@ -585,7 +585,7 @@ class TestResilienceConfig:
         assert not result.ok and result.error.code == "fault"
         assert result.attempts == 3  # 1 try + 2 retries
 
-    def test_admission_control_sheds_excess_load_with_a_retryable_error(self):
+    def test_admission_control_sheds_excess_load_with_a_retryable_error(self, monkeypatch):
         problem = overload_problem(60, seed=3)
         server = SnapshotServer(
             problem,
@@ -593,6 +593,27 @@ class TestResilienceConfig:
             resilience=ResilienceConfig(deadline_s=0.25, max_inflight=1),
         )
         requests = [ServeRequest.count(-1.0 - slot) for slot in range(4)]
+        # A count can finish before the other workers reach admission, so the
+        # admitted request holds its slot until every request has tried.
+        tried = []
+        all_tried = threading.Event()
+        lock = threading.Lock()
+        try_admit, serve_admitted = server._try_admit, server._serve_admitted
+
+        def counting_admit(max_inflight):
+            admitted = try_admit(max_inflight)
+            with lock:
+                tried.append(admitted)
+                if len(tried) >= len(requests):
+                    all_tried.set()
+            return admitted
+
+        def held_serve(*args):
+            assert all_tried.wait(timeout=30), "the other requests never tried admission"
+            return serve_admitted(*args)
+
+        monkeypatch.setattr(server, "_try_admit", counting_admit)
+        monkeypatch.setattr(server, "_serve_admitted", held_serve)
         results = server.serve_batch(requests)
         shed = [r for r in results if not r.ok and r.error.code == "overloaded"]
         assert shed, "with 4 workers racing one slot, someone must be shed"

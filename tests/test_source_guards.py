@@ -61,6 +61,13 @@ is built from ``constraint`` and ``database`` alone, ``RecommendationProblem``
 declares no ``cache_*`` field, and neither ``core/compatibility.py`` nor
 ``core/model.py`` touches an ``.enabled`` attribute, so no switch can route
 verdicts around the witness index and the memo again.
+
+An eleventh guard keeps one ``Q(D)`` per problem epoch: under
+``src/repro/core/`` a problem's selection query is evaluated
+(``<expr>.query.evaluate(...)``) only in
+``RecommendationProblem.candidate_pool`` and the two reference enumerators,
+which are the spec and so never read the pool.  ``QueryConstraint`` is
+exempt: its ``query`` is ``Qc``, not ``Q``.
 """
 
 from __future__ import annotations
@@ -825,3 +832,97 @@ def test_the_verdict_path_guard_itself_detects_a_switch():
         "        return CompatibilityOracle(self.compatibility, self.database)\n"
     )
     assert _verdict_switches(clean) == []
+
+
+CORE = SRC_ROOT / "core"
+
+#: Where ``Q(D)`` may be evaluated under ``core/`` (qualified names; a class
+#: covers its methods).
+Q_OF_D_EVALUATORS = frozenset(
+    {
+        "RecommendationProblem.candidate_pool",
+        "enumerate_valid_packages_reference",
+        "best_valid_packages_reference",
+        "QueryConstraint",
+    }
+)
+
+
+def _q_of_d_evaluations(tree: ast.AST):
+    """``line:scope`` for each ``<expr>.query.evaluate(...)`` call outside
+    :data:`Q_OF_D_EVALUATORS`."""
+    found = []
+
+    def allowed(scope) -> bool:
+        return any(
+            ".".join(scope[:depth]) in Q_OF_D_EVALUATORS for depth in range(1, len(scope) + 1)
+        )
+
+    def visit(node: ast.AST, scope) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "evaluate"
+                and isinstance(child.func.value, ast.Attribute)
+                and child.func.value.attr == "query"
+                and not allowed(scope)
+            ):
+                found.append(f"{child.lineno}:{'.'.join(scope) or '<module>'}")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_q_of_d_is_evaluated_once_per_epoch():
+    offences = []
+    sources = sorted(CORE.rglob("*.py"))
+    assert MODEL in sources and ENUMERATION in sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(
+            f"{path.relative_to(SRC_ROOT.parent)}:{offence}"
+            for offence in _q_of_d_evaluations(tree)
+        )
+    assert not offences, (
+        "solvers read Q(D) from the problem's candidate pool "
+        "(RecommendationProblem.candidate_pool / candidate_items), evaluated "
+        "once per epoch; only the pool and the reference enumerators evaluate "
+        "it: " + ", ".join(offences)
+    )
+
+
+def test_the_pool_guard_itself_detects_a_second_evaluation():
+    """The guard must fire on Q(D) evaluated outside the pool and the references."""
+    offending = ast.parse(
+        "class RecommendationProblem:\n"
+        "    def candidate_pool(self):\n"
+        "        return self.query.evaluate(self.database)\n"
+        "    def candidate_items(self):\n"
+        "        return self.query.evaluate(self.database)\n"
+        "def solve(problem, databases):\n"
+        "    answers = problem.query.evaluate(problem.database)\n"
+        "    return [problem.query.evaluate(database) for database in databases]\n"
+        "def enumerate_valid_packages_reference(problem):\n"
+        "    return problem.query.evaluate(problem.database)\n"
+        "class QueryConstraint:\n"
+        "    def is_satisfied(self, package, database):\n"
+        "        return self.query.evaluate(database)\n"
+    )
+    assert _q_of_d_evaluations(offending) == [
+        "5:RecommendationProblem.candidate_items",
+        "7:solve",
+        "8:solve",
+    ]
+    clean = ast.parse(
+        '"""problem.query.evaluate(problem.database) in a docstring is fine"""\n'
+        "def count_items_above(database, query, utility, bound):\n"
+        "    return sum(1 for row in query.evaluate(database).rows())\n"
+        "def solve(problem):\n"
+        "    return problem.candidate_items()\n"
+    )
+    assert _q_of_d_evaluations(clean) == []

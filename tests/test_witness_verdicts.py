@@ -76,6 +76,7 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.datalog import DatalogRule, NonRecursiveDatalogProgram
 from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.fo import FirstOrderQuery
+from repro.queries.sp import SPQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.database import Database, Relation
 from repro.resilience import CancellationToken, Deadline, RequestCancelled, RequestTimeout
@@ -353,16 +354,32 @@ def test_witness_sets_of_one_two_and_three_rows_mixed():
     assert True in verdicts and False in verdicts
 
 
-def test_the_engine_registers_q_of_d_and_reuses_the_index_across_engines():
+def test_the_engine_registers_q_of_d_and_reuses_the_index_across_engines(monkeypatch):
     problem = serving_problem(30, seed=2).pinned()
+    evaluations = []
+    evaluate = SPQuery.evaluate
+
+    def counting(query, database, *args, **kwargs):
+        evaluations.append(database)
+        return evaluate(query, database, *args, **kwargs)
+
+    monkeypatch.setattr(SPQuery, "evaluate", counting)
     first = PackageSearchEngine(problem)
     count = first.count_valid()
     oracle = problem.compatibility_oracle()
     assert oracle.witness_builds == 1 and oracle.misses == 0
-    # A second engine evaluates Q(D) again: a new relation with the same rows.
+    # A second engine reads the pinned problem's one Q(D): the same relation.
     second = PackageSearchEngine(problem)
-    assert second.answers is not first.answers
+    assert second.answers is first.answers and second.items is first.items
+    assert len(evaluations) == 1
     assert second.count_valid() == count
+    # A third over an explicitly re-evaluated Q(D), a new relation with the
+    # same rows, still reuses the index.
+    third = PackageSearchEngine(
+        problem, candidate_items=problem.query.evaluate(problem.database)
+    )
+    assert third.answers is not first.answers and len(evaluations) == 2
+    assert third.count_valid() == count
     assert oracle.witness_builds == 1
 
 
