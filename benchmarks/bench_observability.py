@@ -14,9 +14,13 @@ trace of :func:`~repro.serving.build_trace`:
   :class:`~repro.observability.TraceSampler`, so every request builds and
   attaches a full span tree.
 
-Each configuration replays the identical trace (fresh problem per replay;
-best-of-``REPEATS`` wall clock), and the measured replays are also held to
-the on/off differential invariant: every compared ``ServeResult`` field —
+Each configuration replays the identical trace (fresh problem per
+replay), ``REPEATS`` times, the three configurations interleaved within each
+repeat.  A configuration's overhead is the median over the repeats of its
+*paired* overhead, its replay against the ``off`` replay of the same repeat,
+so host drift between repeats cancels out of each pair and a few disturbed
+replays cannot move the median.  The measured replays are also held to the
+on/off differential invariant: every compared ``ServeResult`` field —
 request, answer, epoch, ok, error code, attempts — must be bit-identical
 across configurations.
 
@@ -32,6 +36,8 @@ The smallest sweep size below is auto-registered under the ``bench_smoke``
 marker by ``benchmarks/conftest.py`` (sweeps are listed ascending).
 """
 
+from statistics import median
+
 import pytest
 
 from repro.bench.harness import time_callable
@@ -45,9 +51,10 @@ from _report import REPO_ROOT, replay, run_cli, write_report
 #: comparable to the uninstrumented serving benchmark.
 OBS_SWEEP = [(40, 2, 12), (80, 4, 32), (120, 6, 48)]
 
-#: Wall-clock repeats per configuration; the minimum is reported (timing
-#: noise only ever adds, so the minimum is the honest estimate).
-REPEATS = 5
+#: Interleaved repeats per configuration.  The largest off-replay takes
+#: ≈0.1 s, so one disturbed replay can move a best-of-few ratio by tens of
+#: percent; the median of this many paired ratios does not move with it.
+REPEATS = 15
 
 #: The gate: fully-enabled observability may cost at most this fraction of
 #: the disabled replay at the largest sweep size.
@@ -81,21 +88,23 @@ def _run_once(variant, num_items, num_rounds, batch_size):
 
 
 def _run_interleaved(num_items, num_rounds, batch_size, repeats=REPEATS):
-    """Best-of-``repeats`` per variant, with the variants interleaved.
+    """``repeats`` rounds of one replay per variant, the variants interleaved.
 
     Round-robin order matters: the replays take seconds, over which a loaded
     host drifts.  Running all of one variant's repeats back to back would
-    fold that drift into the overhead ratio; interleaving exposes every
-    variant to the same conditions, and the per-variant minimum then compares
-    like with like.
+    fold that drift into the overhead ratio; interleaving exposes the
+    variants of one round to the same conditions, so each round's ratios
+    compare like with like.  Each round maps a variant to its
+    ``(seconds, compared results, registry)``.
     """
-    best = {}
+    rounds = []
     for _ in range(repeats):
+        round_ = {}
         for variant in VARIANTS:
-            run = _run_once(variant, num_items, num_rounds, batch_size)
-            if variant not in best or run[0] < best[variant][0]:
-                best[variant] = run
-    return best
+            seconds, results, registry = _run_once(variant, num_items, num_rounds, batch_size)
+            round_[variant] = seconds, [_comparable(result) for result in results], registry
+        rounds.append(round_)
+    return rounds
 
 
 def _comparable(result):
@@ -149,27 +158,27 @@ def test_fully_enabled_serving_trace(
 # The acceptance gate + machine-readable report
 # ---------------------------------------------------------------------------
 def _measure_size(num_items, num_rounds, batch_size):
-    runs = _run_interleaved(num_items, num_rounds, batch_size)
-    off_seconds = runs["off"][0]
-    baseline = [_comparable(result) for result in runs["off"][1]]
+    """Median seconds per variant and median paired overheads against ``off``."""
+    rounds = _run_interleaved(num_items, num_rounds, batch_size)
+    baseline = rounds[0]["off"][1]
     identical = all(
-        [_comparable(result) for result in runs[variant][1]] == baseline
-        for variant in VARIANTS[1:]
+        round_[variant][1] == baseline for round_ in rounds for variant in VARIANTS
     )
-    registry = runs["metrics+tracing"][2]
+    registry = rounds[-1]["metrics+tracing"][2]
     row = {
         "num_items": num_items,
         "num_rounds": num_rounds,
         "batch_size": batch_size,
         "num_requests": num_rounds * batch_size,
-        "off_seconds": round(off_seconds, 6),
+        "off_seconds": round(median(round_["off"][0] for round_ in rounds), 6),
         "identical_results": identical,
     }
     for variant in VARIANTS[1:]:
         key = variant.replace("+", "_")
-        seconds = runs[variant][0]
-        row[f"{key}_seconds"] = round(seconds, 6)
-        row[f"{key}_overhead"] = round(seconds / off_seconds - 1.0, 4)
+        row[f"{key}_seconds"] = round(median(round_[variant][0] for round_ in rounds), 6)
+        row[f"{key}_overhead"] = round(
+            median(round_[variant][0] / round_["off"][0] - 1.0 for round_ in rounds), 4
+        )
     row["sample_counters"] = {
         name: registry.counter(name)
         for name in (

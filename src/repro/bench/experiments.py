@@ -96,10 +96,6 @@ def _total_seconds(report: SweepReport) -> float:
     return sum(row.seconds for row in report.rows)
 
 
-def _seconds_by_size(report: SweepReport) -> Dict[float, float]:
-    return {row.size: row.seconds for row in report.rows}
-
-
 # ---------------------------------------------------------------------------
 # EXP-T8.1 — combined complexity (Table 8.1)
 # ---------------------------------------------------------------------------

@@ -25,14 +25,17 @@ probe is itself a query evaluation.  The oracle avoids them in two ways:
   ``RQ := Q(D)`` maps every ``RQ`` atom of the disjunct into ``N``.  The
   ``RQ`` rows such a binding uses form a *witness set* (the why-provenance
   of ``Qc``'s answers, Green, Karvounarakis and Tannen, PODS 2007).  Once
-  the search engine has registered ``Q(D)``, the oracle runs one join per
-  disjunct on the first verdict, indexes the witness sets by item, and
-  answers every later verdict on a package ``N ⊆ Q(D)`` by checking
-  whether one of its items' witness sets lies within ``N``: no query
-  evaluation per package.  A disjunct without an ``RQ`` atom that has a
-  binding has the empty witness set, which makes every package
-  incompatible.  The oracle builds at most one index until a relation
-  ``Qc`` reads changes.
+  the search engine has registered ``Q(D)``'s candidate pool, the oracle
+  runs one join per disjunct on the first verdict and folds the witness
+  sets straight into bitmasks over the pool's positions (its *index
+  space*, the same one the lattice walk counts candidates in): per
+  candidate, the bits of the candidates it forms a two-row set with (its
+  own bit for a one-row set), and one mask per set of three rows or more.
+  Every later verdict on a package ``N ⊆ Q(D)`` is then a mask test — is
+  some witness set within ``N``? — with no query evaluation per package.
+  A disjunct without an ``RQ`` atom that has a binding has the empty
+  witness set, which makes every package incompatible.  The oracle builds
+  at most one index until a relation ``Qc`` reads changes.
 * **A memo.**  Every other verdict — a predicate, an FO or Datalog ``Qc``,
   a package outside the indexed ``Q(D)``, or an index the oracle declined
   to build (:data:`WITNESS_CAP`, :data:`WITNESS_STEP_LIMIT`, a build that
@@ -56,7 +59,17 @@ import threading
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.core.packages import Package
 from repro.observability import metrics as _metrics
@@ -71,6 +84,9 @@ from repro.relational.errors import ReproError
 from repro.relational.schema import RelationSchema
 from repro.resilience.deadline import Deadline, current_deadline, deadline_scope
 from repro.resilience.errors import ResilienceError
+
+if TYPE_CHECKING:  # model.py imports this module
+    from repro.core.model import CandidatePool
 
 #: The most witness sets one index may hold.  A build that finds more stops
 #: and declines: its verdicts go to the probe path until a relation ``Qc``
@@ -297,107 +313,141 @@ def _witness_disjuncts(query: Query):
 
 
 class _WitnessIndex(NamedTuple):
-    """The witness sets of one ``Qc`` over one ``Q(D)`` row set.
+    """The witness sets of one ``Qc`` over one candidate pool, as bitmasks.
 
-    Valid while no relation of ``Qc``'s footprint changes; the oracle drops
-    it on such a change.  ``by_item`` is ``None`` when the build declined,
-    so every verdict goes to the probe path.
+    Bit ``i`` of a mask is the pool's ``items[i]`` (the pool's index space,
+    :class:`~repro.core.model.CandidatePool`).  Valid while no relation of
+    ``Qc``'s footprint changes; the oracle drops it on such a change.
+    ``conflicts`` is ``None`` when the build declined, so every verdict goes
+    to the probe path.
     """
 
-    #: The rows of ``Q(D)`` at build time; only packages within them are served.
-    rows: FrozenSet[Row]
-    #: Each item's ``(partners, larger)`` (``None``: declined).  ``partners``
-    #: holds every row forming a two-row witness set with the item, and the
-    #: item itself when ``{item}`` is a witness set (the item is then never
-    #: compatible: every package holding it holds its partner); ``larger``
-    #: holds the item's witness sets of three rows or more.
-    by_item: Optional[Dict[Row, Tuple[FrozenSet[Row], Tuple[FrozenSet[Row], ...]]]]
+    #: The pool ``RQ := Q(D)`` was read from; only packages within it are served.
+    pool: Optional[CandidatePool]
+    #: Per candidate, the bits of the candidates forming a two-row witness
+    #: set with it, and its own bit when it forms a one-row witness set
+    #: (the candidate is then never compatible).  ``None``: declined.
+    conflicts: Optional[Tuple[int, ...]]
+    #: Per candidate, the witness sets of three rows or more whose lowest
+    #: bit it is, one mask each; ``None`` when there are none.
+    larger: Optional[Tuple[Tuple[int, ...], ...]] = None
     #: A disjunct without ``RQ`` atoms has a binding: the empty set is a
     #: witness, so every package is incompatible.
     always: bool = False
     #: The number of distinct witness sets.
     size: int = 0
 
-    def compatible(self, items: FrozenSet[Row]) -> bool:
-        """``Qc(N, D) = ∅`` for a package ``N ⊆ rows`` with these items.
-
-        One ``isdisjoint`` per item decides its witness sets of one and two
-        rows; only sets of three rows or more are scanned.
-        """
+    def compatible(self, items: FrozenSet[Row]) -> Optional[bool]:
+        """``Qc(N, D) = ∅`` for a package with these items; ``None`` when
+        one of them lies outside the pool."""
+        position = self.pool.position
+        mask = 0
+        for item in items:
+            i = position.get(item)
+            if i is None:
+                return None
+            mask |= 1 << i
         if self.always:
             return False
-        by_item = self.by_item
-        for item in items:
-            entry = by_item.get(item)
-            if entry is None:
-                continue
-            partners, larger = entry
-            if not partners.isdisjoint(items):
+        conflicts, larger = self.conflicts, self.larger
+        outside = ~mask
+        for i in _bits(mask):
+            if conflicts[i] & mask:
                 return False
-            for witness in larger:
-                if witness <= items:
-                    return False
+            if larger is not None:
+                for witness in larger[i]:
+                    if not witness & outside:
+                        return False
         return True
 
-    def masks(self, items: Tuple[Row, ...]) -> Tuple[List[int], int]:
-        """The index over one item order as bitmasks; bit ``i`` is ``items[i]``.
+    def over(
+        self, pool: CandidatePool
+    ) -> Tuple[Tuple[int, ...], Optional[Tuple[Tuple[int, ...], ...]], int]:
+        """The masks in ``pool``'s index space: ``(conflicts, larger, probe)``.
 
-        Returns ``(conflicts, probe)``.  ``conflicts[i]`` holds the bits of
-        the items forming a witness set of two rows with ``items[i]``, and
-        its own bit when ``{items[i]}`` is a witness set (every item's, when
-        the empty set is one).  A package of these items with bits ``mask``
-        and no bit in ``probe`` is compatible iff the union of its items'
-        conflicts misses ``mask``.  ``probe`` holds the items the masks
-        cannot decide: rows outside :attr:`rows`, whose packages the index
-        declines, and items with a witness set of three rows or more.
+        ``probe`` holds the bits of ``pool``'s candidates outside the
+        indexed pool, whose packages the masks cannot decide.  The index's
+        own masks serve a pool with its item order as they are; any other
+        order (an explicit ``candidate_items``, a second ``Q(D)``) is
+        remapped, dropping the witness sets that reach outside ``pool``.
         """
-        position = {item: i for i, item in enumerate(items)}
-        conflicts = [0] * len(items)
+        if pool.items is self.pool.items or pool.items == self.pool.items:
+            return self.conflicts, self.larger, 0
+        indexed = self.pool.position
+        moved: List[Optional[int]] = [None] * len(self.pool.items)
         probe = 0
-        rows, by_item = self.rows, self.by_item
-        for i, item in enumerate(items):
-            if item not in rows:
+        for i, item in enumerate(pool.items):
+            j = indexed.get(item)
+            if j is None:
                 probe |= 1 << i
-                continue
-            if self.always:
-                conflicts[i] = 1 << i
-                continue
-            entry = by_item.get(item)
-            if entry is None:
-                continue
-            partners, larger = entry
-            if larger:
-                probe |= 1 << i
-            mask = 0
-            for partner in partners:
-                j = position.get(partner)
-                if j is not None:
-                    mask |= 1 << j
-            conflicts[i] = mask
-        return conflicts, probe
+            else:
+                moved[j] = i
+
+        def remap(mask: int) -> Optional[int]:
+            # ``None`` when a member of the set is not a candidate of ``pool``.
+            out = 0
+            for j in _bits(mask):
+                i = moved[j]
+                if i is None:
+                    return None
+                out |= 1 << i
+            return out
+
+        conflicts = [0] * len(pool.items)
+        for j, i in enumerate(moved):
+            if i is not None:
+                for partner in _bits(self.conflicts[j]):
+                    k = moved[partner]
+                    if k is not None:
+                        conflicts[i] |= 1 << k
+        larger = None
+        if self.larger is not None:
+            buckets: List[List[int]] = [[] for _ in pool.items]
+            for bucket in self.larger:
+                for witness in bucket:
+                    mask = remap(witness)
+                    if mask is not None:
+                        buckets[(mask & -mask).bit_length() - 1].append(mask)
+            larger = tuple(map(tuple, buckets))
+        return tuple(conflicts), larger, probe
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of ``mask``'s set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 #: The slot of an oracle that has not looked for an index yet.
-_UNBUILT = _WitnessIndex(frozenset(), None)
+_UNBUILT = _WitnessIndex(None, None)
 
 
 def _build_witness_index(
-    disjuncts, answer_name: str, database: Database, answers: Relation
+    disjuncts, answer_name: str, database: Database, pool: CandidatePool
 ) -> _WitnessIndex:
-    """One join per disjunct over ``RQ := answers``, collected by item.
+    """One join per disjunct over ``RQ := pool.items``, folded into masks.
 
-    Declines (``by_item=None``) past :data:`WITNESS_CAP` witness sets or
+    Each binding's ``RQ`` rows become the bits of their pool positions.  A
+    two-row set ORs each row's bit into the other's conflicts and a
+    singleton sets its own bit; a set that is already there (a mirrored
+    binding) finds its bit set and is not counted again.  Sets of three rows
+    or more are kept as masks, deduplicated through a set.  Declines
+    (``conflicts=None``) past :data:`WITNESS_CAP` distinct witness sets or
     :data:`WITNESS_STEP_LIMIT` steps, and when a join raises (the probe path
     then raises, or not, exactly as without the index).  An ambient deadline
     or cancellation propagates; nothing is kept of an unfinished build.
     """
-    rows = answers.rows()
-    declined = _WitnessIndex(rows, None)
-    answer = Relation(answers.schema.rename(answer_name))
-    answer.replace_rows(rows)
+    items, position = pool.items, pool.position
+    declined = _WitnessIndex(pool, None)
+    answer = Relation(pool.answers.schema.rename(answer_name))
+    answer.replace_rows(items)
     extra = {answer_name: answer}
     counter = StepCounter(limit=WITNESS_STEP_LIMIT)
-    witnesses = set()
+    conflicts = [0] * len(items)
+    larger = set()
+    size = 0
     try:
         for cq in disjuncts:
             # Each binding is projected straight onto the terms of its RQ
@@ -406,38 +456,57 @@ def _build_witness_index(
             head = tuple(term for terms in placed for term in terms)
             ends = list(accumulate(len(terms) for terms in placed))
             spans = list(zip([0] + ends, ends))
+            r, cut = len(placed), ends[0] if placed else 0
             heads = project_bindings(
                 database, cq.atoms, cq.comparisons, head, counter=counter, extra_relations=extra
             )
             with closing(heads):
                 for flat in heads:
-                    if not placed:
-                        return _WitnessIndex(rows, {}, always=True, size=1)
-                    witnesses.add(frozenset([flat[start:end] for start, end in spans]))
-                    if len(witnesses) > WITNESS_CAP:
+                    # A pair is the bits ``a`` and ``b``; a singleton has ``a == b``.
+                    # One and two RQ atoms, the common shapes, skip the mask
+                    # arithmetic: it cost a build over 80 items ≈0.4 ms.
+                    if r == 2:
+                        a, b = position[flat[:cut]], position[flat[cut:]]
+                    elif r == 1:
+                        a = b = position[flat]
+                    elif not r:
+                        own = tuple(1 << i for i in range(len(items)))
+                        return _WitnessIndex(pool, own, always=True, size=1)
+                    else:
+                        mask = 0
+                        for start, end in spans:
+                            mask |= 1 << position[flat[start:end]]
+                        low = mask & -mask
+                        rest = mask ^ low
+                        if rest & (rest - 1):  # three rows or more
+                            if mask in larger:
+                                continue
+                            larger.add(mask)
+                            size += 1
+                            if size > WITNESS_CAP:
+                                return declined
+                            continue
+                        a, b = low.bit_length() - 1, (rest or low).bit_length() - 1
+                    # OR is idempotent: a set already there has its bit set.
+                    bit = 1 << b
+                    if conflicts[a] & bit:
+                        continue
+                    conflicts[a] |= bit
+                    conflicts[b] |= 1 << a
+                    size += 1
+                    if size > WITNESS_CAP:
                         return declined
     except ResilienceError:
         raise
     except (ReproError, TypeError, ValueError):  # a StepLimitExceeded among them
         return declined
-    partners: Dict[Row, set] = {}
-    larger: Dict[Row, list] = {}
-    for witness in witnesses:
-        if len(witness) > 2:
-            for item in witness:
-                larger.setdefault(item, []).append(witness)
-            continue
-        for item in witness:
-            # A pair names the other row; a singleton names the item itself.
-            partners.setdefault(item, set()).update(witness - {item} or witness)
-    return _WitnessIndex(
-        rows,
-        {
-            item: (frozenset(partners.get(item, ())), tuple(larger.get(item, ())))
-            for item in partners.keys() | larger.keys()
-        },
-        size=len(witnesses),
-    )
+    buckets = None
+    if larger:
+        buckets = [[] for _ in items]
+        for mask in larger:
+            buckets[(mask & -mask).bit_length() - 1].append(mask)
+        buckets = tuple(map(tuple, buckets))
+    return _WitnessIndex(pool, tuple(conflicts), buckets, size=size)
 
 
 def _build_deadline() -> Optional[Deadline]:
@@ -460,14 +529,16 @@ class _Tally:
     Only the thread running the walk increments it, without a lock; the
     oracle adds it to its own counts, under its lock, when the walk ends.
 
-    A walk's tally also carries the walk's witness masks.  The walk names
-    its item order (``items``) when it starts, and the first verdict that
-    finds a witness index compiles the index over that order
-    (:meth:`_WitnessIndex.masks`) into ``conflicts`` and ``probe`` and
-    records the database ``version`` it holds for.  From then on the walk
-    answers a node of its own from the masks, and counts it in
-    ``witness_verdicts`` itself; only a node with a bit in ``probe`` still
-    comes to :meth:`CompatibilityOracle.is_satisfied`.  The walk checks
+    A walk's tally also carries the witness masks in the walk's index space.
+    The walk names its candidate pool (``pool``) when it starts, and the
+    first verdict that finds a witness index fills ``conflicts``, ``larger``
+    and ``probe`` (:meth:`_WitnessIndex.over`: the index's own masks when
+    the walk's pool has the indexed item order, remapped once otherwise)
+    and records the database ``version`` they hold for.  From then on the
+    walk answers a node of its own from the masks, and counts it in
+    ``witness_verdicts`` itself; only a node with a bit in ``probe`` (a
+    candidate outside the indexed pool) still comes to
+    :meth:`CompatibilityOracle.is_satisfied`.  The walk checks
     :meth:`current` each time it resumes after a yield, the one point where
     its consumer can have committed.  A walk over a
     :class:`~repro.relational.database.DatabaseSnapshot` gets no
@@ -481,41 +552,49 @@ class _Tally:
         "misses",
         "witness_verdicts",
         "witness_declines",
-        "items",
+        "pool",
         "database",
         "conflicts",
+        "larger",
         "probe",
         "version",
     )
 
     def __init__(
-        self, items: Optional[Tuple[Row, ...]] = None, database: Optional[Database] = None
+        self, pool: Optional[CandidatePool] = None, database: Optional[Database] = None
     ) -> None:
         self.hits = 0
         self.misses = 0
         self.witness_verdicts = 0
         self.witness_declines = 0
-        #: The walk's item order, while the tally may still compile masks.
-        self.items = items
+        #: The walk's candidate pool, while the tally may still take masks.
+        self.pool = pool
         #: The live database the masks may go stale against (``None``: they never do).
         self.database = database
-        #: Per item index, the bits of the items it forms a witness set with.
-        self.conflicts: Optional[List[int]] = None
-        #: The bits of the items whose packages the masks cannot decide.
+        #: Per candidate, the bits of the candidates it forms a witness set with.
+        self.conflicts: Optional[Tuple[int, ...]] = None
+        #: Per candidate, the larger witness sets whose lowest bit it is.
+        self.larger: Optional[Tuple[Tuple[int, ...], ...]] = None
+        #: The bits of the candidates whose packages the masks cannot decide.
         self.probe = 0
         self.version: Optional[Tuple[Tuple[str, int], ...]] = None
+
+    def take(self, index: _WitnessIndex, version: Tuple[Tuple[str, int], ...]) -> None:
+        """Fill the masks from ``index``, in the walk's index space."""
+        self.conflicts, self.larger, self.probe = index.over(self.pool)
+        self.version = version
 
     def current(self) -> bool:
         """Whether the masks still hold; drops them for the rest of the walk if not.
 
         Asked only of a tally with masks and a ``database``.  Dropped masks
-        are not compiled again: the walk's later verdicts all go to
+        are not taken again: the walk's later verdicts all go to
         :meth:`CompatibilityOracle.is_satisfied`.
         """
         if self.database.version() == self.version:
             return True
         self.conflicts = None
-        self.items = None
+        self.pool = None
         return False
 
 
@@ -525,18 +604,19 @@ class CompatibilityOracle:
     :meth:`is_satisfied` is the one entry point, and a verdict takes one of
     two paths.
 
-    **Witness verdicts.**  The search engine registers the ``Q(D)`` it
-    searches (:meth:`register_answers`, O(1)).  For a :class:`QueryConstraint`
-    whose ``Qc`` is a CQ, UCQ or ∃FO⁺ query, the first verdict builds the
-    witness index over the registered ``Q(D)`` (one
-    :func:`~repro.queries.bindings.enumerate_bindings` join per conjunctive
-    disjunct, inside :meth:`is_satisfied`), and every verdict on a package
-    ``N`` within the indexed rows is answered from it: ``N`` is
-    incompatible iff a witness set of one of its items lies within ``N``.
+    **Witness verdicts.**  The search engine registers the candidate pool
+    of the ``Q(D)`` it searches (:meth:`register_answers`, O(1)).  For a
+    :class:`QueryConstraint` whose ``Qc`` is a CQ, UCQ or ∃FO⁺ query, the
+    first verdict builds the witness index in the registered pool's index
+    space (one :func:`~repro.queries.bindings.enumerate_bindings` join per
+    conjunctive disjunct, inside :meth:`is_satisfied`), and every verdict on
+    a package ``N`` within the indexed pool is answered from it: ``N``'s
+    items map to bits through the pool's row → position dict, and ``N`` is
+    incompatible iff a witness set's mask lies within ``N``'s.
     The index stays valid for as long as no relation of ``Qc``'s footprint
     changes (a delta elsewhere, such as an insert into the relation ``Q``
     reads, keeps it), and the oracle builds **at most one index** in that
-    time: a later registration keeps the index, whose rows still decide
+    time: a later registration keeps the index, whose pool still decides
     which packages it serves.  An oracle shown several ``Q(D)``s — QRPP's
     relaxations share one, ARPP's adjustments change ``Q(D)`` in place —
     thus serves the packages of the first from the index and leaves the
@@ -549,7 +629,7 @@ class CompatibilityOracle:
       ``Qc`` (recursion makes witness sets unbounded), and query subclasses,
       which include the ones that need
       :meth:`QueryConstraint.is_satisfied_copying`;
-    * a package not contained in the indexed rows, or no ``Q(D)``
+    * a package not contained in the indexed pool, or no ``Q(D)``
       registered at all;
     * a build that finds more than :data:`WITNESS_CAP` witness sets, takes
       more than :data:`WITNESS_STEP_LIMIT` steps, or raises (a mixed-type
@@ -587,15 +667,17 @@ class CompatibilityOracle:
     :class:`PredicateConstraint` (the test kit's ``probe_path``), which the
     witness path declines, and compare that run with the witness-served one.
 
-    **The walk's masks.**  A lattice walk names its item order when it
-    starts (:meth:`walk_started`), and its tally receives the index as
-    per-candidate bitmasks (:meth:`_WitnessIndex.masks`): at once when the
-    oracle holds a current index, else at the walk's first verdict that
-    finds one.  The walk then decides a node whose candidates the masks
-    cover by one mask test, without a package or a call into the oracle,
-    and counts it as a witness verdict; the oracle keeps the last compile
-    for the next walk over the same items.  The tally drops the masks for
-    the rest of the walk when the live database changes under it.
+    **The walk's masks.**  A lattice walk names its candidate pool when it
+    starts (:meth:`walk_started`), and its tally receives the index's masks
+    (:meth:`_WitnessIndex.over`): at once when the oracle holds a current
+    index, else at the walk's first verdict that finds one.  A walk over
+    the indexed pool's item order — every walk of a solver call on the
+    problem's own ``Q(D)`` — takes the masks as they are; a walk over
+    another order (QRPP's and ARPP's explicit ``candidate_items``) gets
+    them remapped once.  The walk then decides a node whose candidates the
+    masks cover by mask tests, without a package or a call into the
+    oracle, and counts it as a witness verdict.  The tally drops the masks
+    for the rest of the walk when the live database changes under it.
 
     **Accounting.**  ``hits`` and ``misses`` count memo lookups,
     ``witness_verdicts`` the verdicts served from an index (a walk's mask
@@ -630,7 +712,6 @@ class CompatibilityOracle:
         "_witness_eligible",
         "_registered",
         "_witness",
-        "_masks",
         "_lock",
         "_build_lock",
     )
@@ -654,19 +735,19 @@ class CompatibilityOracle:
         # Only a QueryConstraint can be witness-served; its query class is
         # checked when the index is built.
         self._witness_eligible = type(constraint) is QueryConstraint
-        self._registered: Optional[Relation] = None
+        self._registered: Optional[CandidatePool] = None
         self._witness = _UNBUILT
-        self._masks: Optional[Tuple[_WitnessIndex, Tuple[Row, ...], List[int], int]] = None
         self._lock = threading.Lock()
         self._build_lock = threading.Lock()
 
     # -- the witness index --------------------------------------------------------
-    def register_answers(self, answers: Relation) -> None:
-        """Name ``Q(D)``, the relation later verdicts' packages are drawn from."""
-        self._registered = answers
+    def register_answers(self, pool: CandidatePool) -> None:
+        """Name ``Q(D)``'s :class:`~repro.core.model.CandidatePool`, the pool
+        later verdicts' packages are drawn from."""
+        self._registered = pool
 
     def _witness_index(self) -> _WitnessIndex:
-        """The index for the registered ``Q(D)``: built once, then kept.
+        """The index for the registered pool: built once, then kept.
 
         One thread builds at a time.  A verdict that finds another thread
         building waits for that build, as long as its request deadline
@@ -686,27 +767,27 @@ class CompatibilityOracle:
                 # Interrupted: declined until the footprint changes, so a
                 # deadline shorter than the build fails one request, not
                 # every request that would retry it.
-                self._witness = _WitnessIndex(frozenset(), None)
+                self._witness = _WitnessIndex(self._registered, None)
                 raise
             self._witness = index
             return index
         finally:
             self._build_lock.release()
 
-    def _build_index(self, answers: Relation) -> _WitnessIndex:
-        """A fresh index over ``answers``, or a decline for a non-servable ``Qc``."""
+    def _build_index(self, pool: CandidatePool) -> _WitnessIndex:
+        """A fresh index over ``pool``, or a decline for a non-servable ``Qc``."""
         disjuncts = _witness_disjuncts(self.constraint.query)
         if disjuncts is None:
-            return _WitnessIndex(answers.rows(), None)
+            return _WitnessIndex(pool, None)
         span = _tracing.begin("witness_build")
         try:
             with deadline_scope(_build_deadline()):
                 index = _build_witness_index(
-                    disjuncts, self.constraint.answer_relation, self.database, answers
+                    disjuncts, self.constraint.answer_relation, self.database, pool
                 )
         finally:
             _tracing.finish(span)
-        if index.by_item is not None:
+        if index.conflicts is not None:
             with self._lock:
                 self.witness_builds += 1
             active = _metrics._ACTIVE
@@ -719,50 +800,37 @@ class CompatibilityOracle:
         index = self._witness
         if index is _UNBUILT and self._registered is not None:
             index = self._witness_index()
-        if index.by_item is None:
+        if index.conflicts is None:
             tally.witness_declines += 1
             return None
-        if tally.items is not None and tally.conflicts is None:
-            tally.conflicts, tally.probe = self._masks_for(index, tally.items)
-            tally.version = self._database_version
-        if not items <= index.rows:
+        if tally.pool is not None and tally.conflicts is None:
+            tally.take(index, self._database_version)
+        verdict = index.compatible(items)
+        if verdict is None:
             tally.witness_declines += 1
-            return None
-        tally.witness_verdicts += 1
-        return index.compatible(items)
-
-    def _masks_for(self, index: _WitnessIndex, items: Tuple[Row, ...]) -> Tuple[List[int], int]:
-        """``index.masks(items)``, kept for the next walk over the same items.
-
-        The solver calls of one request search one ``Q(D)`` with one engine
-        each, so their walks share the item order; one slot, replaced whole,
-        holds the last compile.
-        """
-        memo = self._masks
-        if memo is None or memo[0] is not index or memo[1] != items:
-            memo = (index, items, *index.masks(items))
-            self._masks = memo
-        return memo[2], memo[3]
+        else:
+            tally.witness_verdicts += 1
+        return verdict
 
     # -- accounting -----------------------------------------------------------------
-    def walk_started(self, items: Tuple[Row, ...]) -> _Tally:
-        """A lattice walk over ``items`` begins: the tally its verdicts count in.
+    def walk_started(self, pool: CandidatePool) -> _Tally:
+        """A lattice walk over ``pool``'s candidates begins: the tally its
+        verdicts count in.
 
-        The tally starts with its witness masks over ``items`` when the
-        oracle holds a current index (and without conflicts for an absent
-        ``Qc``); otherwise the walk's first verdict that finds an index, the
-        one that builds it, compiles them.
+        The tally starts with its witness masks when the oracle holds a
+        current index (and without conflicts for an absent ``Qc``);
+        otherwise the walk's first verdict that finds an index, the one that
+        builds it, fills them.
         """
         # A snapshot never changes, and an absent Qc's verdicts never do.
         frozen = self._always_true or isinstance(self.database, DatabaseSnapshot)
-        tally = _Tally(items, None if frozen else self.database)
+        tally = _Tally(pool, None if frozen else self.database)
         index = self._witness
         if self._always_true:
-            tally.conflicts = [0] * len(items)
-        elif index.by_item is not None and self.database.version() == self._database_version:
+            tally.conflicts = (0,) * len(pool.items)
+        elif index.conflicts is not None and self.database.version() == self._database_version:
             # An earlier walk built the index, and it still holds.
-            tally.conflicts, tally.probe = self._masks_for(index, items)
-            tally.version = self._database_version
+            tally.take(index, self._database_version)
         return tally
 
     def walk_finished(self, tally: _Tally) -> None:
@@ -808,7 +876,6 @@ class CompatibilityOracle:
                         active.inc("oracle.verdict.retentions")
                 return
         self._witness = _UNBUILT
-        self._masks = None
         if self._cache:
             self.invalidations += 1
             active = _metrics._ACTIVE
@@ -872,7 +939,6 @@ class CompatibilityOracle:
         """Drop every memoized verdict and the witness index, and reset the accounting."""
         self._cache.clear()
         self._witness = _UNBUILT
-        self._masks = None
         with self._lock:
             self.hits = 0
             self.misses = 0

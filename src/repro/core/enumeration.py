@@ -159,7 +159,9 @@ class PackageSearchEngine:
     one pinned problem shares one evaluation and one sort, and on a live
     database the pool re-evaluates after any commit, so a new engine never
     observes a stale ``Q(D)``.  An explicit ``candidate_items`` other than
-    the pool's relation is sorted for the engine alone.
+    the pool's relation is sorted into a pool for the engine alone.  The
+    engine registers its pool with the problem's oracle, whose witness
+    masks count in the same index space as the walk's candidates.
 
     Concurrency: an engine's search state lives on the stack of each entry
     point, but every probe funnels into the problem's shared
@@ -174,6 +176,7 @@ class PackageSearchEngine:
 
     __slots__ = (
         "problem",
+        "pool",
         "answers",
         "schema",
         "items",
@@ -192,7 +195,7 @@ class PackageSearchEngine:
         candidate_items: Optional[Relation] = None,
     ) -> None:
         self.problem = problem
-        pool = problem.candidate_pool(candidate_items)
+        self.pool = pool = problem.candidate_pool(candidate_items)
         self.answers = pool.answers
         self.schema = problem.query.output_schema()
         self.items: Tuple[Row, ...] = pool.items
@@ -201,7 +204,7 @@ class PackageSearchEngine:
         self.max_size = problem.max_package_size()
         self.limit = min(self.max_size, len(self.items))
         self.oracle = problem.compatibility_oracle()
-        self.oracle.register_answers(pool.answers)
+        self.oracle.register_answers(pool)
         self.budget = problem.budget
         self.monotone_cost = problem.monotone_cost
         self.antimonotone = problem.antimonotone_compatibility
@@ -288,18 +291,21 @@ class PackageSearchEngine:
         :meth:`best_valid`; with it, every node that survives the pruning
         probes is rated, since its rating seeds its subtree's bound.
 
-        The walk runs in index space: a node is its tuple of candidate
-        indices plus their bitmask, attribute-sum costs and ratings add
-        per-candidate array entries, and ``excluded`` is compared as masks.
-        A :class:`Package` is built only at a yield (and not at all with
+        The walk runs in the candidate pool's index space: a node is its
+        tuple of candidate indices plus their bitmask, attribute-sum costs
+        and ratings add per-candidate array entries, and ``excluded`` is
+        compared as masks, mapped through the pool's row → position dict.  A
+        :class:`Package` is built only at a yield (and not at all with
         ``packages=False``, where the yielded package is ``None``), for a
-        verdict that goes to ``oracle.is_satisfied``, or for a cost or rating
-        function without an incremental form.  The walk's oracle tally holds
-        the witness masks once its first witness-served verdict has compiled
-        them, and every later node without a ``probe`` bit is a mask test:
-        compatible iff the union of its candidates' conflicts misses its
-        mask.  The masks are re-checked against the database each time the
-        walk resumes after a yield.
+        verdict that goes to ``oracle.is_satisfied``, or for a cost or
+        rating function without an incremental form.  The walk's oracle
+        tally holds the witness index's masks, in this index space, once the
+        oracle has an index, and every later node without a ``probe`` bit
+        (a candidate outside the indexed pool) is a mask test: compatible
+        iff the union of its candidates' conflicts misses its mask and no
+        witness set of three rows or more lies within it.  The masks are
+        re-checked against the database each time the walk resumes after a
+        yield.
 
         A node is yielded before its subtree is explored, so a consumer
         acting between yields (the top-k selection raising its k-th best)
@@ -333,7 +339,7 @@ class PackageSearchEngine:
         prunes, ordered, deltas = bound if bound is not None else (None, False, None)
         excluded_masks = set()
         if excluded:
-            position = {item: i for i, item in enumerate(items)}
+            position = self.pool.position
             for package in excluded:
                 if package.schema.attribute_names != schema.attribute_names:
                     continue
@@ -365,18 +371,26 @@ class PackageSearchEngine:
             node: Tuple[int, ...], node_mask: int, package: Optional[Package]
         ) -> Tuple[bool, Optional[Package]]:
             """The node's ``Qc`` verdict, and its package if one was built."""
-            nonlocal served, conflicts, probe
+            nonlocal served, conflicts, larger, probe
             if conflicts is not None and not node_mask & probe:
                 served += 1
                 union = 0
                 for i in node:
                     union |= conflicts[i]
-                return not union & node_mask, package
+                if union & node_mask:
+                    return False, package
+                if larger is not None:
+                    outside = ~node_mask
+                    for i in node:
+                        for witness in larger[i]:
+                            if not witness & outside:
+                                return False, package
+                return True, package
             if package is None:
                 package = build(node)
             compatible = oracle.is_satisfied(package, tally)
             # The verdict that finds the index first fills the tally's masks.
-            conflicts, probe = tally.conflicts, tally.probe
+            conflicts, larger, probe = tally.conflicts, tally.larger, tally.probe
             return compatible, package
 
         def dfs(
@@ -473,8 +487,8 @@ class PackageSearchEngine:
         # top-level loop, and every deeper bound starts from a real node's
         # rating.  The generic monotone bound evaluates val(∅ ∪ remaining)
         # directly and needs no such guard.
-        tally = oracle.walk_started(items)
-        conflicts, probe = tally.conflicts, tally.probe
+        tally = oracle.walk_started(self.pool)
+        conflicts, larger, probe = tally.conflicts, tally.larger, tally.probe
         live = tally.database is not None  # a snapshot's masks never go stale
         finished = False
         try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.compatibility import (
     CompatibilityConstraint,
@@ -88,17 +88,21 @@ class CandidatePool:
     """A candidate relation sorted once: the pool packages are drawn from.
 
     ``answers`` is the relation, ``items`` its rows in
-    :func:`~repro.relational.ordering.row_sort_key` order and ``keys`` their
-    sort keys, position by position (the top-k tie key is built from them).
-    ``version`` is the relation's own version when the rows were read, so a
-    pool :meth:`holds` its relation only until someone mutates it.  A pool
-    built by :meth:`RecommendationProblem.candidate_pool` also records the
-    ``(database, query, database.version())`` it evaluated ``Q(D)`` for.
+    :func:`~repro.relational.ordering.row_sort_key` order, ``keys`` their
+    sort keys, position by position (the top-k tie key is built from them),
+    and ``position`` maps each row back to its position.  The positions are
+    the pool's *index space*: the lattice walk's candidate indices and the
+    bits of the compatibility oracle's witness masks
+    (:class:`~repro.core.compatibility.CompatibilityOracle`) both count in
+    it.  ``version`` is the relation's own version when the rows were read,
+    so a pool :meth:`holds` its relation only until someone mutates it.  A
+    pool built by :meth:`RecommendationProblem.candidate_pool` also records
+    the ``(database, query, database.version())`` it evaluated ``Q(D)`` for.
     Pools are never mutated, only replaced, so readers on several threads
     may share one.
     """
 
-    __slots__ = ("answers", "version", "items", "keys", "database", "query", "epoch")
+    __slots__ = ("answers", "version", "items", "keys", "position", "database", "query", "epoch")
 
     def __init__(
         self,
@@ -112,6 +116,7 @@ class CandidatePool:
         keyed = sorted(((row_sort_key(row), row) for row in answers.rows()), key=itemgetter(0))
         self.items: Tuple[Row, ...] = tuple(row for _, row in keyed)
         self.keys: tuple = tuple(key for key, _ in keyed)
+        self.position: Dict[Row, int] = {row: i for i, row in enumerate(self.items)}
         self.database = database
         self.query = query
         self.epoch = epoch
@@ -276,10 +281,6 @@ class RecommendationProblem:
     def package_from_items(self, items: Iterable[Row]) -> Package:
         """Wrap raw answer tuples into a package over the answer schema."""
         return Package(self.query.output_schema(), items)
-
-    def empty_package(self) -> Package:
-        """The empty package over the answer schema."""
-        return Package.empty(self.query.output_schema())
 
     # -- validity (Section 2, conditions (1)-(4)) ---------------------------------------
     def is_valid_package(

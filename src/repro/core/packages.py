@@ -67,11 +67,6 @@ class Package:
         """A one-item package, the shape item recommendations use."""
         return cls(schema, (item,))
 
-    @classmethod
-    def from_relation(cls, relation: Relation) -> "Package":
-        """All tuples of a relation as one package."""
-        return cls(relation.schema, relation.rows())
-
     # -- basic protocol ----------------------------------------------------------
     def __len__(self) -> int:
         return len(self.items)

@@ -33,11 +33,6 @@ class Literal:
         return self.variable if self.positive else f"¬{self.variable}"
 
 
-def lit(variable: str, positive: bool = True) -> Literal:
-    """Shorthand constructor used throughout the reductions."""
-    return Literal(variable, positive)
-
-
 @dataclass(frozen=True)
 class Clause:
     """A disjunction of literals (one clause of a CNF formula)."""

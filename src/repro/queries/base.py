@@ -88,10 +88,6 @@ class Query(abc.ABC):
         """
         return tuple(row) in self.evaluate(database).rows()
 
-    def is_boolean(self) -> bool:
-        """Whether the query has an empty tuple of output attributes."""
-        return self.output_arity == 0
-
 
 def unique_attribute_names(raw_names: Sequence[str]) -> Tuple[str, ...]:
     """Make attribute names unique by suffixing duplicates.

@@ -10,25 +10,21 @@ shape depends on instance parameters (number of variables, number of clauses,
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from repro.queries.ast import (
-    And,
     Comparison,
     ComparisonOp,
-    Const,
     Exists,
-    ForAll,
     Formula,
     Not,
-    Or,
     RelationAtom,
     Term,
     Var,
     as_term,
 )
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.datalog import DatalogProgram, DatalogRule, NonRecursiveDatalogProgram
+from repro.queries.datalog import DatalogProgram, DatalogRule
 from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.fo import FirstOrderQuery
 from repro.queries.sp import SPQuery
@@ -48,11 +44,6 @@ def variables(names: "str | Iterable[str]") -> Tuple[Var, ...]:
 def var(name: str) -> Var:
     """A single variable."""
     return Var(name)
-
-
-def const(value: Value) -> Const:
-    """A single constant term."""
-    return Const(value)
 
 
 def atom(relation: str, *terms: TermLike) -> RelationAtom:
@@ -95,16 +86,6 @@ def ge(left: TermLike, right: TermLike) -> Comparison:
     return comparison(ComparisonOp.GE, left, right)
 
 
-def conj(*formulas: Formula) -> And:
-    """Conjunction."""
-    return And(*formulas)
-
-
-def disj(*formulas: Formula) -> Or:
-    """Disjunction."""
-    return Or(*formulas)
-
-
 def negation(formula: Formula) -> Not:
     """Negation (FO only)."""
     return Not(formula)
@@ -113,11 +94,6 @@ def negation(formula: Formula) -> Not:
 def exists(vars_: "Var | Sequence[Var]", formula: Formula) -> Exists:
     """Existential quantification."""
     return Exists(vars_, formula)
-
-
-def forall(vars_: "Var | Sequence[Var]", formula: Formula) -> ForAll:
-    """Universal quantification (FO only)."""
-    return ForAll(vars_, formula)
 
 
 def cq(
@@ -168,38 +144,3 @@ def rule(
 def datalog(rules: Iterable[DatalogRule], output: str, name: str = "Q") -> DatalogProgram:
     """A (possibly recursive) Datalog program."""
     return DatalogProgram(rules, output, name=name)
-
-
-def datalog_nr(
-    rules: Iterable[DatalogRule], output: str, name: str = "Q"
-) -> NonRecursiveDatalogProgram:
-    """A non-recursive Datalog program."""
-    return NonRecursiveDatalogProgram(rules, output, name=name)
-
-
-def chain_cq(relation: str, length: int, name: str = "chain") -> ConjunctiveQuery:
-    """A path/chain query ``Q(x0, xk) :- R(x0,x1), ..., R(x(k-1),xk)``.
-
-    Used by the scaling benchmarks: increasing ``length`` grows the query while
-    keeping the data fixed, which isolates combined-complexity behaviour.
-    """
-    if length < 1:
-        raise ValueError("chain length must be at least 1")
-    vars_ = [Var(f"x{i}") for i in range(length + 1)]
-    atoms = [RelationAtom(relation, [vars_[i], vars_[i + 1]]) for i in range(length)]
-    return ConjunctiveQuery([vars_[0], vars_[length]], atoms, name=name)
-
-
-def cartesian_cq(relation: str, arity: int, copies: int, name: str = "product") -> ConjunctiveQuery:
-    """``Q(x̄1, ..., x̄m) :- R(x̄1), ..., R(x̄m)`` — the truth-assignment generator.
-
-    With ``relation`` bound to the Boolean gadget ``I01`` this is exactly the
-    query the paper uses to enumerate truth assignments of ``m`` variables.
-    """
-    head: List[Var] = []
-    atoms: List[RelationAtom] = []
-    for copy in range(1, copies + 1):
-        copy_vars = [Var(f"x{copy}_{i}") for i in range(1, arity + 1)]
-        head.extend(copy_vars)
-        atoms.append(RelationAtom(relation, copy_vars))
-    return ConjunctiveQuery(head, atoms, name=name)

@@ -200,12 +200,6 @@ class ConjunctiveQuery(Query):
             return Exists(tuple(bound), body)
         return body
 
-    def rename_answer(self, answer_name: str) -> "ConjunctiveQuery":
-        """A copy with a different answer-relation name."""
-        return ConjunctiveQuery(
-            self.head, self.atoms, self.comparisons, name=self.name, answer_name=answer_name
-        )
-
     def __str__(self) -> str:
         head = ", ".join(str(t) for t in self.head)
         body = " ∧ ".join([str(a) for a in self.atoms] + [str(c) for c in self.comparisons])

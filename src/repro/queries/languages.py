@@ -27,16 +27,6 @@ class QueryLanguage(Enum):
         return self.value
 
     @property
-    def is_existential_positive(self) -> bool:
-        """Whether the language is contained in ∃FO+ (CQ, UCQ, ∃FO+, SP)."""
-        return self in (
-            QueryLanguage.SP,
-            QueryLanguage.CQ,
-            QueryLanguage.UCQ,
-            QueryLanguage.EFO_PLUS,
-        )
-
-    @property
     def has_ptime_membership_combined(self) -> bool:
         """Whether the *combined* complexity of membership ``t ∈ Q(D)`` is PTIME.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.packages import Package
-from repro.logic.formulas import Clause, CNFFormula, TruthAssignment
+from repro.logic.formulas import Clause, CNFFormula
 from repro.relational.database import Database, Relation
 from repro.relational.schema import RelationSchema
 
@@ -124,10 +124,3 @@ def covers_all_clauses(package: Package, num_clauses: int, cid_offset: int = 0) 
     """Whether the package has (at least) one tuple for every clause id."""
     wanted = set(range(cid_offset + 1, cid_offset + num_clauses + 1))
     return wanted <= {item[0] for item in package.items}
-
-
-def assignment_satisfies(formula: CNFFormula, assignment: Dict[str, bool]) -> bool:
-    """Evaluate ``formula`` under ``assignment`` completed with ``False`` defaults."""
-    total: TruthAssignment = {variable: False for variable in formula.variables()}
-    total.update(assignment)
-    return formula.evaluate(total)

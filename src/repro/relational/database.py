@@ -652,11 +652,6 @@ class Database:
             self.add_relation(relation)
 
     # -- construction -----------------------------------------------------------
-    @classmethod
-    def from_schema(cls, schema: DatabaseSchema) -> "Database":
-        """An empty database with one empty relation per schema entry."""
-        return cls(Relation(rel_schema) for rel_schema in schema)
-
     def add_relation(self, relation: Relation) -> None:
         """Register a relation; duplicate names are rejected."""
         with self._snapshot_lock:

@@ -41,10 +41,6 @@ class QueryError(ReproError):
     """A query is malformed (unsafe variables, bad arity, unknown predicate)."""
 
 
-class LanguageError(QueryError):
-    """A query does not belong to the query language it was declared in."""
-
-
 class EvaluationError(ReproError):
     """Query evaluation failed (e.g. resource guard tripped)."""
 

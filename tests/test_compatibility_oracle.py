@@ -23,6 +23,7 @@ from repro.core import (
     count_valid_packages,
 )
 from repro.core.enumeration import PackageSearchEngine
+from repro.core.model import CandidatePool
 from repro.core.packages import Package
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
@@ -99,7 +100,7 @@ def test_witness_verdict_accounting(items_database):
     # Without a registered Q(D) the verdict is probed (and memoized).
     assert not oracle.is_satisfied(_package(items_database, 1, 3))
     assert oracle.misses == 1 and oracle.witness_declines == 1
-    oracle.register_answers(items_database.relation("items"))
+    oracle.register_answers(CandidatePool(items_database.relation("items")))
     package = _package(items_database, 1, 2)
 
     assert oracle.is_satisfied(package)
@@ -210,7 +211,7 @@ def test_the_witness_index_follows_the_footprint():
         name="Qc",
     )
     oracle = CompatibilityOracle(QueryConstraint(qc), database)
-    oracle.register_answers(items)
+    oracle.register_answers(CandidatePool(items))
     package = _package(database, 1, 2)
     assert oracle.is_satisfied(package)
     items.add((3, "c"))  # outside the footprint

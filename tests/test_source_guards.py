@@ -68,6 +68,14 @@ An eleventh guard keeps one ``Q(D)`` per problem epoch: under
 ``RecommendationProblem.candidate_pool`` and the two reference enumerators,
 which are the spec and so never read the pool.  ``QueryConstraint`` is
 exempt: its ``query`` is ``Qc``, not ``Q``.
+
+A twelfth guard keeps one witness representation, the masks in the
+candidate pool's index space: ``core/compatibility.py`` names no row-keyed
+partner sets (``by_item``, ``partners``) and no per-walk mask compile or
+its memo (``masks``, ``_masks``, ``_masks_for``), and its witness index,
+build and walk tally call no ``frozenset``.  Under ``src/repro/core/`` a
+row → position dict (a dict comprehension over ``enumerate``) is built only
+by ``CandidatePool``; the walk and the oracle read the pool's.
 """
 
 from __future__ import annotations
@@ -926,3 +934,135 @@ def test_the_pool_guard_itself_detects_a_second_evaluation():
         "    return problem.candidate_items()\n"
     )
     assert _q_of_d_evaluations(clean) == []
+
+
+#: Names that would bring back the row-space witness index or its per-walk
+#: compile into bitmasks.
+ROW_SPACE_WITNESS_NAMES = frozenset({"by_item", "partners", "masks", "_masks", "_masks_for"})
+
+#: Where ``core/compatibility.py`` keeps the witness index; none of it may
+#: build a row ``frozenset``.
+WITNESS_SCOPES = frozenset({"_WitnessIndex", "_build_witness_index", "_Tally"})
+
+#: The one builder of a row → position dict under ``core/``.
+POSITION_BUILDERS = frozenset({"CandidatePool"})
+
+
+def _row_space_witnesses(tree: ast.AST):
+    """``line:what`` for each use of :data:`ROW_SPACE_WITNESS_NAMES` (a
+    definition, attribute, name, parameter or ``__slots__`` string) and each
+    ``frozenset(...)`` call inside :data:`WITNESS_SCOPES`."""
+    found = []
+
+    def named(node) -> "str | None":
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return node.name
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.arg):
+            return node.arg
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        return None
+
+    def visit(node: ast.AST, witness_scope: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = named(child)
+            if name in ROW_SPACE_WITNESS_NAMES:
+                found.append(f"{child.lineno}:{name}")
+            if (
+                witness_scope
+                and isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "frozenset"
+            ):
+                found.append(f"{child.lineno}:frozenset")
+            inside = witness_scope or (
+                isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name in WITNESS_SCOPES
+            )
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def _position_dicts(tree: ast.AST):
+    """``line:scope`` for each dict comprehension over ``enumerate(...)``
+    outside :data:`POSITION_BUILDERS`."""
+    found = []
+
+    def visit(node: ast.AST, scope) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.DictComp)
+                and any(
+                    isinstance(generator.iter, ast.Call)
+                    and isinstance(generator.iter.func, ast.Name)
+                    and generator.iter.func.id == "enumerate"
+                    for generator in child.generators
+                )
+                and not POSITION_BUILDERS & set(scope)
+            ):
+                found.append(f"{child.lineno}:{'.'.join(scope) or '<module>'}")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_witness_representation_in_the_pools_index_space():
+    tree = ast.parse(COMPATIBILITY.read_text(encoding="utf-8"), filename=str(COMPATIBILITY))
+    offences = [f"core/compatibility.py:{offence}" for offence in _row_space_witnesses(tree)]
+    for path in sorted(CORE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(
+            f"{path.relative_to(SRC_ROOT.parent)}:{offence}" for offence in _position_dicts(tree)
+        )
+    assert not offences, (
+        "the witness index is built straight into the candidate pool's index "
+        "space, and the walk takes its masks as they are; no row-keyed partner "
+        "sets, per-walk mask compile or second row -> position map: "
+        + ", ".join(offences)
+    )
+
+
+def test_the_witness_guard_itself_detects_row_space_sets():
+    """The guard must fire on the row-space index, its compile and its memo."""
+    row_space = ast.parse(
+        "class _WitnessIndex:\n"
+        "    by_item: dict\n"
+        "    def masks(self, items):\n"
+        "        position = {item: i for i, item in enumerate(items)}\n"
+        "        return position\n"
+        "def _build_witness_index(bindings):\n"
+        "    return {frozenset(binding) for binding in bindings}\n"
+        "class CompatibilityOracle:\n"
+        '    __slots__ = ("_masks",)\n'
+        "    def walk_started(self, items):\n"
+        "        return self._masks_for(self._witness, items)\n"
+    )
+    assert _row_space_witnesses(row_space) == [
+        "2:by_item",
+        "3:masks",
+        "7:frozenset",
+        "9:_masks",
+        "11:_masks_for",
+    ]
+    assert _position_dicts(row_space) == ["4:_WitnessIndex.masks"]
+    clean = ast.parse(
+        '"""by_item and masks() in a docstring are fine"""\n'
+        "class CandidatePool:\n"
+        "    def __init__(self, items):\n"
+        "        self.position = {row: i for i, row in enumerate(items)}\n"
+        "def _build_witness_index(pool, bindings):\n"
+        "    return [pool.position[row] for row in bindings]\n"
+        "def elsewhere(package):\n"
+        "    return frozenset(package)\n"
+    )
+    assert _row_space_witnesses(clean) == []
+    assert _position_dicts(clean) == []

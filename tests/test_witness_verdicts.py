@@ -18,13 +18,20 @@ request's step budget is not charged for the build; a second ``Q(D)`` keeps
 the one index.  Readers racing on one pinned problem build its index once,
 and a reader waiting for another's build keeps its own deadline.
 
-The lattice walk answers its nodes from the index compiled into per-candidate
-bitmasks.  Each of its branches — witness sets of three rows, candidates
-outside the indexed ``Q(D)``, cost and rating functions with and without an
-incremental form, exclusion sets, rating ties, an absent ``Qc`` — gives every
-search mode the reference enumerator's answers and the oracle the counts it
-recorded when each node asked the oracle; a commit between two yields on a
-live database reaches the walk's later verdicts.
+The index is built straight into the candidate pool's index space.  Its
+masks and its count of distinct witness sets equal a test-side row-space
+reference built from ``enumerate_bindings`` — for random CQ, UCQ and ∃FO⁺
+``Qc``, one-, two- and three-row sets, r = 0, mirrored bindings at and one
+past the cap — and so do the masks it remaps onto a foreign item order, whose
+rows outside the indexed pool are left to the probe.
+
+The lattice walk answers its nodes from those per-candidate bitmasks.  Each
+of its branches — witness sets of three rows, candidates outside the indexed
+``Q(D)``, cost and rating functions with and without an incremental form,
+exclusion sets, rating ties, an absent ``Qc`` — gives every search mode the
+reference enumerator's answers and the oracle the counts it recorded when
+each node asked the oracle; a commit between two yields on a live database
+reaches the walk's later verdicts.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from repro.core.compatibility import (
     QueryConstraint,
 )
 from repro.core.enumeration import PackageSearchEngine
-from repro.core.model import ConstantBound
+from repro.core.model import CandidatePool, ConstantBound
 from repro.core.packages import Package
 from repro.queries.ast import (
     And,
@@ -71,7 +78,7 @@ from repro.queries.ast import (
     RelationAtom,
     Var,
 )
-from repro.queries.bindings import StepCounter
+from repro.queries.bindings import StepCounter, enumerate_bindings
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.datalog import DatalogRule, NonRecursiveDatalogProgram
 from repro.queries.efo import PositiveExistentialQuery
@@ -186,7 +193,7 @@ def _packages(database: Database, answers: Relation):
 
 def _witness_oracle(constraint, database, answers) -> CompatibilityOracle:
     oracle = CompatibilityOracle(constraint, database)
-    oracle.register_answers(answers)
+    oracle.register_answers(CandidatePool(answers))
     return oracle
 
 
@@ -346,10 +353,10 @@ def test_witness_sets_of_one_two_and_three_rows_mixed():
             package, database
         ), sorted(package.items)
     assert oracle.witness_verdicts == len(packages) and oracle.misses == 0
-    by_item = oracle._witness.by_item
-    assert any(item in partners for item, (partners, _) in by_item.items())  # {item}
-    assert any(partners - {item} for item, (partners, _) in by_item.items())  # pairs
-    assert {len(witness) for _, larger in by_item.values() for witness in larger} == {3}
+    index = oracle._witness
+    assert any(mask >> i & 1 for i, mask in enumerate(index.conflicts))  # {item}
+    assert any(mask & ~(1 << i) for i, mask in enumerate(index.conflicts))  # pairs
+    assert {bin(witness).count("1") for larger in index.larger for witness in larger} == {3}
     verdicts = [oracle.is_satisfied(package) for package in packages]
     assert True in verdicts and False in verdicts
 
@@ -381,6 +388,210 @@ def test_the_engine_registers_q_of_d_and_reuses_the_index_across_engines(monkeyp
     assert third.answers is not first.answers and len(evaluations) == 2
     assert third.count_valid() == count
     assert oracle.witness_builds == 1
+
+
+# ---------------------------------------------------------------------------
+# The index's masks against a row-space reference
+# ---------------------------------------------------------------------------
+def _reference_witness_sets(query, database, answers):
+    """``Qc``'s distinct witness sets over ``RQ := answers`` as row frozensets,
+    straight from :func:`enumerate_bindings`; ``None`` when the empty set is
+    one (a disjunct without ``RQ`` atoms has a binding)."""
+    if isinstance(query, PositiveExistentialQuery):
+        query = query.to_ucq()
+    disjuncts = query.disjuncts if isinstance(query, UnionOfConjunctiveQueries) else (query,)
+    extra = {"RQ": Relation(answers.schema.rename("RQ"), answers.rows())}
+    witnesses = set()
+    for cq in disjuncts:
+        placed = [atom for atom in cq.atoms if atom.relation == "RQ"]
+        for binding in enumerate_bindings(
+            database, cq.atoms, cq.comparisons, extra_relations=extra
+        ):
+            if not placed:
+                return None
+            witnesses.add(
+                frozenset(
+                    tuple(
+                        binding[term.name] if isinstance(term, Var) else term.value
+                        for term in atom.terms
+                    )
+                    for atom in placed
+                )
+            )
+    return witnesses
+
+
+def _reference_masks(witnesses, items):
+    """The witness sets within ``items`` as ``(conflicts, larger)`` in the
+    index space of ``items``: a pair's rows name each other, a singleton
+    names itself, a set of three rows or more is one mask."""
+    position = {item: i for i, item in enumerate(items)}
+    conflicts, larger = [0] * len(items), set()
+    for witness in witnesses:
+        if not witness <= position.keys():
+            continue
+        bits = [position[row] for row in witness]
+        if len(bits) > 2:
+            larger.add(sum(1 << i for i in bits))
+            continue
+        a, b = bits * 2 if len(bits) == 1 else bits
+        conflicts[a] |= 1 << b
+        conflicts[b] |= 1 << a
+    return conflicts, larger
+
+
+def _flat_masks(conflicts, larger):
+    """``(conflicts, larger)`` with the per-candidate buckets of the larger
+    sets flattened; each set must sit in the bucket of its lowest bit."""
+    masks = set()
+    for i, bucket in enumerate(larger or ()):
+        for mask in bucket:
+            assert (mask & -mask).bit_length() - 1 == i, (i, bin(mask))
+            masks.add(mask)
+    return list(conflicts), masks
+
+
+def _assert_index_matches_reference(constraint, database, answers, foreign_rows):
+    """The oracle's index over ``answers``, in its own index space and
+    remapped onto a pool of ``foreign_rows``, equals the reference."""
+    pool = CandidatePool(answers)
+    oracle = CompatibilityOracle(constraint, database)
+    oracle.register_answers(pool)
+    oracle.is_satisfied(Package(answers.schema, ()))
+    index = oracle._witness
+    assert index.pool is pool
+    witnesses = _reference_witness_sets(constraint.query, database, answers)
+    foreign = CandidatePool(Relation(answers.schema, foreign_rows))
+    outside = [i for i, row in enumerate(foreign.items) if row not in pool.position]
+    if witnesses is None:
+        assert index.always and oracle.cache_info()["witness_sets"] == 1
+        assert list(index.conflicts) == [1 << i for i in range(len(pool.items))]
+        expected = [0 if i in outside else 1 << i for i in range(len(foreign.items))], set()
+    else:
+        assert not index.always
+        assert oracle.cache_info()["witness_sets"] == index.size == len(witnesses)
+        assert _flat_masks(index.conflicts, index.larger) == _reference_masks(
+            witnesses, pool.items
+        )
+        expected = _reference_masks(witnesses, foreign.items)
+    # A foreign item order: remapped once, the rows outside the pool probed.
+    conflicts, larger, probe = index.over(foreign)
+    assert _flat_masks(conflicts, larger) == expected
+    assert probe == sum(1 << i for i in outside)
+    for i in outside:
+        assert index.compatible(frozenset([foreign.items[i]])) is None
+    # The pool's own order is served as it stands.
+    own = CandidatePool(Relation(answers.schema, answers.rows()))
+    assert index.over(own) == (index.conflicts, index.larger, 0)
+    return witnesses
+
+
+def _foreign_rows(rng: random.Random, database: Database, answers: Relation):
+    """Some of ``Q(D)``'s rows plus rows outside it: another index space."""
+    rows = sorted(answers.rows())
+    kept = rng.sample(rows, max(1, len(rows) - 1))
+    return kept + sorted(database.relation("items").rows() - answers.rows()) + [(99, "z", 9)]
+
+
+@pytest.mark.parametrize("kind", ["cq", "ucq", "efo"])
+@pytest.mark.parametrize("seed", range(NUM_SEEDS))
+def test_the_index_equals_a_row_space_reference(kind, seed):
+    rng = random.Random(f"index-{kind}-{seed}")
+    database = _database(rng)
+    answers = _answers(rng, database)
+    constraint = QueryConstraint(_random_qc(rng, kind))
+    _assert_index_matches_reference(
+        constraint, database, answers, _foreign_rows(rng, database, answers)
+    )
+
+
+def test_the_reference_seeds_cover_every_kind_of_witness_set():
+    """The random ``Qc`` above give singletons, pairs, sets of three rows and
+    an ``RQ``-free disjunct with a binding (r = 0)."""
+    seen = set()
+    for kind in ("cq", "ucq", "efo"):
+        for seed in range(NUM_SEEDS):
+            rng = random.Random(f"index-{kind}-{seed}")
+            database = _database(rng)
+            answers = _answers(rng, database)
+            query = _random_qc(rng, kind)
+            witnesses = _reference_witness_sets(query, database, answers)
+            if witnesses is None:
+                seen.add(0)
+            else:
+                seen.update(min(len(witness), 3) for witness in witnesses)
+    assert seen == {0, 1, 2, 3}
+
+
+def test_the_mixed_and_rq_free_indexes_equal_the_reference():
+    """The fixed instances of one-, two- and three-row sets and of r = 0."""
+    database = Database()
+    items = database.create_relation(
+        "items",
+        ["iid", "cat", "price"],
+        [(1, "a", 4), (2, "a", 1), (3, "b", 2), (4, "b", 1), (5, "c", 3), (6, "c", 2), (7, "a", 2)],
+    )
+    database.create_relation("prereq", ["before", "after"], [(2, 3), (4, 6), (6, 7)])
+    first, second, third = (
+        _rq(*names) for names in (("i", "c", "p"), ("j", "d", "q"), ("k", "e", "r"))
+    )
+    alone = ConjunctiveQuery([], [first], [Comparison(ComparisonOp.GE, Var("p"), Const(4))])
+    pair = ConjunctiveQuery([], [first, second, RelationAtom("prereq", [Var("i"), Var("j")])])
+    triple = ConjunctiveQuery(
+        [],
+        [first, second, third],
+        [
+            Comparison(ComparisonOp.LT, Var("c"), Var("d")),
+            Comparison(ComparisonOp.LT, Var("d"), Var("e")),
+        ],
+    )
+    rows = sorted(items.rows())
+    foreign = rows[1:5] + [(8, "a", 1)]
+    mixed = QueryConstraint(UnionOfConjunctiveQueries([alone, pair, triple]))
+    witnesses = _assert_index_matches_reference(mixed, database, items, foreign)
+    assert {len(witness) for witness in witnesses} == {1, 2, 3}
+    blocked = ConjunctiveQuery([], [RelationAtom("prereq", [Var("x"), Var("y")])])
+    rq_free = QueryConstraint(UnionOfConjunctiveQueries([pair, blocked]))
+    assert _assert_index_matches_reference(rq_free, database, items, foreign) is None
+
+
+def _two_of_one_category() -> QueryConstraint:
+    """Two distinct items of one category, over ``items(iid, cat, price)``."""
+    return QueryConstraint(
+        ConjunctiveQuery(
+            [],
+            [_rq("i", "c", "p"), _rq("j", "c", "q")],
+            [Comparison(ComparisonOp.NE, Var("i"), Var("j"))],
+        )
+    )
+
+
+@pytest.mark.parametrize("past_the_cap", [False, True], ids=["at-cap", "one-past"])
+def test_the_cap_counts_distinct_sets_of_mirrored_bindings(monkeypatch, past_the_cap):
+    """``i ≠ j`` binds every pair twice, as ``(a, b)`` and ``(b, a)``: the cap
+    counts each set once."""
+    database = Database()
+    items = database.create_relation(
+        "items", ["iid", "cat", "price"], [(i, "ab"[i % 2], i) for i in range(8)]
+    )
+    constraint = _two_of_one_category()
+    witnesses = _reference_witness_sets(constraint.query, database, items)
+    extra = {"RQ": Relation(items.schema.rename("RQ"), items.rows())}
+    bindings = list(
+        enumerate_bindings(
+            database, constraint.query.atoms, constraint.query.comparisons, extra_relations=extra
+        )
+    )
+    assert len(bindings) == 2 * len(witnesses) == 24
+    monkeypatch.setattr(compatibility, "WITNESS_CAP", len(witnesses) - past_the_cap)
+    oracle = _witness_oracle(constraint, database, items)
+    oracle.is_satisfied(Package(items.schema, ()))
+    if past_the_cap:
+        assert oracle._witness.conflicts is None and oracle.witness_builds == 0
+        assert oracle.cache_info()["witness_sets"] == 0
+    else:
+        assert oracle.witness_builds == 1
+        _assert_index_matches_reference(constraint, database, items, sorted(items.rows())[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +807,10 @@ def test_a_second_q_of_d_keeps_the_index():
     assert inside and outside
     oracle.is_satisfied(inside[0])
     assert oracle.witness_builds == 1
-    oracle.register_answers(answers)  # a wider Q(D), as the next relaxation's
+    oracle.register_answers(CandidatePool(answers))  # a wider Q(D), as the next relaxation's
     _assert_matches_reference(oracle, constraint, database, inside, outside)
     first.add(rows[-1])  # grown in place, as a maintained Q(D) is
-    oracle.register_answers(first)
+    oracle.register_answers(CandidatePool(first))
     grown = Package(answers.schema, [rows[0], rows[-1]])
     assert oracle.is_satisfied(grown) == constraint.is_satisfied_copying(grown, database)
     assert oracle.witness_builds == 1
@@ -815,9 +1026,9 @@ def test_the_walk_answers_and_counts_as_the_reference_on_each_branch(case):
     assert engine_answers == _reference_modes(make(), bound, excluded)
     assert _oracle_counts(problem) == counts
     if case == "three-row-witness-sets":
-        by_item = problem.compatibility_oracle()._witness.by_item
-        assert any(larger for _, larger in by_item.values())
-        assert any(partners for partners, _ in by_item.values())
+        index = problem.compatibility_oracle()._witness
+        assert index.larger is not None and any(index.larger)
+        assert any(index.conflicts)
 
 
 def test_a_second_q_of_d_walks_past_the_indexed_rows():
