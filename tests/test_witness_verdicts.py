@@ -27,7 +27,7 @@ rows outside the indexed pool are left to the probe.
 
 The lattice walk answers its nodes from those per-candidate bitmasks.  Each
 of its branches — witness sets of three rows, candidates outside the indexed
-``Q(D)``, cost and rating functions with and without an incremental form,
+``Q(D)``, masks remapped onto a foreign item order, cost and rating functions with and without an incremental form,
 exclusion sets, rating ties, an absent ``Qc`` — gives every search mode the
 reference enumerator's answers and the oracle the counts it recorded when
 each node asked the oracle; a commit between two yields on a live database
@@ -1045,6 +1045,32 @@ def test_a_second_q_of_d_walks_past_the_indexed_rows():
     )
     assert _oracle_counts(problem) == (69, 110, 84, 26)
     assert problem.compatibility_oracle().witness_builds == 1
+
+
+def test_a_foreign_item_order_walks_on_remapped_masks():
+    """An index built over a wider ``Q(D)`` serves a narrower one's walk
+    (QRPP's relaxations share one oracle): the masks, three-row sets
+    included, are remapped onto the narrower order, and every node is a
+    mask test."""
+    make = lambda: _kernel_problem(  # noqa: E731
+        random_item_database(14, seed=5), _three_per_category_or_high_twins()
+    )
+    wider = make()
+    PackageSearchEngine(wider).count_valid()
+    oracle = wider.compatibility_oracle()
+    assert oracle.witness_builds == 1 and oracle._witness.larger is not None
+    narrower = wider.with_query(item_selection_query(15))
+    engine = PackageSearchEngine(narrower)
+    assert engine.pool.items != oracle._witness.pool.items
+    assert set(engine.pool.items) < set(oracle._witness.pool.items)
+    _, larger, probe = oracle._witness.over(engine.pool)
+    assert probe == 0 and sum(map(len, larger)) == 4  # of the index's 5
+    engine_answers, excluded = _every_search_mode(narrower, 20.0, engine)
+    reference = make().with_query(item_selection_query(15))
+    assert engine_answers == _reference_modes(reference, 20.0, excluded)
+    info = oracle.cache_info()
+    assert info["witness_builds"] == 1
+    assert info["witness_declines"] == info["hits"] == info["misses"] == 0
 
 
 #: What :func:`test_a_commit_between_yields_reaches_the_walks_later_verdicts`
