@@ -359,10 +359,14 @@ class RecommendationProblem:
         candidate enumeration, compatibility probes, the solvers — resolves
         against the epoch current at this call, unaffected by later
         :meth:`~repro.relational.database.Database.apply_delta` commits on
-        the live database.  The pinned problem gets its own fresh
-        compatibility oracle and candidate pool (like any ``with_database``),
-        both valid for exactly this epoch; share the *problem object* between
-        the readers of one epoch to share its verdicts and its one ``Q(D)``.
+        the live database.  The pinned problem gets its own compatibility
+        oracle and candidate pool (like any ``with_database``), both valid
+        for exactly this epoch; share the *problem object* between the
+        readers of one epoch to share its verdicts and its one ``Q(D)``.
+        The oracle starts with no verdicts; a server that pins epoch after
+        epoch offers it the previous epoch's witness index
+        (:meth:`~repro.core.compatibility.CompatibilityOracle.inherit`),
+        which its first verdict advances by the ``Q(D)`` row diff.
         Pinning a problem whose database is already a snapshot returns an
         equivalent pin of the same epoch.
         """

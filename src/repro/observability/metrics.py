@@ -443,6 +443,10 @@ ORACLE_INVALIDATIONS = register_counter(
 ORACLE_WITNESS_BUILDS = register_counter(
     "oracle.witness.builds", "Qc witness-set indexes built (one join per disjunct)"
 )
+ORACLE_WITNESS_CARRIES = register_counter(
+    "oracle.witness.carries",
+    "Qc witness-set indexes carried from the previous epoch's by the Q(D) row diff",
+)
 ORACLE_WITNESS_VERDICTS = register_counter(
     "oracle.witness.verdicts", "compatibility verdicts served from a witness-set index"
 )

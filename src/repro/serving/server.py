@@ -16,7 +16,9 @@ batches.  Two server implementations share one request vocabulary:
     requests within an epoch are computed once and the answer is re-served,
     which is where most of the measured throughput win comes from (see
     ``benchmarks/bench_serving.py``).  A commit simply makes the next request
-    pin a fresh epoch; in-flight requests finish on the old one.
+    pin a fresh epoch; in-flight requests finish on the old one.  The one
+    structure an epoch hands on is its ``Qc`` witness index, which the next
+    epoch's oracle advances by the ``Q(D)`` row diff instead of rebuilding.
 
 :class:`GlobalLockServer`
     The pre-MVCC baseline, retained as the reference: one lock serialises
@@ -297,12 +299,23 @@ class _EpochContext:
     :data:`EPOCH_MEMO_LIMIT` answers.  All of it is safe to share across
     threads *because* the epoch is immutable; the only lock is around the
     memo, never around solver work.
+
+    The compatibility oracle starts empty, but is offered the ``previous``
+    epoch's finished witness index
+    (:meth:`~repro.core.compatibility.CompatibilityOracle.inherit`): its
+    first verdict then advances that index by the ``Q(D)`` row diff instead
+    of running the join again, and drops it.  Nothing else of the previous
+    epoch is kept.
     """
 
     __slots__ = ("problem", "oracle", "epoch", "_memo", "_lock")
 
-    def __init__(self, pinned: RecommendationProblem) -> None:
+    def __init__(
+        self, pinned: RecommendationProblem, previous: Optional["_EpochContext"] = None
+    ) -> None:
         self.problem = pinned
+        if previous is not None:
+            pinned.compatibility_oracle().inherit(previous.problem.compatibility_oracle())
         self.oracle = ExistPackOracle(pinned)
         self.epoch = pinned.database.epoch
         self._memo: "OrderedDict[ServeRequest, Answer]" = OrderedDict()
@@ -423,12 +436,13 @@ class SnapshotServer:
         Pinning happens under the guard so exactly one thread warms each
         epoch; ``Database.snapshot()`` itself serialises against commits, so
         the pinned epoch is always a consistent world even if a writer races
-        the staleness check.
+        the staleness check.  The new epoch's oracle is offered the stale
+        context's witness index (:class:`_EpochContext`).
         """
         with self._guard:
             context = self._context
             if context is None or context.epoch != self._database.epoch:
-                context = _EpochContext(self._template.pinned())
+                context = _EpochContext(self._template.pinned(), context)
                 self._context = context
             return context
 

@@ -4,31 +4,43 @@ Covers the cache contract end to end: hit/miss accounting, invalidation when
 the underlying database mutates, sharing across derived problems (the QRPP
 path), and — the property everything else rests on — that results of the
 counting and top-k solvers are byte-identical whether the verdicts are
-witness-served or probed (:func:`scenarios.probe_path`).
+witness-served or probed (:func:`scenarios.probe_path`).  The memo holds
+at most ``VERDICT_MEMO_LIMIT`` verdicts on long predicate and streaming
+QRPP runs, which answer as with every verdict kept.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import threading
 from dataclasses import replace
 
 import pytest
 
+import repro.core.compatibility as compatibility
 from repro.core import (
     CompatibilityOracle,
+    CountCost,
+    CountRating,
     PredicateConstraint,
     QueryConstraint,
+    RecommendationProblem,
+    all_distinct_on,
     compute_top_k,
     count_valid_packages,
+    enumerate_valid_packages,
 )
 from repro.core.enumeration import PackageSearchEngine
-from repro.core.model import CandidatePool
+from repro.core.model import CandidatePool, PolynomialBound
 from repro.core.packages import Package
+from repro.incremental import StreamingQRPP
 from repro.observability.metrics import MetricsRegistry, use_metrics
+from repro.queries import parse_cq
 from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.database import Database
+from repro.relaxation import RelaxationSpace, find_package_relaxation
 from repro.serving.trace import serving_problem
 from repro.workloads.synthetic import synthetic_package_problem
 
@@ -578,3 +590,101 @@ def test_compute_top_k_identical_witness_served_and_probed(num_items):
         p.sorted_items() for p in probed_top.selection
     ]
     _assert_took_both_paths(served, probed)
+
+
+# ---------------------------------------------------------------------------
+# The memo's bound
+# ---------------------------------------------------------------------------
+MEMO_LIMIT = 8
+
+
+def _predicate_run(problem):
+    """A long predicate-``Qc`` run: every valid package, counts at several
+    rating bounds and the top-3, with the memo's size after each."""
+    answers, sizes = [], []
+    oracle = problem.compatibility_oracle()
+    answers.append(sorted(p.sorted_items() for p in enumerate_valid_packages(problem)))
+    sizes.append(oracle.cache_info()["size"])
+    for bound in (5.0, 15.0, 25.0, 40.0):
+        answers.append(count_valid_packages(problem, rating_bound=bound).count)
+        sizes.append(oracle.cache_info()["size"])
+    answers.append([p.sorted_items() for p in compute_top_k(problem.with_k(3)).selection])
+    sizes.append(oracle.cache_info()["size"])
+    return answers, sizes, oracle
+
+
+def test_the_memo_holds_at_most_its_limit_on_a_predicate_run(monkeypatch):
+    """Many more distinct packages than the limit: the memo clears when
+    full, stays at or below the limit, and the answers are the reference's
+    (the same run with every verdict kept)."""
+    reference, sizes, oracle = _predicate_run(synthetic_package_problem(10, seed=3).problem)
+    assert max(sizes) > 4 * MEMO_LIMIT and oracle.hits > 0
+    monkeypatch.setattr(compatibility, "VERDICT_MEMO_LIMIT", MEMO_LIMIT)
+    answers, sizes, oracle = _predicate_run(synthetic_package_problem(10, seed=3).problem)
+    assert answers == reference
+    assert max(sizes) <= MEMO_LIMIT
+    assert oracle.misses > 4 * MEMO_LIMIT
+
+
+def _shop_stream(seed):
+    """StreamingQRPP's differential instance, with a predicate ``Qc``."""
+    rng = random.Random(7000 + seed)
+    database = Database()
+    cities = ["nyc", "ewr", "sfo"]
+    database.create_relation(
+        "shop",
+        ["name", "city", "rating"],
+        {(f"s{i}", rng.choice(cities), rng.randrange(1, 9)) for i in range(12)},
+    )
+    problem = RecommendationProblem(
+        database=database,
+        query=parse_cq("Q(n, r) :- shop(n, 'nyc', r).", name="nyc_shops"),
+        cost=CountCost(),
+        val=CountRating(),
+        budget=5.0,
+        k=2,
+        compatibility=all_distinct_on("r"),
+        size_bound=PolynomialBound(1.0, 1),
+        monotone_cost=True,
+        name="bounded memo",
+    )
+    batches = [
+        [
+            (
+                rng.choice(["insert", "delete"]),
+                "shop",
+                (f"s{rng.randrange(12)}", rng.choice(cities), rng.randrange(1, 9)),
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+        for _ in range(6)
+    ]
+    return problem, batches
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_memo_holds_at_most_its_limit_on_a_streaming_qrpp_run(monkeypatch, seed):
+    """Streaming QRPP over a predicate ``Qc`` with a bounded memo answers as
+    the search re-run from scratch on a copy of each step's database."""
+    monkeypatch.setattr(compatibility, "VERDICT_MEMO_LIMIT", MEMO_LIMIT)
+    problem, batches = _shop_stream(seed)
+    space = RelaxationSpace.for_constants(problem.query)
+    streaming = StreamingQRPP(problem, space, 5.0, 2.0)
+    oracle = problem.compatibility_oracle()
+    for batch in batches:
+        streaming.apply(batch)
+        live = streaming.current()
+        assert oracle.cache_info()["size"] <= MEMO_LIMIT
+        scratch = find_package_relaxation(
+            problem.with_database(problem.database.copy()), space, 5.0, 2.0
+        )
+        assert (live.found, live.gap, live.relaxations_tried) == (
+            scratch.found,
+            scratch.gap,
+            scratch.relaxations_tried,
+        )
+        if live.found:
+            assert [p.sorted_items() for p in live.witnesses] == [
+                p.sorted_items() for p in scratch.witnesses
+            ]
+    assert oracle.misses > 2 * MEMO_LIMIT  # the memo was full at least twice

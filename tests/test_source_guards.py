@@ -76,6 +76,11 @@ its memo (``masks``, ``_masks``, ``_masks_for``), and its witness index,
 build and walk tally call no ``frozenset``.  Under ``src/repro/core/`` a
 row → position dict (a dict comprehension over ``enumerate``) is built only
 by ``CandidatePool``; the walk and the oracle read the pool's.
+
+A thirteenth guard keeps one entry point into the witness index: under
+``src/repro/`` only ``CompatibilityOracle`` calls ``_build_witness_index``
+or ``_carry_witness_index``, so every index is built or carried under the
+oracle's build lock, deadline, span and counters.
 """
 
 from __future__ import annotations
@@ -942,7 +947,9 @@ ROW_SPACE_WITNESS_NAMES = frozenset({"by_item", "partners", "masks", "_masks", "
 
 #: Where ``core/compatibility.py`` keeps the witness index; none of it may
 #: build a row ``frozenset``.
-WITNESS_SCOPES = frozenset({"_WitnessIndex", "_build_witness_index", "_Tally"})
+WITNESS_SCOPES = frozenset(
+    {"_WitnessIndex", "_build_witness_index", "_carry_witness_index", "_fold", "_Tally"}
+)
 
 #: The one builder of a row → position dict under ``core/``.
 POSITION_BUILDERS = frozenset({"CandidatePool"})
@@ -1066,3 +1073,68 @@ def test_the_witness_guard_itself_detects_row_space_sets():
     )
     assert _row_space_witnesses(clean) == []
     assert _position_dicts(clean) == []
+
+
+#: The functions that make a witness index, and the one class that may call them.
+INDEX_MAKERS = frozenset({"_build_witness_index", "_carry_witness_index"})
+INDEX_CALLER = "CompatibilityOracle"
+
+
+def _index_calls(tree: ast.AST):
+    """``line:scope`` for each call of :data:`INDEX_MAKERS` outside
+    :data:`INDEX_CALLER` (by name or as a module attribute)."""
+    found = []
+
+    def visit(node: ast.AST, scope) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in INDEX_MAKERS and INDEX_CALLER not in scope:
+                    found.append(f"{child.lineno}:{'.'.join(scope) or '<module>'}")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_oracle_builds_or_carries_a_witness_index():
+    offences = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(
+            f"{path.relative_to(SRC_ROOT.parent)}:{offence}" for offence in _index_calls(tree)
+        )
+    assert not offences, (
+        "a witness index is built or carried only by CompatibilityOracle, under "
+        "its build lock, deadline and counters: " + ", ".join(offences)
+    )
+
+
+def test_the_index_guard_itself_detects_a_second_entry_point():
+    """The guard must fire on a build or carry called outside the oracle."""
+    outside = ast.parse(
+        "import repro.core.compatibility as compatibility\n"
+        "def warm(pool, disjuncts, database):\n"
+        "    return _build_witness_index(disjuncts, 'RQ', database, pool)\n"
+        "class _EpochContext:\n"
+        "    def __init__(self, previous, pool):\n"
+        "        self.index = compatibility._carry_witness_index(\n"
+        "            (), 'RQ', None, previous, pool)\n"
+        "INDEX = _build_witness_index((), 'RQ', None, None)\n"
+    )
+    assert _index_calls(outside) == ["3:warm", "6:_EpochContext.__init__", "8:<module>"]
+    clean = ast.parse(
+        '"""_build_witness_index in a docstring is fine"""\n'
+        "def _carry_witness_index(disjuncts, answer, database, predecessor, pool):\n"
+        "    return predecessor\n"
+        "class CompatibilityOracle:\n"
+        "    def _build_index(self, pool, predecessor):\n"
+        "        if predecessor is not None:\n"
+        "            return _carry_witness_index((), 'RQ', self.database, predecessor, pool)\n"
+        "        return _build_witness_index((), 'RQ', self.database, pool)\n"
+    )
+    assert _index_calls(clean) == []

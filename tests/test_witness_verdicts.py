@@ -32,14 +32,26 @@ exclusion sets, rating ties, an absent ``Qc`` — gives every search mode the
 reference enumerator's answers and the oracle the counts it recorded when
 each node asked the oracle; a commit between two yields on a live database
 reaches the walk's later verdicts.
+
+The next epoch's oracle carries the previous epoch's index by the ``Q(D)``
+row diff.  Over random delta streams — deletes, inserts, rows crossing
+``Q``'s filter, empty diffs, and ``prereq`` commits, which make the oracle
+build afresh — with CQ, UCQ and ∃FO⁺ ``Qc``, sets of three rows and
+``RQ``-free disjuncts, every carried index equals a fresh build.  A carry
+past the witness cap declines; a carry a deadline interrupts keeps nothing
+and is remembered as a decline.  A served trace carries in every epoch after
+its first and answers as serial re-execution, and the previous epoch's
+snapshot is collectable once the next epoch has answered a request.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import threading
 import time
+import weakref
 from contextlib import closing
 from itertools import combinations
 
@@ -88,6 +100,7 @@ from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.database import Database, Relation
 from repro.resilience import CancellationToken, Deadline, RequestCancelled, RequestTimeout
 from repro.resilience.deadline import current_deadline, deadline_scope
+from repro.serving import ServeRequest, SnapshotServer, build_trace, execute_request
 from repro.serving.trace import serving_problem
 from repro.workloads.synthetic import item_selection_query, random_item_database
 
@@ -1158,3 +1171,307 @@ def test_masks_compiled_after_a_commit_still_test_the_whole_path(monkeypatch):
         package.sorted_items() for package in enumerate_valid_packages_reference(problem)
     ]
     assert rest == reference
+
+
+# ---------------------------------------------------------------------------
+# Carried indexes: the next epoch's index advanced by the Q(D) row diff
+# ---------------------------------------------------------------------------
+#: Q: the items priced at most 3, so a price change moves a row across Q's filter.
+CHEAP_ITEMS = SPQuery(
+    "items",
+    [Var("i"), Var("c"), Var("p")],
+    [Var("i"), Var("c"), Var("p")],
+    [Comparison(ComparisonOp.LE, Var("p"), Const(3))],
+    name="cheap",
+)
+
+#: The step kinds of a carry stream; ``footprint`` changes ``prereq`` and
+#: ``outside`` inserts an item Q filters out (an empty ``Q(D)`` diff).
+CARRY_STEPS = ("delete", "insert", "cross", "outside", "footprint", "none")
+
+
+def _carry_step(rng: random.Random, database: Database, kind: str, fresh: int):
+    """One delta of ``kind`` over ``_database``'s relations."""
+    rows = sorted(database.relation("items").rows())
+    if kind == "delete" and rows:
+        return [("delete", "items", rng.choice(rows))]
+    if kind == "cross" and rows:
+        iid, cat, price = rng.choice(rows)
+        moved = rng.choice([p for p in range(1, 6) if (p <= 3) != (price <= 3)])
+        return [("delete", "items", (iid, cat, price)), ("insert", "items", (iid, cat, moved))]
+    if kind == "outside":
+        return [("insert", "items", (fresh, rng.choice(CATEGORIES), 5))]
+    if kind == "footprint":
+        iids = [row[0] for row in rows] or [0]
+        return [("insert", "prereq", (rng.choice(iids), rng.choice(iids)))]
+    if kind == "none":
+        return []
+    return [("insert", "items", (fresh, rng.choice(CATEGORIES), rng.randint(1, 4)))]
+
+
+def _epoch_oracle(constraint, snapshot, previous):
+    """The oracle of one pinned epoch, offered ``previous``'s index, with
+    its index in place (the first verdict builds or carries it)."""
+    pool = CandidatePool(CHEAP_ITEMS.evaluate(snapshot))
+    oracle = CompatibilityOracle(constraint, snapshot)
+    if previous is not None:
+        oracle.inherit(previous)
+    oracle.register_answers(pool)
+    oracle.is_satisfied(Package(pool.answers.schema, ()))
+    return oracle, pool
+
+
+def _assert_equals_a_fresh_build(oracle, constraint, snapshot, pool):
+    index = oracle._witness
+    disjuncts = compatibility._witness_disjuncts(constraint.query)
+    fresh = compatibility._build_witness_index(disjuncts, "RQ", snapshot, pool)
+    assert index.pool is pool
+    assert (index.conflicts, index.larger, index.always, index.size) == (
+        fresh.conflicts,
+        fresh.larger,
+        fresh.always,
+        fresh.size,
+    )
+    return index
+
+
+def _carry_stream(kind: str, seed: int, steps: int = 8):
+    """Drive a random delta stream; after every step the epoch's index
+    (carried or built) equals a fresh build.  Returns what the stream covered."""
+    rng = random.Random(f"carry-{kind}-{seed}")
+    database = _database(rng)
+    constraint = QueryConstraint(_random_qc(rng, kind))
+    covered = set()
+    oracle, pool = _epoch_oracle(constraint, database.snapshot(), None)
+    assert oracle.witness_builds == (oracle._witness.conflicts is not None)
+    for step in range(steps):
+        step_kind = rng.choice(CARRY_STEPS)
+        before = database.version()
+        database.apply_delta(_carry_step(rng, database, step_kind, 100 + step))
+        snapshot = database.snapshot()
+        previous, previous_pool = oracle, pool
+        oracle, pool = _epoch_oracle(constraint, snapshot, previous)
+        index = _assert_equals_a_fresh_build(oracle, constraint, snapshot, pool)
+        assert oracle._predecessor is None
+        footprint_moved = dict(before)["prereq"] != dict(database.version())["prereq"]
+        removed = set(previous_pool.items) - set(pool.items)
+        added = set(pool.items) - set(previous_pool.items)
+        offered = previous._witness.conflicts is not None and not (
+            footprint_moved and "prereq" in constraint.relation_footprint()
+        )
+        large = len(added) > compatibility.CARRY_LIMIT * len(pool.items)
+        carried = offered and (previous._witness.always or not large)
+        finished = index.conflicts is not None
+        assert oracle.witness_carries == (carried and finished)
+        assert oracle.witness_builds == (not carried and finished)
+        if offered and not carried:
+            covered.add("large diff")
+        if carried:
+            covered.add("carry")
+            covered.update(
+                name
+                for name, seen in (
+                    ("removed", removed),
+                    ("added", added),
+                    ("empty diff", not (removed or added)),
+                    ("always", index.always),
+                    ("three rows", index.larger),
+                )
+                if seen
+            )
+        elif previous._witness.conflicts is not None:
+            covered.add("fallback")
+    return covered
+
+
+#: The shipped :data:`~repro.core.compatibility.CARRY_LIMIT`, and a limit
+#: that carries every diff however large, so every step is a carry.
+CARRY_LIMITS = {"shipped": None, "every-diff": 1.0}
+
+
+@pytest.mark.parametrize("limit", sorted(CARRY_LIMITS))
+@pytest.mark.parametrize("kind", ["cq", "ucq", "efo"])
+@pytest.mark.parametrize("seed", range(20))
+def test_a_carried_index_equals_a_fresh_build(monkeypatch, limit, kind, seed):
+    if CARRY_LIMITS[limit] is not None:
+        monkeypatch.setattr(compatibility, "CARRY_LIMIT", CARRY_LIMITS[limit])
+    _carry_stream(kind, seed)
+
+
+def _covered(kinds=("cq", "ucq", "efo")):
+    covered = set()
+    for kind in kinds:
+        for seed in range(20):
+            covered |= _carry_stream(kind, seed)
+    return covered
+
+
+def test_the_carry_streams_cover_every_kind_of_diff(monkeypatch):
+    """The streams above carry over removed rows, added rows and an empty
+    diff, with sets of three rows and an ``RQ``-free disjunct, and fall back
+    to a build when ``prereq``, a footprint relation, changes; with the
+    shipped limit, a diff adding too many rows builds afresh too."""
+    assert "large diff" in _covered()
+    monkeypatch.setattr(compatibility, "CARRY_LIMIT", 1.0)
+    assert _covered() == {
+        "carry",
+        "removed",
+        "added",
+        "empty diff",
+        "always",
+        "three rows",
+        "fallback",
+    }
+
+
+def _serving_epochs(delta):
+    """The serving problem's Qc over two pinned epochs of 80 items, the
+    second after ``delta`` (a function of the first epoch's ``Q(D)`` rows)."""
+    problem = serving_problem(80, seed=1)
+    first = problem.pinned()
+    rows = sorted(first.candidate_items().rows())
+    problem.database.apply_delta(delta(rows))
+    return first, problem.pinned()
+
+
+def _fresh_items(rows, count):
+    """``count`` new candidates, each of an existing candidate's category."""
+    return [("insert", "items", (1000 + n, *row[1:])) for n, row in enumerate(rows[:count])]
+
+
+@pytest.mark.parametrize("past_the_cap", [False, True], ids=["at-cap", "one-past"])
+def test_a_carry_past_the_witness_cap_declines(monkeypatch, past_the_cap):
+    """The predecessor fits the cap; the sets the added rows bring push the
+    carried index to it, or one past it, where the carry declines like a build."""
+    first, second = _serving_epochs(lambda rows: _fresh_items(rows, 3))
+    first_size = _witness_set_count()
+    oracle = first.compatibility_oracle()
+    oracle.register_answers(first.candidate_pool())
+    monkeypatch.setattr(compatibility, "WITNESS_CAP", first_size)
+    empty = Package(first.query.output_schema(), ())
+    oracle.is_satisfied(empty)
+    assert oracle.witness_builds == 1 and oracle.cache_info()["witness_sets"] == first_size
+    pool = second.candidate_pool()
+    disjuncts = compatibility._witness_disjuncts(second.compatibility.query)
+    monkeypatch.setattr(compatibility, "WITNESS_CAP", 1 << 30)
+    size = compatibility._build_witness_index(disjuncts, "RQ", second.database, pool).size
+    assert size > first_size
+    monkeypatch.setattr(compatibility, "WITNESS_CAP", size - past_the_cap)
+    carried = second.compatibility_oracle()
+    carried.inherit(oracle)
+    carried.register_answers(pool)
+    packages = _sample_packages(pool.answers, count=20, seed=7)
+    for package in packages:
+        assert carried.is_satisfied(package) == second.compatibility.is_satisfied_copying(
+            package, second.database
+        )
+    assert carried.witness_builds == 0 and carried._predecessor is None
+    if past_the_cap:
+        assert carried._witness.conflicts is None and carried.witness_carries == 0
+        assert carried.witness_declines == len(packages)
+    else:
+        assert carried.witness_carries == 1 and carried.witness_verdicts == len(packages)
+        assert carried.cache_info()["witness_sets"] == size
+
+
+@pytest.mark.parametrize(
+    "cancel, error", [(False, RequestTimeout), (True, RequestCancelled)], ids=["timeout", "cancel"]
+)
+def test_a_deadline_firing_mid_carry_leaves_no_index(monkeypatch, cancel, error):
+    """An interrupted carry keeps nothing, drops the predecessor and is
+    remembered as a decline: the epoch's later verdicts are probed."""
+    first, second = _serving_epochs(
+        lambda rows: [("delete", "items", rows[0])] + _fresh_items(rows[1:], 2)
+    )
+    previous = first.compatibility_oracle()
+    previous.register_answers(first.candidate_pool())
+    previous.is_satisfied(Package(first.query.output_schema(), ()))
+    assert previous.witness_builds == 1
+    oracle = second.compatibility_oracle()
+    oracle.inherit(previous)
+    oracle.register_answers(second.candidate_pool())
+    answers = second.candidate_items()
+    deadline = Deadline.after(None if cancel else 0.05, token=CancellationToken())
+    _fire_after_the_first_binding(
+        monkeypatch, deadline.token.cancel if cancel else lambda: _wait_out(deadline)
+    )
+    with deadline_scope(deadline):
+        with pytest.raises(error):
+            oracle.is_satisfied(_sample_packages(answers, count=1, seed=3)[0])
+    monkeypatch.undo()
+    assert oracle._predecessor is None and oracle._witness.conflicts is None
+    assert oracle.witness_carries == 0 and oracle.witness_builds == 0
+    for package in _sample_packages(answers, count=10, seed=4):
+        assert oracle.is_satisfied(package) == second.compatibility.is_satisfied_copying(
+            package, second.database
+        )
+    assert oracle.witness_verdicts == 0 and oracle.misses + oracle.hits == 10
+
+
+def test_a_different_constraint_or_a_live_database_is_not_inherited():
+    """Only a finished index of the same constraint object over a pinned
+    snapshot is offered; anything else leaves the oracle to build."""
+    first, second = _serving_epochs(lambda rows: _fresh_items(rows, 1))
+    previous = first.compatibility_oracle()
+    previous.register_answers(first.candidate_pool())
+    other = CompatibilityOracle(QueryConstraint(first.compatibility.query), second.database)
+    other.inherit(previous)  # unbuilt: nothing to offer
+    assert other._predecessor is None
+    previous.is_satisfied(Package(first.query.output_schema(), ()))
+    other.inherit(previous)  # another constraint object
+    assert other._predecessor is None
+    live = CompatibilityOracle(first.compatibility, first.database.source())
+    live.register_answers(first.candidate_pool())
+    live.is_satisfied(Package(first.query.output_schema(), ()))
+    oracle = second.compatibility_oracle()
+    oracle.inherit(live)  # an index over a live database
+    assert oracle._predecessor is None
+    oracle.inherit(previous)
+    assert oracle._predecessor is not None
+
+
+def _epoch_oracle_of(server):
+    return server._current_context().problem.compatibility_oracle()
+
+
+def test_a_served_trace_carries_and_answers_as_serial_reexecution():
+    """Every epoch of a served trace after the first carries its index, and
+    each answer equals a serial re-execution on a copy of its epoch."""
+    trace = build_trace(num_items=40, num_rounds=8, batch_size=10, seed=3)
+    server = SnapshotServer(trace.problem, max_workers=2)
+    database = trace.problem.database
+    rows = sorted(database.relation("items").rows())
+    carries = builds = 0
+    archive = []
+    for round_index, (delta, requests) in enumerate(trace.rounds):
+        # Deletes of the original rows too, some inside Q's price filter.
+        delta = list(delta) + [("delete", "items", rows[round_index])]
+        server.apply(delta)
+        results = server.serve_batch(requests)
+        info = _epoch_oracle_of(server).cache_info()
+        carries += info["witness_carries"]
+        builds += info["witness_builds"]
+        archive.append((database.epoch, database.copy(), results))
+    assert (builds, carries) == (1, len(trace.rounds) - 1)
+    for epoch, copy, results in archive:
+        problem = trace.problem.with_database(copy)
+        for result in results:
+            assert result.error is None and result.epoch == epoch
+            assert result.answer == execute_request(problem, result.request)
+
+
+def test_the_previous_epochs_snapshot_is_collected_after_one_request():
+    """Once the next epoch has answered one request, nothing refers to the
+    previous epoch's snapshot: the carry kept neither its pool nor the
+    snapshot, and the server kept no older context."""
+    problem = serving_problem(40, seed=2)
+    server = SnapshotServer(problem, max_workers=1)
+    assert server.serve_one(ServeRequest.top_k()).error is None
+    previous = weakref.ref(server._current_context().problem.database)
+    rows = sorted(problem.candidate_items().rows())
+    server.apply([("delete", "items", rows[0])])
+    result = server.serve_one(ServeRequest.top_k())
+    assert result.error is None
+    assert _epoch_oracle_of(server).witness_carries == 1
+    gc.collect()
+    assert previous() is None
