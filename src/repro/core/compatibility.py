@@ -35,12 +35,13 @@ probe is itself a query evaluation.  The oracle avoids them in two ways:
   some witness set within ``N``? — with no query evaluation per package.
   A disjunct without an ``RQ`` atom that has a binding has the empty
   witness set, which makes every package incompatible.  The oracle holds
-  at most one index until a relation ``Qc`` reads changes.  A served
-  problem's next epoch does not run the joins again: its oracle takes the
-  previous epoch's index (:meth:`CompatibilityOracle.inherit`) and
-  advances it by the ``Q(D)`` row diff — the sets that avoid every removed
+  at most one index until a relation ``Qc`` reads changes.  One maker,
+  :func:`_witness_index_over`, starts each index from the empty one, with
+  every row added and one join per disjunct, or, in a served problem's
+  next epoch, from the previous epoch's (:meth:`CompatibilityOracle.inherit`)
+  advanced by the ``Q(D)`` row diff: the sets that avoid every removed
   row stay, and one join per ``RQ`` occurrence seeded with the added rows
-  finds the sets that touch one (:func:`_carry_witness_index`).
+  finds the sets that touch one.
 * **A memo.**  Every other verdict — a predicate, an FO or Datalog ``Qc``,
   a package outside the indexed ``Q(D)``, or an index the oracle declined
   to build (:data:`WITNESS_CAP`, :data:`WITNESS_STEP_LIMIT`, a build that
@@ -106,7 +107,8 @@ WITNESS_CAP = 16384
 WITNESS_STEP_LIMIT = 200_000
 
 #: The largest share of the new ``Q(D)``'s rows that may be added rows for
-#: a carry (:func:`_carry_witness_index`); past it a fresh build is cheaper.
+#: :func:`_witness_index_over` to start from a predecessor; past it the
+#: empty index is the cheaper start.
 #: Measured on the serving ``Qc`` over 49 candidates: the carry took 0.69x
 #: to 0.73x of a build with 15 rows added, 0.87x to 1.06x with 20 and
 #: 1.21x with 24.
@@ -534,134 +536,107 @@ def _always_index(pool: CandidatePool) -> _WitnessIndex:
     return _WitnessIndex(pool, tuple(1 << i for i in range(len(pool.items))), always=True, size=1)
 
 
-def _finished_index(
-    pool: CandidatePool, conflicts: List[int], larger: set, size: int
-) -> _WitnessIndex:
-    """The folded masks as an index, the larger sets bucketed under their lowest bit."""
-    buckets = None
-    if larger:
-        buckets = [[] for _ in pool.items]
-        for mask in larger:
-            buckets[(mask & -mask).bit_length() - 1].append(mask)
-        buckets = tuple(map(tuple, buckets))
-    return _WitnessIndex(pool, tuple(conflicts), buckets, size=size)
+def _seeded_joins(disjuncts, answer_name: str, seed: str):
+    """The joins of :func:`_witness_index_over`, as ``(atoms, comparisons,
+    head, spans)``: each disjunct as it stands when ``seed``, the relation
+    of the added rows, is ``RQ`` itself (every row added), else one per
+    ``RQ`` occurrence, that occurrence over ``seed``."""
+    for cq in disjuncts:
+        head, spans = _witness_shape(cq, answer_name)
+        atoms = cq.atoms
+        if seed == answer_name:
+            yield atoms, cq.comparisons, head, spans
+            continue
+        for k, atom in enumerate(atoms):
+            if atom.relation == answer_name:
+                seeded = atoms[:k] + (RelationAtom(seed, atom.terms),) + atoms[k + 1 :]
+                yield seeded, cq.comparisons, head, spans
 
 
-def _build_witness_index(
-    disjuncts, answer_name: str, database: Database, pool: CandidatePool
-) -> _WitnessIndex:
-    """One join per disjunct over ``RQ := pool.items``, folded into masks (:func:`_fold`).
+def _witness_index_over(
+    disjuncts,
+    answer_name: str,
+    database: Database,
+    pool: CandidatePool,
+    predecessor: Optional[_WitnessIndex] = None,
+) -> Tuple[_WitnessIndex, bool]:
+    """``Qc``'s witness index over ``RQ := pool.items``, and whether it
+    started from ``predecessor``.
+
+    ``Qc`` is monotone in ``RQ``, so the witness sets over ``pool`` are a
+    starting index's sets that avoid every removed row plus the sets that
+    touch an added row.  The start is ``predecessor`` remapped by
+    :meth:`_WitnessIndex.over`, valid while no relation of ``Qc``'s
+    footprint moved (the oracle checks that); an ``always`` one stays
+    ``always``.  Without a predecessor, or with more than
+    :data:`CARRY_LIMIT` of ``pool``'s rows added, it is the empty index
+    with every row added.  The sets that touch an added row come from one
+    join per ``RQ`` occurrence over the added rows, the other atoms over
+    ``pool`` (the delta rules of Gupta, Mumick and Subrahmanian, SIGMOD
+    1993), folded by :func:`_fold`; with every row added, that is one join
+    per disjunct as it stands (:func:`_seeded_joins`).
 
     Declines (``conflicts=None``) past :data:`WITNESS_CAP` distinct witness
     sets or :data:`WITNESS_STEP_LIMIT` steps, and when a join raises (the
-    probe path then raises, or not, exactly as without the index).  An
+    probe path then raises, or not, exactly as without the index); a
+    carried start, a subset of a finished index, is within the cap.  An
     ambient deadline or cancellation propagates; nothing is kept of an
-    unfinished build.
+    unfinished index.
     """
-    extra = {answer_name: _answer_relation(pool, answer_name, pool.items)}
+    if predecessor is not None and predecessor.always:
+        return _always_index(pool), True
+    items = pool.items
+    extra = {answer_name: _answer_relation(pool, answer_name, items)}
+    seed = answer_name  # every row added: the joins read RQ itself
+    conflicts, larger, size = [0] * len(items), set(), 0
+    if predecessor is not None:
+        kept, kept_larger, probe = predecessor.over(pool)
+        if bin(probe).count("1") > CARRY_LIMIT * len(items):
+            predecessor = None
+        else:
+            conflicts = list(kept)
+            larger = {mask for bucket in kept_larger or () for mask in bucket}
+            # A pair sets a bit in each of its two rows' conflicts, a singleton one.
+            bits = sum(bin(mask).count("1") for mask in conflicts)
+            singletons = sum(mask >> i & 1 for i, mask in enumerate(conflicts))
+            size = (bits + singletons) // 2 + len(larger)
+            if probe:
+                taken = set(database.relation_names()) | {answer_name}
+                seed = answer_name + "_added"
+                while seed in taken:
+                    seed += "_"
+                extra[seed] = _answer_relation(pool, seed, (items[i] for i in _bits(probe)))
+            else:
+                disjuncts = ()  # no row added: nothing to join
+    carried = predecessor is not None
     counter = StepCounter(limit=WITNESS_STEP_LIMIT)
-    conflicts = [0] * len(pool.items)
-    larger: set = set()
-    size = 0
     try:
-        for cq in disjuncts:
-            head, spans = _witness_shape(cq, answer_name)
+        for atoms, comparisons, head, spans in _seeded_joins(disjuncts, answer_name, seed):
             heads = project_bindings(
-                database, cq.atoms, cq.comparisons, head, counter=counter, extra_relations=extra
+                database, atoms, comparisons, head, counter=counter, extra_relations=extra
             )
             with closing(heads):
                 if not spans:
                     for _ in heads:  # a binding: the empty set is a witness
-                        return _always_index(pool)
+                        return _always_index(pool), False
                     continue
                 size = _fold(heads, spans, pool.position, conflicts, larger, size)
             if size > WITNESS_CAP:
-                return _WitnessIndex(pool, None)
+                break
+        else:
+            # The larger sets bucketed under their lowest bit.
+            buckets = None
+            if larger:
+                buckets = [[] for _ in items]
+                for mask in larger:
+                    buckets[(mask & -mask).bit_length() - 1].append(mask)
+                buckets = tuple(map(tuple, buckets))
+            return _WitnessIndex(pool, tuple(conflicts), buckets, size=size), carried
     except ResilienceError:
         raise
     except (ReproError, TypeError, ValueError):  # a StepLimitExceeded among them
-        return _WitnessIndex(pool, None)
-    return _finished_index(pool, conflicts, larger, size)
-
-
-def _carry_witness_index(
-    disjuncts,
-    answer_name: str,
-    database: Database,
-    predecessor: _WitnessIndex,
-    pool: CandidatePool,
-) -> Optional[_WitnessIndex]:
-    """``predecessor`` advanced onto ``pool`` by the ``Q(D)`` row diff.
-
-    Valid only while no relation of ``Qc``'s footprint changed between the
-    two (the oracle checks that).  ``Qc`` is monotone in ``RQ``, so the
-    witness sets over the new ``Q(D)`` are the predecessor's sets that avoid
-    every removed row — :meth:`_WitnessIndex.over` remaps them, dropping the
-    rest, and leaves the added rows in its ``probe`` — plus the sets that
-    touch an added row.  Those come from one join per ``RQ`` occurrence
-    (the delta rules of Gupta, Mumick and Subrahmanian, SIGMOD 1993): that
-    occurrence over the added rows, the other atoms over the new ``Q(D)``,
-    folded by :func:`_fold` into the surviving masks, which drops the sets
-    found twice.  The result equals :func:`_build_witness_index` over
-    ``pool`` and declines where the build would: past :data:`WITNESS_CAP`
-    distinct sets, past :data:`WITNESS_STEP_LIMIT` steps of the carry's own
-    joins, or when a join raises.  An ambient deadline or cancellation
-    propagates.  An ``RQ``-free disjunct's binding reads only the footprint,
-    so an ``always`` index stays one.  ``None`` when more than
-    :data:`CARRY_LIMIT` of ``pool``'s rows are added rows: a fresh build is
-    cheaper then.
-    """
-    if predecessor.always:
-        return _always_index(pool)
-    conflicts, larger, probe = predecessor.over(pool)
-    if conflicts is predecessor.conflicts:  # the same items in the same order
-        return _WitnessIndex(pool, conflicts, larger, size=predecessor.size)
-    if bin(probe).count("1") > CARRY_LIMIT * len(pool.items):
-        return None
-    conflicts = list(conflicts)
-    larger = {mask for bucket in larger or () for mask in bucket}
-    # A pair sets a bit in each of its two rows' conflicts, a singleton one.
-    bits = sum(bin(mask).count("1") for mask in conflicts)
-    singletons = sum(mask >> i & 1 for i, mask in enumerate(conflicts))
-    size = (bits + singletons) // 2 + len(larger)
-    if size > WITNESS_CAP:
-        return _WitnessIndex(pool, None)
-    if probe:
-        items = pool.items
-        taken = set(database.relation_names()) | {answer_name}
-        delta_name = answer_name + "_added"
-        while delta_name in taken:
-            delta_name += "_"
-        extra = {
-            answer_name: _answer_relation(pool, answer_name, items),
-            delta_name: _answer_relation(pool, delta_name, (items[i] for i in _bits(probe))),
-        }
-        counter = StepCounter(limit=WITNESS_STEP_LIMIT)
-        try:
-            for cq in disjuncts:
-                head, spans = _witness_shape(cq, answer_name)
-                for k, atom in enumerate(cq.atoms):
-                    if atom.relation != answer_name:
-                        continue
-                    seeded = RelationAtom(delta_name, atom.terms)
-                    atoms = cq.atoms[:k] + (seeded,) + cq.atoms[k + 1 :]
-                    heads = project_bindings(
-                        database,
-                        atoms,
-                        cq.comparisons,
-                        head,
-                        counter=counter,
-                        extra_relations=extra,
-                    )
-                    with closing(heads):
-                        size = _fold(heads, spans, pool.position, conflicts, larger, size)
-                    if size > WITNESS_CAP:
-                        return _WitnessIndex(pool, None)
-        except ResilienceError:
-            raise
-        except (ReproError, TypeError, ValueError):  # a StepLimitExceeded among them
-            return _WitnessIndex(pool, None)
-    return _finished_index(pool, conflicts, larger, size)
+        pass
+    return _WitnessIndex(pool, None), carried
 
 
 def _build_deadline() -> Optional[Deadline]:
@@ -793,17 +768,15 @@ class CompatibilityOracle:
     * a build that the request's deadline or cancellation interrupts.  The
       error propagates, and nothing of the build is kept.
 
-    **Carried indexes.**  The oracle of a served problem's next epoch is
-    offered the previous epoch's finished index (:meth:`inherit`).  Its
-    first index is then *carried* instead of built, when ``Qc``, its answer
-    relation and ``Q``'s answer schema are unchanged, no relation of
-    ``Qc``'s footprint moved between the two epochs and at most
-    :data:`CARRY_LIMIT` of the new pool's rows are new: the old masks are
-    remapped onto the new pool, dropping the witness sets that touch a
-    removed row, and one join per ``RQ`` occurrence over the added rows
-    finds the sets that touch an added row (:func:`_carry_witness_index`).
-    The carried index equals a fresh build over the new pool, and it
-    declines where a build would.  The oracle keeps only the predecessor's
+    **Carried indexes.**  One maker, :func:`_witness_index_over`, makes
+    every index, from the empty index (a *build*) or from a predecessor
+    (a *carry*).  The oracle of a served problem's next epoch is offered
+    the previous epoch's finished index (:meth:`inherit`), and its first
+    index is carried when ``Qc``, its answer relation and ``Q``'s answer
+    schema are unchanged, no relation of ``Qc``'s footprint moved between
+    the two epochs and at most :data:`CARRY_LIMIT` of the new pool's rows
+    are new.  Both give the same index over the same pool and decline in
+    the same cases.  The oracle keeps only the predecessor's
     index and version, and drops them at its first build or carry, so a
     carried index refers to no earlier pool or snapshot.
 
@@ -850,8 +823,8 @@ class CompatibilityOracle:
 
     **Accounting.**  ``hits`` and ``misses`` count memo lookups,
     ``witness_verdicts`` the verdicts served from an index (a walk's mask
-    tests included), ``witness_builds`` the indexes built,
-    ``witness_carries`` the indexes carried from a predecessor and
+    tests included), ``witness_builds`` the indexes made from the empty
+    index, ``witness_carries`` those advanced from a predecessor and
     ``witness_declines`` the verdicts of a :class:`QueryConstraint` sent to
     the memo instead.  A lattice walk counts its verdicts in its own tally
     (:meth:`walk_started` hands it out, :meth:`is_satisfied` takes it) and
@@ -960,13 +933,14 @@ class CompatibilityOracle:
         For the oracle of the next epoch of one served problem: the index
         and its database version are kept (not ``predecessor`` itself) until
         this oracle's first build or carry, which drops them.  The first
-        verdict that needs an index then carries it
-        (:func:`_carry_witness_index`) instead of building one, if the index
-        is a finished one of the same constraint object, ``Qc`` and answer
+        verdict that needs an index then starts from it instead of from the
+        empty index (:func:`_witness_index_over`), if the index is a
+        finished one of the same constraint object, ``Qc`` and answer
         relation are still those it was built for, the pool's answer schema
         is the same, every relation of ``Qc``'s footprint is at the same
         version in both oracles' databases and the ``Q(D)`` diff is within
-        :data:`CARRY_LIMIT`.  Otherwise the oracle builds as without it.
+        :data:`CARRY_LIMIT`.  Otherwise the oracle starts from the empty
+        index, as without it.
         Only an oracle over a
         :class:`~repro.relational.database.DatabaseSnapshot` hands its index
         on: a live database may move between the index and its version.
@@ -985,50 +959,52 @@ class CompatibilityOracle:
                 self.constraint.answer_relation,
             )
 
+    def _footprint_unmoved(self, old: tuple, new: tuple) -> bool:
+        """Whether every relation of ``Qc``'s known footprint is at the same
+        version in the database versions ``old`` and ``new``."""
+        footprint = self._footprint
+        if footprint is None:
+            return False
+        old, new = dict(old), dict(new)
+        return all(old.get(name) == new.get(name) for name in footprint)
+
     def _carries(self, predecessor: tuple, pool: CandidatePool) -> bool:
         """Whether ``predecessor`` (see :meth:`inherit`) may be carried onto ``pool``."""
         index, version, query, answer_relation = predecessor
-        footprint = self._footprint
-        if (
-            footprint is None
-            or query is not self.constraint.query
-            or answer_relation != self.constraint.answer_relation
-            or index.pool.answers.schema != pool.answers.schema
-        ):
-            return False
-        old, new = dict(version), dict(self._database_version)
-        return all(old.get(name) == new.get(name) for name in footprint)
+        return (
+            query is self.constraint.query
+            and answer_relation == self.constraint.answer_relation
+            and index.pool.answers.schema == pool.answers.schema
+            and self._footprint_unmoved(version, self._database_version)
+        )
 
     def _build_index(self, pool: CandidatePool, predecessor: Optional[tuple]) -> _WitnessIndex:
         """The index over ``pool``: carried from ``predecessor`` when it may
-        be, else built fresh; a decline for a non-servable ``Qc``."""
+        be, else made from the empty index; a decline for a non-servable ``Qc``."""
         disjuncts = _witness_disjuncts(self.constraint.query)
         if disjuncts is None:
             return _WitnessIndex(pool, None)
-        answer_name = self.constraint.answer_relation
+        start = None
+        if predecessor is not None and self._carries(predecessor, pool):
+            start = predecessor[0]
         span = _tracing.begin("witness_build")
         try:
             with deadline_scope(_build_deadline()):
-                index = None
-                if predecessor is not None and self._carries(predecessor, pool):
-                    index = _carry_witness_index(
-                        disjuncts, answer_name, self.database, predecessor[0], pool
-                    )
-                carry = index is not None
-                if not carry:
-                    index = _build_witness_index(disjuncts, answer_name, self.database, pool)
+                index, carried = _witness_index_over(
+                    disjuncts, self.constraint.answer_relation, self.database, pool, start
+                )
         finally:
             _tracing.finish(span)
         if index.conflicts is not None:
             with self._lock:
-                if carry:
+                if carried:
                     self.witness_carries += 1
                 else:
                     self.witness_builds += 1
             active = _metrics._ACTIVE
             if active is not None:
                 active.inc(
-                    _metrics.ORACLE_WITNESS_CARRIES if carry else _metrics.ORACLE_WITNESS_BUILDS
+                    _metrics.ORACLE_WITNESS_CARRIES if carried else _metrics.ORACLE_WITNESS_BUILDS
                 )
         return index
 
@@ -1100,18 +1076,14 @@ class CompatibilityOracle:
     # -- verdicts ---------------------------------------------------------------------
     def _on_database_change(self, version: Tuple[Tuple[str, int], ...]) -> None:
         """React to a version-snapshot mismatch: retain or drop the memo and the index."""
-        old = dict(self._database_version)
-        self._database_version = version
-        footprint = self._footprint
-        if footprint is not None:
-            new = dict(version)
-            if all(old.get(name) == new.get(name) for name in footprint):
-                if self._cache:
-                    self.retentions += 1
-                    active = _metrics._ACTIVE
-                    if active is not None:
-                        active.inc("oracle.verdict.retentions")
-                return
+        old, self._database_version = self._database_version, version
+        if self._footprint_unmoved(old, version):
+            if self._cache:
+                self.retentions += 1
+                active = _metrics._ACTIVE
+                if active is not None:
+                    active.inc("oracle.verdict.retentions")
+            return
         self._witness = _UNBUILT
         if self._cache:
             self.invalidations += 1

@@ -78,9 +78,14 @@ row → position dict (a dict comprehension over ``enumerate``) is built only
 by ``CandidatePool``; the walk and the oracle read the pool's.
 
 A thirteenth guard keeps one entry point into the witness index: under
-``src/repro/`` only ``CompatibilityOracle`` calls ``_build_witness_index``
-or ``_carry_witness_index``, so every index is built or carried under the
-oracle's build lock, deadline, span and counters.
+``src/repro/`` only ``CompatibilityOracle`` calls ``_witness_index_over``,
+so every index is built or carried under the oracle's build lock,
+deadline, span and counters.  The same guard keeps that maker the only
+one: a fresh build is the carry from the empty index, so
+``core/compatibility.py`` names no ``_build_witness_index`` or
+``_carry_witness_index`` (a definition, call or attribute), and calls
+``project_bindings``, the witness joins, only inside
+``_witness_index_over``.
 """
 
 from __future__ import annotations
@@ -948,35 +953,38 @@ ROW_SPACE_WITNESS_NAMES = frozenset({"by_item", "partners", "masks", "_masks", "
 #: Where ``core/compatibility.py`` keeps the witness index; none of it may
 #: build a row ``frozenset``.
 WITNESS_SCOPES = frozenset(
-    {"_WitnessIndex", "_build_witness_index", "_carry_witness_index", "_fold", "_Tally"}
+    {"_WitnessIndex", "_witness_index_over", "_seeded_joins", "_fold", "_Tally"}
 )
 
 #: The one builder of a row → position dict under ``core/``.
 POSITION_BUILDERS = frozenset({"CandidatePool"})
 
 
-def _row_space_witnesses(tree: ast.AST):
-    """``line:what`` for each use of :data:`ROW_SPACE_WITNESS_NAMES` (a
-    definition, attribute, name, parameter or ``__slots__`` string) and each
-    ``frozenset(...)`` call inside :data:`WITNESS_SCOPES`."""
-    found = []
+def _node_name(node) -> "str | None":
+    """The name ``node`` defines or uses: a definition, attribute, name,
+    parameter or string constant (such as a ``__slots__`` entry)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.arg):
+        return node.arg
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
-    def named(node) -> "str | None":
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return node.name
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.arg):
-            return node.arg
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        return None
+
+def _row_space_witnesses(tree: ast.AST):
+    """``line:what`` for each use of :data:`ROW_SPACE_WITNESS_NAMES` (see
+    :func:`_node_name`) and each ``frozenset(...)`` call inside
+    :data:`WITNESS_SCOPES`."""
+    found = []
 
     def visit(node: ast.AST, witness_scope: bool) -> None:
         for child in ast.iter_child_nodes(node):
-            name = named(child)
+            name = _node_name(child)
             if name in ROW_SPACE_WITNESS_NAMES:
                 found.append(f"{child.lineno}:{name}")
             if (
@@ -1046,7 +1054,7 @@ def test_the_witness_guard_itself_detects_row_space_sets():
         "    def masks(self, items):\n"
         "        position = {item: i for i, item in enumerate(items)}\n"
         "        return position\n"
-        "def _build_witness_index(bindings):\n"
+        "def _witness_index_over(bindings):\n"
         "    return {frozenset(binding) for binding in bindings}\n"
         "class CompatibilityOracle:\n"
         '    __slots__ = ("_masks",)\n'
@@ -1066,7 +1074,7 @@ def test_the_witness_guard_itself_detects_row_space_sets():
         "class CandidatePool:\n"
         "    def __init__(self, items):\n"
         "        self.position = {row: i for i, row in enumerate(items)}\n"
-        "def _build_witness_index(pool, bindings):\n"
+        "def _witness_index_over(pool, bindings):\n"
         "    return [pool.position[row] for row in bindings]\n"
         "def elsewhere(package):\n"
         "    return frozenset(package)\n"
@@ -1075,9 +1083,13 @@ def test_the_witness_guard_itself_detects_row_space_sets():
     assert _position_dicts(clean) == []
 
 
-#: The functions that make a witness index, and the one class that may call them.
-INDEX_MAKERS = frozenset({"_build_witness_index", "_carry_witness_index"})
+#: The function that makes a witness index, and the one class that may call it.
+INDEX_MAKERS = frozenset({"_witness_index_over"})
 INDEX_CALLER = "CompatibilityOracle"
+
+#: The build and the carry that :data:`INDEX_MAKERS` replaced: a fresh
+#: build is the carry from the empty index, so neither may come back.
+RETIRED_INDEX_MAKERS = frozenset({"_build_witness_index", "_carry_witness_index"})
 
 
 def _index_calls(tree: ast.AST):
@@ -1115,26 +1127,86 @@ def test_only_the_oracle_builds_or_carries_a_witness_index():
 
 
 def test_the_index_guard_itself_detects_a_second_entry_point():
-    """The guard must fire on a build or carry called outside the oracle."""
+    """The guard must fire on the maker called outside the oracle."""
     outside = ast.parse(
         "import repro.core.compatibility as compatibility\n"
         "def warm(pool, disjuncts, database):\n"
-        "    return _build_witness_index(disjuncts, 'RQ', database, pool)\n"
+        "    return _witness_index_over(disjuncts, 'RQ', database, pool)\n"
         "class _EpochContext:\n"
         "    def __init__(self, previous, pool):\n"
-        "        self.index = compatibility._carry_witness_index(\n"
-        "            (), 'RQ', None, previous, pool)\n"
-        "INDEX = _build_witness_index((), 'RQ', None, None)\n"
+        "        self.index = compatibility._witness_index_over(\n"
+        "            (), 'RQ', None, pool, previous)\n"
+        "INDEX = _witness_index_over((), 'RQ', None, None)\n"
     )
     assert _index_calls(outside) == ["3:warm", "6:_EpochContext.__init__", "8:<module>"]
     clean = ast.parse(
-        '"""_build_witness_index in a docstring is fine"""\n'
-        "def _carry_witness_index(disjuncts, answer, database, predecessor, pool):\n"
-        "    return predecessor\n"
+        '"""_witness_index_over in a docstring is fine"""\n'
+        "def _witness_index_over(disjuncts, answer, database, pool, predecessor=None):\n"
+        "    return predecessor, predecessor is not None\n"
         "class CompatibilityOracle:\n"
         "    def _build_index(self, pool, predecessor):\n"
-        "        if predecessor is not None:\n"
-        "            return _carry_witness_index((), 'RQ', self.database, predecessor, pool)\n"
-        "        return _build_witness_index((), 'RQ', self.database, pool)\n"
+        "        return _witness_index_over((), 'RQ', self.database, pool, predecessor)\n"
     )
     assert _index_calls(clean) == []
+
+
+def _second_index_makers(tree: ast.AST):
+    """``line:what`` for each use of :data:`RETIRED_INDEX_MAKERS` (as the
+    twelfth guard finds a row-space name) and each ``project_bindings``
+    call outside :data:`INDEX_MAKERS`."""
+    found = []
+
+    def visit(node: ast.AST, scope) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = _node_name(child)
+            if name in RETIRED_INDEX_MAKERS:
+                found.append(f"{child.lineno}:{name}")
+            if (
+                isinstance(child, ast.Call)
+                and _node_name(child.func) == "project_bindings"
+                and not INDEX_MAKERS & set(scope)
+            ):
+                found.append(f"{child.lineno}:project_bindings")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_the_witness_index_has_one_maker():
+    tree = ast.parse(COMPATIBILITY.read_text(encoding="utf-8"), filename=str(COMPATIBILITY))
+    offences = [f"core/compatibility.py:{offence}" for offence in _second_index_makers(tree)]
+    assert not offences, (
+        "one maker, _witness_index_over, makes every witness index from a "
+        "predecessor or from the empty index; no second build or carry, and "
+        "no witness join outside it: " + ", ".join(offences)
+    )
+
+
+def test_the_maker_guard_itself_detects_a_second_maker():
+    """The guard must fire on the retired build and carry and on a join
+    run outside the one maker."""
+    second = ast.parse(
+        "def _build_witness_index(disjuncts, answer, database, pool):\n"
+        "    return _witness_index_over(disjuncts, answer, database, pool)\n"
+        "def _fresh_masks(database, cq, head):\n"
+        "    return list(project_bindings(database, cq.atoms, cq.comparisons, head))\n"
+        "class CompatibilityOracle:\n"
+        "    def _build_index(self, pool, predecessor):\n"
+        "        return compatibility._carry_witness_index(pool, predecessor)\n"
+    )
+    assert _second_index_makers(second) == [
+        "1:_build_witness_index",
+        "4:project_bindings",
+        "7:_carry_witness_index",
+    ]
+    clean = ast.parse(
+        '"""_build_witness_index in a docstring is fine"""\n'
+        "from repro.queries.bindings import project_bindings\n"
+        "def _witness_index_over(disjuncts, answer, database, pool, predecessor=None):\n"
+        "    return project_bindings(database, (), (), ())\n"
+    )
+    assert _second_index_makers(clean) == []

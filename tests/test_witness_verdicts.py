@@ -1221,29 +1221,41 @@ def _epoch_oracle(constraint, snapshot, previous):
     return oracle, pool
 
 
-def _assert_equals_a_fresh_build(oracle, constraint, snapshot, pool):
+def _assert_equals_the_reference(oracle, constraint, snapshot, pool):
+    """The epoch's index over ``pool`` equals the row-space reference:
+    ``always`` and ``size``, and the masks in ``pool``'s index space."""
     index = oracle._witness
-    disjuncts = compatibility._witness_disjuncts(constraint.query)
-    fresh = compatibility._build_witness_index(disjuncts, "RQ", snapshot, pool)
     assert index.pool is pool
-    assert (index.conflicts, index.larger, index.always, index.size) == (
-        fresh.conflicts,
-        fresh.larger,
-        fresh.always,
-        fresh.size,
-    )
+    witnesses = _reference_witness_sets(constraint.query, snapshot, pool.answers)
+    if witnesses is None:
+        assert index.always and index.size == 1
+        assert list(index.conflicts) == [1 << i for i in range(len(pool.items))]
+    else:
+        assert not index.always and index.size == len(witnesses)
+        assert _flat_masks(index.conflicts, index.larger) == _reference_masks(
+            witnesses, pool.items
+        )
     return index
 
 
-def _carry_stream(kind: str, seed: int, steps: int = 8):
+def _carry_stream(kind: str, seed: int, steps: int = 8, emptied: bool = False):
     """Drive a random delta stream; after every step the epoch's index
-    (carried or built) equals a fresh build.  Returns what the stream covered."""
+    (carried or built) equals the row-space reference.  ``emptied`` first
+    deletes every row of ``Q(D)``, so the stream starts from an index over
+    an empty ``Q(D)``.  Returns what the stream covered."""
     rng = random.Random(f"carry-{kind}-{seed}")
     database = _database(rng)
     constraint = QueryConstraint(_random_qc(rng, kind))
+    if emptied:
+        rows = CHEAP_ITEMS.evaluate(database).rows()
+        database.apply_delta([("delete", "items", row) for row in rows])
     covered = set()
-    oracle, pool = _epoch_oracle(constraint, database.snapshot(), None)
-    assert oracle.witness_builds == (oracle._witness.conflicts is not None)
+    snapshot = database.snapshot()
+    oracle, pool = _epoch_oracle(constraint, snapshot, None)
+    index = _assert_equals_the_reference(oracle, constraint, snapshot, pool)
+    assert oracle.witness_builds == (index.conflicts is not None)
+    if not pool.items:
+        covered.add("fresh over empty")
     for step in range(steps):
         step_kind = rng.choice(CARRY_STEPS)
         before = database.version()
@@ -1251,7 +1263,7 @@ def _carry_stream(kind: str, seed: int, steps: int = 8):
         snapshot = database.snapshot()
         previous, previous_pool = oracle, pool
         oracle, pool = _epoch_oracle(constraint, snapshot, previous)
-        index = _assert_equals_a_fresh_build(oracle, constraint, snapshot, pool)
+        index = _assert_equals_the_reference(oracle, constraint, snapshot, pool)
         assert oracle._predecessor is None
         footprint_moved = dict(before)["prereq"] != dict(database.version())["prereq"]
         removed = set(previous_pool.items) - set(pool.items)
@@ -1281,12 +1293,25 @@ def _carry_stream(kind: str, seed: int, steps: int = 8):
             )
         elif previous._witness.conflicts is not None:
             covered.add("fallback")
+        # The three ways "every row added" meets an empty Q(D).
+        covered.update(
+            name
+            for name, seen in (
+                ("fresh over empty", not carried and not pool.items),
+                ("carry onto emptied", carried and previous_pool.items and not pool.items),
+                ("from empty onto refilled", offered and not previous_pool.items and pool.items),
+            )
+            if seen
+        )
     return covered
 
 
 #: The shipped :data:`~repro.core.compatibility.CARRY_LIMIT`, and a limit
 #: that carries every diff however large, so every step is a carry.
 CARRY_LIMITS = {"shipped": None, "every-diff": 1.0}
+
+#: The seeds of the streams that start from an emptied ``Q(D)``.
+EMPTIED_SEEDS = 5
 
 
 @pytest.mark.parametrize("limit", sorted(CARRY_LIMITS))
@@ -1298,11 +1323,24 @@ def test_a_carried_index_equals_a_fresh_build(monkeypatch, limit, kind, seed):
     _carry_stream(kind, seed)
 
 
+@pytest.mark.parametrize("limit", sorted(CARRY_LIMITS))
+@pytest.mark.parametrize("kind", ["cq", "ucq", "efo"])
+@pytest.mark.parametrize("seed", range(EMPTIED_SEEDS))
+def test_a_stream_from_an_empty_q_of_d_equals_the_reference(monkeypatch, limit, kind, seed):
+    """The random streams never start from an empty ``Q(D)``; these do, so
+    a fresh index over an empty ``Q(D)`` meets the reference too."""
+    if CARRY_LIMITS[limit] is not None:
+        monkeypatch.setattr(compatibility, "CARRY_LIMIT", CARRY_LIMITS[limit])
+    assert "fresh over empty" in _carry_stream(kind, seed, emptied=True)
+
+
 def _covered(kinds=("cq", "ucq", "efo")):
     covered = set()
     for kind in kinds:
         for seed in range(20):
             covered |= _carry_stream(kind, seed)
+        for seed in range(EMPTIED_SEEDS):
+            covered |= _carry_stream(kind, seed, emptied=True)
     return covered
 
 
@@ -1310,7 +1348,10 @@ def test_the_carry_streams_cover_every_kind_of_diff(monkeypatch):
     """The streams above carry over removed rows, added rows and an empty
     diff, with sets of three rows and an ``RQ``-free disjunct, and fall back
     to a build when ``prereq``, a footprint relation, changes; with the
-    shipped limit, a diff adding too many rows builds afresh too."""
+    shipped limit, a diff adding too many rows builds afresh too.  Each
+    way an empty ``Q(D)`` meets "every row added" is reached: a fresh index
+    over it, a carry onto it, and an index over a refilled ``Q(D)`` offered
+    an empty predecessor."""
     assert "large diff" in _covered()
     monkeypatch.setattr(compatibility, "CARRY_LIMIT", 1.0)
     assert _covered() == {
@@ -1321,6 +1362,9 @@ def test_the_carry_streams_cover_every_kind_of_diff(monkeypatch):
         "always",
         "three rows",
         "fallback",
+        "fresh over empty",
+        "carry onto emptied",
+        "from empty onto refilled",
     }
 
 
@@ -1352,9 +1396,8 @@ def test_a_carry_past_the_witness_cap_declines(monkeypatch, past_the_cap):
     oracle.is_satisfied(empty)
     assert oracle.witness_builds == 1 and oracle.cache_info()["witness_sets"] == first_size
     pool = second.candidate_pool()
-    disjuncts = compatibility._witness_disjuncts(second.compatibility.query)
-    monkeypatch.setattr(compatibility, "WITNESS_CAP", 1 << 30)
-    size = compatibility._build_witness_index(disjuncts, "RQ", second.database, pool).size
+    query = second.compatibility.query
+    size = len(_reference_witness_sets(query, second.database, pool.answers))
     assert size > first_size
     monkeypatch.setattr(compatibility, "WITNESS_CAP", size - past_the_cap)
     carried = second.compatibility_oracle()
@@ -1372,6 +1415,40 @@ def test_a_carry_past_the_witness_cap_declines(monkeypatch, past_the_cap):
     else:
         assert carried.witness_carries == 1 and carried.witness_verdicts == len(packages)
         assert carried.cache_info()["witness_sets"] == size
+
+
+@pytest.mark.parametrize("added", [0, 1, 3])
+def test_a_carry_joins_each_rq_occurrence_over_the_added_rows_only(monkeypatch, added):
+    """A fresh index joins the serving ``Qc`` once as it stands; a carry
+    joins once per ``RQ`` occurrence, that occurrence over the added rows,
+    and not at all when the diff adds no row."""
+    first, second = _serving_epochs(
+        lambda rows: [("delete", "items", rows[0])] + _fresh_items(rows[1:], added)
+    )
+    joined = []
+    join = compatibility.project_bindings
+
+    def spy(database, atoms, *args, **kwargs):
+        joined.append(atoms)
+        return join(database, atoms, *args, **kwargs)
+
+    monkeypatch.setattr(compatibility, "project_bindings", spy)
+    previous = first.compatibility_oracle()
+    previous.register_answers(first.candidate_pool())
+    previous.is_satisfied(Package(first.query.output_schema(), ()))
+    (cq,) = compatibility._witness_disjuncts(first.compatibility.query)
+    assert joined == [cq.atoms]
+    joined.clear()
+    oracle = second.compatibility_oracle()
+    oracle.inherit(previous)
+    oracle.register_answers(second.candidate_pool())
+    oracle.is_satisfied(Package(second.query.output_schema(), ()))
+    assert oracle.witness_carries == 1 and oracle.witness_builds == 0
+    occurrences = [k for k, atom in enumerate(cq.atoms) if atom.relation == "RQ"]
+    assert len(joined) == (len(occurrences) if added else 0)
+    for atoms, k in zip(joined, occurrences):
+        assert atoms[k] == RelationAtom("RQ_added", cq.atoms[k].terms)
+        assert atoms[:k] + atoms[k + 1 :] == cq.atoms[:k] + cq.atoms[k + 1 :]
 
 
 @pytest.mark.parametrize(
