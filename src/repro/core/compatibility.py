@@ -83,7 +83,7 @@ from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.queries.ast import RelationAtom
 from repro.queries.base import Query, takes_parameter
-from repro.queries.bindings import StepCounter, project_bindings
+from repro.queries.bindings import project_bindings
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
@@ -101,8 +101,8 @@ if TYPE_CHECKING:  # model.py imports this module
 #: reads changes.
 WITNESS_CAP = 16384
 
-#: The most evaluator steps one index build may take (the
-#: :class:`~repro.queries.bindings.StepCounter` limit of its joins).  A build
+#: The most evaluator steps one index build may take (the ``max_steps`` of
+#: the build's own :class:`~repro.resilience.deadline.Deadline`).  A build
 #: that needs more declines like one over :data:`WITNESS_CAP`.
 WITNESS_STEP_LIMIT = 200_000
 
@@ -577,11 +577,11 @@ def _witness_index_over(
     per disjunct as it stands (:func:`_seeded_joins`).
 
     Declines (``conflicts=None``) past :data:`WITNESS_CAP` distinct witness
-    sets or :data:`WITNESS_STEP_LIMIT` steps, and when a join raises (the
-    probe path then raises, or not, exactly as without the index); a
-    carried start, a subset of a finished index, is within the cap.  An
-    ambient deadline or cancellation propagates; nothing is kept of an
-    unfinished index.
+    sets or the ambient deadline's step budget (:data:`WITNESS_STEP_LIMIT`
+    under :func:`_build_deadline`), and when a join raises (the probe path
+    then raises, or not, exactly as without the index); a carried start, a
+    subset of a finished index, is within the cap.  A timeout or
+    cancellation propagates; nothing is kept of an unfinished index.
     """
     if predecessor is not None and predecessor.always:
         return _always_index(pool), True
@@ -609,12 +609,9 @@ def _witness_index_over(
             else:
                 disjuncts = ()  # no row added: nothing to join
     carried = predecessor is not None
-    counter = StepCounter(limit=WITNESS_STEP_LIMIT)
     try:
         for atoms, comparisons, head, spans in _seeded_joins(disjuncts, answer_name, seed):
-            heads = project_bindings(
-                database, atoms, comparisons, head, counter=counter, extra_relations=extra
-            )
+            heads = project_bindings(database, atoms, comparisons, head, extra_relations=extra)
             with closing(heads):
                 if not spans:
                     for _ in heads:  # a binding: the empty set is a witness
@@ -639,18 +636,17 @@ def _witness_index_over(
     return _WitnessIndex(pool, None), carried
 
 
-def _build_deadline() -> Optional[Deadline]:
-    """The ambient request deadline without its step budget.
+def _build_deadline() -> Deadline:
+    """The budget of one index build: :data:`WITNESS_STEP_LIMIT` steps, and
+    the ambient request deadline's wall clock and cancellation, if any.
 
     A build serves every later verdict until ``Qc``'s footprint changes, so
-    its steps are not charged to the request that happens to trigger it (the
-    build has its own :data:`WITNESS_STEP_LIMIT`).  The request's wall clock
-    and cancellation still bound it.
+    its steps are not charged to the request that happens to trigger it.
     """
     request = current_deadline()
     if request is None:
-        return None
-    return Deadline(expires_at=request.expires_at, token=request.token)
+        return Deadline(max_steps=WITNESS_STEP_LIMIT)
+    return Deadline(request.expires_at, request.token, WITNESS_STEP_LIMIT)
 
 
 class _Tally:

@@ -13,7 +13,7 @@ for polynomially bounded packages, polynomial for a constant bound
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.enumeration import PackageSearchEngine
 from repro.core.model import RecommendationProblem
@@ -34,7 +34,6 @@ class CPPResult:
 def count_valid_packages(
     problem: RecommendationProblem,
     rating_bound: float,
-    max_candidates: Optional[int] = None,
 ) -> CPPResult:
     """Count the packages valid for ``(Q, D, Qc, cost, val, C, B)``.
 
@@ -47,9 +46,7 @@ def count_valid_packages(
     package object survives the node it was built for.
     """
     engine = PackageSearchEngine(problem)
-    total, histogram = engine.count_valid(
-        rating_bound=rating_bound, max_candidates=max_candidates, by_size=True
-    )
+    total, histogram = engine.count_valid(rating_bound=rating_bound, by_size=True)
     return CPPResult(
         count=total,
         rating_bound=rating_bound,

@@ -77,9 +77,8 @@ from repro.core.model import RecommendationProblem
 from repro.core.packages import Package, Selection
 from repro.observability import metrics as _metrics
 from repro.relational.database import Relation, Row
-from repro.relational.errors import BudgetExceededError
 from repro.relational.ordering import row_sort_key
-from repro.resilience.deadline import current_deadline
+from repro.resilience.deadline import checked_deadline
 
 #: Check the request deadline once per this many lattice nodes.  A power of
 #: two, so ``examined & (N - 1)`` is the gate; the overshoot past an expired
@@ -274,7 +273,6 @@ class PackageSearchEngine:
         accept: Optional[Callable[[Optional[float], Tuple[int, ...]], object]] = None,
         excluded: FrozenSet[Package] = frozenset(),
         bound: Optional[_Bound] = None,
-        max_candidates: Optional[int] = None,
         examined_out: Optional[List[int]] = None,
         packages: bool = True,
     ) -> Iterator[Tuple[Optional[Package], int, Optional[float], object]]:
@@ -357,9 +355,7 @@ class PackageSearchEngine:
         # Read at call time, never in __init__: the ExistPack oracle shares
         # one engine across requests, so a construction-time capture would
         # leak the first request's deadline into every later one.
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check()
+        deadline = checked_deadline()
 
         def build(node: Tuple[int, ...]) -> Package:
             # The DFS extends in sorted-item order, so the node's rows *are*
@@ -413,10 +409,6 @@ class PackageSearchEngine:
                     pruned += 1
                     break
                 examined += 1
-                if max_candidates is not None and examined > max_candidates:
-                    raise BudgetExceededError(
-                        f"valid-package enumeration exceeded {max_candidates} candidates"
-                    )
                 if deadline is not None and not examined & (_DEADLINE_STRIDE - 1):
                     deadline.tick(_DEADLINE_STRIDE)
                 if cost_column is not None:
@@ -518,7 +510,6 @@ class PackageSearchEngine:
         rating_bound: Optional[float] = None,
         strict: bool = False,
         exclude: Iterable[Package] = (),
-        max_candidates: Optional[int] = None,
     ) -> Iterator[Package]:
         """All valid packages, optionally rated ≥ (or >) ``rating_bound``.
 
@@ -530,7 +521,6 @@ class PackageSearchEngine:
             rated=rating_bound is not None,
             accept=_rating_test(rating_bound, strict),
             excluded=frozenset(exclude),
-            max_candidates=max_candidates,
         )
         with closing(walk):
             for package, _, _, _ in walk:
@@ -552,7 +542,6 @@ class PackageSearchEngine:
         self,
         rating_bound: Optional[float] = None,
         strict: bool = False,
-        max_candidates: Optional[int] = None,
         stop_at: Optional[int] = None,
         by_size: bool = False,
         collect_ratings: Optional[List[float]] = None,
@@ -574,7 +563,6 @@ class PackageSearchEngine:
             walk = self._walk(
                 rated=rating_bound is not None or collect_ratings is not None,
                 accept=_rating_test(rating_bound, strict),
-                max_candidates=max_candidates,
                 packages=False,
             )
             with closing(walk):
@@ -598,7 +586,6 @@ class PackageSearchEngine:
     def best_valid(
         self,
         how_many: int,
-        max_candidates: Optional[int] = None,
     ) -> Tuple[List[Tuple[float, Package]], int, int]:
         """The ``how_many`` best (rating, package) pairs, plus search counters.
 
@@ -728,7 +715,6 @@ class PackageSearchEngine:
             rated=True,
             accept=entry_key,
             bound=_Bound(prunes, suffix_top is not None, deltas) if use_bound else None,
-            max_candidates=max_candidates,
             examined_out=examined,
         )
         for package, _, rating, key in walk:
@@ -750,31 +736,29 @@ def enumerate_candidate_packages(
     problem: RecommendationProblem,
     candidate_items: Optional[Relation] = None,
     include_empty: bool = False,
-    max_candidates: Optional[int] = None,
 ) -> Iterator[Package]:
     """All subsets of ``Q(D)`` whose size respects the bound, smallest first.
 
     This enumeration applies no pruning; it is used by tests and by callers
-    that need the raw candidate space.  ``max_candidates`` is a resource guard
-    for the benchmark harness; exceeding it raises
-    :class:`~repro.relational.errors.BudgetExceededError` so a runaway
-    configuration fails loudly instead of silently truncating results.
+    that need the raw candidate space.  It charges the ambient
+    :class:`~repro.resilience.deadline.Deadline` one step per package, so a
+    step budget or request deadline bounds it like every lattice traversal.
     """
+    deadline = checked_deadline()
     items = problem.candidate_pool(candidate_items).items
     schema = problem.query.output_schema()
     limit = min(problem.max_package_size(), len(items))
-    produced = 0
     if include_empty:
+        if deadline is not None:
+            deadline.tick()
         yield Package.empty(schema)
-        produced += 1
     for size in range(1, limit + 1):
         for subset in combinations(items, size):
-            produced += 1
-            if max_candidates is not None and produced > max_candidates:
-                raise BudgetExceededError(
-                    f"candidate-package enumeration exceeded {max_candidates} packages"
-                )
+            if deadline is not None:
+                deadline.tick()
             yield Package.trusted(schema, frozenset(subset), subset)
+    if deadline is not None:
+        deadline.check()
 
 
 def enumerate_valid_packages(
@@ -783,27 +767,20 @@ def enumerate_valid_packages(
     strict: bool = False,
     exclude: Iterable[Package] = (),
     candidate_items: Optional[Relation] = None,
-    max_candidates: Optional[int] = None,
 ) -> Iterator[Package]:
     """All valid packages, optionally rated ≥ (or >) ``rating_bound`` and not excluded."""
     engine = PackageSearchEngine(problem, candidate_items=candidate_items)
-    return engine.iter_valid(
-        rating_bound=rating_bound,
-        strict=strict,
-        exclude=exclude,
-        max_candidates=max_candidates,
-    )
+    return engine.iter_valid(rating_bound=rating_bound, strict=strict, exclude=exclude)
 
 
 def best_valid_packages(
     problem: RecommendationProblem,
     how_many: int,
     candidate_items: Optional[Relation] = None,
-    max_candidates: Optional[int] = None,
 ) -> Tuple[Package, ...]:
     """The ``how_many`` highest-rated valid packages (ties broken deterministically)."""
     engine = PackageSearchEngine(problem, candidate_items=candidate_items)
-    scored, _, _ = engine.best_valid(how_many, max_candidates=max_candidates)
+    scored, _, _ = engine.best_valid(how_many)
     return tuple(package for _, package in scored)
 
 
@@ -867,7 +844,6 @@ def enumerate_valid_packages_reference(
     strict: bool = False,
     exclude: Iterable[Package] = (),
     candidate_items: Optional[Relation] = None,
-    max_candidates: Optional[int] = None,
 ) -> Iterator[Package]:
     """The historical recursive enumerator, pre-engine node-by-node semantics.
 
@@ -879,7 +855,10 @@ def enumerate_valid_packages_reference(
     node-for-node without repr-collision ambiguity.  Without
     ``candidate_items`` it evaluates ``Q(D)`` afresh rather than reading the
     problem's candidate pool, so the spec never shares the engine's pool.
+    Like the engine's walk, it charges the ambient deadline one step per
+    examined node.
     """
+    deadline = checked_deadline()
     answers = (
         candidate_items
         if candidate_items is not None
@@ -889,17 +868,12 @@ def enumerate_valid_packages_reference(
     schema = problem.query.output_schema()
     limit = min(problem.max_package_size(), len(items))
     excluded: FrozenSet[Package] = frozenset(exclude)
-    examined = 0
 
     def dfs(start: int, current: Tuple[Row, ...]) -> Iterator[Package]:
-        nonlocal examined
         for index in range(start, len(items)):
             extended = current + (items[index],)
-            examined += 1
-            if max_candidates is not None and examined > max_candidates:
-                raise BudgetExceededError(
-                    f"valid-package enumeration exceeded {max_candidates} candidates"
-                )
+            if deadline is not None:
+                deadline.tick()
             package = Package(schema, extended)
             if _prunable_reference(problem, package):
                 continue
@@ -911,13 +885,14 @@ def enumerate_valid_packages_reference(
                 yield from dfs(index + 1, extended)
 
     yield from dfs(0, ())
+    if deadline is not None:
+        deadline.check()
 
 
 def best_valid_packages_reference(
     problem: RecommendationProblem,
     how_many: int,
     candidate_items: Optional[Relation] = None,
-    max_candidates: Optional[int] = None,
 ) -> Tuple[Package, ...]:
     """Exhaustive top-k over the reference enumerator (pre-engine semantics).
 
@@ -929,7 +904,7 @@ def best_valid_packages_reference(
     scored = [
         (problem.val(package), package)
         for package in enumerate_valid_packages_reference(
-            problem, candidate_items=candidate_items, max_candidates=max_candidates
+            problem, candidate_items=candidate_items
         )
     ]
     scored.sort(key=lambda pair: (-pair[0], pair[1].sort_key()))

@@ -21,7 +21,7 @@ from repro.queries.ast import (
     free_variables,
 )
 from repro.queries.base import Query
-from repro.queries.bindings import StepCounter, enumerate_bindings, enumerate_bindings_naive
+from repro.queries.bindings import enumerate_bindings, enumerate_bindings_naive
 from repro.queries.cq import ConjunctiveQuery, cq_from_formula
 from repro.queries.datalog import DatalogProgram, DatalogRule, NonRecursiveDatalogProgram
 from repro.queries.efo import PositiveExistentialQuery
@@ -75,7 +75,6 @@ __all__ = [
     "QueryLanguage",
     "RelationAtom",
     "SPQuery",
-    "StepCounter",
     "Term",
     "UnionOfConjunctiveQueries",
     "Var",

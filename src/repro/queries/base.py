@@ -23,8 +23,8 @@ DEFAULT_ANSWER_NAME = "RQ"
 def takes_parameter(function, name: str) -> bool:
     """Whether ``function`` declares a parameter called ``name``.
 
-    The shipped query classes' ``evaluate`` takes ``counter`` and
-    ``extra_relations``; a user subclass may implement only the base
+    The shipped query classes' ``evaluate`` takes ``extra_relations``; a
+    user subclass may implement only the base
     ``evaluate(database)``.  Callers decide from the signature, never by
     catching a ``TypeError``, which the evaluation itself may raise.
     """

@@ -51,13 +51,15 @@ Two evaluation paths are provided and kept semantically identical:
   exactly the same binding multisets on randomly generated databases and
   queries, which is what licenses every caller to use the fast path.
 
-``StepCounter`` semantics are shared by both paths: one tick per search node
-entered plus one tick per candidate row considered.  Because an index probe
-only surfaces rows that match the bound positions, the planned path ticks at
-most as often as the naive one — and exactly as often when no index applies
-(no constants and no bound variables), which the planner tests pin down.
-Both paths charge the counter's last unflushed ticks to the request
-deadline when they end, so no evaluation runs outside its step budget.
+Both paths charge the ambient request
+:class:`~repro.resilience.deadline.Deadline`, the one search budget: each
+reads it once at entry, checks it fail-fast, and ticks it once per search
+node entered plus once per candidate row considered; a run that reaches its
+end checks it once more.  Because an index probe only surfaces rows that
+match the bound positions, the planned path ticks at most as often as the
+naive one — and exactly as often when no index applies (no constants and no
+bound variables), which the planner tests pin down.  With no ambient
+deadline nothing ticks.
 
 **Extending the evaluator with a new access path**: the multiway leapfrog
 branch below is the worked example — see the ROADMAP's "Adding a new access
@@ -100,82 +102,12 @@ from repro.queries.plan import (
     plan_conjunction,
 )
 from repro.relational.database import Database, Relation, Row
-from repro.relational.errors import EvaluationError, StepLimitExceeded
+from repro.relational.errors import EvaluationError
 from repro.relational.schema import Value
 from repro.relational.statistics import leapfrog_intersect
-from repro.resilience.deadline import Deadline, current_deadline
+from repro.resilience.deadline import Deadline, checked_deadline
 
 Binding = Dict[str, Value]
-
-#: How many ticks a :class:`StepCounter` accumulates before flushing them to
-#: its deadline.  Amortises the wall-clock read; a request can overshoot its
-#: deadline by at most this many search steps.
-_DEADLINE_FLUSH_EVERY = 128
-
-
-class StepCounter:
-    """Optional guard limiting the number of search steps of an evaluation.
-
-    The hardness reductions intentionally create exponential searches; the
-    benchmark harness uses a counter both to abort runaway configurations and
-    to report the number of explored nodes as a machine-independent cost
-    measure.  A counter may also carry a request
-    :class:`~repro.resilience.deadline.Deadline`: ticks are batched and
-    flushed to it every :data:`_DEADLINE_FLUSH_EVERY` steps, so wall-clock /
-    cancellation checks cost one comparison per step on average while the
-    step accounting itself stays exact.
-    """
-
-    def __init__(
-        self, limit: Optional[int] = None, deadline: Optional[Deadline] = None
-    ) -> None:
-        self.limit = limit
-        self.steps = 0
-        self.deadline = deadline
-        self._unflushed = 0
-
-    def tick(self, amount: int = 1) -> None:
-        self.steps += amount
-        if self.limit is not None and self.steps > self.limit:
-            raise StepLimitExceeded(self.limit, self.steps)
-        if self.deadline is not None:
-            self._unflushed += amount
-            if self._unflushed >= _DEADLINE_FLUSH_EVERY:
-                flushed, self._unflushed = self._unflushed, 0
-                self.deadline.tick(flushed)
-
-    def flush(self, check: bool = True) -> None:
-        """Charge the unflushed ticks to the deadline, as every evaluator does
-        when its run ends; ``check`` re-checks the deadline's budgets (a run
-        ending on an exception, or closed early, only charges)."""
-        if self._unflushed:
-            self.deadline.steps += self._unflushed
-            self._unflushed = 0
-            if check:
-                self.deadline.check()
-
-
-def _deadline_guarded(counter: Optional[StepCounter]) -> Optional[StepCounter]:
-    """Attach the ambient request deadline (if any) to an evaluation's counter.
-
-    Called once at each evaluator entry point: with no ambient deadline the
-    caller's counter passes through untouched (the unguarded path stays
-    bit-identical); otherwise the deadline is checked fail-fast and wired
-    into the counter — creating one if the caller passed none — so the hot
-    loops' existing ``counter.tick()`` calls enforce it from then on.  A
-    counter that already carries a deadline keeps it (the innermost request
-    scope owns the budget).
-    """
-    deadline = current_deadline()
-    if deadline is None:
-        return counter
-    deadline.check()
-    if counter is None:
-        return StepCounter(deadline=deadline)
-    if counter.deadline is None:
-        counter.deadline = deadline
-    return counter
-
 
 def _match_atom_against_row(
     atom: RelationAtom, row: Tuple[Value, ...], binding: Binding
@@ -386,7 +318,7 @@ def _execute_multiway(
     program: SlotProgram,
     slots: Slots,
     emit: Callable[[Slots], object],
-    counter: Optional[StepCounter],
+    deadline: Optional[Deadline],
     roots: List,
     relations: List[Relation],
     metrics_acc: Optional[List[int]] = None,
@@ -428,8 +360,8 @@ def _execute_multiway(
         step_profile.mode(var_order)
 
     def descend(level: int) -> Iterator[object]:
-        if counter is not None:
-            counter.tick()
+        if deadline is not None:
+            deadline.tick()
         if metrics_acc is not None:
             metrics_acc[2] += 1
         check_versions()
@@ -450,8 +382,8 @@ def _execute_multiway(
             candidates = leapfrog_intersect([nodes[ai] for ai, _ in group])
         saved = [nodes[ai] for ai, _ in group]
         for value in candidates:
-            if counter is not None:
-                counter.tick()
+            if deadline is not None:
+                deadline.tick()
             if metrics_acc is not None:
                 metrics_acc[1] += 1  # trie candidates are index-surfaced
             if step_profile is not None:
@@ -524,7 +456,6 @@ def enumerate_bindings(
     relation_atoms: Sequence[RelationAtom],
     comparisons: Sequence[Comparison] = (),
     initial_binding: Optional[Mapping[str, Value]] = None,
-    counter: Optional[StepCounter] = None,
     extra_relations: Optional[Mapping[str, Relation]] = None,
     plan: Optional[JoinPlan] = None,
     *,
@@ -541,8 +472,6 @@ def enumerate_bindings(
     initial_binding:
         Pre-bound variables (used by Datalog semi-naive evaluation and by the
         FO evaluator when descending under quantifiers).
-    counter:
-        Optional :class:`StepCounter` resource guard.
     extra_relations:
         Relations overriding / extending the database by name (used for IDB
         predicates and for the answer relation ``RQ`` in compatibility
@@ -579,7 +508,6 @@ def enumerate_bindings(
         relation_atoms,
         comparisons,
         initial_binding,
-        counter,
         extra_relations,
         plan,
         step_profile,
@@ -593,7 +521,6 @@ def project_bindings(
     comparisons: Sequence[Comparison],
     head: Tuple[Term, ...],
     initial_binding: Optional[Mapping[str, Value]] = None,
-    counter: Optional[StepCounter] = None,
     extra_relations: Optional[Mapping[str, Relation]] = None,
     plan: Optional[JoinPlan] = None,
 ) -> Iterator[Tuple[Value, ...]]:
@@ -611,7 +538,6 @@ def project_bindings(
         relation_atoms,
         comparisons,
         initial_binding,
-        counter,
         extra_relations,
         plan,
         None,
@@ -624,7 +550,6 @@ def _execute(
     relation_atoms: Sequence[RelationAtom],
     comparisons: Sequence[Comparison],
     initial_binding: Optional[Mapping[str, Value]],
-    counter: Optional[StepCounter],
     extra_relations: Optional[Mapping[str, Relation]],
     plan: Optional[JoinPlan],
     step_profile,
@@ -636,7 +561,7 @@ def _execute(
     list and yields what ``head`` selects for each complete binding: a
     :data:`Binding` dict (``head`` ``None``) or the head tuple.
     """
-    counter = _deadline_guarded(counter)
+    deadline = checked_deadline()
     extra_relations = extra_relations or {}
 
     def lookup(name: str) -> Relation:
@@ -692,7 +617,7 @@ def _execute(
                     program,
                     slots,
                     emit,
-                    counter,
+                    deadline,
                     roots,
                     multiway_relations,
                     metrics_acc,
@@ -710,8 +635,8 @@ def _execute(
             )
 
         def execute(depth: int) -> Iterator[object]:
-            if counter is not None:
-                counter.tick()
+            if deadline is not None:
+                deadline.tick()
             if metrics_acc is not None:
                 metrics_acc[2] += 1
             for apply, left, right in tests[depth]:
@@ -817,8 +742,8 @@ def _execute(
                             f"relation {relation.name!r} was mutated during evaluation"
                         )
                     resumed = False
-                if counter is not None:
-                    counter.tick()
+                if deadline is not None:
+                    deadline.tick()
                 if metrics_acc is not None:
                     metrics_acc[surfaced] += 1
                 if step_profile is not None:
@@ -835,8 +760,8 @@ def _execute(
                         yield from execute(depth + 1)
                         resumed = True
                         continue
-                    if counter is not None:
-                        counter.tick()
+                    if deadline is not None:
+                        deadline.tick()
                     if metrics_acc is not None:
                         metrics_acc[2] += 1
                     for apply, left, right in leaf_tests:
@@ -850,10 +775,8 @@ def _execute(
 
         yield from execute(0)
 
-    finished = False
     try:
         yield from run()
-        finished = True
     finally:
         if metrics_acc is not None:
             active.inc_many(
@@ -865,8 +788,8 @@ def _execute(
                     ("columnar.rows.selected", metrics_acc[4]),
                 )
             )
-        if counter is not None:
-            counter.flush(check=finished)
+    if deadline is not None:
+        deadline.check()  # the run's last steps since the clock was read
 
 
 def row_matcher(atom: RelationAtom) -> Callable[[Row], Optional[Binding]]:
@@ -894,7 +817,6 @@ def enumerate_bindings_naive(
     relation_atoms: Sequence[RelationAtom],
     comparisons: Sequence[Comparison] = (),
     initial_binding: Optional[Mapping[str, Value]] = None,
-    counter: Optional[StepCounter] = None,
     extra_relations: Optional[Mapping[str, Relation]] = None,
 ) -> Iterator[Binding]:
     """The historical backtracking evaluator: dynamic atom choice, full scans.
@@ -904,7 +826,7 @@ def enumerate_bindings_naive(
     benchmark measures the indexed path against.  Takes the same parameters
     except for ``plan`` (it never plans).
     """
-    counter = _deadline_guarded(counter)
+    deadline = checked_deadline()
     extra_relations = extra_relations or {}
 
     def lookup(name: str) -> Relation:
@@ -920,8 +842,8 @@ def enumerate_bindings_naive(
     comparisons = list(comparisons)
 
     def backtrack(remaining: List[RelationAtom], binding: Binding, checked: set) -> Iterator[Binding]:
-        if counter is not None:
-            counter.tick()
+        if deadline is not None:
+            deadline.tick()
         status = _ready_comparisons(comparisons, binding, checked)
         if status is False:
             return
@@ -938,17 +860,13 @@ def enumerate_bindings_naive(
         atom = remaining[index]
         rest = remaining[:index] + remaining[index + 1 :]
         for row in lookup(atom.relation):
-            if counter is not None:
-                counter.tick()
+            if deadline is not None:
+                deadline.tick()
             extended = _match_atom_against_row(atom, row, binding)
             if extended is None:
                 continue
             yield from backtrack(rest, extended, set(checked))
 
-    finished = False
-    try:
-        yield from backtrack(list(relation_atoms), base_binding, set())
-        finished = True
-    finally:
-        if counter is not None:
-            counter.flush(check=finished)
+    yield from backtrack(list(relation_atoms), base_binding, set())
+    if deadline is not None:
+        deadline.check()

@@ -10,7 +10,7 @@ constraint "no more than two museums" and most hardness gadgets are CQs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 from repro.queries.ast import (
     And,
@@ -25,7 +25,7 @@ from repro.queries.ast import (
     is_conjunctive,
 )
 from repro.queries.base import Query, unique_attribute_names
-from repro.queries.bindings import StepCounter, enumerate_bindings, project_bindings
+from repro.queries.bindings import enumerate_bindings, project_bindings
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import QueryError
 from repro.relational.schema import Value
@@ -114,7 +114,6 @@ class ConjunctiveQuery(Query):
     def evaluate(
         self,
         database: Database,
-        counter: Optional[StepCounter] = None,
         extra_relations=None,
     ) -> Relation:
         result = self.empty_answer()
@@ -123,7 +122,6 @@ class ConjunctiveQuery(Query):
             self.atoms,
             self.comparisons,
             self.head,
-            counter=counter,
             extra_relations=extra_relations,
         ):
             result.add(row)
@@ -132,7 +130,6 @@ class ConjunctiveQuery(Query):
     def is_satisfiable_on(
         self,
         database: Database,
-        counter: Optional[StepCounter] = None,
         extra_relations=None,
     ) -> bool:
         """Whether ``Q(D)`` is non-empty (early exit after the first answer)."""
@@ -140,7 +137,6 @@ class ConjunctiveQuery(Query):
             database,
             self.atoms,
             self.comparisons,
-            counter=counter,
             extra_relations=extra_relations,
         ):
             return True

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.queries.ast import Comparison, Const, RelationAtom, Term, Var
 from repro.queries.base import Query, unique_attribute_names
-from repro.queries.bindings import StepCounter, project_bindings
+from repro.queries.bindings import project_bindings
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import QueryError
 from repro.relational.schema import RelationSchema, Value
@@ -214,7 +214,6 @@ class DatalogProgram(Query):
         rule: DatalogRule,
         database: Database,
         idb: Mapping[str, Relation],
-        counter: Optional[StepCounter],
         delta: Optional[Mapping[str, Relation]] = None,
         delta_position: Optional[int] = None,
     ) -> Set[Row]:
@@ -240,14 +239,11 @@ class DatalogProgram(Query):
                 atoms,
                 rule.comparisons,
                 rule.head.terms,
-                counter=counter,
                 extra_relations=extra,
             )
         )
 
-    def evaluate_all(
-        self, database: Database, counter: Optional[StepCounter] = None
-    ) -> Dict[str, Relation]:
+    def evaluate_all(self, database: Database) -> Dict[str, Relation]:
         """Fixpoint of the whole program: every IDB predicate's relation."""
         idb: Dict[str, Relation] = {
             predicate: Relation(self._idb_schema(predicate)) for predicate in self._idb_arities
@@ -255,7 +251,7 @@ class DatalogProgram(Query):
         # Round 0: rules fire on EDB-only information.
         delta: Dict[str, Set[Row]] = {predicate: set() for predicate in self._idb_arities}
         for rule in self.rules:
-            for row in self._apply_rule(rule, database, idb, counter):
+            for row in self._apply_rule(rule, database, idb):
                 delta[rule.head.relation].add(row)
         while any(delta.values()):
             delta_relations = {
@@ -277,7 +273,7 @@ class DatalogProgram(Query):
                     if not delta_relations[rule.body[position].relation].rows():
                         continue
                     derived = self._apply_rule(
-                        rule, database, idb, counter, delta_relations, position
+                        rule, database, idb, delta_relations, position
                     )
                     for row in derived:
                         if row not in idb[rule.head.relation].rows():
@@ -285,16 +281,14 @@ class DatalogProgram(Query):
             delta = new_delta
         return idb
 
-    def evaluate(
-        self, database: Database, counter: Optional[StepCounter] = None, extra_relations=None
-    ) -> Relation:
+    def evaluate(self, database: Database, extra_relations=None) -> Relation:
         if extra_relations:
             database = database.copy()
             for name, relation in extra_relations.items():
                 if name in database:
                     database = database.without_relation(name)
                 database.add_relation(relation)
-        idb = self.evaluate_all(database, counter=counter)
+        idb = self.evaluate_all(database)
         result = self.empty_answer()
         result.add_all(idb[self.output].rows())
         return result
@@ -319,9 +313,7 @@ class NonRecursiveDatalogProgram(DatalogProgram):
                 f"program {name!r} is recursive; use DatalogProgram for recursive queries"
             )
 
-    def evaluate_all(
-        self, database: Database, counter: Optional[StepCounter] = None
-    ) -> Dict[str, Relation]:
+    def evaluate_all(self, database: Database) -> Dict[str, Relation]:
         """Evaluate predicates bottom-up along a topological order (no fixpoint)."""
         idb: Dict[str, Relation] = {
             predicate: Relation(self._idb_schema(predicate)) for predicate in self._idb_arities
@@ -331,5 +323,5 @@ class NonRecursiveDatalogProgram(DatalogProgram):
             rules_by_head.setdefault(rule.head.relation, []).append(rule)
         for predicate in self.stratification():
             for rule in rules_by_head.get(predicate, ()):  # pragma: no branch
-                idb[predicate].add_all(self._apply_rule(rule, database, idb, counter))
+                idb[predicate].add_all(self._apply_rule(rule, database, idb))
         return idb

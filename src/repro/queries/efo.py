@@ -32,7 +32,6 @@ from repro.queries.ast import (
     fresh_variables,
 )
 from repro.queries.base import Query
-from repro.queries.bindings import StepCounter
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.database import Database, Relation, Row
@@ -161,10 +160,9 @@ class PositiveExistentialQuery(Query):
     def evaluate(
         self,
         database: Database,
-        counter: Optional[StepCounter] = None,
         extra_relations=None,
     ) -> Relation:
-        return self.to_ucq().evaluate(database, counter=counter, extra_relations=extra_relations)
+        return self.to_ucq().evaluate(database, extra_relations=extra_relations)
 
     def contains(self, database: Database, row: Row) -> bool:
         return self.to_ucq().contains(database, row)

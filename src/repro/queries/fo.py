@@ -35,11 +35,11 @@ from repro.queries.ast import (
     relation_names,
 )
 from repro.queries.base import Query
-from repro.queries.bindings import StepCounter
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import EvaluationError, QueryError
 from repro.relational.ordering import value_sort_key
 from repro.relational.schema import Value
+from repro.resilience.deadline import checked_deadline
 
 
 @dataclass
@@ -95,11 +95,10 @@ class FirstOrderQuery(Query):
     def evaluate(
         self,
         database: Database,
-        counter: Optional[StepCounter] = None,
         extra_relations: Optional[Mapping[str, Relation]] = None,
     ) -> Relation:
         domain = self.active_domain(database, extra_relations)
-        evaluator = _FormulaEvaluator(database, domain, counter, extra_relations)
+        evaluator = _FormulaEvaluator(database, domain, extra_relations)
         result = self.empty_answer()
         head_vars: List[Var] = []
         seen = set()
@@ -115,6 +114,7 @@ class FirstOrderQuery(Query):
                         binding[t.name] if isinstance(t, Var) else t.value for t in self.head
                     )
                 )
+        evaluator.finish()
         return result
 
     def contains(self, database: Database, row: Row) -> bool:
@@ -131,16 +131,20 @@ class FirstOrderQuery(Query):
                     return False
                 binding[term.name] = value
         domain = self.active_domain(database)
-        evaluator = _FormulaEvaluator(database, domain, None, None)
-        return evaluator.satisfies(self.formula, binding)
+        evaluator = _FormulaEvaluator(database, domain, None)
+        verdict = evaluator.satisfies(self.formula, binding)
+        evaluator.finish()
+        return verdict
 
     def is_boolean_true(self, database: Database) -> bool:
         """Evaluate a Boolean (0-ary) FO query to a truth value."""
         if self.head:
             raise QueryError("is_boolean_true is only defined for Boolean queries")
         domain = self.active_domain(database)
-        evaluator = _FormulaEvaluator(database, domain, None, None)
-        return evaluator.satisfies(self.formula, {})
+        evaluator = _FormulaEvaluator(database, domain, None)
+        verdict = evaluator.satisfies(self.formula, {})
+        evaluator.finish()
+        return verdict
 
     def constants(self) -> Tuple[Value, ...]:
         """All constants in head and formula."""
@@ -153,19 +157,29 @@ class FirstOrderQuery(Query):
 
 
 class _FormulaEvaluator:
-    """Structural-recursion satisfaction checking for FO formulas."""
+    """Structural-recursion satisfaction checking for FO formulas.
+
+    Charges the ambient :class:`~repro.resilience.deadline.Deadline`, read
+    and checked once when the evaluator is made, one step per
+    :meth:`satisfies` call; the join-guided ``∃`` candidates charge it
+    through :func:`~repro.queries.bindings.enumerate_bindings`.
+    """
 
     def __init__(
         self,
         database: Database,
         domain: Sequence[Value],
-        counter: Optional[StepCounter],
         extra_relations: Optional[Mapping[str, Relation]],
     ) -> None:
         self._database = database
         self._domain = tuple(domain)
-        self._counter = counter
         self._extra = dict(extra_relations or {})
+        self._deadline = checked_deadline()
+
+    def finish(self) -> None:
+        """Check the deadline once more: the run has reached its end."""
+        if self._deadline is not None:
+            self._deadline.check()
 
     def _relation(self, name: str) -> Relation:
         if name in self._extra:
@@ -173,8 +187,8 @@ class _FormulaEvaluator:
         return self._database.relation(name)
 
     def satisfies(self, formula: Formula, binding: Mapping[str, Value]) -> bool:
-        if self._counter is not None:
-            self._counter.tick()
+        if self._deadline is not None:
+            self._deadline.tick()
         if isinstance(formula, RelationAtom):
             values = []
             for term in formula.terms:
@@ -260,7 +274,6 @@ class _FormulaEvaluator:
                     positive_atoms,
                     (),
                     initial_binding=initial,
-                    counter=self._counter,
                     extra_relations=self._extra,
                 )
             except Exception:  # pragma: no cover - fall back to plain iteration

@@ -10,10 +10,7 @@ and benchmarks can exercise exactly that problem.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.queries.base import Query, takes_parameter
-from repro.queries.bindings import StepCounter
+from repro.queries.base import Query
 from repro.relational.database import Database, Row
 
 
@@ -22,15 +19,11 @@ def is_member(query: Query, database: Database, row: Row) -> bool:
     return query.contains(database, tuple(row))
 
 
-def answer_size(query: Query, database: Database, counter: Optional[StepCounter] = None) -> int:
+def answer_size(query: Query, database: Database) -> int:
     """``|Q(D)|`` — used by workload generators and sanity checks.
 
-    One evaluation.  ``counter`` reaches it when the query class's
-    ``evaluate`` takes one, and is dropped for one implementing only the
-    base ``evaluate(database)``; an error the evaluation raises propagates.
+    One evaluation; an error the evaluation raises propagates.
     """
-    if takes_parameter(query.evaluate, "counter"):
-        return len(query.evaluate(database, counter=counter))
     return len(query.evaluate(database))
 
 

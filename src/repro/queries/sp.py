@@ -16,11 +16,11 @@ from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.queries.ast import Comparison, Const, RelationAtom, Term, Var, as_term
 from repro.queries.base import Query, unique_attribute_names
-from repro.queries.bindings import StepCounter
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import QueryError
 from repro.relational.schema import Value
+from repro.resilience.deadline import checked_deadline
 
 
 @dataclass
@@ -92,9 +92,9 @@ class SPQuery(Query):
     def relations_used(self) -> FrozenSet[str]:
         return frozenset({self.relation})
 
-    def evaluate(
-        self, database: Database, counter: Optional[StepCounter] = None, extra_relations=None
-    ) -> Relation:
+    def evaluate(self, database: Database, extra_relations=None) -> Relation:
+        """One scan of the relation, charging the ambient deadline one step per row."""
+        deadline = checked_deadline()
         source = (
             extra_relations[self.relation]
             if extra_relations and self.relation in extra_relations
@@ -102,6 +102,8 @@ class SPQuery(Query):
         )
         result = self.empty_answer()
         for row in source:
+            if deadline is not None:
+                deadline.tick()
             binding = self._match(row)
             if binding is None:
                 continue
@@ -111,8 +113,8 @@ class SPQuery(Query):
                         binding[t.name] if isinstance(t, Var) else t.value for t in self.head
                     )
                 )
-            if counter is not None:
-                counter.tick()
+        if deadline is not None:
+            deadline.check()
         return result
 
     def _match(self, row: Row) -> Optional[dict]:

@@ -8,10 +8,9 @@ UCQ with two disjuncts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.queries.base import Query
-from repro.queries.bindings import StepCounter
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.database import Database, Relation, Row
 from repro.relational.errors import QueryError
@@ -55,12 +54,11 @@ class UnionOfConjunctiveQueries(Query):
     def evaluate(
         self,
         database: Database,
-        counter: Optional[StepCounter] = None,
         extra_relations=None,
     ) -> Relation:
         result = self.empty_answer()
         for cq in self.disjuncts:
-            partial = cq.evaluate(database, counter=counter, extra_relations=extra_relations)
+            partial = cq.evaluate(database, extra_relations=extra_relations)
             result.add_all(partial.rows())
         return result
 

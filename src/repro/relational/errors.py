@@ -49,12 +49,9 @@ class ModelError(ReproError):
     """A recommendation problem specification is inconsistent."""
 
 
-class BudgetExceededError(EvaluationError):
-    """A configurable resource guard (time / search nodes) was exceeded."""
-
-
-class StepLimitExceeded(BudgetExceededError):
-    """A :class:`~repro.queries.bindings.StepCounter` hit its step limit.
+class StepLimitExceeded(EvaluationError):
+    """A search charged more steps than its
+    :class:`~repro.resilience.deadline.Deadline`'s ``max_steps``.
 
     Dedicated (rather than a bare :class:`EvaluationError`) so the serving
     layer's error taxonomy can map a step-budget abort to a typed per-request

@@ -302,10 +302,8 @@ class RelaxedQuery(Query):
             if self._passes_filters(row[base_arity:], domain):
                 yield row[:base_arity]
 
-    def evaluate(self, database: Database, counter=None, extra_relations=None) -> Relation:
-        widened_answer = self._rewritten.evaluate(
-            database, counter=counter, extra_relations=extra_relations
-        )
+    def evaluate(self, database: Database, extra_relations=None) -> Relation:
+        widened_answer = self._rewritten.evaluate(database, extra_relations=extra_relations)
         result = self.empty_answer()
         for row in self.project_filtered(widened_answer, database):
             result.add(row)

@@ -8,8 +8,8 @@ Three small modules:
   :class:`ServeError` record for error ``ServeResult``\\ s.
 - :mod:`~repro.resilience.deadline` — per-request :class:`Deadline` budgets
   (wall clock / cancellation / steps) carried ambiently via
-  :func:`deadline_scope` and honoured inside ``enumerate_bindings`` and the
-  package-lattice DFS loops.
+  :func:`deadline_scope` and charged by every evaluator entry point and
+  every package-lattice traversal: the one search budget.
 - :mod:`~repro.resilience.faults` — the deterministic chaos harness:
   seeded :class:`FaultPlan`\\ s that raise :class:`InjectedFault` at
   registered injection points, all-off bit-identical.

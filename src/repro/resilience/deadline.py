@@ -1,16 +1,14 @@
 """Deadlines and cancellation tokens for bounded request evaluation.
 
-The evaluator (:func:`repro.queries.bindings.enumerate_bindings`) and the
-package-lattice DFS loops (:class:`repro.core.enumeration.PackageSearchEngine`)
-can run for an unbounded time on adversarial inputs.  A :class:`Deadline`
-bounds one request: a wall-clock expiry, an optional cooperative
-:class:`CancellationToken`, and an optional step budget, all checked from the
-same two hooks the step counter already owns (one :meth:`Deadline.check` at
-entry, amortised :meth:`Deadline.tick` calls inside the hot loops).
+The paper's problems are intractable in the query, so the evaluator
+(:mod:`repro.queries`) and the package-lattice walks
+(:mod:`repro.core.enumeration`) can run for an unbounded time on adversarial
+inputs.  A :class:`Deadline` bounds one search: a wall-clock expiry, an
+optional cooperative :class:`CancellationToken`, and an optional step budget.
 
 The deadline travels *ambiently*: the serving layer wraps each request in
 :func:`deadline_scope`, and the evaluation stack picks it up with
-:func:`current_deadline` at its entry points.  The scope is thread-local, so
+:func:`checked_deadline` at its entry points.  The scope is thread-local, so
 a worker thread's deadline never leaks into a neighbour — and it is read at
 entry-point *call* time, never captured at object construction, because the
 long-lived :class:`~repro.core.oracle.ExistPackOracle` shares one search
@@ -30,6 +28,11 @@ from typing import Iterator, Optional
 from repro.observability import metrics as _metrics
 from repro.relational.errors import StepLimitExceeded
 from repro.resilience.errors import RequestCancelled, RequestTimeout
+
+#: How many charged steps may pass between two reads of the clock and the
+#: cancellation token.  Amortises the wall-clock read; a search can overshoot
+#: an expired deadline or a cancellation by at most this many steps.
+_DEADLINE_FLUSH_EVERY = 128
 
 
 class CancellationToken:
@@ -54,11 +57,27 @@ class CancellationToken:
 
 
 class Deadline:
-    """One request's evaluation budget: wall clock, cancellation, steps.
+    """A search's one budget: wall clock, cancellation, steps.
 
     ``expires_at`` is a :func:`time.monotonic` instant (``None`` for no time
     bound); ``token`` an optional :class:`CancellationToken`; ``max_steps``
     an optional bound on the search steps charged via :meth:`tick`.
+
+    It is the one search budget.  Every evaluator entry point and every
+    lattice traversal reads the ambient deadline once, checks it fail-fast,
+    and charges it: one step per search node entered, per candidate row
+    considered, per first-order subformula checked and per lattice node.
+    :meth:`tick` counts every step exactly and raises
+    :class:`~repro.relational.errors.StepLimitExceeded` at the first tick
+    past ``max_steps``; it reads the clock and the token only once per
+    :data:`_DEADLINE_FLUSH_EVERY` charged steps, and a run that reaches its
+    end calls :meth:`check` once more.  So an evaluation overshoots an
+    expired deadline or a cancellation by fewer than
+    :data:`_DEADLINE_FLUSH_EVERY` steps and never overshoots ``max_steps``.
+    The lattice walk charges its nodes in strides of 64
+    (:data:`~repro.core.enumeration._DEADLINE_STRIDE`), so it overshoots any
+    budget by less than one stride more; a walk that runs to its end
+    re-checks, and one closed early charges its last nodes without a check.
 
     :meth:`check` raises the matching typed error the moment any budget is
     exhausted — :class:`RequestCancelled` wins over :class:`RequestTimeout`
@@ -67,7 +86,7 @@ class Deadline:
     :class:`~repro.relational.errors.StepLimitExceeded`.
     """
 
-    __slots__ = ("expires_at", "token", "max_steps", "steps")
+    __slots__ = ("expires_at", "token", "max_steps", "steps", "_next_check")
 
     def __init__(
         self,
@@ -79,6 +98,7 @@ class Deadline:
         self.token = token
         self.max_steps = max_steps
         self.steps = 0
+        self._schedule()
 
     @classmethod
     def after(
@@ -100,8 +120,17 @@ class Deadline:
     def expired(self) -> bool:
         return self.expires_at is not None and time.monotonic() >= self.expires_at
 
+    def _schedule(self) -> None:
+        """Set the step count at which :meth:`tick` next calls :meth:`check`:
+        one clock-read stride on, or the first step past ``max_steps`` if sooner."""
+        next_check = self.steps + _DEADLINE_FLUSH_EVERY
+        if self.max_steps is not None and self.max_steps < next_check:
+            next_check = self.max_steps + 1
+        self._next_check = next_check
+
     def check(self) -> None:
         """Raise the typed error for the first exhausted budget, if any."""
+        self._schedule()
         if self.token is not None and self.token.cancelled:
             raise RequestCancelled("request cancelled")
         if self.expires_at is not None and time.monotonic() >= self.expires_at:
@@ -113,9 +142,11 @@ class Deadline:
             raise StepLimitExceeded(self.max_steps, self.steps)
 
     def tick(self, amount: int = 1) -> None:
-        """Charge ``amount`` search steps and re-check every budget."""
+        """Charge ``amount`` search steps; re-check every budget once per
+        clock-read stride and at the first step past ``max_steps``."""
         self.steps += amount
-        self.check()
+        if self.steps >= self._next_check:
+            self.check()
 
 
 _AMBIENT = threading.local()
@@ -124,6 +155,15 @@ _AMBIENT = threading.local()
 def current_deadline() -> Optional[Deadline]:
     """The deadline of the innermost enclosing :func:`deadline_scope`, if any."""
     return getattr(_AMBIENT, "deadline", None)
+
+
+def checked_deadline() -> Optional[Deadline]:
+    """:func:`current_deadline`, checked fail-fast: how every evaluator entry
+    point and lattice traversal reads its budget before charging it."""
+    deadline = getattr(_AMBIENT, "deadline", None)
+    if deadline is not None:
+        deadline.check()
+    return deadline
 
 
 @contextmanager

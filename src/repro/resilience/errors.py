@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.relational.errors import BudgetExceededError, ReproError, StepLimitExceeded
+from repro.relational.errors import ReproError, StepLimitExceeded
 
 
 class ResilienceError(ReproError):
@@ -98,8 +98,8 @@ class ServeError:
 def classify_error(error: BaseException) -> ServeError:
     """Map an exception onto the typed :class:`ServeError` taxonomy.
 
-    Order matters: the specific resilience classes first, then the step-limit
-    family (a deterministic resource abort, surfaced with its own code so
+    Order matters: the specific resilience classes first, then the step
+    budget (a deterministic resource abort, surfaced with its own code so
     clients can distinguish "raise the budget" from "broken request"), then
     the generic catch-all.
     """
@@ -111,7 +111,7 @@ def classify_error(error: BaseException) -> ServeError:
         return ServeError("overloaded", str(error), retryable=True)
     if isinstance(error, InjectedFault):
         return ServeError("fault", str(error), retryable=error.transient)
-    if isinstance(error, (StepLimitExceeded, BudgetExceededError)):
+    if isinstance(error, StepLimitExceeded):
         return ServeError("step_limit", str(error), retryable=False)
     if isinstance(error, RequestFailed):
         return ServeError("failed", str(error), retryable=error.retryable)

@@ -23,7 +23,7 @@ import pytest
 from repro.core import QueryConstraint
 from repro.core.packages import Package
 from repro.queries.ast import And, Comparison, ComparisonOp, Exists, Or, RelationAtom, Var
-from repro.queries.bindings import StepCounter, enumerate_bindings_naive
+from repro.queries.bindings import enumerate_bindings_naive
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.efo import PositiveExistentialQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
@@ -223,8 +223,8 @@ def test_probe_raises_where_copying_raises_on_a_mixed_type_column(kind, pinned):
 
 @pytest.mark.parametrize("pinned", [False, True])
 def test_probe_spends_the_ambient_step_budget(pinned):
-    # Every one of 30 courses: a probe of several hundred steps, more than a
-    # step counter accumulates before it charges the request's deadline.
+    # Every one of 30 courses: a probe of several hundred steps, more than
+    # the deadline charges between two reads of its clock.
     database = random_course_database(30, prereq_probability=0.9, seed=2)
     probed = database.snapshot() if pinned else database
     constraint = QueryConstraint(same_area_cq())
@@ -245,24 +245,25 @@ def test_probe_spends_the_ambient_step_budget(pinned):
 
 @pytest.mark.parametrize("courses", [12, 30], ids=["short", "long"])
 def test_probe_charges_every_step_to_the_ambient_deadline(courses):
-    """The evaluator charges its last, unflushed steps when it ends: a probe
-    shorter than the counter's flush stride costs the request its steps."""
+    """A probe charges the request every step its evaluation takes, whether
+    it is shorter or longer than the deadline's clock-read stride."""
     database = random_course_database(courses, prereq_probability=0.9, seed=2)
     constraint = QueryConstraint(same_area_cq())
     relation = database.relation("course")
     package = Package(relation.schema, relation.rows())
     answer = {constraint.answer_relation: package.as_relation(constraint.answer_relation)}
-    counter = StepCounter()
-    constraint.query.evaluate(database, counter=counter, extra_relations=answer)
-    assert (counter.steps < 128) == (courses == 12)  # under / over the flush stride
+    with deadline_scope(Deadline()) as direct:
+        constraint.query.evaluate(database, extra_relations=answer)
+    steps = direct.steps
+    assert (steps < 128) == (courses == 12)  # under / over the clock-read stride
     budget = Deadline()
     with deadline_scope(budget):
         verdict = constraint.is_satisfied(package, database)
-    assert budget.steps == counter.steps
-    with deadline_scope(Deadline(max_steps=counter.steps - 1)):
+    assert budget.steps == steps
+    with deadline_scope(Deadline(max_steps=steps - 1)):
         with pytest.raises(StepLimitExceeded):
             constraint.is_satisfied(package, database)
-    with deadline_scope(Deadline(max_steps=counter.steps)):
+    with deadline_scope(Deadline(max_steps=steps)):
         assert constraint.is_satisfied(package, database) is verdict
 
 
@@ -272,21 +273,22 @@ def test_the_naive_evaluator_charges_every_step_to_the_ambient_deadline():
     extra = {"RQ": Package(courses.schema, sorted(courses.rows())[:6]).as_relation("RQ")}
     area = same_area_cq()
 
-    def run(counter=None):
+    def run():
         return list(
             enumerate_bindings_naive(
-                database, area.atoms, area.comparisons, counter=counter, extra_relations=extra
+                database, area.atoms, area.comparisons, extra_relations=extra
             )
         )
 
-    counter = StepCounter()
     budget = Deadline()
     with deadline_scope(budget):
-        run(counter)
-    assert 0 < counter.steps < 128 and budget.steps == counter.steps
-    with deadline_scope(Deadline(max_steps=counter.steps - 1)):
+        answers = run()
+    assert 0 < budget.steps < 128
+    with deadline_scope(Deadline(max_steps=budget.steps - 1)):
         with pytest.raises(StepLimitExceeded):
             run()
+    with deadline_scope(Deadline(max_steps=budget.steps)):
+        assert run() == answers
 
 
 @pytest.mark.parametrize("kind", sorted(CONSTRAINTS))

@@ -29,7 +29,8 @@ from repro.core import (
 from repro.core.enumeration import PackageSearchEngine
 from repro.queries import identity_query_for
 from repro.relational import Database
-from repro.relational.errors import BudgetExceededError
+from repro.relational.errors import StepLimitExceeded
+from repro.resilience.deadline import Deadline, deadline_scope
 
 
 class TestEnumeration:
@@ -44,9 +45,9 @@ class TestEnumeration:
         candidates = list(enumerate_candidate_packages(problem, include_empty=True))
         assert any(package.is_empty() for package in candidates)
 
-    def test_max_candidates_guard(self, poi_problem):
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_candidate_packages(poi_problem, max_candidates=5))
+    def test_step_budget_bounds_the_candidate_enumeration(self, poi_problem):
+        with deadline_scope(Deadline(max_steps=5)), pytest.raises(StepLimitExceeded):
+            list(enumerate_candidate_packages(poi_problem))
 
     def test_valid_enumeration_respects_all_conditions(self, poi_problem):
         for package in enumerate_valid_packages(poi_problem):

@@ -57,9 +57,10 @@ from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.queries.ast import Comparison, ComparisonOp, RelationAtom, Var
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.database import Database
-from repro.relational.errors import BudgetExceededError
+from repro.relational.errors import StepLimitExceeded
 from repro.relaxation.qrpp import find_package_relaxation
 from repro.relaxation.relax import RelaxationSpace
+from repro.resilience.deadline import Deadline, deadline_scope
 
 from scenarios import probe_path, random_problem
 
@@ -166,41 +167,42 @@ def test_excluded_packages_are_skipped_identically(seed):
 
 
 # ---------------------------------------------------------------------------
-# The ``max_candidates`` guard, on all three search modes
+# The step budget, on all three search modes
 # ---------------------------------------------------------------------------
 SEARCH_MODES = {
-    "iter_valid": lambda engine, bound, limit: list(
-        engine.iter_valid(rating_bound=bound, max_candidates=limit)
-    ),
-    "count_valid": lambda engine, bound, limit: engine.count_valid(
-        rating_bound=bound, max_candidates=limit
-    ),
-    "best_valid": lambda engine, bound, limit: engine.best_valid(
-        engine.problem.k, max_candidates=limit
-    ),
+    "iter_valid": lambda engine, bound: list(engine.iter_valid(rating_bound=bound)),
+    "count_valid": lambda engine, bound: engine.count_valid(rating_bound=bound),
+    "best_valid": lambda engine, bound: engine.best_valid(engine.problem.k),
 }
 
 
 @pytest.mark.parametrize("mode", sorted(SEARCH_MODES))
 @pytest.mark.parametrize("seed", range(0, NUM_DIFFERENTIAL_SEEDS, 11))
-def test_max_candidates_guard_fires_exactly_past_the_search_size(seed, mode):
-    """The guard raises iff the search would examine more than the limit."""
-    problem, rating_bound = _random_problem(seed)
+def test_step_budget_fires_exactly_past_the_search_size(seed, mode):
+    """``Deadline(max_steps=N)`` raises iff the search charges more than N
+    steps: one per examined node plus its ``Qc`` probes' evaluator steps.
+    Each run is on a fresh problem, so no run reuses another's verdicts."""
     search = SEARCH_MODES[mode]
-    engine = PackageSearchEngine(problem)
+
+    def run(max_steps):
+        problem, rating_bound = _random_problem(seed)
+        engine = PackageSearchEngine(problem)
+        with deadline_scope(Deadline(max_steps=max_steps)) as budget:
+            return search(engine, rating_bound), budget.steps
+
     registry = MetricsRegistry()
     with use_metrics(registry):
-        unguarded = search(engine, rating_bound, None)
+        unbounded, steps = run(None)
     examined = registry.counter("engine.nodes.examined")
-    assert examined > 0
+    assert 0 < examined <= steps
     if mode == "best_valid":
-        assert unguarded[1] == examined
-    # A limit equal to (or above) the search's own size never fires.
-    assert search(engine, rating_bound, examined) == unguarded
-    assert search(engine, rating_bound, examined + 1) == unguarded
-    for limit in sorted({0, examined // 2, examined - 1}):
-        with pytest.raises(BudgetExceededError):
-            search(engine, rating_bound, limit)
+        assert unbounded[1] == examined
+    # A budget equal to (or above) the search's own steps never fires.
+    assert run(steps) == (unbounded, steps)
+    assert run(steps + 1) == (unbounded, steps)
+    for limit in sorted({0, steps // 2, steps - 1}):
+        with pytest.raises(StepLimitExceeded):
+            run(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Pins down the contract the indexed evaluator relies on: most-constrained-first
 atom ordering (replicating the naive evaluator's dynamic choice), index probes
 whenever a term position is resolved (bound variable or constant), and
-step-counter behaviour — identical tick counts to the naive path when no index
+step budget behaviour — identical tick counts to the naive path when no index
 applies, and the same abort semantics always.
 """
 
@@ -12,10 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.queries.ast import Comparison, ComparisonOp, Const, RelationAtom, Var
-from repro.queries.bindings import StepCounter, enumerate_bindings, enumerate_bindings_naive
+from repro.queries.bindings import enumerate_bindings, enumerate_bindings_naive
 from repro.queries.plan import plan_conjunction
 from repro.relational.database import Database
 from repro.relational.errors import EvaluationError
+from repro.resilience.deadline import Deadline, deadline_scope
 
 from scenarios import forced_plan
 
@@ -176,12 +177,12 @@ def test_unresolvable_comparisons_are_flagged():
 
 
 # ---------------------------------------------------------------------------
-# StepCounter semantics
+# Step budget semantics
 # ---------------------------------------------------------------------------
 def _count_steps(evaluator, graph, atoms, comparisons=(), limit=None):
-    counter = StepCounter(limit)
-    list(evaluator(graph, atoms, comparisons, counter=counter))
-    return counter.steps
+    with deadline_scope(Deadline(max_steps=limit)) as budget:
+        list(evaluator(graph, atoms, comparisons))
+    return budget.steps
 
 
 def test_full_scan_tick_counts_match_the_naive_path(graph):
@@ -216,13 +217,13 @@ def test_step_limit_aborts_at_the_same_count_when_scanning(graph):
     single = [RelationAtom("edge", [X, Y])]
     total = _count_steps(enumerate_bindings, graph, single)
     for limit in range(1, total):
-        planned = StepCounter(limit)
-        naive = StepCounter(limit)
-        with pytest.raises(EvaluationError):
-            list(enumerate_bindings(graph, single, counter=planned))
-        with pytest.raises(EvaluationError):
-            list(enumerate_bindings_naive(graph, single, counter=naive))
-        assert planned.steps == naive.steps
+        planned = Deadline(max_steps=limit)
+        naive = Deadline(max_steps=limit)
+        with deadline_scope(planned), pytest.raises(EvaluationError):
+            list(enumerate_bindings(graph, single))
+        with deadline_scope(naive), pytest.raises(EvaluationError):
+            list(enumerate_bindings_naive(graph, single))
+        assert planned.steps == naive.steps == limit + 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.queries import ConjunctiveQuery, StepCounter, answer_size, cq_from_formula
+from repro.queries import ConjunctiveQuery, answer_size, cq_from_formula
 from repro.queries.ast import And, Comparison, Exists, RelationAtom, Var
 from repro.queries.bindings import enumerate_bindings
 from repro.relational import Database
 from repro.relational.errors import EvaluationError, QueryError
+from repro.resilience.deadline import Deadline, deadline_scope
 
 
 @pytest.fixture
@@ -115,12 +116,11 @@ class TestConjunctiveQuery:
 
 
 class TestBindingEnumeration:
-    def test_step_counter_limits_work(self, graph: Database):
+    def test_step_budget_limits_work(self, graph: Database):
         x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
         atoms = [RelationAtom("edge", [x, y]), RelationAtom("edge", [z, w])]
-        counter = StepCounter(limit=3)
-        with pytest.raises(EvaluationError):
-            list(enumerate_bindings(graph, atoms, counter=counter))
+        with deadline_scope(Deadline(max_steps=3)), pytest.raises(EvaluationError):
+            list(enumerate_bindings(graph, atoms))
 
     def test_initial_binding_restricts_results(self, graph: Database):
         x, y = Var("x"), Var("y")
@@ -150,26 +150,26 @@ class TestBindingEnumeration:
 
 
 class TestAnswerSize:
-    """``answer_size`` evaluates once and hands the caller's counter on."""
+    """``answer_size`` evaluates once, under the ambient deadline."""
 
     def _recording(self, query: ConjunctiveQuery):
         calls = []
         evaluate = query.evaluate
 
-        def recorded(database, counter=None, extra_relations=None):
-            calls.append(counter)
-            return evaluate(database, counter=counter, extra_relations=extra_relations)
+        def recorded(database, extra_relations=None):
+            calls.append(database)
+            return evaluate(database, extra_relations=extra_relations)
 
         query.evaluate = recorded
         return calls
 
-    def test_counts_with_the_callers_counter(self, graph: Database):
+    def test_counts_under_the_ambient_deadline(self, graph: Database):
         x, y = Var("x"), Var("y")
         query = ConjunctiveQuery([x, y], [RelationAtom("edge", [x, y])])
         calls = self._recording(query)
-        counter = StepCounter()
-        assert answer_size(query, graph, counter=counter) == len(graph.relation("edge"))
-        assert calls == [counter] and counter.steps > 0
+        with deadline_scope(Deadline()) as budget:
+            assert answer_size(query, graph) == len(graph.relation("edge"))
+        assert calls == [graph] and budget.steps > 0
 
     def test_a_type_error_in_the_evaluation_propagates_after_one_run(self):
         database = Database()
@@ -181,12 +181,11 @@ class TestAnswerSize:
             [Comparison("<", v, w)],
         )
         calls = self._recording(query)
-        counter = StepCounter(limit=10_000)
-        with pytest.raises(TypeError):
-            answer_size(query, database, counter=counter)
-        assert calls == [counter]
+        with deadline_scope(Deadline(max_steps=10_000)), pytest.raises(TypeError):
+            answer_size(query, database)
+        assert calls == [database]
 
-    def test_a_query_without_a_counter_parameter_is_evaluated_once(self, graph: Database):
+    def test_a_query_without_extra_parameters_is_evaluated_once(self, graph: Database):
         x, y = Var("x"), Var("y")
         inner = ConjunctiveQuery([x, y], [RelationAtom("edge", [x, y])])
         calls = []
@@ -196,5 +195,5 @@ class TestAnswerSize:
                 calls.append(database)
                 return inner.evaluate(database)
 
-        assert answer_size(Bare(), graph, counter=StepCounter()) == len(graph.relation("edge"))
+        assert answer_size(Bare(), graph) == len(graph.relation("edge"))
         assert calls == [graph]

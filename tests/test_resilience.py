@@ -18,7 +18,7 @@ from repro.core import count_valid_packages
 from repro.core.enumeration import _DEADLINE_STRIDE, PackageSearchEngine
 from repro.observability import MetricsRegistry, use_metrics
 from repro.queries.ast import RelationAtom, Var
-from repro.queries.bindings import StepCounter, enumerate_bindings, enumerate_bindings_naive
+from repro.queries.bindings import enumerate_bindings, enumerate_bindings_naive
 from repro.relational.database import Database
 from repro.relational.errors import (
     EvaluationError,
@@ -53,6 +53,19 @@ from repro.serving import (
 )
 
 from scenarios import probe_path
+
+
+def witness_poison_problem():
+    """A lattice that outlasts the 20 ms timers below with witness verdicts.
+
+    :func:`overload_problem` over 150 items with a size-4 package bound.  On
+    a 2-core host its count takes 290–390 ms unbounded (served, and on the
+    engine), over 10x the timers, while a served request's cold start (pin,
+    ``Q(D)``, witness build) takes ≈4 ms of the 20 ms deadline.  The size
+    bound, not the items, makes it long: a size-3 lattice as long needs
+    ≈300 items, whose cold start (≈13 ms) the deadline often cuts short.
+    """
+    return overload_problem(150, seed=3).with_constant_bound(4)
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +221,23 @@ class TestClassifyError:
 
 
 # ---------------------------------------------------------------------------
-# StepCounter and the evaluator
+# The step budget and the evaluator
 # ---------------------------------------------------------------------------
-class TestStepCounterIntegration:
+class TestStepBudgetIntegration:
     def test_step_limit_raises_the_dedicated_class_with_the_old_message(self):
-        counter = StepCounter(limit=3)
         with pytest.raises(StepLimitExceeded, match="step limit of 3 search steps"):
-            counter.tick(4)
+            Deadline(max_steps=3).tick(4)
         # Historical guards catch the base class.
         with pytest.raises(EvaluationError):
-            StepCounter(limit=1).tick(2)
+            Deadline(max_steps=1).tick(2)
 
-    def test_counter_flushes_ticks_to_its_deadline(self):
-        deadline = Deadline()
-        counter = StepCounter(deadline=deadline)
-        counter.tick(127)
-        assert deadline.steps == 0  # still batching
-        counter.tick(1)
-        assert deadline.steps == 128  # flushed at the stride
+    def test_ticks_read_the_clock_once_per_stride(self):
+        deadline = Deadline.after(-1.0)  # already expired
+        deadline.tick(127)
+        assert deadline.steps == 127  # charged, the clock not read yet
+        with pytest.raises(RequestTimeout):
+            deadline.tick(1)
+        assert deadline.steps == 128
 
     def test_enumerate_bindings_honours_the_ambient_deadline(self, edge_database):
         atoms = [RelationAtom("edge", [Var("x"), Var("y")])]
@@ -236,16 +248,15 @@ class TestStepCounterIntegration:
                     list(evaluator(edge_database, atoms))
             assert len(list(evaluator(edge_database, atoms))) == 4  # scope exited
 
-    def test_enumerate_bindings_respects_a_caller_counter_with_a_deadline(
-        self, edge_database
-    ):
+    def test_evaluations_under_one_deadline_share_its_step_budget(self, edge_database):
         atoms = [RelationAtom("edge", [Var("x"), Var("y")])]
-        counter = StepCounter()
-        with deadline_scope(Deadline(max_steps=2)):
+        with deadline_scope(Deadline()) as one:
+            list(enumerate_bindings(edge_database, atoms))
+        with deadline_scope(Deadline(max_steps=2 * one.steps)):
+            for evaluator in (enumerate_bindings, enumerate_bindings_naive):
+                list(evaluator(edge_database, atoms))
             with pytest.raises(StepLimitExceeded):
-                # 1 root + 4 rows + joins: well past 2 steps once flushed...
-                for _ in range(200):  # force enough ticks to flush the stride
-                    list(enumerate_bindings(edge_database, atoms, counter=counter))
+                list(enumerate_bindings(edge_database, atoms))
 
 
 class TestEngineDeadlines:
@@ -286,8 +297,8 @@ class TestEngineDeadlines:
 
     @staticmethod
     def _witness_served_engine():
-        """An engine over the 120-item size-3 lattice, its index already built."""
-        engine = PackageSearchEngine(overload_problem(120, seed=3))
+        """An engine over the witness-path poison lattice, its index already built."""
+        engine = PackageSearchEngine(witness_poison_problem())
         engine.oracle.is_satisfied(engine.singleton(engine.items[0]))
         assert engine.oracle.witness_builds == 1
         return engine
@@ -544,7 +555,7 @@ class TestResilienceConfig:
         # A lattice that outlasts the 20 ms deadline with witness verdicts.
         registry = MetricsRegistry()
         with use_metrics(registry):
-            self._assert_poison_times_out(overload_problem(120, seed=3))
+            self._assert_poison_times_out(witness_poison_problem())
         assert registry.counter("oracle.witness.verdicts") > 0
         assert registry.counter("oracle.verdict.misses") == 0
 

@@ -213,7 +213,13 @@ def test_sixteen_readers_agree_with_serial_reexecution_scaled(seed):
 # The batch front end under a live writer
 # ---------------------------------------------------------------------------
 def _run_server_stress(num_items, num_batches, batch_size, num_commits, seed):
-    """serve_batch answers are serially re-executable at their tagged epoch."""
+    """serve_batch answers are serially re-executable at their tagged epoch.
+
+    The first batch is served before the writer starts and the last after it
+    has committed everything, so the answers span at least two epochs
+    whatever the thread timing; the batches between run under the live
+    writer.
+    """
     trace = build_trace(num_items, 1, batch_size, seed=seed)
     problem = trace.problem
     request_pool = list(dict.fromkeys(trace.rounds[0][1]))
@@ -225,12 +231,16 @@ def _run_server_stress(num_items, num_batches, batch_size, num_commits, seed):
     )
     rng = random.Random(seed)
 
-    writer.start()
+    def serve():
+        all_results.extend(server.serve_batch(rng.choices(request_pool, k=batch_size)))
+
     all_results = []
-    for _ in range(num_batches):
-        requests = rng.choices(request_pool, k=batch_size)
-        all_results.extend(server.serve_batch(requests))
+    serve()
+    writer.start()
+    for _ in range(num_batches - 2):
+        serve()
     writer.join()
+    serve()
 
     # Each answer is tagged with the epoch it was computed against; replaying
     # the request serially on that epoch's archived copy must agree exactly.

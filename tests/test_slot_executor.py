@@ -25,7 +25,6 @@ import pytest
 from repro.observability.explain import StepProfile, explain_analyze
 from repro.queries.ast import Comparison, ComparisonOp, Const, RelationAtom, Var
 from repro.queries.bindings import (
-    StepCounter,
     _match_atom_against_row,
     enumerate_bindings,
     enumerate_bindings_naive,
@@ -35,6 +34,7 @@ from repro.queries.bindings import (
 from repro.queries.plan import plan_conjunction
 from repro.relational.database import Database
 from repro.relational.errors import EvaluationError
+from repro.resilience.deadline import Deadline, deadline_scope
 
 from scenarios import (
     CYCLIC_SHAPES,
@@ -261,19 +261,14 @@ def test_a_mixed_type_comparison_raises_at_the_same_comparison():
     plan = forced_plan(atoms, comparisons, range_probes=False)
 
     def outcome(run):
-        counter = StepCounter()
         seen = []
-        with pytest.raises(TypeError) as raised:
-            for binding in run(counter):
+        with deadline_scope(Deadline()) as budget, pytest.raises(TypeError) as raised:
+            for binding in run():
                 seen.append(binding)
-        return seen, str(raised.value), counter.steps
+        return seen, str(raised.value), budget.steps
 
-    planned = outcome(
-        lambda counter: enumerate_bindings(database, atoms, comparisons, counter=counter, plan=plan)
-    )
-    naive = outcome(
-        lambda counter: enumerate_bindings_naive(database, atoms, comparisons, counter=counter)
-    )
+    planned = outcome(lambda: enumerate_bindings(database, atoms, comparisons, plan=plan))
+    naive = outcome(lambda: enumerate_bindings_naive(database, atoms, comparisons))
     assert planned == naive
     assert "'<' not supported between instances of 'str' and 'int'" in planned[1]
 

@@ -86,6 +86,12 @@ one: a fresh build is the carry from the empty index, so
 ``_carry_witness_index`` (a definition, call or attribute), and calls
 ``project_bindings``, the witness joins, only inside
 ``_witness_index_over``.
+
+A fourteenth guard keeps one search budget, the ambient
+:class:`~repro.resilience.deadline.Deadline`: nothing under ``src/repro/``
+defines a ``StepCounter`` class, and no function there takes a parameter
+named ``counter`` or ``max_candidates``, so no caller-supplied step counter
+or node cap can bound a search beside it.
 """
 
 from __future__ import annotations
@@ -1210,3 +1216,67 @@ def test_the_maker_guard_itself_detects_a_second_maker():
         "    return project_bindings(database, (), (), ())\n"
     )
     assert _second_index_makers(clean) == []
+
+
+#: Parameters that would bound a search beside the ambient deadline.
+RETIRED_BUDGET_PARAMETERS = frozenset({"counter", "max_candidates"})
+
+
+def _second_budgets(tree: ast.AST):
+    """``line:what`` for each ``StepCounter`` class and each function
+    parameter in :data:`RETIRED_BUDGET_PARAMETERS`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "StepCounter":
+            found.append(f"{node.lineno}:class StepCounter")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            arguments = node.args
+            for argument in (
+                arguments.posonlyargs
+                + arguments.args
+                + arguments.kwonlyargs
+                + [arguments.vararg, arguments.kwarg]
+            ):
+                if argument is not None and argument.arg in RETIRED_BUDGET_PARAMETERS:
+                    found.append(f"{node.lineno}:{argument.arg}")
+    return found
+
+
+def test_the_deadline_is_the_one_search_budget():
+    offences = []
+    sources = sorted(SRC_ROOT.rglob("*.py"))
+    assert sources, f"no sources found under {SRC_ROOT}"
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(
+            f"{path.relative_to(SRC_ROOT.parent)}:{offence}" for offence in _second_budgets(tree)
+        )
+    assert not offences, (
+        "the ambient Deadline bounds every search; no StepCounter, counter= "
+        "or max_candidates= beside it: " + ", ".join(offences)
+    )
+
+
+def test_the_budget_guard_itself_detects_a_second_budget():
+    """The guard must fire on a StepCounter class and on a counter or
+    max_candidates parameter, and nowhere else."""
+    second = ast.parse(
+        "class StepCounter:\n"
+        "    def tick(self, amount=1):\n"
+        "        pass\n"
+        "def evaluate(database, counter=None, extra_relations=None):\n"
+        "    pass\n"
+        "class Engine:\n"
+        "    def count_valid(self, rating_bound=None, *, max_candidates=None):\n"
+        "        pass\n"
+    )
+    assert _second_budgets(second) == ["1:class StepCounter", "4:counter", "7:max_candidates"]
+    clean = ast.parse(
+        '"""A StepCounter in a docstring is fine; so is counter=None."""\n'
+        "from repro.resilience.deadline import current_deadline\n"
+        "def evaluate(database, extra_relations=None):\n"
+        "    counter = 0\n"
+        "    deadline = current_deadline()\n"
+        "    return counter, deadline\n"
+    )
+    assert _second_budgets(clean) == []

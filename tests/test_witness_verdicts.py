@@ -90,7 +90,7 @@ from repro.queries.ast import (
     RelationAtom,
     Var,
 )
-from repro.queries.bindings import StepCounter, enumerate_bindings
+from repro.queries.bindings import enumerate_bindings
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.datalog import DatalogRule, NonRecursiveDatalogProgram
 from repro.queries.efo import PositiveExistentialQuery
@@ -786,11 +786,11 @@ def test_a_request_step_budget_that_fits_the_probes_fits_a_fresh_build():
     on a fresh oracle, whose first verdict builds the index."""
     constraint, database, answers = _serving_instance()
     packages = _sample_packages(answers, count=10, seed=5)
-    probes = StepCounter()
-    for package in packages:
-        # A probe is one evaluation of Qc with RQ := the package.
-        answer = {constraint.answer_relation: package.as_relation(constraint.answer_relation)}
-        constraint.query.evaluate(database, counter=probes, extra_relations=answer)
+    with deadline_scope(Deadline()) as probes:
+        for package in packages:
+            # A probe is one evaluation of Qc with RQ := the package.
+            answer = {constraint.answer_relation: package.as_relation(constraint.answer_relation)}
+            constraint.query.evaluate(database, extra_relations=answer)
     assert 0 < probes.steps < 200
     oracle = _witness_oracle(constraint, database, answers)
     budget = Deadline(max_steps=probes.steps)
@@ -801,7 +801,7 @@ def test_a_request_step_budget_that_fits_the_probes_fits_a_fresh_build():
         verdicts = [oracle.is_satisfied(package) for package in packages]
     assert verdicts == expected
     assert oracle.witness_builds == 1 and oracle.witness_verdicts == len(packages)
-    assert budget.steps == 0  # the build's own StepCounter took its steps
+    assert budget.steps == 0  # the build's own deadline took its steps
     assert oracle.misses == 0
 
 
