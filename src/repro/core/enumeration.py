@@ -80,9 +80,9 @@ from repro.relational.database import Relation, Row
 from repro.relational.ordering import row_sort_key
 from repro.resilience.deadline import checked_deadline
 
-#: Check the request deadline once per this many lattice nodes.  A power of
-#: two, so ``examined & (N - 1)`` is the gate; the overshoot past an expired
-#: deadline is bounded by one stride.
+#: Charge the request deadline and check it once per this many lattice
+#: nodes.  A power of two, so ``examined & (N - 1)`` is the gate; the
+#: overshoot past an exhausted budget is bounded by one stride.
 _DEADLINE_STRIDE = 64
 
 
@@ -410,7 +410,8 @@ class PackageSearchEngine:
                     break
                 examined += 1
                 if deadline is not None and not examined & (_DEADLINE_STRIDE - 1):
-                    deadline.tick(_DEADLINE_STRIDE)
+                    deadline.steps += _DEADLINE_STRIDE
+                    deadline.check()
                 if cost_column is not None:
                     next_cost = cost_state + cost_column[index]
                     cost_value = cost_sign * float(next_cost)

@@ -74,10 +74,11 @@ class Deadline:
     end calls :meth:`check` once more.  So an evaluation overshoots an
     expired deadline or a cancellation by fewer than
     :data:`_DEADLINE_FLUSH_EVERY` steps and never overshoots ``max_steps``.
-    The lattice walk charges its nodes in strides of 64
-    (:data:`~repro.core.enumeration._DEADLINE_STRIDE`), so it overshoots any
-    budget by less than one stride more; a walk that runs to its end
-    re-checks, and one closed early charges its last nodes without a check.
+    The lattice walk charges its nodes and checks every budget once per
+    64-node stride (:data:`~repro.core.enumeration._DEADLINE_STRIDE`), so it
+    overshoots any budget by less than one stride more; a walk that runs to
+    its end re-checks, and one closed early charges its last nodes without a
+    check.
 
     :meth:`check` raises the matching typed error the moment any budget is
     exhausted — :class:`RequestCancelled` wins over :class:`RequestTimeout`

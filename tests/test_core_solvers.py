@@ -46,7 +46,15 @@ class TestEnumeration:
         assert any(package.is_empty() for package in candidates)
 
     def test_step_budget_bounds_the_candidate_enumeration(self, poi_problem):
-        with deadline_scope(Deadline(max_steps=5)), pytest.raises(StepLimitExceeded):
+        # Q(D) is evaluated before the budget, so every step is a package's.
+        poi_problem.candidate_pool()
+        with deadline_scope(Deadline()) as unbounded:
+            candidates = list(enumerate_candidate_packages(poi_problem))
+        steps = unbounded.steps
+        assert steps == len(candidates) > 0
+        with deadline_scope(Deadline(max_steps=steps)):
+            assert list(enumerate_candidate_packages(poi_problem)) == candidates
+        with deadline_scope(Deadline(max_steps=steps - 1)), pytest.raises(StepLimitExceeded):
             list(enumerate_candidate_packages(poi_problem))
 
     def test_valid_enumeration_respects_all_conditions(self, poi_problem):

@@ -341,6 +341,29 @@ class TestEngineDeadlines:
         examined = self._examined_under(engine, deadline, PackageSearchEngine.count_valid)
         assert examined % _DEADLINE_STRIDE and deadline.steps == examined
 
+    def test_a_walk_checks_its_deadline_once_per_stride(self):
+        """Witness-served verdicts charge nothing, yet the walk still reads
+        the clock and token every 64 nodes: at entry, once per full stride
+        and at its end."""
+
+        class CountingDeadline(Deadline):
+            __slots__ = ("checks",)
+
+            def __init__(self):
+                super().__init__()
+                self.checks = 0
+
+            def check(self):
+                self.checks += 1
+                super().check()
+
+        engine = PackageSearchEngine(serving_problem(60, seed=1))
+        engine.oracle.is_satisfied(engine.singleton(engine.items[0]))  # build outside
+        deadline = CountingDeadline()
+        examined = self._examined_under(engine, deadline, PackageSearchEngine.count_valid)
+        assert examined >= 4 * _DEADLINE_STRIDE and deadline.steps == examined
+        assert deadline.checks == examined // _DEADLINE_STRIDE + 2
+
     def test_a_step_budget_below_one_stride_stops_a_finished_walk(self):
         engine = PackageSearchEngine(serving_problem(12, seed=1))
         with deadline_scope(Deadline(max_steps=5)):

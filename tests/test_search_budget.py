@@ -14,11 +14,12 @@ from __future__ import annotations
 import random
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.core import count_valid_packages
-from repro.core.compatibility import QueryConstraint
+from repro.core.compatibility import PredicateConstraint, QueryConstraint
 from repro.core.enumeration import (
     _DEADLINE_STRIDE,
     PackageSearchEngine,
@@ -33,6 +34,7 @@ from repro.core.enumeration import (
 from repro.core.functions import AttributeSumCost, AttributeSumRating
 from repro.core.model import ConstantBound, RecommendationProblem
 from repro.core.packages import Package
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.queries import (
     ConjunctiveQuery,
     FirstOrderQuery,
@@ -270,8 +272,13 @@ def test_a_step_budget_bounds_every_evaluator_entry_point(entry):
 # ---------------------------------------------------------------------------
 # Deadline(max_steps=N) bounds every lattice traversal
 # ---------------------------------------------------------------------------
-#: ``(traversal, runs to its end)``.  A traversal that stops early (a
-#: witness found, ``stop_at`` reached) closes its walk, which charges the
+def _q_of_d(problem: RecommendationProblem):
+    return problem.candidate_pool().answers
+
+
+#: ``(traversal, runs to its end)`` on ``serving_problem(40, seed=2)``, a
+#: 190-node lattice.  A traversal that stops early (a witness found after 80
+#: nodes, ``stop_at`` reached after 125) closes its walk, which charges the
 #: nodes past its last 64-node stride without re-checking, so it may
 #: overshoot its budget by less than one stride.
 LATTICE_TRAVERSALS = {
@@ -282,34 +289,39 @@ LATTICE_TRAVERSALS = {
     "engine.best_valid": (lambda p: PackageSearchEngine(p).best_valid(p.k), True),
     "engine.valid_ratings": (lambda p: PackageSearchEngine(p).valid_ratings(), True),
     "engine.count_valid_stop_at": (
-        lambda p: PackageSearchEngine(p).count_valid(stop_at=40), False
+        lambda p: PackageSearchEngine(p).count_valid(stop_at=80), False
     ),
-    "engine.first_valid": (lambda p: PackageSearchEngine(p).first_valid(rating_bound=40.0), False),
+    "engine.first_valid": (lambda p: PackageSearchEngine(p).first_valid(rating_bound=30.0), False),
     "enumerate_candidate_packages": (lambda p: list(enumerate_candidate_packages(p)), True),
     "enumerate_valid_packages": (lambda p: list(enumerate_valid_packages(p)), True),
     "best_valid_packages": (lambda p: best_valid_packages(p, p.k), True),
     "count_valid_packages": (lambda p: count_valid_packages(p, rating_bound=20.0), True),
-    "exists_valid_package": (lambda p: exists_valid_package(p, rating_bound=40.0), False),
-    "find_k_witnesses": (lambda p: find_k_witnesses(p, rating_bound=40.0), False),
+    "exists_valid_package": (lambda p: exists_valid_package(p, rating_bound=30.0), False),
+    "find_k_witnesses": (lambda p: find_k_witnesses(p, rating_bound=30.0), False),
+    # The reference DFS evaluates ``Q(D)`` afresh unless handed it.
     "enumerate_valid_packages_reference": (
-        lambda p: list(enumerate_valid_packages_reference(p)), True
+        lambda p: list(enumerate_valid_packages_reference(p, candidate_items=_q_of_d(p))), True
     ),
-    "best_valid_packages_reference": (lambda p: best_valid_packages_reference(p, p.k), True),
+    "best_valid_packages_reference": (
+        lambda p: best_valid_packages_reference(p, p.k, candidate_items=_q_of_d(p)), True
+    ),
 }
 
 
 @pytest.mark.parametrize("path", ["witness", "probe"])
 @pytest.mark.parametrize("traversal", sorted(LATTICE_TRAVERSALS))
 def test_a_step_budget_bounds_every_lattice_traversal(traversal, path):
-    """Each run is on a fresh problem, so no run reuses another's verdicts
-    or ``Q(D)``: a budget of the unbounded run's ``s`` steps never fires,
-    and one of ``s - 1`` (``s - 64`` for a traversal that stops early) does."""
+    """Each run is on a fresh problem, so no run reuses another's verdicts;
+    its ``Q(D)`` is evaluated before the budget.  A budget of the unbounded
+    run's ``s`` steps never fires, and one of ``s - 1`` (``s - 64`` for a
+    traversal that stops early) does."""
     search, runs_to_end = LATTICE_TRAVERSALS[traversal]
 
     def run(deadline):
-        problem = serving_problem(24, seed=2)
+        problem = serving_problem(40, seed=2)
         if path == "probe":
             problem = probe_path(problem)
+        problem.candidate_pool()
         with deadline_scope(deadline):
             return search(problem)
 
@@ -322,6 +334,26 @@ def test_a_step_budget_bounds_every_lattice_traversal(traversal, path):
         run(Deadline(max_steps=steps - (1 if runs_to_end else _DEADLINE_STRIDE)))
     with pytest.raises(RequestTimeout):
         run(Deadline.after(-1.0))
+
+
+@pytest.mark.parametrize("traversal", sorted(LATTICE_TRAVERSALS))
+def test_a_lattice_traversal_charges_one_step_per_node(traversal):
+    """With ``Q(D)`` evaluated before the budget and a ``Qc`` that evaluates
+    no query, a traversal's own ticks are all it charges: one step per
+    lattice node it visits.  The engine's walks count their nodes; the
+    candidate enumeration and the reference DFS visit the whole lattice,
+    since that ``Qc`` and the budget prune nothing."""
+    search, _ = LATTICE_TRAVERSALS[traversal]
+    problem = replace(
+        serving_problem(40, seed=2),
+        compatibility=PredicateConstraint(lambda package, database: True, relations=()),
+    )
+    lattice = len(list(enumerate_candidate_packages(problem)))  # builds Q(D) too
+    registry = MetricsRegistry()
+    with use_metrics(registry), deadline_scope(Deadline()) as budget:
+        search(problem)
+    walked = registry.counter("engine.nodes.examined")  # 0 off the engine
+    assert budget.steps == (walked if walked else lattice) > 0
 
 
 def test_no_deadline_charges_nothing_and_changes_nothing():
