@@ -43,10 +43,15 @@ Three pruning hints on :class:`~repro.core.model.RecommendationProblem` keep
 the search practical on realistic instances without changing its worst case:
 ``monotone_cost`` prunes supersets of over-budget packages,
 ``antimonotone_compatibility`` prunes supersets of incompatible packages, and
-``monotone_val`` lets :meth:`PackageSearchEngine.best_valid` bound subtrees
-whose best achievable rating cannot reach the current k-th best.  All three
-are declarations by the problem author; when unset the search is fully
-exhaustive.
+``monotone_val`` bounds the best rating a subtree can reach and cuts the
+subtrees that cannot reach the rating the search asks for: the current k-th
+best in :meth:`PackageSearchEngine.best_valid`, the fixed bound ``B`` in
+every rating-bounded :meth:`~PackageSearchEngine.iter_valid`,
+:meth:`~PackageSearchEngine.first_valid` and
+:meth:`~PackageSearchEngine.count_valid` (the RPP outsider search, CPP and
+EXISTPACK).  The bound's per-item tables are built once per candidate pool.
+All three hints are declarations by the problem author; when unset the
+search is fully exhaustive.
 
 The pre-engine recursive enumerator is retained as
 :func:`enumerate_valid_packages_reference` (mirroring
@@ -67,9 +72,10 @@ in the engine only.  Wherever neither raises, answers are equal.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import insort
 from contextlib import closing
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.functions import AttributeSumCost, AttributeSumRating
@@ -86,20 +92,126 @@ from repro.resilience.deadline import checked_deadline
 _DEADLINE_STRIDE = 64
 
 
-class _Bound(NamedTuple):
-    """The branch-and-bound hook of :meth:`PackageSearchEngine._walk`."""
+class _BoundTables(NamedTuple):
+    """The per-item tables of a ``monotone_val`` bound with ``item_gain``.
 
-    #: ``prunes(index, node_rating, node_mask, path_cost, slots)``: whether no
-    #: package extending the node (the candidates whose bits are set in
-    #: ``node_mask``) with up to ``slots`` of ``items[index:]`` can still
-    #: enter the top-k selection.
-    prunes: Callable[[int, float, int, float, int], bool]
-    #: Whether the bound is non-increasing in ``index``, so that a pruned
-    #: sibling prunes every later sibling too.
-    ordered: bool
-    #: The exact additive cost of each candidate, threaded as each child's
-    #: path cost (``None``: the bound does not use path costs).
-    deltas: Optional[Tuple[float, ...]]
+    Built by :func:`_gain_tables` once per candidate pool and held in its
+    ``bound_tables`` slot (:meth:`PackageSearchEngine._bound_tables`) for
+    as long as the pool lives, hence arrays of doubles, not lists of floats.
+    """
+
+    #: ``suffix_top[m][i]``: the sum of the ``m`` largest positive gains
+    #: among ``items[i:]`` (of all of them, if fewer), for ``m`` up to the
+    #: size limit.
+    suffix_top: List[array]
+    #: The exact additive cost of each candidate (``None``: no cost cap).
+    deltas: Optional[array]
+    #: ``min_delta[i]``: the cheapest candidate among ``items[i:]``.
+    min_delta: Optional[array]
+
+
+def _gain_tables(items, gains, cost_delta, limit: int, budget: float) -> _BoundTables:
+    """The admissible-gain tables over ``items`` (see :class:`_BoundTables`).
+
+    One backward pass maintains the descending gain list by insertion (each
+    gain evaluated once), re-deriving the prefix sums per index.  A bound
+    only ever asks for ``m ≤ limit`` more items (the size bound caps every
+    extension), so both the list and the stored sums are truncated there,
+    keeping the build O(n·limit) instead of O(n²).  With an exact additive
+    cost (``cost_delta``) and a finite budget, ``min_delta`` caps ``m`` at
+    the ⌊remaining budget / cheapest item ahead⌋ items a node can still
+    afford; a non-positive item cost defeats that cap, and an unbounded
+    budget affords any number of items (the cap would divide infinities).
+    """
+    count = len(items)
+    suffix_top = [array("d", [0.0]) * (count + 1) for _ in range(limit + 1)]
+    descending: List[float] = []
+    for i in range(count - 1, -1, -1):
+        insort(descending, -max(0.0, gains(items[i])))  # negated: insort keeps ascending order
+        del descending[limit:]
+        total = 0.0
+        for m, negated in enumerate(descending, 1):
+            total -= negated
+            suffix_top[m][i] = total
+        for m in range(len(descending) + 1, limit + 1):  # fewer than ``limit`` items ahead
+            suffix_top[m][i] = total
+    if cost_delta is None or not math.isfinite(budget):
+        return _BoundTables(suffix_top, None, None)
+    deltas = array("d", map(cost_delta, items))
+    min_delta = array("d", reversed(list(accumulate(reversed(deltas), min))))
+    min_delta.append(math.inf)
+    if min_delta[0] <= 0:
+        return _BoundTables(suffix_top, None, None)
+    return _BoundTables(suffix_top, deltas, min_delta)
+
+
+class _Bound:
+    """The branch-and-bound hook of :meth:`PackageSearchEngine._walk`.
+
+    Admissible for a rating the problem declares ``monotone_val``: a node's
+    best extension is bounded by its rating plus the positive per-item gains
+    of the items still ahead (:class:`_BoundTables`, exact for additive
+    ratings via :meth:`~repro.core.functions.PackageRating.item_gain`) or,
+    lacking gains, by the rating of the node united with every remaining
+    item.  A subtree whose bound falls strictly below ``threshold`` holds no
+    package rated ``threshold`` or more.  The threshold is fixed for a
+    rating-bounded search; top-k raises it as its k-th best rises
+    (``moving``), so the walk re-cuts a node's children after each yield.
+    """
+
+    __slots__ = ("threshold", "moving", "deltas", "_tables", "_engine", "_count")
+
+    def __init__(self, engine, tables: Optional[_BoundTables], threshold: float, moving: bool):
+        self.threshold = threshold
+        self.moving = moving
+        #: Threaded as each child's exact path cost (``None``: no cost cap).
+        self.deltas = tables.deltas if tables is not None else None
+        self._tables = tables
+        self._engine = engine
+        self._count = len(engine.items)
+
+    def cut(
+        self, start: int, node_rating: float, node_mask: int, path_cost: float, slots: int
+    ) -> int:
+        """Where the node's children from ``items[start:]`` end.
+
+        The first ``i ≥ start`` such that no package extending the node (the
+        candidates set in ``node_mask``, rated ``node_rating``, at path cost
+        ``path_cost``) with up to ``slots`` of ``items[i:]`` can reach the
+        threshold, else ``len(items)``.  The gain bound is non-increasing in
+        ``i`` (fewer items ahead, fewer affordable), so one binary search
+        finds it; the generic bound costs a package over the whole rest, so
+        it cuts all of the children or none.
+        """
+        threshold, count = self.threshold, self._count
+        if node_rating >= threshold:
+            return count  # a monotone val: no extension rates below the node
+        tables = self._tables
+        if tables is None:
+            engine = self._engine
+            items = engine.items
+            rows = frozenset(
+                items[i] for i in range(count) if i >= start or node_mask >> i & 1
+            )
+            rating = engine.problem.val(Package.trusted(engine.schema, rows))
+            return start if rating < threshold else count
+        suffix_top, min_delta = tables.suffix_top, tables.min_delta
+        remaining = self._engine.budget - path_cost
+        lo, hi = start, count
+        while lo < hi:
+            # The range is first probed at ``start``: a fully cut range
+            # (the common case under a high bound) costs one probe.
+            mid = start if lo == start else (lo + hi) >> 1
+            m = slots
+            if min_delta is not None:
+                affordable = remaining // min_delta[mid]  # a float: may be +∞
+                if affordable < m:
+                    m = int(affordable)
+            if node_rating + suffix_top[m if m > 0 else 0][mid] < threshold:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
 
 def _attribute_sum(function, schema) -> Optional[Tuple[int, float]]:
@@ -252,7 +364,9 @@ class PackageSearchEngine:
         """How the walk threads ``function``: ``(column, sign, initial, extend, finish)``.
 
         An attribute sum (:func:`_attribute_sum`) threads through ``column``,
-        its raw per-candidate values, and is ``sign · float(state)`` at a
+        its raw per-candidate values (the pool's
+        :meth:`~repro.core.model.CandidatePool.column`, built once per pool),
+        and is ``sign · float(state)`` at a
         node; any other incremental form threads through ``extend`` and
         ``finish``; a function with neither (all ``None``) is evaluated on
         the node's package.
@@ -260,11 +374,51 @@ class PackageSearchEngine:
         summed = _attribute_sum(function, self.schema)
         if summed is not None:
             position, sign = summed
-            return tuple(item[position] for item in self.items), sign, 0, None, None
+            return self.pool.column(position), sign, 0, None, None
         inc = function.incremental(self.schema)
         if inc is not None:
             return None, None, inc.initial, inc.extend, inc.finish
         return None, None, None, None, None
+
+    # -- the rating bound ------------------------------------------------------
+    def _bound_tables(self) -> Optional[_BoundTables]:
+        """The gain tables of the problem's rating bound; ``None`` without
+        :meth:`~repro.core.functions.PackageRating.item_gain`.
+
+        Built once per candidate pool and ``(val, cost, size limit)`` and
+        held in the pool's ``bound_tables`` slot, so every walk of one epoch
+        reads one copy and the copy goes with the pool.
+        """
+        problem = self.problem
+        key = (problem.val, problem.cost, self.schema, self.limit, math.isfinite(self.budget))
+        held = self.pool.bound_tables
+        if held is not None and held[0] == key:
+            return held[1]
+        gains = problem.val.item_gain(self.schema)
+        tables = None
+        if gains is not None:
+            cost_delta = problem.cost.item_delta(self.schema)
+            tables = _gain_tables(self.items, gains, cost_delta, self.limit, self.budget)
+        self.pool.bound_tables = (key, tables)
+        return tables
+
+    def _rating_bound(self, threshold: float, moving: bool = False) -> Optional[_Bound]:
+        """The walk's pruning hook for ratings under ``threshold``, or
+        ``None`` unless the problem declares ``monotone_val``."""
+        if not self.problem.monotone_val or self.limit <= 0:
+            return None
+        return _Bound(self, self._bound_tables(), threshold, moving)
+
+    def _bounded_by(self, rating_bound: Optional[float]) -> Optional[_Bound]:
+        """The fixed pruning hook of a search for ``val(N) ≥ B`` (or ``>``).
+
+        A subtree whose bound falls below ``B`` (less the float slack of
+        :func:`_prune_threshold`) holds no package rated ``B`` or more, so
+        cutting it changes no yield, its order or any count.
+        """
+        if rating_bound is None:
+            return None
+        return self._rating_bound(_prune_threshold(rating_bound))
 
     # -- the lattice traversal -------------------------------------------------
     def _walk(
@@ -285,9 +439,12 @@ class PackageSearchEngine:
         indices; its truthy result is the ``token``) and, last, satisfies
         ``Qc``.  ``rated`` threads the rating along the DFS and computes it
         for every node that reaches ``accept``; otherwise the yielded
-        ``rating`` is ``None``.  ``bound`` is the branch-and-bound hook of
-        :meth:`best_valid`; with it, every node that survives the pruning
-        probes is rated, since its rating seeds its subtree's bound.
+        ``rating`` is ``None``.  ``bound`` is the branch-and-bound hook
+        (:class:`_Bound`); with it, every node that survives the pruning
+        probes is rated, since its rating seeds its subtree's bound, and each
+        node's children are cut once, before the first is examined: the
+        ones from the cut on are skipped with their subtrees.  A moving
+        bound re-cuts the children left after each yield.
 
         The walk runs in the candidate pool's index space: a node is its
         tuple of candidate indices plus their bitmask, attribute-sum costs
@@ -322,6 +479,11 @@ class PackageSearchEngine:
         antimonotone = self.antimonotone
         cost_fn, val_fn = self.problem.cost, self.problem.val
         cost_column, cost_sign, cost_initial, cost_extend, cost_finish = self._threading(cost_fn)
+        if bound is not None:
+            rated = True
+            cut, moving, deltas = bound.cut, bound.moving, bound.deltas
+        else:
+            cut, moving, deltas = None, False, None
         if rated:
             val_column, val_sign, val_initial, val_extend, val_finish = self._threading(val_fn)
         else:  # the rating never gets consulted: skip threading it
@@ -334,7 +496,6 @@ class PackageSearchEngine:
         late_cost = self.monotone_cost and not cost_threaded
         # A function without an incremental form needs every node's package.
         eager = not cost_threaded or (rated and not val_threaded)
-        prunes, ordered, deltas = bound if bound is not None else (None, False, None)
         excluded_masks = set()
         if excluded:
             position = self.pool.position
@@ -352,6 +513,7 @@ class PackageSearchEngine:
         examined = 0
         pruned = 0
         served = 0
+        yielded = 0
         # Read at call time, never in __init__: the ExistPack oracle shares
         # one engine across requests, so a construction-time capture would
         # leak the first request's deadline into every later one.
@@ -391,6 +553,7 @@ class PackageSearchEngine:
 
         def dfs(
             start: int,
+            stop: int,
             path: Tuple[int, ...],
             mask: int,
             cost_state,
@@ -398,16 +561,20 @@ class PackageSearchEngine:
             node_rating: float,
             path_cost: float,
         ) -> Iterator[Tuple[Optional[Package], int, Optional[float], object]]:
-            nonlocal examined, pruned, conflicts
+            nonlocal examined, pruned, conflicts, yielded
             size = len(path) + 1
             has_children = size < limit
             slots = limit - len(path)
-            for index in range(start, count):
-                if ordered and prunes(index, node_rating, mask, path_cost, slots):
-                    # The bound is non-increasing in ``index``, so nothing
-                    # later in this loop can qualify either.
-                    pruned += 1
-                    break
+            seen = yielded
+            for index in range(start, stop):
+                if moving:
+                    if yielded != seen:
+                        # A yield raised the threshold: cut the rest again.
+                        seen = yielded
+                        stop = cut(index, node_rating, mask, path_cost, slots)
+                    if index >= stop:
+                        pruned += 1
+                        break
                 examined += 1
                 if deadline is not None and not examined & (_DEADLINE_STRIDE - 1):
                     deadline.steps += _DEADLINE_STRIDE
@@ -458,34 +625,45 @@ class PackageSearchEngine:
                         if token and compatible:
                             if packages and package is None:
                                 package = build(node)
+                            yielded += 1
                             yield package, size, rating, token
                             # Resumed: the consumer may have committed.
                             if live and conflicts is not None and not tally.current():
                                 conflicts = None
-                if has_children:
-                    child_cost = path_cost + deltas[index] if deltas is not None else 0.0
-                    if prunes is not None and prunes(
-                        index + 1, rating, node_mask, child_cost, limit - size
-                    ):
-                        pruned += 1
-                        continue
+                if has_children and index + 1 < count:
+                    child_stop = count
+                    child_cost = 0.0
+                    if cut is not None:
+                        if deltas is not None:
+                            child_cost = path_cost + deltas[index]
+                        child_stop = cut(index + 1, rating, node_mask, child_cost, limit - size)
+                        if child_stop < count:
+                            pruned += 1
+                            if child_stop <= index + 1:
+                                continue
                     yield from dfs(
-                        index + 1, node, node_mask, next_cost, next_val, rating, child_cost
+                        index + 1,
+                        child_stop,
+                        node,
+                        node_mask,
+                        next_cost,
+                        next_val,
+                        rating,
+                        child_cost,
                     )
 
         # Per-item gains are admissible only between non-empty packages (the
         # rating may jump arbitrarily — even from -∞ — between ∅ and the
-        # first item), so the root level never prunes through them: seeding
-        # the root "rating" with +∞ disables the ordered break for the
-        # top-level loop, and every deeper bound starts from a real node's
-        # rating.  The generic monotone bound evaluates val(∅ ∪ remaining)
-        # directly and needs no such guard.
+        # first item), so the root level is never cut: seeding the root
+        # "rating" with +∞ makes every cut of its children (a moving bound's
+        # re-cut) keep them all, and every deeper bound starts from a real
+        # node's rating.
         tally = oracle.walk_started(self.pool)
         conflicts, larger, probe = tally.conflicts, tally.larger, tally.probe
         live = tally.database is not None  # a snapshot's masks never go stale
         finished = False
         try:
-            yield from dfs(0, (), 0, cost_initial, val_initial, math.inf, 0.0)
+            yield from dfs(0, count, (), 0, cost_initial, val_initial, math.inf, 0.0)
             finished = True
         finally:
             tally.witness_verdicts += served
@@ -516,12 +694,15 @@ class PackageSearchEngine:
 
         Packages are yielded in DFS order over the typed-sorted items; every
         yielded package has passed the full validity check, so the pruning
-        hints can only affect running time, never soundness.
+        hints can only affect running time, never soundness.  With a rating
+        bound and ``monotone_val``, subtrees that cannot reach the bound are
+        cut (:meth:`_rating_bound`).
         """
         walk = self._walk(
             rated=rating_bound is not None,
             accept=_rating_test(rating_bound, strict),
             excluded=frozenset(exclude),
+            bound=self._bounded_by(rating_bound),
         )
         with closing(walk):
             for package, _, _, _ in walk:
@@ -564,6 +745,7 @@ class PackageSearchEngine:
             walk = self._walk(
                 rated=rating_bound is not None or collect_ratings is not None,
                 accept=_rating_test(rating_bound, strict),
+                bound=self._bounded_by(rating_bound),
                 packages=False,
             )
             with closing(walk):
@@ -599,103 +781,20 @@ class PackageSearchEngine:
         full: ``total >= how_many`` iff a full selection exists.
 
         The branch-and-bound mode engages when the problem declares
-        ``monotone_val``: the best rating reachable in a subtree is bounded by
-        the node's rating plus the positive per-item gains of the items still
-        ahead (exact for additive ratings via
-        :meth:`~repro.core.functions.PackageRating.item_gain`) or, lacking
-        gains, by the rating of the node united with every remaining item —
-        admissible because ``val`` is declared monotone.  Subtrees whose bound
-        falls strictly below the current k-th best rating cannot contribute:
-        a tying package could still lose on the tie key only to a package
-        *already* in the selection, so strict comparison preserves exact
-        tie-breaking.
+        ``monotone_val``: the walk's rating bound (:class:`_Bound`) moves
+        with the k-th best rating.  Subtrees whose bound falls strictly below
+        it cannot contribute: a tying package could still lose on the tie key
+        only to a package *already* in the selection, so strict comparison
+        preserves exact tie-breaking.
         """
-        items, limit = self.items, self.limit
+        limit = self.limit
         scored: List[Tuple[Tuple[float, Tuple], Package, float]] = []
         if limit <= 0 or how_many <= 0:
             return [], 0, 0
-        schema, budget = self.schema, self.budget
-        count = len(items)
-        use_bound = self.problem.monotone_val
-        gains = self.problem.val.item_gain(self.schema) if use_bound else None
-        cost_delta = self.problem.cost.item_delta(self.schema) if gains is not None else None
-        deltas: Optional[Tuple[float, ...]] = None
-        min_delta: Optional[List[float]] = None
-        suffix_top: Optional[List[List[float]]] = None
-        if gains is not None:
-            # suffix_top[i][m] = sum of the m largest positive gains among
-            # items[i:] — an admissible bound on the extra rating any
-            # ≤ m-item subset of them can add.  One backward pass maintains
-            # the descending gain list by insertion (each gain evaluated
-            # once), re-deriving the prefix sums per index.  The bound only
-            # ever asks for m ≤ limit more items (the size bound caps every
-            # extension), so both the maintained list and the stored prefix
-            # sums are truncated there, keeping setup O(n·limit) instead of
-            # O(n²).
-            suffix_top = [[0.0]] * (count + 1)
-            descending: List[float] = []
-            for i in range(count - 1, -1, -1):
-                gain = max(0.0, gains(items[i]))
-                insort(descending, -gain)  # negated: insort keeps ascending order
-                del descending[limit:]  # only the top ``limit`` gains can ever be used
-                sums = [0.0]
-                for negated in descending:
-                    sums.append(sums[-1] - negated)
-                suffix_top[i] = sums
-            if cost_delta is not None and math.isfinite(budget):
-                # An unbounded budget affords any number of items; the cap
-                # would divide infinities (inf // inf is nan).
-                deltas = tuple(cost_delta(item) for item in items)
-                # min_delta[i] = the cheapest item still ahead; with an exact
-                # additive cost the remaining budget can afford at most
-                # ⌊remaining / min_delta⌋ more items, capping m further.
-                min_delta = [0.0] * (count + 1)
-                running = float("inf")
-                min_delta[count] = running
-                for i in range(count - 1, -1, -1):
-                    delta = deltas[i]
-                    running = delta if delta < running else running
-                    min_delta[i] = running
-                if any(d <= 0 for d in min_delta[:count]):
-                    # A non-positive item cost defeats the affordability cap.
-                    deltas, min_delta = None, None
-
-        val_fn = self.problem.val
         # ``scored`` stays sorted by (-rating, tie key); entries carry the
         # rating separately so the pruning threshold needs no negation.
         worst_rating: Optional[float] = None
-        threshold = 0.0
-
-        def prunes(
-            index: int,
-            node_rating: float,
-            node_mask: int,
-            path_cost: float,
-            slots: int,
-        ) -> bool:
-            """Whether the best rating any package extending the node with
-            items[index:] can reach falls strictly below the k-th best."""
-            if worst_rating is None:
-                return False
-            if suffix_top is not None:
-                available = count - index
-                if available <= 0:
-                    return node_rating < threshold
-                m = slots if slots < available else available
-                if min_delta is not None:
-                    affordable = int((budget - path_cost) // min_delta[index])
-                    if affordable < m:
-                        m = affordable
-                if m <= 0:
-                    return node_rating < threshold
-                return node_rating + suffix_top[index][m] < threshold
-            # Generic monotone bound: val(node ∪ all remaining items).
-            if index >= count:
-                return node_rating < threshold
-            rows = frozenset(
-                items[i] for i in range(count) if i >= index or node_mask >> i & 1
-            )
-            return val_fn(Package.trusted(schema, rows)) < threshold
+        bound = self._rating_bound(-math.inf, moving=True)
 
         # The selection's tie key, per candidate: a node's is the tuple of
         # its candidates' keys, which is its package's sort_key().
@@ -712,12 +811,7 @@ class PackageSearchEngine:
 
         total_seen = 0
         examined: List[int] = []
-        walk = self._walk(
-            rated=True,
-            accept=entry_key,
-            bound=_Bound(prunes, suffix_top is not None, deltas) if use_bound else None,
-            examined_out=examined,
-        )
+        walk = self._walk(rated=True, accept=entry_key, bound=bound, examined_out=examined)
         for package, _, rating, key in walk:
             total_seen += 1
             insort(scored, (key, package, rating))
@@ -725,7 +819,8 @@ class PackageSearchEngine:
                 scored.pop()
             if len(scored) >= how_many:
                 worst_rating = scored[-1][2]
-                threshold = _prune_threshold(worst_rating)
+                if bound is not None:
+                    bound.threshold = _prune_threshold(worst_rating)
         return [(rating, package) for _, package, rating in scored], examined[0], total_seen
 
 

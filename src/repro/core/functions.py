@@ -108,7 +108,10 @@ class PackageRating:
         applies gains across that boundary — its root-level bound is
         conservative instead.  Within the lattice the search sums the
         positive gains of the items still reachable from a node to bound the
-        best rating in its subtree.  Admissibility is exact for
+        best rating in its subtree, and cuts the subtrees whose bound falls
+        below the rating it asks for: the k-th best of the branch-and-bound
+        top-k, or the fixed bound ``B`` of a rating-bounded search (the RPP
+        outsider search, CPP, EXISTPACK).  Admissibility is exact for
         integer-valued attributes (the repo's workloads and reductions); the
         bound is only consulted when the problem declares ``monotone_val``.
         """

@@ -98,11 +98,28 @@ class CandidatePool:
     so a pool :meth:`holds` its relation only until someone mutates it.  A
     pool built by :meth:`RecommendationProblem.candidate_pool` also records
     the ``(database, query, database.version())`` it evaluated ``Q(D)`` for.
-    Pools are never mutated, only replaced, so readers on several threads
-    may share one.
+    Two tables the lattice walk reads are built on first use and dropped
+    with the pool: the :meth:`column` of each attribute the walk threads,
+    and in ``bound_tables`` the rating-bound tables of its ``monotone_val``
+    pruning, for one ``(val, cost, size limit)``
+    (:meth:`~repro.core.enumeration.PackageSearchEngine._bound_tables`).
+    Pools are never mutated, only replaced (those tables are filled in
+    once, alike by any reader), so readers on several threads may share
+    one.
     """
 
-    __slots__ = ("answers", "version", "items", "keys", "position", "database", "query", "epoch")
+    __slots__ = (
+        "answers",
+        "version",
+        "items",
+        "keys",
+        "position",
+        "database",
+        "query",
+        "epoch",
+        "columns",
+        "bound_tables",
+    )
 
     def __init__(
         self,
@@ -120,6 +137,15 @@ class CandidatePool:
         self.database = database
         self.query = query
         self.epoch = epoch
+        self.columns: Dict[int, tuple] = {}
+        self.bound_tables = None
+
+    def column(self, position: int) -> tuple:
+        """Every item's value at ``position``, in item order."""
+        column = self.columns.get(position)
+        if column is None:
+            column = self.columns[position] = tuple(map(itemgetter(position), self.items))
+        return column
 
     def holds(self, answers: Relation) -> bool:
         """Whether this pool is ``answers`` as it stands now."""
@@ -160,12 +186,14 @@ class RecommendationProblem:
     #: Declares that ``val`` never decreases when items are added to a package
     #: (true e.g. for attribute sums over non-negative values and for count
     #: ratings; false for the travel rating, which *minimises* total price).
-    #: When set, :func:`~repro.core.enumeration.best_valid_packages` switches
-    #: to a branch-and-bound top-k search that prunes lattice subtrees whose
-    #: admissible rating upper bound cannot reach the current k-th best.  Like
-    #: the other hints this is a declaration by the problem author: it can only
-    #: affect running time when it genuinely holds, and must not be set
-    #: otherwise.
+    #: When set, the lattice search prunes subtrees whose admissible rating
+    #: upper bound cannot reach the rating the search asks for: the current
+    #: k-th best in :func:`~repro.core.enumeration.best_valid_packages`'s
+    #: branch-and-bound top-k, and the fixed bound ``B`` of every
+    #: rating-bounded search (the RPP outsider search, CPP's count and the
+    #: EXISTPACK witness search).  Like the other hints this is a declaration
+    #: by the problem author: it can only affect running time when it
+    #: genuinely holds, and must not be set otherwise.
     monotone_val: bool = False
     _compatibility_oracle: Optional[CompatibilityOracle] = field(
         default=None, init=False, repr=False, compare=False

@@ -79,8 +79,9 @@ def is_top_k_selection(
     chosen = selection.as_set()
     engine = PackageSearchEngine(problem, candidate_items=candidate_items)
     # The rating condition is pushed into the engine (threaded incrementally
-    # along the DFS); the first package it yields is exactly the first
-    # dominating outsider the historical scan-then-test loop found.
+    # along the DFS, and with ``monotone_val`` cutting every subtree that
+    # cannot beat the threshold); the first package it yields is exactly the
+    # first dominating outsider the historical scan-then-test loop found.
     outsider = engine.first_valid(rating_bound=threshold, strict=True, exclude=chosen)
     if outsider is not None:
         return RPPResult(

@@ -67,6 +67,16 @@ class DurabilityConfig:
     fsync-per-commit mode; ``checkpoint_every``, when set, makes the server
     write a fresh checkpoint (from a pinned snapshot — the writer never
     stalls) after every N commits, keeping the WAL tail short.
+
+    With ``checkpoint_every`` unset nothing bounds the log: every effective
+    commit appends one record (a delta that changes nothing appends none),
+    and only an explicit checkpoint
+    (:meth:`~repro.serving.SnapshotServer.checkpoint`, or
+    :func:`~repro.durability.write_checkpoint` given the ``wal``) truncates
+    it to the records past its image.  The log keeps no per-record state in
+    memory, so what grows is the file and the recovery time, which replays
+    every record past the image.  ``repro serve --wal`` runs this way: its
+    log holds every commit of the trace.
     """
 
     directory: Union[str, Path]

@@ -276,34 +276,43 @@ def _q_of_d(problem: RecommendationProblem):
     return problem.candidate_pool().answers
 
 
-#: ``(traversal, runs to its end)`` on ``serving_problem(40, seed=2)``, a
-#: 190-node lattice.  A traversal that stops early (a witness found after 80
-#: nodes, ``stop_at`` reached after 125) closes its walk, which charges the
+#: ``(traversal, runs to its end, items)`` on ``serving_problem(items,
+#: seed=2)``: 40 items make a 190-node lattice.  A traversal that stops early
+#: (``stop_at`` reached after 125 nodes) closes its walk, which charges the
 #: nodes past its last 64-node stride without re-checking, so it may
-#: overshoot its budget by less than one stride.
+#: overshoot its budget by less than one stride.  The witness searches cut
+#: every subtree their rating bound rules out, which leaves a walk of 30
+#: nodes or fewer on 40 items; on 80 items (a 990-node lattice) a bound of
+#: 35 finds its witnesses after 77 and 78 nodes.
 LATTICE_TRAVERSALS = {
     "engine.iter_valid": (
-        lambda p: list(PackageSearchEngine(p).iter_valid(rating_bound=20.0)), True
+        lambda p: list(PackageSearchEngine(p).iter_valid(rating_bound=20.0)), True, 40
     ),
-    "engine.count_valid": (lambda p: PackageSearchEngine(p).count_valid(rating_bound=20.0), True),
-    "engine.best_valid": (lambda p: PackageSearchEngine(p).best_valid(p.k), True),
-    "engine.valid_ratings": (lambda p: PackageSearchEngine(p).valid_ratings(), True),
+    "engine.count_valid": (
+        lambda p: PackageSearchEngine(p).count_valid(rating_bound=20.0), True, 40
+    ),
+    "engine.best_valid": (lambda p: PackageSearchEngine(p).best_valid(p.k), True, 40),
+    "engine.valid_ratings": (lambda p: PackageSearchEngine(p).valid_ratings(), True, 40),
     "engine.count_valid_stop_at": (
-        lambda p: PackageSearchEngine(p).count_valid(stop_at=80), False
+        lambda p: PackageSearchEngine(p).count_valid(stop_at=80), False, 40
     ),
-    "engine.first_valid": (lambda p: PackageSearchEngine(p).first_valid(rating_bound=30.0), False),
-    "enumerate_candidate_packages": (lambda p: list(enumerate_candidate_packages(p)), True),
-    "enumerate_valid_packages": (lambda p: list(enumerate_valid_packages(p)), True),
-    "best_valid_packages": (lambda p: best_valid_packages(p, p.k), True),
-    "count_valid_packages": (lambda p: count_valid_packages(p, rating_bound=20.0), True),
-    "exists_valid_package": (lambda p: exists_valid_package(p, rating_bound=30.0), False),
-    "find_k_witnesses": (lambda p: find_k_witnesses(p, rating_bound=30.0), False),
+    "engine.first_valid": (
+        lambda p: PackageSearchEngine(p).first_valid(rating_bound=35.0), False, 80
+    ),
+    "enumerate_candidate_packages": (lambda p: list(enumerate_candidate_packages(p)), True, 40),
+    "enumerate_valid_packages": (lambda p: list(enumerate_valid_packages(p)), True, 40),
+    "best_valid_packages": (lambda p: best_valid_packages(p, p.k), True, 40),
+    "count_valid_packages": (lambda p: count_valid_packages(p, rating_bound=20.0), True, 40),
+    "exists_valid_package": (lambda p: exists_valid_package(p, rating_bound=35.0), False, 80),
+    "find_k_witnesses": (lambda p: find_k_witnesses(p, rating_bound=35.0), False, 80),
     # The reference DFS evaluates ``Q(D)`` afresh unless handed it.
     "enumerate_valid_packages_reference": (
-        lambda p: list(enumerate_valid_packages_reference(p, candidate_items=_q_of_d(p))), True
+        lambda p: list(enumerate_valid_packages_reference(p, candidate_items=_q_of_d(p))),
+        True,
+        40,
     ),
     "best_valid_packages_reference": (
-        lambda p: best_valid_packages_reference(p, p.k, candidate_items=_q_of_d(p)), True
+        lambda p: best_valid_packages_reference(p, p.k, candidate_items=_q_of_d(p)), True, 40
     ),
 }
 
@@ -315,10 +324,10 @@ def test_a_step_budget_bounds_every_lattice_traversal(traversal, path):
     its ``Q(D)`` is evaluated before the budget.  A budget of the unbounded
     run's ``s`` steps never fires, and one of ``s - 1`` (``s - 64`` for a
     traversal that stops early) does."""
-    search, runs_to_end = LATTICE_TRAVERSALS[traversal]
+    search, runs_to_end, items = LATTICE_TRAVERSALS[traversal]
 
     def run(deadline):
-        problem = serving_problem(40, seed=2)
+        problem = serving_problem(items, seed=2)
         if path == "probe":
             problem = probe_path(problem)
         problem.candidate_pool()
@@ -343,9 +352,9 @@ def test_a_lattice_traversal_charges_one_step_per_node(traversal):
     lattice node it visits.  The engine's walks count their nodes; the
     candidate enumeration and the reference DFS visit the whole lattice,
     since that ``Qc`` and the budget prune nothing."""
-    search, _ = LATTICE_TRAVERSALS[traversal]
+    search, _, items = LATTICE_TRAVERSALS[traversal]
     problem = replace(
-        serving_problem(40, seed=2),
+        serving_problem(items, seed=2),
         compatibility=PredicateConstraint(lambda package, database: True, relations=()),
     )
     lattice = len(list(enumerate_candidate_packages(problem)))  # builds Q(D) too
